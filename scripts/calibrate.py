@@ -3,41 +3,9 @@
 import sys
 import time
 
-import numpy as np
-
-from msfacedet.evaluation import EvalConfig, evaluate_dataset
+from msfacedet.evaluation import evaluate_detector, proposal_recall
 from msfacedet.toydata import generate_toy_dataset
 from msfacedet.training import TrainConfig, train
-
-
-def heldout_ap(model, scenes):
-    dets = {}
-    for s in scenes:
-        found = model.detect(s.image, s.image.shape[3], s.image.shape[2], score_thresh=0.05)
-        dets[s.name] = (
-            np.array([d.box for d in found]).reshape(-1, 4),
-            np.array([d.score for d in found]),
-        )
-    gts = {s.name: s.gt_boxes for s in scenes}
-    return evaluate_dataset(dets, gts, EvalConfig()).overall.ap
-
-
-def proposal_recall(model, scenes):
-    from msfacedet.boxes import iou_matrix
-    from msfacedet.rpn import propose
-    from msfacedet.training import pipeline_forward
-
-    hits = total = 0
-    for s in scenes:
-        st = pipeline_forward(model, s.image)
-        anchors = model.anchors_for(st.fused_shape[2], st.fused_shape[3])
-        props = propose(st.rpn_logits, st.rpn_deltas, anchors, s.image.shape[3], s.image.shape[2])
-        boxes = np.array([p.box for p in props]).reshape(-1, 4)
-        for g in s.gt_boxes:
-            total += 1
-            if boxes.size and iou_matrix(g, boxes).max() > 0.5:
-                hits += 1
-    return hits / max(total, 1)
 
 
 def main():
@@ -57,7 +25,7 @@ def main():
     )
     t_train = time.time() - t0
     rec = proposal_recall(res.model, held[:40])
-    ap = heldout_ap(res.model, held)
+    ap = evaluate_detector(res.model, held).overall.ap
     print(
         f"seed={seed} iters={iters} lr={lr} train_time={t_train/60:.1f}min "
         f"recall@300={rec:.3f} AP={ap:.4f}",

@@ -3,26 +3,9 @@
 import sys
 import time
 
-import numpy as np
-
-from msfacedet.boxes import iou_matrix
-from msfacedet.rpn import propose
+from msfacedet.evaluation import evaluate_detector, proposal_recall
 from msfacedet.toydata import generate_toy_dataset
-from msfacedet.training import TrainConfig, pipeline_forward, train
-
-
-def rpn_recall(model, scenes, topk=50):
-    hits = total = 0
-    for s in scenes:
-        st = pipeline_forward(model, s.image)
-        anchors = model.anchors_for(st.fused_shape[2], st.fused_shape[3])
-        props = propose(st.rpn_logits, st.rpn_deltas, anchors, s.image.shape[3], s.image.shape[2])
-        boxes = np.array([p.box for p in props[:topk]]).reshape(-1, 4)
-        for g in s.gt_boxes:
-            total += 1
-            if boxes.size and iou_matrix(g, boxes).max() > 0.5:
-                hits += 1
-    return hits / max(total, 1)
+from msfacedet.training import TrainConfig, train
 
 
 def main():
@@ -43,10 +26,8 @@ def main():
 
     res = train(scenes, cfg, progress=prog)
     print(f"time {(time.time()-t0)/60:.1f} min")
-    print(f"rpn recall@50 on train: {rpn_recall(res.model, scenes[:20]):.3f}")
-    from scripts.calibrate import heldout_ap
-
-    print(f"train-set AP: {heldout_ap(res.model, scenes[:30]):.3f}")
+    print(f"rpn recall@50 on train: {proposal_recall(res.model, scenes[:20], top_k=50):.3f}")
+    print(f"train-set AP: {evaluate_detector(res.model, scenes[:30]).overall.ap:.3f}")
 
 
 if __name__ == "__main__":

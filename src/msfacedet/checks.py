@@ -197,7 +197,7 @@ def check_roi_pool(seed: int) -> float:
     out, argmax = roi_pool(fmap, roi, 4, 3)
     proj = rng.standard_normal(out.shape)
     dmap = np.zeros_like(fmap)
-    roi_pool_backward(proj, argmax, dmap)
+    roi_pool_backward(proj[None], argmax[None], dmap)
 
     def loss():
         return float((roi_pool(fmap, roi, 4, 3)[0] * proj).sum())

@@ -12,11 +12,11 @@ import numpy as np
 from .annotations import AnnotationRecord, format_annotations, load_annotations
 from .checks import run_suite
 from .config import RunConfig, load_run_config
-from .evaluation import evaluate_dataset, format_report
+from .evaluation import evaluate_dataset, evaluate_detector, format_report
 from .imageio import load_image, overlay_boxes, write_pgm, write_ppm
 from .model import MultiScaleDetector
 from .toydata import ToyScene, generate_toy_dataset
-from .training import train
+from .training import format_trace, train
 
 
 class _OutputTracker:
@@ -111,14 +111,13 @@ def cmd_train(args, tracker) -> int:
         cfg.model_config(),
         progress=lambda it, c: print(f"iter {it}: total {c['total']:.4f}") if it % 200 == 0 else None,
     )
-    trace_lines = [
-        f"{it} {tot:.6f} {rc:.6f} {rr:.6f} {dc:.6f} {dr:.6f}"
-        for it, tot, rc, rr, dc, dr in result.trace
-    ]
-    tracker.write_text(out_dir / "loss_trace.txt", "\n".join(trace_lines) + "\n")
+    tracker.write_text(out_dir / "loss_trace.txt", format_trace(result.trace))
     ckpt_path = tracker.note(out_dir / "checkpoint.msfr")
     result.model.save(ckpt_path)
-    print(f"trained {cfg.iterations} iterations; checkpoint at {ckpt_path}")
+    print(
+        f"trained {cfg.iterations} iterations ({result.skipped} skipped for lack of anchor "
+        f"targets); checkpoint at {ckpt_path}"
+    )
     return 0
 
 
@@ -232,25 +231,16 @@ def cmd_ablate(args, tracker) -> int:
     for mode in ("multi", "tap5"):
         cfg.fusion_mode = mode
         result = train(train_scenes, cfg.train_config(), cfg.model_config())
-        dets = {}
-        for scene in eval_scenes:
-            found = result.model.detect(
-                scene.image,
-                scene.image.shape[3],
-                scene.image.shape[2],
-                score_thresh=0.05,
-                det_nms_thresh=cfg.det_nms_thresh,
-                rpn_nms_thresh=cfg.rpn_nms_thresh,
-                pre_nms_top_n=cfg.pre_nms_top_n,
-                post_nms_top_n=cfg.post_nms_top_n,
-                min_size=cfg.min_size,
-            )
-            dets[scene.name] = (
-                np.array([d.box for d in found]).reshape(-1, 4),
-                np.array([d.score for d in found]),
-            )
-        gts = {scene.name: scene.gt_boxes for scene in eval_scenes}
-        report = evaluate_dataset(dets, gts, cfg.eval_config())
+        report = evaluate_detector(
+            result.model,
+            eval_scenes,
+            cfg.eval_config(),
+            det_nms_thresh=cfg.det_nms_thresh,
+            rpn_nms_thresh=cfg.rpn_nms_thresh,
+            pre_nms_top_n=cfg.pre_nms_top_n,
+            post_nms_top_n=cfg.post_nms_top_n,
+            min_size=cfg.min_size,
+        )
         tracker.write_text(out_dir / f"report_{mode}.txt", format_report(report))
         aps[mode] = report.overall.ap if report.overall.ap is not None else float("nan")
         print(f"{mode} ap_overall {aps[mode]:.6f}")

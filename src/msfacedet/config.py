@@ -20,20 +20,9 @@ class ConfigError(ValueError):
 
 
 @dataclass
-class RunConfig:
-    # training
-    learning_rate: float = 1e-3
-    momentum: float = 0.9
-    weight_decay: float = 5e-4
-    iterations: int = 2000
-    seed: int = 7
-    loss_lambda: float = 1.0
-    image_size: int = 128
-    lr_drop: bool = False
-    pre_nms_top_n: int = 2000
-    post_nms_top_n: int = 300
-    rpn_nms_thresh: float = 0.7
-    min_size: float = 4.0
+class RunConfig(TrainConfig, EvalConfig):
+    """Every training and evaluation field, plus the keys below."""
+
     # anchors
     base_stride: int = 16
     anchor_scales: tuple = (1.0, 2.0, 4.0)
@@ -43,10 +32,7 @@ class RunConfig:
     roi_pool_size: int = 7
     gamma_init: float = 10.0
     fusion_mode: str = "multi"
-    # evaluation / detection
-    iou_threshold: float = 0.5
-    split_small_max: float = 24.0
-    split_medium_max: float = 64.0
+    # detection
     score_thresh: float = 0.8
     det_nms_thresh: float = 0.3
     # paths (may also come from CLI flags, which win)
@@ -56,23 +42,16 @@ class RunConfig:
     annotations: str = ""
     detections: str = ""
 
-    def train_config(self) -> TrainConfig:
-        cfg = TrainConfig(
-            learning_rate=self.learning_rate,
-            momentum=self.momentum,
-            weight_decay=self.weight_decay,
-            iterations=self.iterations,
-            seed=self.seed,
-            loss_lambda=self.loss_lambda,
-            image_size=self.image_size,
-            lr_drop=self.lr_drop,
-            pre_nms_top_n=self.pre_nms_top_n,
-            post_nms_top_n=self.post_nms_top_n,
-            rpn_nms_thresh=self.rpn_nms_thresh,
-            min_size=self.min_size,
-        )
+    def _component(self, cls):
+        cfg = cls(**{f.name: getattr(self, f.name) for f in fields(cls)})
         cfg.validate()
         return cfg
+
+    def train_config(self) -> TrainConfig:
+        return self._component(TrainConfig)
+
+    def eval_config(self) -> EvalConfig:
+        return self._component(EvalConfig)
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(
@@ -88,15 +67,6 @@ class RunConfig:
             ),
             fusion_mode=self.fusion_mode,
         )
-
-    def eval_config(self) -> EvalConfig:
-        cfg = EvalConfig(
-            iou_threshold=self.iou_threshold,
-            split_small_max=self.split_small_max,
-            split_medium_max=self.split_medium_max,
-        )
-        cfg.validate()
-        return cfg
 
     def validate(self):
         self.train_config()

@@ -1,6 +1,7 @@
 """Benchmark-protocol scoring: greedy IoU matching with a strict overlap
 criterion, precision-recall curves with all-points-interpolated AP, and
-cumulative-false-positive ROC curves, with difficulty splits by box height."""
+cumulative-false-positive ROC curves, with difficulty splits by box height;
+plus held-out AP and proposal recall of a model over toy scenes."""
 
 from __future__ import annotations
 
@@ -9,6 +10,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boxes import iou_matrix
+from .rpn import propose
+from .training import pipeline_forward
 
 
 @dataclass
@@ -175,6 +178,32 @@ def evaluate_dataset(dets_by_image: dict, gts_by_image: dict, cfg: EvalConfig = 
                 kept.append(False)
         splits[name] = _report(np.array(kept, dtype=bool), gt_split_counts[name], len(kept))
     return DatasetReport(overall=overall, splits=splits)
+
+
+def evaluate_detector(model, scenes, cfg: EvalConfig = None, **detect_kwargs) -> DatasetReport:
+    """Score ``model.detect`` over toy scenes, keeping every detection above
+    face probability 0.05 so the score sweep covers the whole PR curve."""
+    dets = {}
+    for s in scenes:
+        found = model.detect(s.image, s.image.shape[3], s.image.shape[2], score_thresh=0.05, **detect_kwargs)
+        dets[s.name] = (np.array([d.box for d in found]).reshape(-1, 4), np.array([d.score for d in found]))
+    return evaluate_dataset(dets, {s.name: s.gt_boxes for s in scenes}, cfg)
+
+
+def proposal_recall(model, scenes, top_k: int | None = None) -> float:
+    """Share of ground-truth faces overlapped at IoU > 0.5 by one of the
+    first ``top_k`` proposals (all of them when None)."""
+    hits = total = 0
+    for s in scenes:
+        st = pipeline_forward(model, s.image)
+        anchors = model.anchors_for(st.fused_shape[2], st.fused_shape[3])
+        props = propose(st.rpn_logits, st.rpn_deltas, anchors, s.image.shape[3], s.image.shape[2])
+        boxes = np.array([p.box for p in props[:top_k]]).reshape(-1, 4)
+        gts = np.asarray(s.gt_boxes, dtype=np.float64).reshape(-1, 4)
+        total += gts.shape[0]
+        if boxes.size and gts.size:
+            hits += int((iou_matrix(gts, boxes).max(axis=1) > 0.5).sum())
+    return hits / max(total, 1)
 
 
 def _fmt_ap(ap) -> str:

@@ -5,11 +5,13 @@ L2-normalizing each along the channel axis, scaling by a learnable
 per-channel factor, spatially synchronizing (downsample pooling for the
 dense branch, ROI pooling for the per-region branch), concatenating in a
 fixed tap order and shrinking channels with a shared 1x1 convolution.
+The single-tap ablation runs the same code over the stride-16 tap alone,
+without a norm.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -187,14 +189,8 @@ def roi_pool(fmap: np.ndarray, roi: np.ndarray, stride: int, p: int):
 
 
 def roi_pool_backward(dout: np.ndarray, argmax: np.ndarray, dmap: np.ndarray):
-    """Scatter-add pooled gradients back to their argmax source positions."""
-    c, h, w = dmap.shape
-    flat = dmap.reshape(c, h * w)
-    np.add.at(flat, (np.arange(c)[:, None], argmax.reshape(c, -1)), dout.reshape(c, -1))
-
-
-def _roi_pool_backward_batch(dout: np.ndarray, argmax: np.ndarray, dmap: np.ndarray):
-    """Batched scatter over an (R, C, p, p) gradient stack into one map."""
+    """Scatter-add an (R, C, p, p) pooled-gradient stack back to the argmax
+    source positions of one (C, H, W) map."""
     r, c = dout.shape[0], dout.shape[1]
     flat = dmap.reshape(c, -1)
     idx = argmax.reshape(r, c, -1)
@@ -209,27 +205,14 @@ class FusionConfig:
     eps: float = 1e-10
 
 
-@dataclass
-class FusionParams:
-    """Learnable fusion state: one norm per tap plus the shared 1x1 shrink."""
-
-    norms: dict = field(default_factory=dict)  # tap name -> L2NormScale
-    shrink: ConvParams = None
-
-
-def ms_roi_pool(taps, roi, norms, shrink: ConvParams, p: int):
-    """Fixed-size fused descriptor for one ROI.
+def ms_roi_pool_batch(taps, rois: np.ndarray, norms, shrink: ConvParams, p: int):
+    """Fixed-size fused descriptors (R, shrink_out, p, p) for an (R, 4) ROI stack.
 
     Each tap is ROI-pooled at its own stride to (C_i, p, p), L2-normalized
-    and re-weighted, concatenated in tap order and shrunk by the shared 1x1
-    convolution.  Output shape is (shrink_out, p, p) regardless of ROI size.
+    and re-weighted when ``norms`` holds a norm for it, concatenated in tap
+    order and shrunk by the shared 1x1 convolution, so the output shape does
+    not depend on ROI size.
     """
-    out, cache = ms_roi_pool_batch(taps, np.asarray(roi, dtype=np.float64).reshape(1, 4), norms, shrink, p)
-    return out[0], cache
-
-
-def ms_roi_pool_batch(taps, rois: np.ndarray, norms, shrink: ConvParams, p: int):
-    """Vectorized :func:`ms_roi_pool` over an (R, 4) ROI stack."""
     r = rois.shape[0]
     pooled, argmaxes, norm_caches = [], [], []
     for tap in taps:
@@ -239,8 +222,10 @@ def ms_roi_pool_batch(taps, rois: np.ndarray, norms, shrink: ConvParams, p: int)
         fmap = tap.map[0]
         for i in range(r):
             po[i], am[i] = roi_pool(fmap, rois[i], tap.stride, p)
-        normed, nc = l2norm_scale(po, norms[tap.name])
-        pooled.append(normed)
+        nc = None
+        if tap.name in norms:
+            po, nc = l2norm_scale(po, norms[tap.name])
+        pooled.append(po)
         argmaxes.append(am)
         norm_caches.append(nc)
     z = np.concatenate(pooled, axis=1)
@@ -255,5 +240,6 @@ def ms_roi_pool_batch_backward(dout: np.ndarray, cache, tap_grads: dict):
     dz = conv2d_backward(dout, conv_cache)
     parts = np.split(dz, np.cumsum(splits)[:-1], axis=1)
     for tap, am, nc, dpart in zip(taps, argmaxes, norm_caches, parts):
-        dpool = l2norm_scale_backward(dpart, nc)
-        _roi_pool_backward_batch(dpool, am, tap_grads[tap.name][0])
+        if nc is not None:
+            dpart = l2norm_scale_backward(dpart, nc)
+        roi_pool_backward(dpart, am, tap_grads[tap.name][0])

@@ -14,13 +14,11 @@ from .fusion import (
     TAP_ORDER,
     FeatureTap,
     FusionConfig,
-    _roi_pool_backward_batch,
     concat_shrink,
     concat_shrink_backward,
     l2norm_scale,
     l2norm_scale_backward,
     make_l2norm,
-    roi_pool,
     sync_downsample,
     sync_downsample_backward,
 )
@@ -29,8 +27,6 @@ from .tensor import (
     ShapeError,
     conv2d,
     conv2d_backward,
-    fully_connected,
-    fully_connected_backward,
     make_conv,
     make_linear,
     maxpool2d,
@@ -41,6 +37,7 @@ from .tensor import (
 
 STAGE_CHANNELS = (8, 16, 32, 64, 64)
 TAP_STRIDES = {"tap3": 4, "tap4": 8, "tap5": 16}
+FUSED_TAPS = {"multi": TAP_ORDER, "tap5": ("tap5",)}
 
 
 @dataclass
@@ -50,10 +47,12 @@ class ModelConfig:
     head_width: int = 256
     fusion: FusionConfig = field(default_factory=FusionConfig)
     anchors: AnchorConfig = field(default_factory=AnchorConfig)
-    fusion_mode: str = "multi"  # "multi" fuses tap3/4/5, "tap5" uses the last tap only
+    # "multi" fuses tap3/4/5 with per-tap norms; "tap5" is the same fusion
+    # path over the last tap alone, without norms
+    fusion_mode: str = "multi"
 
     def __post_init__(self):
-        if self.fusion_mode not in ("multi", "tap5"):
+        if self.fusion_mode not in FUSED_TAPS:
             raise ValueError(f"unknown fusion_mode {self.fusion_mode!r}")
         if self.fusion.shrink_channels != self.stage_channels[4]:
             raise ValueError(
@@ -69,7 +68,8 @@ class MultiScaleDetector:
     max-pooling after stages 1-4, so the third/fourth/fifth stage outputs
     sit at cumulative strides 4/8/16.  Those three taps feed both branches;
     their convolutions are shared, and so are the per-tap norm scales and
-    the 1x1 channel-shrink convolution.
+    the 1x1 channel-shrink convolution.  With ``fusion_mode="tap5"`` both
+    branches fuse the stride-16 tap alone, without a norm.
     """
 
     def __init__(self, cfg: ModelConfig = None, seed: int = 0):
@@ -83,16 +83,11 @@ class MultiScaleDetector:
                 [make_conv(rng, ch[i], ins[i], 3), make_conv(rng, ch[i], ch[i], 3)]
             )
         fus = self.cfg.fusion
-        if self.cfg.fusion_mode == "multi":
-            self.norms = {
-                "tap3": make_l2norm(ch[2], fus.gamma_init, fus.eps),
-                "tap4": make_l2norm(ch[3], fus.gamma_init, fus.eps),
-                "tap5": make_l2norm(ch[4], fus.gamma_init, fus.eps),
-            }
-            shrink_in = ch[2] + ch[3] + ch[4]
-        else:
-            self.norms = {}
-            shrink_in = ch[4]
+        self.fused_taps = FUSED_TAPS[self.cfg.fusion_mode]
+        tap_channels = {name: ch[i] for i, name in enumerate(TAP_ORDER, start=2)}
+        norm_taps = self.fused_taps if self.cfg.fusion_mode == "multi" else ()
+        self.norms = {name: make_l2norm(tap_channels[name], fus.gamma_init, fus.eps) for name in norm_taps}
+        shrink_in = sum(tap_channels[name] for name in self.fused_taps)
         self.shrink = make_conv(rng, fus.shrink_channels, shrink_in, 1, pad=0)
         k = self.cfg.anchors.per_cell
         self.rpn_head = RpnHead(
@@ -198,80 +193,39 @@ class MultiScaleDetector:
     # ------------------------------------------------------------------
     # dense fusion for the proposal branch
 
+    def _fused(self, taps):
+        return [t for t in taps if t.name in self.fused_taps]
+
     def fused_map_forward(self, taps):
-        if self.cfg.fusion_mode == "tap5":
-            tap5 = taps[-1]
-            out, cc = conv2d(tap5.map, self.shrink)
-            return out, ("tap5", cc)
-        downs, down_caches, norm_caches = [], [], []
-        for tap in taps:
+        maps, caches = [], []
+        for tap in self._fused(taps):
             d, dc = sync_downsample(tap, TAP_STRIDES["tap5"])
-            n, nc = l2norm_scale(d, self.norms[tap.name])
-            downs.append(n)
-            down_caches.append(dc)
-            norm_caches.append(nc)
-        fused, cs_cache = concat_shrink(downs, self.shrink)
-        return fused, ("multi", down_caches, norm_caches, cs_cache)
+            nc = None
+            if tap.name in self.norms:
+                d, nc = l2norm_scale(d, self.norms[tap.name])
+            maps.append(d)
+            caches.append((tap.name, dc, nc))
+        fused, cs_cache = concat_shrink(maps, self.shrink, self.fused_taps)
+        return fused, (caches, cs_cache)
 
     def fused_map_backward(self, dfused: np.ndarray, cache, tap_grads: dict):
-        if cache[0] == "tap5":
-            tap_grads["tap5"] += conv2d_backward(dfused, cache[1])
-            return
-        _, down_caches, norm_caches, cs_cache = cache
+        caches, cs_cache = cache
         parts = concat_shrink_backward(dfused, cs_cache)
-        for name, dc, nc, dpart in zip(TAP_ORDER, down_caches, norm_caches, parts):
-            dd = l2norm_scale_backward(dpart, nc)
-            tap_grads[name] += sync_downsample_backward(dd, dc)
+        for (name, dc, nc), dpart in zip(caches, parts):
+            if nc is not None:
+                dpart = l2norm_scale_backward(dpart, nc)
+            tap_grads[name] += sync_downsample_backward(dpart, dc)
 
     # ------------------------------------------------------------------
     # per-region branch
 
     def roi_forward(self, taps, rois: np.ndarray):
-        if self.cfg.fusion_mode == "multi":
-            return detection_forward(
-                taps, rois, self.det_head, self.norms, self.shrink, self.cfg.fusion.roi_pool_size
-            )
-        return self._tap5_roi_forward(taps, rois)
+        return detection_forward(
+            self._fused(taps), rois, self.det_head, self.norms, self.shrink, self.cfg.fusion.roi_pool_size
+        )
 
     def roi_backward(self, dlogits, ddeltas, cache, tap_grads):
-        if self.cfg.fusion_mode == "multi":
-            detection_backward(dlogits, ddeltas, cache, tap_grads)
-            return
-        self._tap5_roi_backward(dlogits, ddeltas, cache, tap_grads)
-
-    def _tap5_roi_forward(self, taps, rois):
-        rois = np.asarray(rois, dtype=np.float64).reshape(-1, 4)
-        r = rois.shape[0]
-        if r == 0:
-            return (np.zeros((0, 2)), np.zeros((0, 4))), None
-        tap5 = taps[-1]
-        p = self.cfg.fusion.roi_pool_size
-        c = tap5.map.shape[1]
-        pooled = np.empty((r, c, p, p))
-        argmax = np.empty((r, c, p, p), dtype=np.int64)
-        for i in range(r):
-            pooled[i], argmax[i] = roi_pool(tap5.map[0], rois[i], tap5.stride, p)
-        fused, cc = conv2d(pooled, self.shrink)
-        flat = fused.reshape(r, -1)
-        h1, c1 = fully_connected(flat, self.det_head.fc1)
-        a1, r1 = relu(h1)
-        h2, c2 = fully_connected(a1, self.det_head.fc2)
-        a2, r2 = relu(h2)
-        logits, c3 = fully_connected(a2, self.det_head.cls)
-        deltas, c4 = fully_connected(a2, self.det_head.bbox)
-        return (logits, deltas), (argmax, cc, fused.shape, c1, r1, c2, r2, c3, c4)
-
-    def _tap5_roi_backward(self, dlogits, ddeltas, cache, tap_grads):
-        if cache is None:
-            return
-        argmax, cc, fused_shape, c1, r1, c2, r2, c3, c4 = cache
-        da2 = fully_connected_backward(dlogits, c3) + fully_connected_backward(ddeltas, c4)
-        dh2 = relu_backward(da2, r2)
-        da1 = fully_connected_backward(dh2, c2)
-        dh1 = relu_backward(da1, r1)
-        dflat = fully_connected_backward(dh1, c1)
-        dpool = conv2d_backward(dflat.reshape(fused_shape), cc)
-        _roi_pool_backward_batch(dpool, argmax, tap_grads["tap5"][0])
+        detection_backward(dlogits, ddeltas, cache, tap_grads)
 
     # ------------------------------------------------------------------
     # inference

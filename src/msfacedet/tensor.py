@@ -252,7 +252,3 @@ def smooth_l1(pred: np.ndarray, target: np.ndarray, mask: np.ndarray):
     loss = float((per * mask).sum())
     grad = np.where(a < 1.0, d, np.sign(d)) * mask
     return loss, grad
-
-
-def smooth_l1_backward(dloss: float, grad: np.ndarray) -> np.ndarray:
-    return dloss * grad

@@ -1,0 +1,125 @@
+from dataclasses import fields
+
+import pytest
+
+from msfacedet.config import ConfigError, RunConfig, parse_run_config
+from msfacedet.evaluation import EvalConfig
+from msfacedet.training import TrainConfig
+
+DEFAULTS = {
+    "learning_rate": 1e-3,
+    "momentum": 0.9,
+    "weight_decay": 5e-4,
+    "iterations": 2000,
+    "seed": 7,
+    "loss_lambda": 1.0,
+    "image_size": 128,
+    "lr_drop": False,
+    "pre_nms_top_n": 2000,
+    "post_nms_top_n": 300,
+    "rpn_nms_thresh": 0.7,
+    "min_size": 4.0,
+    "base_stride": 16,
+    "anchor_scales": (1.0, 2.0, 4.0),
+    "anchor_ratios": (1.0, 1.3),
+    "shrink_channels": 64,
+    "roi_pool_size": 7,
+    "gamma_init": 10.0,
+    "fusion_mode": "multi",
+    "iou_threshold": 0.5,
+    "split_small_max": 24.0,
+    "split_medium_max": 64.0,
+    "score_thresh": 0.8,
+    "det_nms_thresh": 0.3,
+    "data_dir": "",
+    "out_dir": "",
+    "checkpoint": "",
+    "annotations": "",
+    "detections": "",
+}
+
+
+class TestRunConfigKeys:
+    def test_exact_key_set_and_defaults(self):
+        cfg = RunConfig()
+        assert {f.name for f in fields(RunConfig)} == set(DEFAULTS)
+        for key, value in DEFAULTS.items():
+            got = getattr(cfg, key)
+            assert type(got) is type(value), key
+            assert got == value, key
+
+    def test_empty_text_gives_defaults(self):
+        assert parse_run_config("# only a comment\n\n") == RunConfig()
+
+    def test_component_configs_carry_the_values(self):
+        cfg = parse_run_config("iterations = 5\nseed = 3\niou_threshold = 0.4\n")
+        train_cfg, eval_cfg = cfg.train_config(), cfg.eval_config()
+        assert type(train_cfg) is TrainConfig and type(eval_cfg) is EvalConfig
+        assert (train_cfg.iterations, train_cfg.seed) == (5, 3)
+        assert train_cfg.learning_rate == DEFAULTS["learning_rate"]
+        assert eval_cfg.iou_threshold == 0.4
+        assert eval_cfg.split_medium_max == DEFAULTS["split_medium_max"]
+
+
+class TestRoundTrip:
+    def test_every_key_type(self):
+        text = "\n".join(
+            [
+                "iterations = 17  # int",
+                "learning_rate = 0.0025",
+                "lr_drop = yes",
+                "anchor_scales = 1.5, 3,",
+                "fusion_mode = tap5",
+                "data_dir = some/dir",
+            ]
+        )
+        cfg = parse_run_config(text)
+        assert cfg.iterations == 17
+        assert cfg.learning_rate == 0.0025
+        assert cfg.lr_drop is True
+        assert cfg.anchor_scales == (1.5, 3.0)
+        assert cfg.fusion_mode == "tap5"
+        assert cfg.data_dir == "some/dir"
+        assert cfg.model_config().fusion_mode == "tap5"
+        assert cfg.model_config().anchors.scales == (1.5, 3.0)
+
+    @pytest.mark.parametrize("raw,expected", [("true", True), ("1", True), ("No", False), ("false", False)])
+    def test_bool_spellings(self, raw, expected):
+        assert parse_run_config(f"lr_drop={raw}").lr_drop is expected
+
+
+class TestRejected:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "no_such_key = 1",
+            "iterations = many",
+            "lr_drop = maybe",
+            "learning_rate = fast",
+            "score_thresh = 1.0",
+            "det_nms_thresh = 0",
+            "gamma_init = 0",
+            "anchor_ratios = ,",
+            "fusion_mode = tap4",
+            "shrink_channels = 32",
+            "just some words",
+        ],
+    )
+    def test_config_error(self, text):
+        with pytest.raises(ConfigError):
+            parse_run_config(text)
+
+    def test_unknown_key_names_line(self):
+        with pytest.raises(ConfigError, match=r"cfg:2: unknown key 'bogus'"):
+            parse_run_config("seed = 1\nbogus = 2\n", source="cfg")
+
+    def test_missing_equals_names_line(self):
+        with pytest.raises(ConfigError, match=r"cfg:1: expected key=value"):
+            parse_run_config("iterations 5", source="cfg")
+
+    @pytest.mark.parametrize(
+        "text", ["iterations = 0", "image_size = 20", "iou_threshold = 2", "split_small_max = 80"]
+    )
+    def test_out_of_range_component_value(self, text):
+        with pytest.raises(ValueError):
+            parse_run_config(text)

@@ -29,15 +29,17 @@ def tiny_model(seed=0, mode="multi"):
 
 
 class TestDetectionForward:
+    mode = "multi"
+
     def test_shapes_one_proposal(self):
-        model = tiny_model()
+        model = tiny_model(mode=self.mode)
         taps, _ = model.backbone_forward(np.random.default_rng(0).uniform(size=(1, 1, 32, 32)))
         (logits, deltas), _ = model.roi_forward(taps, np.array([[4.0, 4.0, 20.0, 24.0]]))
         assert logits.shape == (1, 2)
         assert deltas.shape == (1, 4)
 
     def test_identical_proposals_identical_outputs(self):
-        model = tiny_model(1)
+        model = tiny_model(1, self.mode)
         taps, _ = model.backbone_forward(np.random.default_rng(1).uniform(size=(1, 1, 32, 32)))
         rois = np.array([[2.0, 3.0, 18.0, 22.0], [2.0, 3.0, 18.0, 22.0]])
         (logits, deltas), _ = model.roi_forward(taps, rois)
@@ -45,7 +47,7 @@ class TestDetectionForward:
         assert np.array_equal(deltas[0], deltas[1])
 
     def test_batch_equals_per_proposal(self):
-        model = tiny_model(2)
+        model = tiny_model(2, self.mode)
         taps, _ = model.backbone_forward(np.random.default_rng(2).uniform(size=(1, 1, 32, 32)))
         rois = np.array([[1.0, 1.0, 15.0, 17.0], [8.0, 4.0, 30.0, 28.0], [12.0, 12.0, 16.0, 16.0]])
         (batch_lg, batch_dl), _ = model.roi_forward(taps, rois)
@@ -55,12 +57,16 @@ class TestDetectionForward:
             assert np.allclose(dl[0], batch_dl[i])
 
     def test_empty_proposals_empty_outputs(self):
-        model = tiny_model(3)
+        model = tiny_model(3, self.mode)
         taps, _ = model.backbone_forward(np.random.default_rng(3).uniform(size=(1, 1, 32, 32)))
         (logits, deltas), cache = model.roi_forward(taps, np.zeros((0, 4)))
         assert logits.shape == (0, 2)
         assert deltas.shape == (0, 4)
         assert cache is None
+
+
+class TestDetectionForwardTap5(TestDetectionForward):
+    mode = "tap5"
 
 
 class TestAssignDetectionTargets:

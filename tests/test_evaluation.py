@@ -1,0 +1,13 @@
+from msfacedet import ModelConfig, MultiScaleDetector, generate_toy_dataset
+from msfacedet.evaluation import evaluate_detector, proposal_recall
+
+
+def test_model_level_helpers():
+    scenes = generate_toy_dataset(2, 64, (16, 32), seed=3)
+    model = MultiScaleDetector(ModelConfig(), seed=0)
+    recalls = [proposal_recall(model, scenes, top_k=k) for k in (0, 5, 50, None)]
+    assert recalls[0] == 0.0
+    assert recalls == sorted(recalls) and recalls[-1] <= 1.0
+    report = evaluate_detector(model, scenes)
+    assert report.overall.n_gt == sum(len(s.gt_boxes) for s in scenes)
+    assert report.overall.n_det == sum(len(model.detect(s.image, 64, 64, score_thresh=0.05)) for s in scenes)

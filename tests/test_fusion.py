@@ -6,7 +6,6 @@ from msfacedet.fusion import (
     concat_shrink,
     l2norm_scale,
     make_l2norm,
-    ms_roi_pool,
     ms_roi_pool_batch,
     roi_pool,
     sync_downsample,
@@ -155,24 +154,22 @@ class TestMsRoiPool:
     def test_output_shape_fixed(self):
         rng = np.random.default_rng(9)
         taps, norms, shrink = self._setup(rng)
-        out, _ = ms_roi_pool(taps, np.array([1.0, 2.0, 30.0, 28.0]), norms, shrink, 7)
-        assert out.shape == (4, 7, 7)
+        out, _ = ms_roi_pool_batch(taps, np.array([[1.0, 2.0, 30.0, 28.0]]), norms, shrink, 7)
+        assert out.shape == (1, 4, 7, 7)
 
     def test_shape_independent_of_roi_size(self):
         rng = np.random.default_rng(10)
         taps, norms, shrink = self._setup(rng)
-        shapes = set()
-        for roi in ([0.0, 0.0, 32.0, 32.0], [5.0, 5.0, 9.0, 9.0], [12.0, 1.0, 14.0, 30.0]):
-            out, _ = ms_roi_pool(taps, np.array(roi), norms, shrink, 7)
-            shapes.add(out.shape)
-        assert shapes == {(4, 7, 7)}
+        rois = np.array([[0.0, 0.0, 32.0, 32.0], [5.0, 5.0, 9.0, 9.0], [12.0, 1.0, 14.0, 30.0]])
+        out, _ = ms_roi_pool_batch(taps, rois, norms, shrink, 7)
+        assert out.shape == (3, 4, 7, 7)
 
     def test_constant_taps_give_constant_output(self):
         rng = np.random.default_rng(11)
         taps, norms, shrink = self._setup(rng)
         for t in taps:
             t.map = np.full_like(t.map, 0.7)
-        out, _ = ms_roi_pool(taps, np.array([2.0, 2.0, 20.0, 20.0]), norms, shrink, 3)
+        out, _ = ms_roi_pool_batch(taps, np.array([[2.0, 2.0, 20.0, 20.0]]), norms, shrink, 3)
         spread = out.reshape(4, -1)
         assert np.max(spread.max(axis=1) - spread.min(axis=1)) < 1e-12
 
@@ -190,10 +187,10 @@ class TestMsRoiPool:
             Tensor(rng.standard_normal((3, 9, 1, 1)), requires_grad=True),
             Tensor(np.zeros(3), requires_grad=True),
         )
-        roi = np.array([1.0, 1.0, 28.0, 28.0])
-        out_a, _ = ms_roi_pool(taps, roi, norms, shrink, 3)
+        roi = np.array([[1.0, 1.0, 28.0, 28.0]])
+        out_a, _ = ms_roi_pool_batch(taps, roi, norms, shrink, 3)
         swapped = [taps[1], taps[0], taps[2]]
-        out_b, _ = ms_roi_pool(swapped, roi, norms, shrink, 3)
+        out_b, _ = ms_roi_pool_batch(swapped, roi, norms, shrink, 3)
         assert np.max(np.abs(out_a - out_b)) > 1e-6
 
     def test_batch_matches_single(self):
@@ -202,5 +199,5 @@ class TestMsRoiPool:
         rois = np.array([[0.0, 0.0, 16.0, 16.0], [4.0, 8.0, 28.0, 30.0]])
         batch, _ = ms_roi_pool_batch(taps, rois, norms, shrink, 5)
         for i, roi in enumerate(rois):
-            single, _ = ms_roi_pool(taps, roi, norms, shrink, 5)
-            assert np.allclose(batch[i], single)
+            single, _ = ms_roi_pool_batch(taps, roi.reshape(1, 4), norms, shrink, 5)
+            assert np.allclose(batch[i], single[0])
