@@ -10,13 +10,12 @@ backward pass is verifiable against central finite differences.
 from .boxes import decode_deltas, encode_deltas, iou, iou_matrix, nms, project_roi
 from .evaluation import EvalConfig, evaluate_dataset, match_detections, pr_curve_ap, roc_curve
 from .model import ModelConfig, MultiScaleDetector
-from .rpn import AnchorConfig, generate_anchors, propose
+from .rpn import generate_anchors, propose
 from .tensor import Tensor
 from .toydata import ToyScene, generate_toy_dataset
 from .training import TrainConfig, train
 
 __all__ = [
-    "AnchorConfig",
     "EvalConfig",
     "ModelConfig",
     "MultiScaleDetector",

@@ -8,7 +8,6 @@ import numpy as np
 from .detector import assign_detection_targets
 from .fusion import (
     FeatureTap,
-    FusionConfig,
     concat_shrink,
     concat_shrink_backward,
     l2norm_scale,
@@ -21,7 +20,7 @@ from .fusion import (
 )
 from .gradcheck import finite_difference_check
 from .model import ModelConfig, MultiScaleDetector
-from .rpn import AnchorConfig, RpnHead, assign_rpn_targets, rpn_backward, rpn_forward
+from .rpn import RpnHead, assign_rpn_targets, rpn_backward, rpn_forward
 from .tensor import (
     conv2d,
     conv2d_backward,
@@ -274,14 +273,9 @@ def check_rpn_head(seed: int) -> float:
 def tiny_model_setup(seed: int, fusion_mode: str = "multi"):
     """A 32x32 end-to-end configuration with frozen targets for checking."""
     cfg = ModelConfig(
-        stage_channels=(2, 2, 3, 3, 3),
-        rpn_channels=4,
-        head_width=8,
-        fusion=FusionConfig(shrink_channels=3, roi_pool_size=3, gamma_init=2.0),
-        anchors=AnchorConfig(base_stride=16, scales=(1.0,), ratios=(1.0, 1.3)),
-        fusion_mode=fusion_mode,
+        roi_pool_size=3, gamma_init=2.0, anchor_scales=(1.0,), anchor_ratios=(1.0, 1.3), fusion_mode=fusion_mode
     )
-    model = MultiScaleDetector(cfg, seed=seed)
+    model = MultiScaleDetector(cfg, seed=seed, stage_channels=(2, 2, 3, 3, 3), rpn_channels=4, head_width=8)
     rng = np.random.default_rng(seed + 1)
     image = rng.uniform(0.0, 1.0, size=(1, 1, 32, 32))
     gt = np.array([[7.0, 6.0, 23.0, 26.0]])

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .annotations import AnnotationRecord, format_annotations, load_annotations
-from .checks import run_suite
+from .checks import MODEL_CHECK_SEEDS, TOLERANCE, run_suite
 from .config import RunConfig, load_run_config
 from .evaluation import evaluate_dataset, evaluate_detector, format_report
 from .imageio import load_image, overlay_boxes, write_pgm, write_ppm
@@ -20,10 +20,12 @@ from .training import format_trace, train
 
 
 class _OutputTracker:
-    """Records files created by a command so failures leave no partial output."""
+    """Records files and directories created by a command so failures leave
+    no partial output."""
 
     def __init__(self):
         self.paths = []
+        self.dirs = []
 
     def write_text(self, path, text: str):
         Path(path).write_text(text)
@@ -33,10 +35,21 @@ class _OutputTracker:
         self.paths.append(Path(path))
         return path
 
+    def mkdir(self, path):
+        path = Path(path)
+        self.dirs += reversed([p for p in (path, *path.parents) if not p.exists()])
+        path.mkdir(parents=True, exist_ok=True)
+        return path
+
     def discard_all(self):
         for p in self.paths:
             try:
                 p.unlink()
+            except OSError:
+                pass
+        for d in reversed(self.dirs):
+            try:
+                d.rmdir()
             except OSError:
                 pass
 
@@ -57,7 +70,6 @@ def _load_scenes(data_dir: Path):
                 name=Path(rec.image_path).stem,
                 image=tensor,
                 gt_boxes=rec.boxes,
-                face_scale_range=(0, 0),
                 requested_faces=len(rec.boxes),
             )
         )
@@ -65,7 +77,7 @@ def _load_scenes(data_dir: Path):
 
 
 def _write_dataset(out_dir: Path, scenes, tracker: _OutputTracker):
-    out_dir.mkdir(parents=True, exist_ok=True)
+    tracker.mkdir(out_dir)
     records = []
     for scene in scenes:
         name = f"{scene.name}.pgm"
@@ -104,7 +116,7 @@ def cmd_train(args, tracker) -> int:
     data_dir = Path(args.data or cfg.data_dir)
     out_dir = Path(args.out or cfg.out_dir or ".")
     scenes = _load_scenes(data_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    tracker.mkdir(out_dir)
     result = train(
         scenes,
         cfg.train_config(),
@@ -145,7 +157,7 @@ def cmd_detect(args, tracker) -> int:
         raise FileNotFoundError(f"no .pgm/.ppm images in {data_dir}")
     model = MultiScaleDetector(cfg.model_config(), seed=0)
     model.load(ckpt)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    tracker.mkdir(out_dir)
     for img_path in images:
         tensor, orig_w, orig_h = load_image(img_path)
         dets = model.detect(
@@ -200,8 +212,6 @@ def cmd_eval(args, tracker) -> int:
 
 
 def cmd_gradcheck(args, tracker) -> int:
-    from .checks import MODEL_CHECK_SEEDS
-
     seeds = tuple(range(args.seeds))
     results = run_suite(
         seeds=seeds,
@@ -211,7 +221,7 @@ def cmd_gradcheck(args, tracker) -> int:
     width = max(len(name) for name, _ in results)
     failed = False
     for name, err in results:
-        ok = err <= 1e-4
+        ok = err <= TOLERANCE
         failed |= not ok
         print(f"{name:<{width}}  max_rel_err={err:.3e}  {'ok' if ok else 'FAIL'}")
     return 1 if failed else 0
@@ -226,7 +236,7 @@ def cmd_ablate(args, tracker) -> int:
     train_scenes = _load_scenes(Path(args.data))
     eval_scenes = _load_scenes(Path(args.eval_data))
     out_dir = Path(args.out or cfg.out_dir or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    tracker.mkdir(out_dir)
     aps = {}
     for mode in ("multi", "tap5"):
         cfg.fusion_mode = mode

@@ -6,12 +6,10 @@ output file is written.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from .evaluation import EvalConfig
-from .fusion import FusionConfig
 from .model import ModelConfig
-from .rpn import AnchorConfig
 from .training import TrainConfig
 
 
@@ -20,18 +18,9 @@ class ConfigError(ValueError):
 
 
 @dataclass
-class RunConfig(TrainConfig, EvalConfig):
-    """Every training and evaluation field, plus the keys below."""
+class RunConfig(TrainConfig, EvalConfig, ModelConfig):
+    """Every training, evaluation and model field, plus the keys below."""
 
-    # anchors
-    base_stride: int = 16
-    anchor_scales: tuple = (1.0, 2.0, 4.0)
-    anchor_ratios: tuple = (1.0, 1.3)
-    # fusion
-    shrink_channels: int = 64
-    roi_pool_size: int = 7
-    gamma_init: float = 10.0
-    fusion_mode: str = "multi"
     # detection
     score_thresh: float = 0.8
     det_nms_thresh: float = 0.3
@@ -54,39 +43,19 @@ class RunConfig(TrainConfig, EvalConfig):
         return self._component(EvalConfig)
 
     def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            fusion=FusionConfig(
-                shrink_channels=self.shrink_channels,
-                roi_pool_size=self.roi_pool_size,
-                gamma_init=self.gamma_init,
-            ),
-            anchors=AnchorConfig(
-                base_stride=self.base_stride,
-                scales=tuple(self.anchor_scales),
-                ratios=tuple(self.anchor_ratios),
-            ),
-            fusion_mode=self.fusion_mode,
-        )
+        return self._component(ModelConfig)
 
     def validate(self):
-        self.train_config()
-        self.eval_config()
+        try:
+            self.train_config()
+            self.eval_config()
+            self.model_config()
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
         if not (0.0 <= self.score_thresh < 1.0):
             raise ConfigError(f"score_thresh {self.score_thresh} outside [0, 1)")
         if not (0.0 < self.det_nms_thresh < 1.0):
             raise ConfigError(f"det_nms_thresh {self.det_nms_thresh} outside (0, 1)")
-        if self.roi_pool_size < 1 or self.shrink_channels < 1 or self.base_stride < 1:
-            raise ConfigError("roi_pool_size, shrink_channels and base_stride must be positive")
-        if self.gamma_init <= 0:
-            raise ConfigError("gamma_init must be positive")
-        if not self.anchor_scales or not self.anchor_ratios:
-            raise ConfigError("anchor_scales and anchor_ratios must be non-empty")
-        if any(s <= 0 for s in self.anchor_scales) or any(r <= 0 for r in self.anchor_ratios):
-            raise ConfigError("anchor scales and ratios must be positive")
-        try:
-            self.model_config()
-        except ValueError as e:
-            raise ConfigError(str(e)) from None
 
 
 def _parse_value(key: str, raw: str, kind):

@@ -78,27 +78,24 @@ class DetTargets:
     n_pos: int = 0
 
 
-@dataclass
-class DetTrainConfig:
-    fg_iou: float = 0.5
-    bg_iou_lo: float = 0.1
-    batch_size: int = 128
-    max_positives: int = 32  # quarter of the minibatch
+DET_FG_IOU = 0.5
+DET_BG_IOU_LO = 0.1
+DET_BATCH_SIZE = 128
+DET_MAX_POS = 32  # quarter of the minibatch
 
 
 def assign_detection_targets(
     rois: np.ndarray,
     gt_boxes: np.ndarray,
     rng: np.random.Generator,
-    cfg: DetTrainConfig = DetTrainConfig(),
 ) -> DetTargets:
     """Sample training ROIs from a proposal list already augmented with the
     ground-truth boxes.
 
-    A ROI is a face when its best IoU reaches ``fg_iou``, background when the
-    best IoU falls in [bg_iou_lo, fg_iou), and discarded otherwise; when no
-    background candidates exist the discarded pool fills in so the minibatch
-    never ends up positive-only by accident.
+    A ROI is a face when its best IoU reaches ``DET_FG_IOU``, background
+    when the best IoU falls in [DET_BG_IOU_LO, DET_FG_IOU), and discarded
+    otherwise; when no background candidates exist the discarded pool fills
+    in so the minibatch never ends up positive-only by accident.
     """
     rois = np.asarray(rois, dtype=np.float64).reshape(-1, 4)
     gt_boxes = np.asarray(gt_boxes, dtype=np.float64).reshape(-1, 4)
@@ -110,13 +107,13 @@ def assign_detection_targets(
         ious = iou_matrix(rois, gt_boxes)
         best_gt = ious.argmax(axis=1)
         max_iou = ious[np.arange(n), best_gt]
-    fg = np.flatnonzero(max_iou >= cfg.fg_iou)
-    bg = np.flatnonzero((max_iou >= cfg.bg_iou_lo) & (max_iou < cfg.fg_iou))
-    discarded = np.flatnonzero(max_iou < cfg.bg_iou_lo)
+    fg = np.flatnonzero(max_iou >= DET_FG_IOU)
+    bg = np.flatnonzero((max_iou >= DET_BG_IOU_LO) & (max_iou < DET_FG_IOU))
+    discarded = np.flatnonzero(max_iou < DET_BG_IOU_LO)
 
-    n_pos = min(cfg.max_positives, fg.size)
+    n_pos = min(DET_MAX_POS, fg.size)
     pos = rng.choice(fg, size=n_pos, replace=False) if fg.size > n_pos else fg
-    room = cfg.batch_size - pos.size
+    room = DET_BATCH_SIZE - pos.size
     if bg.size == 0:
         bg = discarded
     neg = rng.choice(bg, size=room, replace=False) if bg.size > room else bg

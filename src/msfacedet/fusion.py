@@ -46,8 +46,8 @@ class L2NormScale:
     eps: float = 1e-10
 
 
-def make_l2norm(channels: int, gamma_init: float = 10.0, eps: float = 1e-10) -> L2NormScale:
-    return L2NormScale(gamma=Tensor(np.full(channels, gamma_init), requires_grad=True), eps=eps)
+def make_l2norm(channels: int, gamma_init: float = 10.0) -> L2NormScale:
+    return L2NormScale(gamma=Tensor(np.full(channels, gamma_init), requires_grad=True))
 
 
 def l2norm_scale(x: np.ndarray, layer: L2NormScale):
@@ -195,14 +195,6 @@ def roi_pool_backward(dout: np.ndarray, argmax: np.ndarray, dmap: np.ndarray):
     flat = dmap.reshape(c, -1)
     idx = argmax.reshape(r, c, -1)
     np.add.at(flat, (np.arange(c)[None, :, None], idx), dout.reshape(r, c, -1))
-
-
-@dataclass
-class FusionConfig:
-    shrink_channels: int = 64
-    roi_pool_size: int = 7
-    gamma_init: float = 10.0
-    eps: float = 1e-10
 
 
 def ms_roi_pool_batch(taps, rois: np.ndarray, norms, shrink: ConvParams, p: int):

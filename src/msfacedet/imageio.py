@@ -67,17 +67,15 @@ def pad_to_multiple(img: np.ndarray, multiple: int = 16) -> np.ndarray:
 
 
 def load_image(path):
-    """Load a PGM/PPM as a padded (1, C, H, W) float tensor in [0, 1].
+    """Load a PGM/PPM as a padded (1, 1, H, W) float tensor in [0, 1].
 
-    Returns (tensor, orig_w, orig_h); grayscale gives C=1, color C=3.
+    Returns (tensor, orig_w, orig_h).  Color is reduced to BT.601 luma with
+    integer weights, so a gray PPM loads exactly like the same PGM.
     """
     raw = read_pnm(path)
-    if raw.ndim == 2:
-        chw = raw[None].astype(np.float64) / 255.0
-    else:
-        chw = raw.transpose(2, 0, 1).astype(np.float64) / 255.0
+    gray = raw if raw.ndim == 2 else raw.astype(np.int64) @ np.array([299, 587, 114]) / 1000.0
     orig_h, orig_w = raw.shape[0], raw.shape[1]
-    return pad_to_multiple(chw)[None], orig_w, orig_h
+    return pad_to_multiple(gray[None].astype(np.float64) / 255.0)[None], orig_w, orig_h
 
 
 def write_pgm(path, img: np.ndarray):

@@ -4,7 +4,7 @@ head and per-region head, with a flat named-parameter registry."""
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,7 +13,6 @@ from .detector import DetHead, Detection, detection_backward, detection_forward,
 from .fusion import (
     TAP_ORDER,
     FeatureTap,
-    FusionConfig,
     concat_shrink,
     concat_shrink_backward,
     l2norm_scale,
@@ -22,7 +21,7 @@ from .fusion import (
     sync_downsample,
     sync_downsample_backward,
 )
-from .rpn import AnchorConfig, RpnHead, generate_anchors, propose, rpn_backward, rpn_forward
+from .rpn import RpnHead, generate_anchors, propose, rpn_backward, rpn_forward
 from .tensor import (
     ShapeError,
     conv2d,
@@ -42,23 +41,32 @@ FUSED_TAPS = {"multi": TAP_ORDER, "tap5": ("tap5",)}
 
 @dataclass
 class ModelConfig:
-    stage_channels: tuple = STAGE_CHANNELS
-    rpn_channels: int = 256
-    head_width: int = 256
-    fusion: FusionConfig = field(default_factory=FusionConfig)
-    anchors: AnchorConfig = field(default_factory=AnchorConfig)
+    roi_pool_size: int = 7
+    gamma_init: float = 10.0
+    # anchor sides are scale * 16 px on the stride-16 fused map; scales whose
+    # boxes cannot fit inside the training images are never labelled, so the
+    # default menu stays within the face sizes the toy task uses
+    anchor_scales: tuple = (1.0, 2.0, 4.0)
+    anchor_ratios: tuple = (1.0, 1.3)
     # "multi" fuses tap3/4/5 with per-tap norms; "tap5" is the same fusion
     # path over the last tap alone, without norms
     fusion_mode: str = "multi"
 
-    def __post_init__(self):
+    @property
+    def anchors_per_cell(self) -> int:
+        return len(self.anchor_scales) * len(self.anchor_ratios)
+
+    def validate(self):
+        if self.roi_pool_size < 1:
+            raise ValueError(f"roi_pool_size {self.roi_pool_size} must be positive")
+        if self.gamma_init <= 0:
+            raise ValueError("gamma_init must be positive")
+        if not self.anchor_scales or not self.anchor_ratios:
+            raise ValueError("anchor_scales and anchor_ratios must be non-empty")
+        if any(s <= 0 for s in self.anchor_scales) or any(r <= 0 for r in self.anchor_ratios):
+            raise ValueError("anchor scales and ratios must be positive")
         if self.fusion_mode not in FUSED_TAPS:
             raise ValueError(f"unknown fusion_mode {self.fusion_mode!r}")
-        if self.fusion.shrink_channels != self.stage_channels[4]:
-            raise ValueError(
-                f"shrink_channels {self.fusion.shrink_channels} must equal the "
-                f"last stage channel count {self.stage_channels[4]}"
-            )
 
 
 class MultiScaleDetector:
@@ -72,35 +80,44 @@ class MultiScaleDetector:
     branches fuse the stride-16 tap alone, without a norm.
     """
 
-    def __init__(self, cfg: ModelConfig = None, seed: int = 0):
+    def __init__(
+        self,
+        cfg: ModelConfig = None,
+        seed: int = 0,
+        *,
+        stage_channels: tuple = STAGE_CHANNELS,
+        rpn_channels: int = 256,
+        head_width: int = 256,
+    ):
         self.cfg = cfg or ModelConfig()
+        self.cfg.validate()
         rng = np.random.default_rng(seed)
-        ch = self.cfg.stage_channels
+        ch = stage_channels
         ins = (1,) + ch[:4]
         self.stages = []
         for i in range(5):
             self.stages.append(
                 [make_conv(rng, ch[i], ins[i], 3), make_conv(rng, ch[i], ch[i], 3)]
             )
-        fus = self.cfg.fusion
         self.fused_taps = FUSED_TAPS[self.cfg.fusion_mode]
         tap_channels = {name: ch[i] for i, name in enumerate(TAP_ORDER, start=2)}
         norm_taps = self.fused_taps if self.cfg.fusion_mode == "multi" else ()
-        self.norms = {name: make_l2norm(tap_channels[name], fus.gamma_init, fus.eps) for name in norm_taps}
+        self.norms = {name: make_l2norm(tap_channels[name], self.cfg.gamma_init) for name in norm_taps}
         shrink_in = sum(tap_channels[name] for name in self.fused_taps)
-        self.shrink = make_conv(rng, fus.shrink_channels, shrink_in, 1, pad=0)
-        k = self.cfg.anchors.per_cell
+        fused_c = ch[4]
+        self.shrink = make_conv(rng, fused_c, shrink_in, 1, pad=0)
+        k = self.cfg.anchors_per_cell
         self.rpn_head = RpnHead(
-            conv=make_conv(rng, self.cfg.rpn_channels, fus.shrink_channels, 3),
-            cls=make_conv(rng, 2 * k, self.cfg.rpn_channels, 1, pad=0),
-            bbox=make_conv(rng, 4 * k, self.cfg.rpn_channels, 1, pad=0),
+            conv=make_conv(rng, rpn_channels, fused_c, 3),
+            cls=make_conv(rng, 2 * k, rpn_channels, 1, pad=0),
+            bbox=make_conv(rng, 4 * k, rpn_channels, 1, pad=0),
         )
-        p = fus.roi_pool_size
+        p = self.cfg.roi_pool_size
         self.det_head = DetHead(
-            fc1=make_linear(rng, fus.shrink_channels * p * p, self.cfg.head_width),
-            fc2=make_linear(rng, self.cfg.head_width, self.cfg.head_width),
-            cls=make_linear(rng, self.cfg.head_width, 2),
-            bbox=make_linear(rng, self.cfg.head_width, 4),
+            fc1=make_linear(rng, fused_c * p * p, head_width),
+            fc2=make_linear(rng, head_width, head_width),
+            cls=make_linear(rng, head_width, 2),
+            bbox=make_linear(rng, head_width, 4),
         )
         self._anchor_cache = {}
 
@@ -221,7 +238,7 @@ class MultiScaleDetector:
 
     def roi_forward(self, taps, rois: np.ndarray):
         return detection_forward(
-            self._fused(taps), rois, self.det_head, self.norms, self.shrink, self.cfg.fusion.roi_pool_size
+            self._fused(taps), rois, self.det_head, self.norms, self.shrink, self.cfg.roi_pool_size
         )
 
     def roi_backward(self, dlogits, ddeltas, cache, tap_grads):
@@ -233,7 +250,9 @@ class MultiScaleDetector:
     def anchors_for(self, feat_h: int, feat_w: int) -> np.ndarray:
         key = (feat_h, feat_w)
         if key not in self._anchor_cache:
-            self._anchor_cache[key] = generate_anchors(feat_h, feat_w, self.cfg.anchors)
+            self._anchor_cache[key] = generate_anchors(
+                feat_h, feat_w, self.cfg.anchor_scales, self.cfg.anchor_ratios, TAP_STRIDES["tap5"]
+            )
         return self._anchor_cache[key]
 
     def detect(
@@ -263,7 +282,7 @@ class MultiScaleDetector:
             post_nms_top_n=post_nms_top_n,
             nms_thresh=rpn_nms_thresh,
             min_size=min_size,
-            k=self.cfg.anchors.per_cell,
+            k=self.cfg.anchors_per_cell,
         )
         if not proposals:
             return []

@@ -3,7 +3,7 @@ and anchor-to-ground-truth target assignment."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -12,46 +12,30 @@ from .tensor import ConvParams, conv2d, conv2d_backward, relu, relu_backward, so
 
 
 @dataclass
-class AnchorConfig:
-    """Anchor menu: every grid cell carries |scales| x |ratios| boxes.
-
-    A (scale, ratio) anchor has area (scale * base_stride)^2 and aspect
-    ratio h/w = ratio, centered on the cell's image-space center.  Scales
-    whose boxes cannot fit inside the training images are never labelled,
-    so the default menu stays within the face sizes the toy task uses.
-    """
-
-    base_stride: int = 16
-    scales: tuple = (1.0, 2.0, 4.0)
-    ratios: tuple = (1.0, 1.3)
-
-    @property
-    def per_cell(self) -> int:
-        return len(self.scales) * len(self.ratios)
-
-
-@dataclass
 class Proposal:
     box: np.ndarray
     objectness: float
 
 
-def generate_anchors(feat_h: int, feat_w: int, cfg: AnchorConfig) -> np.ndarray:
-    """All anchors for a feature grid, shape (feat_h * feat_w * k, 4).
+def generate_anchors(feat_h: int, feat_w: int, scales, ratios, stride: int) -> np.ndarray:
+    """All anchors for a feature grid at ``stride``, shape (feat_h * feat_w * k, 4).
 
-    Enumeration order is row-major over cells, then ratios, then scales;
-    anchors may extend beyond the image (clipping happens downstream).
+    Every grid cell carries |scales| x |ratios| boxes: a (scale, ratio)
+    anchor has area (scale * stride)^2 and aspect ratio h/w = ratio,
+    centered on the cell's image-space center.  Enumeration order is
+    row-major over cells, then ratios, then scales; anchors may extend
+    beyond the image (clipping happens downstream).
     """
     shapes = []
-    for ratio in cfg.ratios:
-        for scale in cfg.scales:
-            side = scale * cfg.base_stride
+    for ratio in ratios:
+        for scale in scales:
+            side = scale * stride
             w = side / np.sqrt(ratio)
             h = side * np.sqrt(ratio)
             shapes.append((w, h))
     shapes = np.asarray(shapes)  # (k, 2)
-    ys = (np.arange(feat_h) + 0.5) * cfg.base_stride
-    xs = (np.arange(feat_w) + 0.5) * cfg.base_stride
+    ys = (np.arange(feat_h) + 0.5) * stride
+    xs = (np.arange(feat_w) + 0.5) * stride
     cy, cx = np.meshgrid(ys, xs, indexing="ij")
     centers = np.stack([cx.ravel(), cy.ravel()], axis=1)  # (cells, 2) as (x, y)
     half = 0.5 * shapes
@@ -156,12 +140,10 @@ class TargetAssignmentError(RuntimeError):
     pass
 
 
-@dataclass
-class RpnTrainConfig:
-    pos_iou: float = 0.7
-    neg_iou: float = 0.3
-    batch_size: int = 256
-    max_positives: int = 128  # half the minibatch
+RPN_POS_IOU = 0.7
+RPN_NEG_IOU = 0.3
+RPN_BATCH_SIZE = 256
+RPN_MAX_POS = 128  # half the minibatch
 
 
 def assign_rpn_targets(
@@ -170,15 +152,14 @@ def assign_rpn_targets(
     rng: np.random.Generator,
     img_w: float,
     img_h: float,
-    cfg: RpnTrainConfig = RpnTrainConfig(),
 ) -> RpnTargets:
     """Label anchors for training.
 
     Anchors crossing the image boundary are ignored.  An inside anchor is
-    positive when its best IoU reaches ``pos_iou`` or when it is the best
-    anchor of some ground-truth box; negative when its best IoU is at most
-    ``neg_iou``.  The labelled set is subsampled to the minibatch size with
-    positives capped at half.
+    positive when its best IoU reaches ``RPN_POS_IOU`` or when it is the
+    best anchor of some ground-truth box; negative when its best IoU is at
+    most ``RPN_NEG_IOU``.  The labelled set is subsampled to the minibatch
+    size with positives capped at half.
     """
     a = anchors.shape[0]
     labels = np.full(a, -1, dtype=np.int64)
@@ -199,8 +180,8 @@ def assign_rpn_targets(
         ious = iou_matrix(anchors[inside], gt_boxes)  # (I, G)
         best_gt = ious.argmax(axis=1)
         best_iou = ious[np.arange(inside.size), best_gt]
-        labels[inside[best_iou <= cfg.neg_iou]] = 0
-        labels[inside[best_iou >= cfg.pos_iou]] = 1
+        labels[inside[best_iou <= RPN_NEG_IOU]] = 0
+        labels[inside[best_iou >= RPN_POS_IOU]] = 1
         # the best anchor of each ground-truth box is positive regardless
         per_gt_best = ious.max(axis=0)
         for g in range(gt_boxes.shape[0]):
@@ -213,12 +194,12 @@ def assign_rpn_targets(
             target_deltas[pos] = encode_deltas(gt_boxes[match], anchors[pos])
 
     pos = np.flatnonzero(labels == 1)
-    if pos.size > cfg.max_positives:
-        drop = rng.choice(pos, size=pos.size - cfg.max_positives, replace=False)
+    if pos.size > RPN_MAX_POS:
+        drop = rng.choice(pos, size=pos.size - RPN_MAX_POS, replace=False)
         labels[drop] = -1
         pos = np.flatnonzero(labels == 1)
     neg = np.flatnonzero(labels == 0)
-    room = cfg.batch_size - pos.size
+    room = RPN_BATCH_SIZE - pos.size
     if neg.size > room:
         drop = rng.choice(neg, size=neg.size - room, replace=False)
         labels[drop] = -1

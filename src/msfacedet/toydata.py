@@ -24,7 +24,6 @@ class ToyScene:
     name: str
     image: np.ndarray  # (1, 1, S, S) values in [0, 1]
     gt_boxes: np.ndarray  # (G, 4) corner form
-    face_scale_range: tuple
     requested_faces: int = 0
 
 
@@ -124,7 +123,6 @@ def generate_toy_dataset(
                 name=f"img_{i:04d}",
                 image=img[None, None],
                 gt_boxes=np.stack(face_boxes) if face_boxes else np.zeros((0, 4)),
-                face_scale_range=(lo, hi),
                 requested_faces=n_faces,
             )
         )

@@ -7,11 +7,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detector import DetTrainConfig, assign_detection_targets
+from .detector import assign_detection_targets
 from .model import MultiScaleDetector, ModelConfig
 from .rpn import (
     RpnTargets,
-    RpnTrainConfig,
     TargetAssignmentError,
     assign_rpn_targets,
     flatten_rpn_outputs,
@@ -35,7 +34,6 @@ class TrainConfig:
     iterations: int = 2000
     seed: int = 7
     loss_lambda: float = 1.0
-    image_size: int = 128
     lr_drop: bool = False  # 10x learning-rate drop at 75% of the run
     pre_nms_top_n: int = 2000
     post_nms_top_n: int = 300
@@ -47,8 +45,6 @@ class TrainConfig:
             raise ValueError("rates must be positive (momentum/decay non-negative)")
         if self.iterations <= 0:
             raise ValueError("iterations must be positive")
-        if self.image_size <= 0 or self.image_size % 16:
-            raise ValueError(f"image_size {self.image_size} must be a positive multiple of 16")
         if self.loss_lambda < 0:
             raise ValueError("loss_lambda must be non-negative")
 
@@ -141,7 +137,7 @@ def pipeline_forward(model: MultiScaleDetector, image: np.ndarray) -> PipelineSt
     taps, bb_cache = model.backbone_forward(image)
     fused, fus_cache = model.fused_map_forward(taps)
     (lmap, dmap), rpn_cache = rpn_forward(fused, model.rpn_head)
-    lg, dl = flatten_rpn_outputs(lmap, dmap, model.cfg.anchors.per_cell)
+    lg, dl = flatten_rpn_outputs(lmap, dmap, model.cfg.anchors_per_cell)
     return PipelineState(taps, bb_cache, fused.shape, fus_cache, rpn_cache, lg, dl)
 
 
@@ -168,7 +164,7 @@ def pipeline_loss(
         tap_grads = model.new_tap_grads(st.taps)
         model.roi_backward(ddet_lg, ddet_dl, det_cache, tap_grads)
         h, w = st.fused_shape[2], st.fused_shape[3]
-        dlmap, ddmap = unflatten_rpn_grads(dlg, ddl, model.cfg.anchors.per_cell, h, w)
+        dlmap, ddmap = unflatten_rpn_grads(dlg, ddl, model.cfg.anchors_per_cell, h, w)
         dfused = rpn_backward(dlmap, ddmap, st.rpn_cache)
         model.fused_map_backward(dfused, st.fus_cache, tap_grads)
         model.backbone_backward(tap_grads, st.bb_cache)
@@ -212,8 +208,6 @@ def train(
             raise ValueError(f"scene {s.name} extent {s.image.shape} not a multiple of 16")
     model = MultiScaleDetector(model_cfg or ModelConfig(), seed=cfg.seed)
     rng = np.random.default_rng([cfg.seed, 1])
-    rpn_cfg = RpnTrainConfig()
-    det_cfg = DetTrainConfig()
     params = model.params()
     velocity: dict = {}
     trace = []
@@ -229,7 +223,7 @@ def train(
         st = pipeline_forward(model, scene.image)
         anchors = model.anchors_for(st.fused_shape[2], st.fused_shape[3])
         try:
-            rpn_t = assign_rpn_targets(anchors, scene.gt_boxes, rng, img_w, img_h, rpn_cfg)
+            rpn_t = assign_rpn_targets(anchors, scene.gt_boxes, rng, img_w, img_h)
         except TargetAssignmentError:
             skipped += 1
             continue
@@ -246,7 +240,7 @@ def train(
         )
         boxes = [p.box for p in proposals] + list(scene.gt_boxes)
         rois = np.stack(boxes) if boxes else np.zeros((0, 4))
-        det_t = assign_detection_targets(rois, scene.gt_boxes, rng, det_cfg)
+        det_t = assign_detection_targets(rois, scene.gt_boxes, rng)
         sampled = rois[det_t.roi_indices]
         total, comps = pipeline_loss(
             model, st, rpn_t, sampled, det_t.labels, det_t.target_deltas, cfg.loss_lambda, backward=True

@@ -2,11 +2,10 @@ import pytest
 
 from msfacedet.checks import (
     DEFAULT_SEEDS,
+    LAYER_CHECKS,
     MODEL_CHECK_SEEDS,
     TOLERANCE,
-    check_ms_roi_pool,
     check_multitask_loss,
-    check_roi_pool,
 )
 
 
@@ -15,6 +14,7 @@ def test_end_to_end_loss_gradient(mode):
     assert check_multitask_loss(MODEL_CHECK_SEEDS[0], mode) <= TOLERANCE
 
 
-@pytest.mark.parametrize("check", [check_roi_pool, check_ms_roi_pool])
-def test_roi_pool_gradient(check):
-    assert check(DEFAULT_SEEDS[0]) <= TOLERANCE
+@pytest.mark.parametrize("seed", DEFAULT_SEEDS)
+@pytest.mark.parametrize("check", [fn for _, fn in LAYER_CHECKS], ids=[name for name, _ in LAYER_CHECKS])
+def test_layer_gradient(check, seed):
+    assert check(seed) <= TOLERANCE

@@ -4,6 +4,7 @@ import pytest
 
 from msfacedet.config import ConfigError, RunConfig, parse_run_config
 from msfacedet.evaluation import EvalConfig
+from msfacedet.model import ModelConfig, MultiScaleDetector
 from msfacedet.training import TrainConfig
 
 DEFAULTS = {
@@ -13,16 +14,13 @@ DEFAULTS = {
     "iterations": 2000,
     "seed": 7,
     "loss_lambda": 1.0,
-    "image_size": 128,
     "lr_drop": False,
     "pre_nms_top_n": 2000,
     "post_nms_top_n": 300,
     "rpn_nms_thresh": 0.7,
     "min_size": 4.0,
-    "base_stride": 16,
     "anchor_scales": (1.0, 2.0, 4.0),
     "anchor_ratios": (1.0, 1.3),
-    "shrink_channels": 64,
     "roi_pool_size": 7,
     "gamma_init": 10.0,
     "fusion_mode": "multi",
@@ -52,13 +50,15 @@ class TestRunConfigKeys:
         assert parse_run_config("# only a comment\n\n") == RunConfig()
 
     def test_component_configs_carry_the_values(self):
-        cfg = parse_run_config("iterations = 5\nseed = 3\niou_threshold = 0.4\n")
-        train_cfg, eval_cfg = cfg.train_config(), cfg.eval_config()
-        assert type(train_cfg) is TrainConfig and type(eval_cfg) is EvalConfig
+        cfg = parse_run_config("iterations = 5\nseed = 3\niou_threshold = 0.4\nroi_pool_size = 5\n")
+        train_cfg, eval_cfg, model_cfg = cfg.train_config(), cfg.eval_config(), cfg.model_config()
+        assert type(train_cfg) is TrainConfig and type(eval_cfg) is EvalConfig and type(model_cfg) is ModelConfig
         assert (train_cfg.iterations, train_cfg.seed) == (5, 3)
         assert train_cfg.learning_rate == DEFAULTS["learning_rate"]
         assert eval_cfg.iou_threshold == 0.4
         assert eval_cfg.split_medium_max == DEFAULTS["split_medium_max"]
+        assert model_cfg.roi_pool_size == 5
+        assert model_cfg.gamma_init == DEFAULTS["gamma_init"]
 
 
 class TestRoundTrip:
@@ -81,7 +81,7 @@ class TestRoundTrip:
         assert cfg.fusion_mode == "tap5"
         assert cfg.data_dir == "some/dir"
         assert cfg.model_config().fusion_mode == "tap5"
-        assert cfg.model_config().anchors.scales == (1.5, 3.0)
+        assert cfg.model_config().anchor_scales == (1.5, 3.0)
 
     @pytest.mark.parametrize("raw,expected", [("true", True), ("1", True), ("No", False), ("false", False)])
     def test_bool_spellings(self, raw, expected):
@@ -117,9 +117,18 @@ class TestRejected:
         with pytest.raises(ConfigError, match=r"cfg:1: expected key=value"):
             parse_run_config("iterations 5", source="cfg")
 
+    @pytest.mark.parametrize("key", ["image_size", "base_stride", "shrink_channels"])
+    def test_removed_key_is_unknown(self, key):
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            parse_run_config(f"{key} = 16")
+
     @pytest.mark.parametrize(
-        "text", ["iterations = 0", "image_size = 20", "iou_threshold = 2", "split_small_max = 80"]
+        "text", ["iterations = 0", "roi_pool_size = 0", "iou_threshold = 2", "split_small_max = 80"]
     )
     def test_out_of_range_component_value(self, text):
         with pytest.raises(ValueError):
             parse_run_config(text)
+
+    def test_model_rejects_invalid_config(self):
+        with pytest.raises(ValueError, match="gamma_init"):
+            MultiScaleDetector(ModelConfig(gamma_init=0))

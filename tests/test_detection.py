@@ -3,28 +3,23 @@ import pytest
 
 from msfacedet.boxes import clip_boxes, decode_deltas, iou_matrix, nms
 from msfacedet.detector import (
-    DetTrainConfig,
+    DET_BATCH_SIZE,
+    DET_MAX_POS,
     assign_detection_targets,
     postprocess_detections,
 )
 from msfacedet.fusion import FeatureTap, make_l2norm
 from msfacedet.model import ModelConfig, MultiScaleDetector
-from msfacedet.rpn import AnchorConfig
-from msfacedet.fusion import FusionConfig
 from msfacedet.tensor import softmax
 
 
 def tiny_model(seed=0, mode="multi"):
     return MultiScaleDetector(
-        ModelConfig(
-            stage_channels=(2, 2, 3, 3, 3),
-            rpn_channels=4,
-            head_width=8,
-            fusion=FusionConfig(shrink_channels=3, roi_pool_size=3),
-            anchors=AnchorConfig(scales=(1.0,), ratios=(1.0, 1.3)),
-            fusion_mode=mode,
-        ),
+        ModelConfig(roi_pool_size=3, anchor_scales=(1.0,), anchor_ratios=(1.0, 1.3), fusion_mode=mode),
         seed=seed,
+        stage_channels=(2, 2, 3, 3, 3),
+        rpn_channels=4,
+        head_width=8,
     )
 
 
@@ -107,10 +102,9 @@ class TestAssignDetectionTargets:
         gt = self._gt()
         xy = rng.uniform(0, 90, size=(400, 2))
         rois = np.vstack([np.hstack([xy, xy + 30]), gt])
-        cfg = DetTrainConfig()
-        t = assign_detection_targets(rois, gt, rng, cfg)
-        assert t.roi_indices.size <= cfg.batch_size
-        assert t.n_pos <= cfg.max_positives
+        t = assign_detection_targets(rois, gt, rng)
+        assert t.roi_indices.size <= DET_BATCH_SIZE
+        assert t.n_pos <= DET_MAX_POS
 
 
 class TestPostprocess:

@@ -3,9 +3,8 @@ import pytest
 
 from msfacedet.boxes import clip_boxes, decode_deltas, iou_matrix, nms
 from msfacedet.rpn import (
-    AnchorConfig,
+    RPN_POS_IOU,
     RpnHead,
-    RpnTrainConfig,
     TargetAssignmentError,
     assign_rpn_targets,
     flatten_rpn_outputs,
@@ -13,28 +12,25 @@ from msfacedet.rpn import (
     propose,
     rpn_forward,
 )
+from msfacedet.model import ModelConfig
 from msfacedet.tensor import ConvParams, Tensor, make_conv, softmax
 
 
 class TestGenerateAnchors:
     def test_count(self):
-        cfg = AnchorConfig(scales=(1.0, 2.0, 3.0), ratios=(0.5, 1.0, 2.0))
-        anchors = generate_anchors(10, 10, cfg)
+        anchors = generate_anchors(10, 10, (1.0, 2.0, 3.0), (0.5, 1.0, 2.0), 16)
         assert anchors.shape == (900, 4)
 
     def test_square_anchor_geometry(self):
-        cfg = AnchorConfig(base_stride=16, scales=(2.0,), ratios=(1.0,))
-        a = generate_anchors(1, 1, cfg)[0]
+        a = generate_anchors(1, 1, (2.0,), (1.0,), 16)[0]
         # centered on the first cell center (8, 8), side 32
         assert np.allclose(a, [8 - 16, 8 - 16, 8 + 16, 8 + 16])
 
     def test_area_and_ratio(self):
-        cfg = AnchorConfig(base_stride=16, scales=(1.5, 3.0), ratios=(0.8, 1.3))
-        anchors = generate_anchors(2, 3, cfg)
-        k = cfg.per_cell
-        for idx, (ratio, scale) in enumerate(
-            (r, s) for r in cfg.ratios for s in cfg.scales
-        ):
+        scales, ratios = (1.5, 3.0), (0.8, 1.3)
+        anchors = generate_anchors(2, 3, scales, ratios, 16)
+        k = len(scales) * len(ratios)
+        for idx, (ratio, scale) in enumerate((r, s) for r in ratios for s in scales):
             box = anchors[idx]
             w, h = box[2] - box[0], box[3] - box[1]
             assert h / w == pytest.approx(ratio)
@@ -42,15 +38,16 @@ class TestGenerateAnchors:
         assert anchors.shape == (2 * 3 * k, 4)
 
     def test_translation_between_rows(self):
-        cfg = AnchorConfig()
-        anchors = generate_anchors(4, 5, cfg).reshape(4, 5, cfg.per_cell, 4)
+        cfg = ModelConfig()
+        anchors = generate_anchors(4, 5, cfg.anchor_scales, cfg.anchor_ratios, 16)
+        anchors = anchors.reshape(4, 5, cfg.anchors_per_cell, 4)
         shifted = anchors[0, 2] + np.array([0.0, 16.0, 0.0, 16.0])
         assert np.allclose(anchors[1, 2], shifted)
 
     def test_byte_identical_across_runs(self):
-        cfg = AnchorConfig()
-        a = generate_anchors(6, 6, cfg)
-        b = generate_anchors(6, 6, cfg)
+        cfg = ModelConfig()
+        a = generate_anchors(6, 6, cfg.anchor_scales, cfg.anchor_ratios, 16)
+        b = generate_anchors(6, 6, cfg.anchor_scales, cfg.anchor_ratios, 16)
         assert a.tobytes() == b.tobytes()
 
 
@@ -106,8 +103,7 @@ class TestPropose:
         return logits, deltas, anchors
 
     def test_equal_logits_fall_back_to_anchor_order(self):
-        cfg = AnchorConfig(scales=(1.0,), ratios=(1.0,))
-        anchors = generate_anchors(2, 2, cfg)
+        anchors = generate_anchors(2, 2, (1.0,), (1.0,), 16)
         logits = np.zeros((4, 2))
         deltas = np.zeros((4, 4))
         props = propose(logits, deltas, anchors, 32, 32, nms_thresh=0.9)
@@ -115,8 +111,7 @@ class TestPropose:
         assert np.allclose(got, anchors)
 
     def test_dominant_anchor_is_first(self):
-        cfg = AnchorConfig(scales=(1.0,), ratios=(1.0,))
-        anchors = generate_anchors(2, 2, cfg)
+        anchors = generate_anchors(2, 2, (1.0,), (1.0,), 16)
         logits = np.zeros((4, 2))
         logits[2, 1] = 5.0
         props = propose(logits, np.zeros((4, 4)), anchors, 32, 32)
@@ -148,7 +143,7 @@ class TestPropose:
 
 class TestAssignRpnTargets:
     def _anchors(self):
-        return generate_anchors(8, 8, AnchorConfig(scales=(1.0, 2.0), ratios=(1.0,)))
+        return generate_anchors(8, 8, (1.0, 2.0), (1.0,), 16)
 
     def test_anchor_equal_to_gt_is_positive_with_zero_deltas(self):
         anchors = self._anchors()
@@ -159,8 +154,7 @@ class TestAssignRpnTargets:
         assert np.allclose(t.target_deltas[68], 0.0)
 
     def test_low_iou_argmax_anchor_still_positive(self):
-        cfg = AnchorConfig(scales=(1.0,), ratios=(1.0,))
-        anchors = generate_anchors(8, 8, cfg)
+        anchors = generate_anchors(8, 8, (1.0,), (1.0,), 16)
         gt = np.array([[60.0, 60.0, 68.0, 68.0]])  # 8 px face, best IoU ~0.25
         rng = np.random.default_rng(1)
         t = assign_rpn_targets(anchors, gt, rng, 128, 128)
@@ -203,12 +197,11 @@ class TestAssignRpnTargets:
         anchors = self._anchors()
         rng = np.random.default_rng(5)
         gt = np.array([[20.0, 20.0, 52.0, 52.0], [80.0, 80.0, 112.0, 112.0]])
-        cfg = RpnTrainConfig()
-        t = assign_rpn_targets(anchors, gt, rng, 128, 128, cfg)
+        t = assign_rpn_targets(anchors, gt, rng, 128, 128)
         ious = iou_matrix(anchors, gt)
         per_gt_best = ious.max(axis=0)
         for a in np.flatnonzero(t.labels == 1):
-            ok = ious[a].max() >= cfg.pos_iou or any(
+            ok = ious[a].max() >= RPN_POS_IOU or any(
                 ious[a, g] == per_gt_best[g] for g in range(len(gt))
             )
             assert ok
@@ -221,7 +214,6 @@ class TestAssignRpnTargets:
         assert t.n_pos <= 128
 
     def test_no_anchors_inside_rejected(self):
-        cfg = AnchorConfig(scales=(16.0,), ratios=(1.0,))
-        anchors = generate_anchors(2, 2, cfg)
+        anchors = generate_anchors(2, 2, (16.0,), (1.0,), 16)
         with pytest.raises(TargetAssignmentError):
             assign_rpn_targets(anchors, np.zeros((0, 4)), np.random.default_rng(0), 32, 32)
