@@ -55,5 +55,7 @@ def load_checkpoint(path) -> "OrderedDict[str, np.ndarray]":
         dims = struct.unpack(f"<{rank}I", take(4 * rank)) if rank else ()
         count = int(np.prod(dims)) if rank else 1
         vals = np.frombuffer(take(8 * count), dtype="<f8").astype(np.float64)
+        if not np.isfinite(vals).all():
+            raise CheckpointError(f"{path}: parameter {name} holds non-finite values")
         out[name] = vals.reshape(dims)
     return out

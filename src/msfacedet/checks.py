@@ -7,6 +7,7 @@ import numpy as np
 
 from .detector import assign_detection_targets
 from .fusion import (
+    TAP_ORDER,
     FeatureTap,
     concat_shrink,
     concat_shrink_backward,
@@ -154,17 +155,17 @@ def check_smooth_l1(seed: int) -> float:
 def check_l2norm_scale(seed: int) -> float:
     rng = np.random.default_rng(seed)
     x = _away_from_zero(rng, (1, 4, 3, 3))
-    layer = make_l2norm(4, gamma_init=1.0)
-    layer.gamma.data[...] = rng.uniform(0.5, 3.0, size=4)
-    out, cache = l2norm_scale(x, layer)
+    gamma = make_l2norm(4, gamma_init=1.0)
+    gamma.data[...] = rng.uniform(0.5, 3.0, size=4)
+    out, cache = l2norm_scale(x, gamma)
     proj = rng.standard_normal(out.shape)
-    layer.gamma.zero_grad()
+    gamma.zero_grad()
     dx = l2norm_scale_backward(proj, cache)
 
     def loss():
-        return float((l2norm_scale(x, layer)[0] * proj).sum())
+        return float((l2norm_scale(x, gamma)[0] * proj).sum())
 
-    return finite_difference_check(loss, [x, layer.gamma.data], [dx, layer.gamma.grad], h=STEP)
+    return finite_difference_check(loss, [x, gamma.data], [dx, gamma.grad], h=STEP)
 
 
 def check_concat_shrink(seed: int) -> float:
@@ -172,14 +173,14 @@ def check_concat_shrink(seed: int) -> float:
     maps = [rng.standard_normal((1, c, 3, 3)) for c in (2, 3, 4)]
     shrink = make_conv(rng, 4, 9, 1, pad=0)
     shrink.weight.data[...] = rng.standard_normal(shrink.weight.data.shape)
-    out, cache = concat_shrink(maps, shrink)
+    out, cache = concat_shrink(maps, TAP_ORDER, {}, shrink)
     proj = rng.standard_normal(out.shape)
     shrink.weight.zero_grad()
     shrink.bias.zero_grad()
     dparts = concat_shrink_backward(proj, cache)
 
     def loss():
-        return float((concat_shrink(maps, shrink)[0] * proj).sum())
+        return float((concat_shrink(maps, TAP_ORDER, {}, shrink)[0] * proj).sum())
 
     return finite_difference_check(
         loss,
@@ -224,8 +225,8 @@ def check_ms_roi_pool(seed: int) -> float:
     rois = np.array([[2.0, 3.0, 21.0, 17.0], [10.0, 8.0, 14.0, 13.0]])
     out, cache = ms_roi_pool_batch(taps, rois, norms, shrink, 3)
     proj = rng.standard_normal(out.shape)
-    for n in norms.values():
-        n.gamma.zero_grad()
+    for gamma in norms.values():
+        gamma.zero_grad()
     shrink.weight.zero_grad()
     shrink.bias.zero_grad()
     tap_grads = {t.name: np.zeros_like(t.map) for t in taps}
@@ -234,9 +235,9 @@ def check_ms_roi_pool(seed: int) -> float:
     def loss():
         return float((ms_roi_pool_batch(taps, rois, norms, shrink, 3)[0] * proj).sum())
 
-    arrays = [t.map for t in taps] + [norms[t.name].gamma.data for t in taps]
+    arrays = [t.map for t in taps] + [norms[t.name].data for t in taps]
     arrays += [shrink.weight.data, shrink.bias.data]
-    grads = [tap_grads[t.name] for t in taps] + [norms[t.name].gamma.grad for t in taps]
+    grads = [tap_grads[t.name] for t in taps] + [norms[t.name].grad for t in taps]
     grads += [shrink.weight.grad, shrink.bias.grad]
     return finite_difference_check(loss, arrays, grads, h=STEP)
 

@@ -258,6 +258,13 @@ def cmd_ablate(args, tracker) -> int:
     return 0
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="msfacedet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -298,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of every backward pass")
-    p.add_argument("--seeds", type=int, default=2, help="number of seeds per check")
+    p.add_argument("--seeds", type=positive_int, default=2, help="number of seeds per check")
     p.add_argument("--skip-model", action="store_true", help="skip the end-to-end model check")
     p.set_defaults(fn=cmd_gradcheck)
 
@@ -330,3 +337,7 @@ def run_cli(argv=None) -> int:
 
 def main():
     sys.exit(run_cli())
+
+
+if __name__ == "__main__":
+    main()

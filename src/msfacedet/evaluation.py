@@ -196,8 +196,7 @@ def proposal_recall(model, scenes, top_k: int | None = None) -> float:
     hits = total = 0
     for s in scenes:
         st = pipeline_forward(model, s.image)
-        anchors = model.anchors_for(st.fused_shape[2], st.fused_shape[3])
-        props = propose(st.rpn_logits, st.rpn_deltas, anchors, s.image.shape[3], s.image.shape[2])
+        props = propose(st.rpn_logits, st.rpn_deltas, st.anchors, s.image.shape[3], s.image.shape[2])
         boxes = np.array([p.box for p in props[:top_k]]).reshape(-1, 4)
         gts = np.asarray(s.gt_boxes, dtype=np.float64).reshape(-1, 4)
         total += gts.shape[0]

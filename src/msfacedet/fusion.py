@@ -1,12 +1,13 @@
 """Multi-scale feature fusion.
 
-Three backbone taps with different strides are made comparable by
-L2-normalizing each along the channel axis, scaling by a learnable
-per-channel factor, spatially synchronizing (downsample pooling for the
-dense branch, ROI pooling for the per-region branch), concatenating in a
-fixed tap order and shrinking channels with a shared 1x1 convolution.
-The single-tap ablation runs the same code over the stride-16 tap alone,
-without a norm.
+Three backbone taps with different strides are made comparable in one
+fusion step, ``concat_shrink``: each tap is L2-normalized along the
+channel axis and scaled by a learnable per-channel gamma, then the taps
+are concatenated in a fixed order and shrunk by a shared 1x1 convolution.
+Both branches run that step after their own spatial synchronization:
+downsample pooling for the dense branch, ROI pooling for the per-region
+branch.  The single-tap ablation runs the same code over the stride-16
+tap alone, without a norm.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .tensor import (
 )
 
 TAP_ORDER = ("tap3", "tap4", "tap5")
+L2NORM_EPS = 1e-10
 
 
 @dataclass
@@ -38,19 +40,12 @@ class FeatureTap:
     stride: int
 
 
-@dataclass
-class L2NormScale:
-    """Per-channel learnable scale applied after channel-axis L2 normalization."""
-
-    gamma: Tensor
-    eps: float = 1e-10
+def make_l2norm(channels: int, gamma_init: float = 10.0) -> Tensor:
+    """The learnable per-channel gamma of one tap's norm."""
+    return Tensor(np.full(channels, gamma_init), requires_grad=True)
 
 
-def make_l2norm(channels: int, gamma_init: float = 10.0) -> L2NormScale:
-    return L2NormScale(gamma=Tensor(np.full(channels, gamma_init), requires_grad=True))
-
-
-def l2norm_scale(x: np.ndarray, layer: L2NormScale):
+def l2norm_scale(x: np.ndarray, gamma: Tensor):
     """Normalize every channel vector to unit L2 norm, then scale by gamma.
 
     At each (n, h, w) the C-vector v becomes gamma * v / sqrt(|v|^2 + eps^2),
@@ -58,19 +53,19 @@ def l2norm_scale(x: np.ndarray, layer: L2NormScale):
     before fusion and gamma alone sets the contribution of each channel.
     """
     c = x.shape[1]
-    g = layer.gamma.data
+    g = gamma.data
     if g.shape != (c,):
         raise ShapeError(f"l2norm_scale: gamma {g.shape} for {c}-channel input {x.shape}")
-    s = np.sqrt((x * x).sum(axis=1, keepdims=True) + layer.eps * layer.eps)
+    s = np.sqrt((x * x).sum(axis=1, keepdims=True) + L2NORM_EPS * L2NORM_EPS)
     xn = x / s
     y = g[None, :, None, None] * xn
-    return y, (x, s, xn, layer)
+    return y, (x, s, xn, gamma)
 
 
 def l2norm_scale_backward(dout: np.ndarray, cache) -> np.ndarray:
-    x, s, xn, layer = cache
-    g = layer.gamma.data
-    layer.gamma.ensure_grad()[...] += (dout * xn).sum(axis=(0, 2, 3))
+    x, s, xn, gamma = cache
+    g = gamma.data
+    gamma.ensure_grad()[...] += (dout * xn).sum(axis=(0, 2, 3))
     gd = dout * g[None, :, None, None]
     dot = (gd * x).sum(axis=1, keepdims=True)
     return gd / s - x * (dot / (s * s * s))
@@ -98,23 +93,31 @@ def sync_downsample_backward(dout: np.ndarray, cache) -> np.ndarray:
     return maxpool2d_backward(dout, cache)
 
 
-def concat_shrink(maps, shrink: ConvParams, names=TAP_ORDER):
-    """Concatenate maps along channels in fixed order, then 1x1-convolve."""
-    hw = {m.shape[2:] for m in maps}
+def concat_shrink(parts, names, norms, shrink: ConvParams):
+    """The fusion step: norm each named part that has a norm in ``norms``,
+    concatenate along channels in the given order, then 1x1-convolve."""
+    hw = {m.shape[2:] for m in parts}
     if len(hw) != 1:
-        sizes = ", ".join(f"{n}={m.shape[2:]}" for n, m in zip(names, maps))
+        sizes = ", ".join(f"{n}={m.shape[2:]}" for n, m in zip(names, parts))
         raise ShapeError(f"concat_shrink: spatial sizes differ: {sizes}")
-    z = np.concatenate(maps, axis=1)
-    out, conv_cache = conv2d(z, shrink)
-    splits = [m.shape[1] for m in maps]
-    return out, (conv_cache, splits)
+    normed, norm_caches = [], []
+    for name, x in zip(names, parts):
+        nc = None
+        if name in norms:
+            x, nc = l2norm_scale(x, norms[name])
+        normed.append(x)
+        norm_caches.append(nc)
+    out, conv_cache = conv2d(np.concatenate(normed, axis=1), shrink)
+    splits = [m.shape[1] for m in parts]
+    return out, (conv_cache, norm_caches, splits)
 
 
 def concat_shrink_backward(dout: np.ndarray, cache):
-    conv_cache, splits = cache
+    """Gradient of each part, through the shrink and the part's norm."""
+    conv_cache, norm_caches, splits = cache
     dz = conv2d_backward(dout, conv_cache)
-    edges = np.cumsum(splits)[:-1]
-    return np.split(dz, edges, axis=1)
+    dparts = np.split(dz, np.cumsum(splits)[:-1], axis=1)
+    return [d if nc is None else l2norm_scale_backward(d, nc) for d, nc in zip(dparts, norm_caches)]
 
 
 def _partition(extent: int, p: int):
@@ -200,13 +203,12 @@ def roi_pool_backward(dout: np.ndarray, argmax: np.ndarray, dmap: np.ndarray):
 def ms_roi_pool_batch(taps, rois: np.ndarray, norms, shrink: ConvParams, p: int):
     """Fixed-size fused descriptors (R, shrink_out, p, p) for an (R, 4) ROI stack.
 
-    Each tap is ROI-pooled at its own stride to (C_i, p, p), L2-normalized
-    and re-weighted when ``norms`` holds a norm for it, concatenated in tap
-    order and shrunk by the shared 1x1 convolution, so the output shape does
-    not depend on ROI size.
+    Each tap is ROI-pooled at its own stride to (C_i, p, p), then the pooled
+    taps go through the fusion step, so the output shape does not depend on
+    ROI size.
     """
     r = rois.shape[0]
-    pooled, argmaxes, norm_caches = [], [], []
+    pooled, argmaxes = [], []
     for tap in taps:
         c = tap.map.shape[1]
         po = np.empty((r, c, p, p))
@@ -214,24 +216,14 @@ def ms_roi_pool_batch(taps, rois: np.ndarray, norms, shrink: ConvParams, p: int)
         fmap = tap.map[0]
         for i in range(r):
             po[i], am[i] = roi_pool(fmap, rois[i], tap.stride, p)
-        nc = None
-        if tap.name in norms:
-            po, nc = l2norm_scale(po, norms[tap.name])
         pooled.append(po)
         argmaxes.append(am)
-        norm_caches.append(nc)
-    z = np.concatenate(pooled, axis=1)
-    out, conv_cache = conv2d(z, shrink)
-    splits = [t.map.shape[1] for t in taps]
-    return out, (taps, argmaxes, norm_caches, conv_cache, splits)
+    out, fuse_cache = concat_shrink(pooled, [t.name for t in taps], norms, shrink)
+    return out, (taps, argmaxes, fuse_cache)
 
 
 def ms_roi_pool_batch_backward(dout: np.ndarray, cache, tap_grads: dict):
-    """Backprop through shrink, norms and pooling; adds into ``tap_grads``."""
-    taps, argmaxes, norm_caches, conv_cache, splits = cache
-    dz = conv2d_backward(dout, conv_cache)
-    parts = np.split(dz, np.cumsum(splits)[:-1], axis=1)
-    for tap, am, nc, dpart in zip(taps, argmaxes, norm_caches, parts):
-        if nc is not None:
-            dpart = l2norm_scale_backward(dpart, nc)
+    """Backprop through the fusion step and pooling; adds into ``tap_grads``."""
+    taps, argmaxes, fuse_cache = cache
+    for tap, am, dpart in zip(taps, argmaxes, concat_shrink_backward(dout, fuse_cache)):
         roi_pool_backward(dpart, am, tap_grads[tap.name][0])

@@ -15,8 +15,6 @@ from .fusion import (
     FeatureTap,
     concat_shrink,
     concat_shrink_backward,
-    l2norm_scale,
-    l2norm_scale_backward,
     make_l2norm,
     sync_downsample,
     sync_downsample_backward,
@@ -132,7 +130,7 @@ class MultiScaleDetector:
                 reg[f"backbone.s{i}.c{j}.bias"] = conv.bias
         for name in TAP_ORDER:
             if name in self.norms:
-                reg[f"norm.{name}.gamma"] = self.norms[name].gamma
+                reg[f"norm.{name}.gamma"] = self.norms[name]
         reg["fusion.shrink.weight"] = self.shrink.weight
         reg["fusion.shrink.bias"] = self.shrink.bias
         reg["rpn.conv.weight"] = self.rpn_head.conv.weight
@@ -217,20 +215,15 @@ class MultiScaleDetector:
         maps, caches = [], []
         for tap in self._fused(taps):
             d, dc = sync_downsample(tap, TAP_STRIDES["tap5"])
-            nc = None
-            if tap.name in self.norms:
-                d, nc = l2norm_scale(d, self.norms[tap.name])
             maps.append(d)
-            caches.append((tap.name, dc, nc))
-        fused, cs_cache = concat_shrink(maps, self.shrink, self.fused_taps)
-        return fused, (caches, cs_cache)
+            caches.append(dc)
+        fused, fuse_cache = concat_shrink(maps, self.fused_taps, self.norms, self.shrink)
+        return fused, (caches, fuse_cache)
 
     def fused_map_backward(self, dfused: np.ndarray, cache, tap_grads: dict):
-        caches, cs_cache = cache
-        parts = concat_shrink_backward(dfused, cs_cache)
-        for (name, dc, nc), dpart in zip(caches, parts):
-            if nc is not None:
-                dpart = l2norm_scale_backward(dpart, nc)
+        caches, fuse_cache = cache
+        parts = concat_shrink_backward(dfused, fuse_cache)
+        for name, dc, dpart in zip(self.fused_taps, caches, parts):
             tap_grads[name] += sync_downsample_backward(dpart, dc)
 
     # ------------------------------------------------------------------
@@ -282,7 +275,6 @@ class MultiScaleDetector:
             post_nms_top_n=post_nms_top_n,
             nms_thresh=rpn_nms_thresh,
             min_size=min_size,
-            k=self.cfg.anchors_per_cell,
         )
         if not proposals:
             return []

@@ -57,38 +57,31 @@ class RpnHead:
 
 
 def rpn_forward(fused_map: np.ndarray, head: RpnHead):
-    """Dense per-anchor objectness logits (N, 2k, H, W) and deltas (N, 4k, H, W)."""
+    """Per-anchor objectness logits (A, 2) and deltas (A, 4) in anchor order.
+
+    Each of the k anchors of a cell (k is half the ``head.cls`` outputs)
+    owns one 2- (or 4-) channel block of the sibling convolutions; anchor a
+    of cell (y, x) becomes row (y * W + x) * k + a.
+    """
+    k = head.cls.weight.data.shape[0] // 2
     t, c1 = conv2d(fused_map, head.conv)
     a, c2 = relu(t)
     logits, c3 = conv2d(a, head.cls)
     deltas, c4 = conv2d(a, head.bbox)
-    return (logits, deltas), (c1, c2, c3, c4)
+    h, w = logits.shape[2], logits.shape[3]
+    lg = logits[0].reshape(k, 2, h, w).transpose(2, 3, 0, 1).reshape(-1, 2)
+    dl = deltas[0].reshape(k, 4, h, w).transpose(2, 3, 0, 1).reshape(-1, 4)
+    return (lg, dl), (c1, c2, c3, c4, k, h, w)
 
 
 def rpn_backward(dlogits: np.ndarray, ddeltas: np.ndarray, cache) -> np.ndarray:
-    c1, c2, c3, c4 = cache
-    da = conv2d_backward(dlogits, c3) + conv2d_backward(ddeltas, c4)
+    """Gradient of the fused map from per-anchor row gradients."""
+    c1, c2, c3, c4, k, h, w = cache
+    dlmap = dlogits.reshape(h, w, k, 2).transpose(2, 3, 0, 1).reshape(1, 2 * k, h, w)
+    ddmap = ddeltas.reshape(h, w, k, 4).transpose(2, 3, 0, 1).reshape(1, 4 * k, h, w)
+    da = conv2d_backward(dlmap, c3) + conv2d_backward(ddmap, c4)
     dt = relu_backward(da, c2)
     return conv2d_backward(dt, c1)
-
-
-def flatten_rpn_outputs(logits: np.ndarray, deltas: np.ndarray, k: int):
-    """Map head outputs to per-anchor rows matching the anchor enumeration.
-
-    Channel layout groups the 2 (or 4) values of each of the k per-cell
-    anchors together: channel block a covers anchor index a within a cell.
-    """
-    _, c2, h, w = logits.shape
-    assert c2 == 2 * k and deltas.shape[1] == 4 * k
-    lg = logits[0].reshape(k, 2, h, w).transpose(2, 3, 0, 1).reshape(-1, 2)
-    dl = deltas[0].reshape(k, 4, h, w).transpose(2, 3, 0, 1).reshape(-1, 4)
-    return lg, dl
-
-
-def unflatten_rpn_grads(dlg: np.ndarray, ddl: np.ndarray, k: int, h: int, w: int):
-    dlogits = dlg.reshape(h, w, k, 2).transpose(2, 3, 0, 1).reshape(1, 2 * k, h, w)
-    ddeltas = ddl.reshape(h, w, k, 4).transpose(2, 3, 0, 1).reshape(1, 4 * k, h, w)
-    return dlogits, ddeltas
 
 
 def propose(
@@ -101,21 +94,14 @@ def propose(
     post_nms_top_n: int = 300,
     nms_thresh: float = 0.7,
     min_size: float = 4.0,
-    k: int | None = None,
 ):
-    """Turn dense head outputs into a scored, NMS-filtered proposal list.
+    """Turn per-anchor head outputs into a scored, NMS-filtered proposal list.
 
     Score ties fall back to anchor enumeration order, so the output is a
     pure function of its inputs.
     """
-    if logits.ndim == 4:
-        if k is None:
-            k = logits.shape[1] // 2
-        lg, dl = flatten_rpn_outputs(logits, deltas, k)
-    else:
-        lg, dl = logits, deltas
-    scores = softmax(lg)[:, 1]
-    boxes = decode_deltas(dl, anchors)
+    scores = softmax(logits)[:, 1]
+    boxes = decode_deltas(deltas, anchors)
     boxes, keep = clip_boxes(boxes, img_w, img_h)
     keep &= (boxes[:, 2] - boxes[:, 0] >= min_size) & (boxes[:, 3] - boxes[:, 1] >= min_size)
     idx = np.flatnonzero(keep)

@@ -13,11 +13,9 @@ from .rpn import (
     RpnTargets,
     TargetAssignmentError,
     assign_rpn_targets,
-    flatten_rpn_outputs,
     propose,
     rpn_backward,
     rpn_forward,
-    unflatten_rpn_grads,
 )
 from .tensor import (
     smooth_l1,
@@ -126,9 +124,9 @@ def sgd_momentum_step(params, velocity: dict, lr: float, momentum: float, weight
 class PipelineState:
     taps: list
     bb_cache: object
-    fused_shape: tuple
     fus_cache: object
     rpn_cache: object
+    anchors: np.ndarray  # (A, 4)
     rpn_logits: np.ndarray  # (A, 2) rows in anchor order
     rpn_deltas: np.ndarray  # (A, 4)
 
@@ -136,9 +134,9 @@ class PipelineState:
 def pipeline_forward(model: MultiScaleDetector, image: np.ndarray) -> PipelineState:
     taps, bb_cache = model.backbone_forward(image)
     fused, fus_cache = model.fused_map_forward(taps)
-    (lmap, dmap), rpn_cache = rpn_forward(fused, model.rpn_head)
-    lg, dl = flatten_rpn_outputs(lmap, dmap, model.cfg.anchors_per_cell)
-    return PipelineState(taps, bb_cache, fused.shape, fus_cache, rpn_cache, lg, dl)
+    (lg, dl), rpn_cache = rpn_forward(fused, model.rpn_head)
+    anchors = model.anchors_for(fused.shape[2], fused.shape[3])
+    return PipelineState(taps, bb_cache, fus_cache, rpn_cache, anchors, lg, dl)
 
 
 def pipeline_loss(
@@ -163,9 +161,7 @@ def pipeline_loss(
     if backward:
         tap_grads = model.new_tap_grads(st.taps)
         model.roi_backward(ddet_lg, ddet_dl, det_cache, tap_grads)
-        h, w = st.fused_shape[2], st.fused_shape[3]
-        dlmap, ddmap = unflatten_rpn_grads(dlg, ddl, model.cfg.anchors_per_cell, h, w)
-        dfused = rpn_backward(dlmap, ddmap, st.rpn_cache)
+        dfused = rpn_backward(dlg, ddl, st.rpn_cache)
         model.fused_map_backward(dfused, st.fus_cache, tap_grads)
         model.backbone_backward(tap_grads, st.bb_cache)
     return total, comps
@@ -221,16 +217,15 @@ def train(
         scene = scenes[order[t % n]]
         img_h, img_w = scene.image.shape[2], scene.image.shape[3]
         st = pipeline_forward(model, scene.image)
-        anchors = model.anchors_for(st.fused_shape[2], st.fused_shape[3])
         try:
-            rpn_t = assign_rpn_targets(anchors, scene.gt_boxes, rng, img_w, img_h)
+            rpn_t = assign_rpn_targets(st.anchors, scene.gt_boxes, rng, img_w, img_h)
         except TargetAssignmentError:
             skipped += 1
             continue
         proposals = propose(
             st.rpn_logits,
             st.rpn_deltas,
-            anchors,
+            st.anchors,
             img_w,
             img_h,
             pre_nms_top_n=cfg.pre_nms_top_n,

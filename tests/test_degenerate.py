@@ -1,0 +1,43 @@
+"""Degenerate inputs: flat images (the L2-norm eps path), a faceless scene
+and an image smaller than one stride-16 cell."""
+
+import numpy as np
+import pytest
+
+from msfacedet import ModelConfig, MultiScaleDetector, ToyScene, TrainConfig, train
+from msfacedet.imageio import load_image, write_pgm
+
+
+def _boxes_and_scores(dets):
+    return np.array([d.box for d in dets]).reshape(-1, 4), np.array([d.score for d in dets])
+
+
+@pytest.mark.parametrize("value", [0.0, 0.6])
+def test_detect_on_flat_image_gives_finite_boxes(value):
+    model = MultiScaleDetector(ModelConfig(), seed=0)
+    dets = model.detect(np.full((1, 1, 64, 64), value), 64, 64, score_thresh=0.0)
+    boxes, scores = _boxes_and_scores(dets)
+    assert len(dets)
+    assert np.isfinite(boxes).all()
+    assert np.isfinite(scores).all()
+
+
+def test_train_on_faceless_flat_scene_stays_finite():
+    # an all-zero image zeroes every tap at the first iteration
+    scene = ToyScene(name="flat", image=np.zeros((1, 1, 64, 64)), gt_boxes=np.zeros((0, 4)))
+    result = train([scene], TrainConfig(iterations=3), trace_every=1)
+    assert result.skipped == 0
+    assert len(result.trace) == 3
+    assert np.isfinite(np.array(result.trace)).all()
+
+
+def test_detect_on_image_padded_from_under_16_px(tmp_path):
+    path = tmp_path / "small.pgm"
+    write_pgm(path, np.random.default_rng(0).uniform(size=(10, 12)))
+    tensor, orig_w, orig_h = load_image(path)
+    assert tensor.shape == (1, 1, 16, 16)
+    assert (orig_w, orig_h) == (12, 10)
+    dets = MultiScaleDetector(ModelConfig(), seed=0).detect(tensor, orig_w, orig_h, score_thresh=0.0)
+    boxes, scores = _boxes_and_scores(dets)
+    assert np.isfinite(scores).all()
+    assert np.all((boxes >= 0) & (boxes <= [12, 10, 12, 10]))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from msfacedet.fusion import (
+    TAP_ORDER,
     FeatureTap,
     concat_shrink,
     l2norm_scale,
@@ -24,15 +25,15 @@ def make_taps(rng, size=32, channels=(2, 3, 4)):
 class TestL2NormScale:
     def test_three_four_five(self):
         x = np.array([3.0, 4.0]).reshape(1, 2, 1, 1)
-        layer = make_l2norm(2, gamma_init=1.0)
-        out, _ = l2norm_scale(x, layer)
+        gamma = make_l2norm(2, gamma_init=1.0)
+        out, _ = l2norm_scale(x, gamma)
         assert np.allclose(out.reshape(-1), [0.6, 0.8])
 
     def test_unit_norm_before_gamma(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((2, 5, 4, 4)) + 0.1
-        layer = make_l2norm(5, gamma_init=1.0)
-        out, _ = l2norm_scale(x, layer)
+        gamma = make_l2norm(5, gamma_init=1.0)
+        out, _ = l2norm_scale(x, gamma)
         norms = np.sqrt((out * out).sum(axis=1))
         assert np.max(np.abs(norms - 1.0)) < 1e-6
 
@@ -40,9 +41,9 @@ class TestL2NormScale:
     def test_scale_equivariance(self, alpha):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((1, 6, 3, 3)) + 0.2
-        layer = make_l2norm(6, gamma_init=3.0)
-        a, _ = l2norm_scale(x, layer)
-        b, _ = l2norm_scale(alpha * x, layer)
+        gamma = make_l2norm(6, gamma_init=3.0)
+        a, _ = l2norm_scale(x, gamma)
+        b, _ = l2norm_scale(alpha * x, gamma)
         assert np.max(np.abs(a - b)) < 1e-6
 
     def test_channel_mismatch_rejected(self):
@@ -85,7 +86,7 @@ class TestConcatShrink:
             Tensor(rng.standard_normal((64, 160, 1, 1)), requires_grad=True),
             Tensor(np.zeros(64), requires_grad=True),
         )
-        out, _ = concat_shrink(maps, shrink)
+        out, _ = concat_shrink(maps, TAP_ORDER, {}, shrink)
         assert out.shape == (1, 64, 4, 4)
 
     def test_selection_weights_pick_one_tap(self):
@@ -94,8 +95,21 @@ class TestConcatShrink:
         w = np.zeros((4, 9, 1, 1))
         w[np.arange(4), 5 + np.arange(4), 0, 0] = 1.0  # select the tap5 block
         shrink = ConvParams(Tensor(w, requires_grad=True), Tensor(np.zeros(4), requires_grad=True))
-        out, _ = concat_shrink(maps, shrink)
+        out, _ = concat_shrink(maps, TAP_ORDER, {}, shrink)
         assert np.allclose(out, maps[2])
+
+    def test_norms_apply_to_the_named_parts_only(self):
+        rng = np.random.default_rng(14)
+        maps = [rng.standard_normal((1, c, 3, 3)) for c in (2, 3, 4)]
+        shrink = ConvParams(
+            Tensor(rng.standard_normal((4, 9, 1, 1)), requires_grad=True),
+            Tensor(np.zeros(4), requires_grad=True),
+        )
+        norms = {"tap3": make_l2norm(2, 2.0), "tap5": make_l2norm(4, 3.0)}
+        out, _ = concat_shrink(maps, TAP_ORDER, norms, shrink)
+        normed = [l2norm_scale(maps[0], norms["tap3"])[0], maps[1], l2norm_scale(maps[2], norms["tap5"])[0]]
+        ref, _ = concat_shrink(normed, TAP_ORDER, {}, shrink)
+        assert np.array_equal(out, ref)
 
     def test_spatial_mismatch_names_taps(self):
         maps = [np.zeros((1, 2, 4, 4)), np.zeros((1, 2, 3, 3)), np.zeros((1, 2, 4, 4))]
@@ -104,7 +118,7 @@ class TestConcatShrink:
             Tensor(np.zeros(2), requires_grad=True),
         )
         with pytest.raises(ShapeError, match="tap4"):
-            concat_shrink(maps, shrink)
+            concat_shrink(maps, TAP_ORDER, {}, shrink)
 
 
 class TestRoiPool:

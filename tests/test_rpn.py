@@ -7,13 +7,12 @@ from msfacedet.rpn import (
     RpnHead,
     TargetAssignmentError,
     assign_rpn_targets,
-    flatten_rpn_outputs,
     generate_anchors,
     propose,
     rpn_forward,
 )
 from msfacedet.model import ModelConfig
-from msfacedet.tensor import ConvParams, Tensor, make_conv, softmax
+from msfacedet.tensor import ConvParams, Tensor, conv2d, make_conv, relu, softmax
 
 
 class TestGenerateAnchors:
@@ -65,8 +64,20 @@ class TestRpnForward:
         head = _head(rng)
         fused = rng.standard_normal((1, 3, 5, 5))
         (logits, deltas), _ = rpn_forward(fused, head)
-        assert logits.shape == (1, 4, 5, 5)
-        assert deltas.shape == (1, 8, 5, 5)
+        assert logits.shape == (5 * 5 * 2, 2)
+        assert deltas.shape == (5 * 5 * 2, 4)
+
+    def test_rows_follow_anchor_order(self):
+        rng = np.random.default_rng(2)
+        head = _head(rng, k=3)
+        fused = rng.standard_normal((1, 3, 4, 5))
+        (logits, deltas), _ = rpn_forward(fused, head)
+        a = relu(conv2d(fused, head.conv)[0])[0]
+        lmap, dmap = conv2d(a, head.cls)[0][0], conv2d(a, head.bbox)[0][0]
+        for y, x, j in [(0, 0, 0), (1, 3, 2), (3, 4, 1)]:
+            row = (y * 5 + x) * 3 + j
+            assert np.array_equal(logits[row], lmap[2 * j : 2 * j + 2, y, x])
+            assert np.array_equal(deltas[row], dmap[4 * j : 4 * j + 4, y, x])
 
     def test_zeroed_head_gives_uniform_objectness(self):
         rng = np.random.default_rng(1)
@@ -76,8 +87,7 @@ class TestRpnForward:
             conv.bias.data[...] = 0.0
         fused = rng.standard_normal((1, 3, 4, 4))
         (logits, _), _ = rpn_forward(fused, head)
-        rows, _ = flatten_rpn_outputs(logits, np.zeros((1, 8, 4, 4)), 2)
-        probs = softmax(rows)
+        probs = softmax(logits)
         assert np.allclose(probs, 0.5)
 
 
