@@ -2,8 +2,9 @@
 
 Repeated blocks of: an image path line (no whitespace), a face-count line,
 then that many lines of "x y w h" non-negative integers (top-left corner
-plus size).  Boxes convert internally to corner form (x, y, x+w, y+h).
-Blank lines between blocks are rejected.
+plus size, corners up to 2**53 so float64 holds them exactly).  Boxes
+convert internally to corner form (x, y, x+w, y+h).  Blank lines between
+blocks are rejected.
 """
 
 from __future__ import annotations
@@ -43,11 +44,11 @@ def parse_annotations(text: str, source: str = "<annotations>") -> list[Annotati
             raise AnnotationError(f"{source}:{i + 1}: face count is not an integer: {lines[i]!r}") from None
         if count < 0:
             raise AnnotationError(f"{source}:{i + 1}: negative face count")
+        if count > len(lines) - i - 1:
+            raise AnnotationError(f"{source}:{i + 1}: face count {count} but only {len(lines) - i - 1} lines follow")
         i += 1
         boxes = np.zeros((count, 4))
         for b in range(count):
-            if i >= len(lines):
-                raise AnnotationError(f"{source}:{i + 1}: expected {count} box lines, file ended after {b}")
             fields = lines[i].split(" ")
             if len(fields) != 4:
                 raise AnnotationError(f"{source}:{i + 1}: expected 'x y w h', got {lines[i]!r}")
@@ -55,8 +56,10 @@ def parse_annotations(text: str, source: str = "<annotations>") -> list[Annotati
                 x, y, w, h = (int(f) for f in fields)
             except ValueError:
                 raise AnnotationError(f"{source}:{i + 1}: non-integer box field in {lines[i]!r}") from None
-            if x < 0 or y < 0 or w < 1 or h < 1:
-                raise AnnotationError(f"{source}:{i + 1}: box must have non-negative origin and size >= 1")
+            if x < 0 or y < 0 or w < 1 or h < 1 or max(x + w, y + h) > 2**53:
+                raise AnnotationError(
+                    f"{source}:{i + 1}: box must have non-negative origin, size >= 1 and corners up to 2**53"
+                )
             boxes[b] = (x, y, x + w, y + h)
             i += 1
         records.append(AnnotationRecord(image_path=path, boxes=boxes))

@@ -7,6 +7,7 @@ Layout: magic ``MSFR1``, then for each parameter in order: name length
 
 from __future__ import annotations
 
+import math
 import struct
 from collections import OrderedDict
 from pathlib import Path
@@ -24,7 +25,7 @@ def save_checkpoint(path, params: "OrderedDict[str, np.ndarray]"):
     with open(path, "wb") as f:
         f.write(MAGIC)
         for name, arr in params.items():
-            a = np.ascontiguousarray(arr, dtype="<f8")
+            a = np.asarray(arr, dtype="<f8")
             nb = name.encode("utf-8")
             f.write(struct.pack("<I", len(nb)))
             f.write(nb)
@@ -50,10 +51,13 @@ def load_checkpoint(path) -> "OrderedDict[str, np.ndarray]":
 
     while pos < len(data):
         (name_len,) = struct.unpack("<I", take(4))
-        name = take(name_len).decode("utf-8")
+        try:
+            name = take(name_len).decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"{path}: parameter name at byte {pos - name_len} is not utf-8") from None
         (rank,) = struct.unpack("<I", take(4))
-        dims = struct.unpack(f"<{rank}I", take(4 * rank)) if rank else ()
-        count = int(np.prod(dims)) if rank else 1
+        dims = struct.unpack(f"<{rank}I", take(4 * rank))
+        count = math.prod(dims)
         vals = np.frombuffer(take(8 * count), dtype="<f8").astype(np.float64)
         if not np.isfinite(vals).all():
             raise CheckpointError(f"{path}: parameter {name} holds non-finite values")

@@ -1,7 +1,15 @@
 """Finite-difference verification battery for every differentiable piece,
-from single layers up to the combined loss on a tiny end-to-end model."""
+from single layers up to the combined loss on a tiny end-to-end model.
+
+Each layer check runs its forward once, draws a standard-normal projection
+per output and compares the backward pass against central differences of
+sum(out * proj) (:func:`_projected_check`).  The scalar losses are checked
+directly.  :func:`finite_difference_check` does the comparison for both.
+"""
 
 from __future__ import annotations
+
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -19,7 +27,6 @@ from .fusion import (
     roi_pool,
     roi_pool_backward,
 )
-from .gradcheck import finite_difference_check
 from .model import ModelConfig, MultiScaleDetector
 from .rpn import RpnHead, assign_rpn_targets, rpn_backward, rpn_forward
 from .tensor import (
@@ -47,6 +54,64 @@ TOLERANCE = 1e-4
 STEP = 1e-5
 
 
+def finite_difference_check(
+    loss_fn: Callable[[], float],
+    arrays: Sequence[np.ndarray],
+    analytic: Sequence[np.ndarray],
+    h: float = 1e-5,
+) -> float:
+    """Max relative error between analytic gradients and central differences.
+
+    ``loss_fn`` must recompute the scalar from the current contents of
+    ``arrays``, which are perturbed in place one element at a time.  The
+    relative error for one element is |a - n| / max(|a|, |n|, 1e-8).
+    """
+    worst = 0.0
+    for arr, grad in zip(arrays, analytic):
+        if arr.shape != grad.shape:
+            raise ValueError(f"gradient shape {grad.shape} != array shape {arr.shape}")
+        flat = arr.reshape(-1)
+        gflat = grad.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            up = loss_fn()
+            flat[i] = orig - h
+            down = loss_fn()
+            flat[i] = orig
+            num = (up - down) / (2.0 * h)
+            err = abs(gflat[i] - num) / max(abs(gflat[i]), abs(num), 1e-8)
+            worst = max(worst, err)
+    return worst
+
+
+def _projected_check(rng, forward, backward, inputs, params=()) -> float:
+    """Check a layer's backward against central differences of sum(out * proj).
+
+    ``forward()`` returns ``(out, cache)`` with ``out`` an array or a tuple of
+    arrays; after the first forward one standard-normal projection per
+    output is drawn from ``rng``, in output order.  The grads of the
+    ``params`` tensors are zeroed, then ``backward(projs, cache)`` returns the
+    gradients of ``inputs`` in order and accumulates those of ``params``.
+    """
+
+    def outputs():
+        out, cache = forward()
+        return (out if isinstance(out, tuple) else (out,)), cache
+
+    outs, cache = outputs()
+    projs = [rng.standard_normal(o.shape) for o in outs]
+    for t in params:
+        t.ensure_grad().fill(0.0)
+    dinputs = backward(projs, cache)
+
+    def loss():
+        return sum(float((o * p).sum()) for o, p in zip(outputs()[0], projs))
+
+    arrays = list(inputs) + [t.data for t in params]
+    return finite_difference_check(loss, arrays, list(dinputs) + [t.grad for t in params], h=STEP)
+
+
 def _distinct(rng, shape, scale=0.01):
     """Random values with pairwise gaps >= scale, safe for max-based ops."""
     n = int(np.prod(shape))
@@ -64,44 +129,21 @@ def check_conv2d(seed: int) -> float:
     p = make_conv(rng, 3, 2, 3, stride=1, pad=1)
     p.weight.data[...] = rng.standard_normal(p.weight.data.shape)
     p.bias.data[...] = rng.standard_normal(p.bias.data.shape)
-    out, cache = conv2d(x, p)
-    proj = rng.standard_normal(out.shape)
-    p.weight.zero_grad()
-    p.bias.zero_grad()
-    dx = conv2d_backward(proj, cache)
-
-    def loss():
-        return float((conv2d(x, p)[0] * proj).sum())
-
-    return finite_difference_check(
-        loss, [x, p.weight.data, p.bias.data], [dx, p.weight.grad, p.bias.grad], h=STEP
+    return _projected_check(
+        rng, lambda: conv2d(x, p), lambda pr, c: [conv2d_backward(pr[0], c)], [x], [p.weight, p.bias]
     )
 
 
 def check_maxpool2d(seed: int) -> float:
     rng = np.random.default_rng(seed)
     x = _distinct(rng, (1, 3, 6, 6))
-    out, cache = maxpool2d(x, 2, 2)
-    proj = rng.standard_normal(out.shape)
-    dx = maxpool2d_backward(proj, cache)
-
-    def loss():
-        return float((maxpool2d(x, 2, 2)[0] * proj).sum())
-
-    return finite_difference_check(loss, [x], [dx], h=STEP)
+    return _projected_check(rng, lambda: maxpool2d(x, 2, 2), lambda pr, c: [maxpool2d_backward(pr[0], c)], [x])
 
 
 def check_relu(seed: int) -> float:
     rng = np.random.default_rng(seed)
     x = _away_from_zero(rng, (2, 3, 4, 4))
-    out, cache = relu(x)
-    proj = rng.standard_normal(out.shape)
-    dx = relu_backward(proj, cache)
-
-    def loss():
-        return float((relu(x)[0] * proj).sum())
-
-    return finite_difference_check(loss, [x], [dx], h=STEP)
+    return _projected_check(rng, lambda: relu(x), lambda pr, c: [relu_backward(pr[0], c)], [x])
 
 
 def check_fully_connected(seed: int) -> float:
@@ -110,17 +152,8 @@ def check_fully_connected(seed: int) -> float:
     p = make_linear(rng, 4, 3)
     p.weight.data[...] = rng.standard_normal(p.weight.data.shape)
     p.bias.data[...] = rng.standard_normal(p.bias.data.shape)
-    out, cache = fully_connected(x, p)
-    proj = rng.standard_normal(out.shape)
-    p.weight.zero_grad()
-    p.bias.zero_grad()
-    dx = fully_connected_backward(proj, cache)
-
-    def loss():
-        return float((fully_connected(x, p)[0] * proj).sum())
-
-    return finite_difference_check(
-        loss, [x, p.weight.data, p.bias.data], [dx, p.weight.grad, p.bias.grad], h=STEP
+    return _projected_check(
+        rng, lambda: fully_connected(x, p), lambda pr, c: [fully_connected_backward(pr[0], c)], [x], [p.weight, p.bias]
     )
 
 
@@ -157,15 +190,9 @@ def check_l2norm_scale(seed: int) -> float:
     x = _away_from_zero(rng, (1, 4, 3, 3))
     gamma = make_l2norm(4, gamma_init=1.0)
     gamma.data[...] = rng.uniform(0.5, 3.0, size=4)
-    out, cache = l2norm_scale(x, gamma)
-    proj = rng.standard_normal(out.shape)
-    gamma.zero_grad()
-    dx = l2norm_scale_backward(proj, cache)
-
-    def loss():
-        return float((l2norm_scale(x, gamma)[0] * proj).sum())
-
-    return finite_difference_check(loss, [x, gamma.data], [dx, gamma.grad], h=STEP)
+    return _projected_check(
+        rng, lambda: l2norm_scale(x, gamma), lambda pr, c: [l2norm_scale_backward(pr[0], c)], [x], [gamma]
+    )
 
 
 def check_concat_shrink(seed: int) -> float:
@@ -173,20 +200,12 @@ def check_concat_shrink(seed: int) -> float:
     maps = [rng.standard_normal((1, c, 3, 3)) for c in (2, 3, 4)]
     shrink = make_conv(rng, 4, 9, 1, pad=0)
     shrink.weight.data[...] = rng.standard_normal(shrink.weight.data.shape)
-    out, cache = concat_shrink(maps, TAP_ORDER, {}, shrink)
-    proj = rng.standard_normal(out.shape)
-    shrink.weight.zero_grad()
-    shrink.bias.zero_grad()
-    dparts = concat_shrink_backward(proj, cache)
-
-    def loss():
-        return float((concat_shrink(maps, TAP_ORDER, {}, shrink)[0] * proj).sum())
-
-    return finite_difference_check(
-        loss,
-        maps + [shrink.weight.data, shrink.bias.data],
-        list(dparts) + [shrink.weight.grad, shrink.bias.grad],
-        h=STEP,
+    return _projected_check(
+        rng,
+        lambda: concat_shrink(maps, TAP_ORDER, {}, shrink),
+        lambda pr, c: concat_shrink_backward(pr[0], c),
+        maps,
+        [shrink.weight, shrink.bias],
     )
 
 
@@ -194,15 +213,13 @@ def check_roi_pool(seed: int) -> float:
     rng = np.random.default_rng(seed)
     fmap = _distinct(rng, (3, 8, 8))
     roi = np.array([3.0, 2.0, 29.0, 27.0])
-    out, argmax = roi_pool(fmap, roi, 4, 3)
-    proj = rng.standard_normal(out.shape)
-    dmap = np.zeros_like(fmap)
-    roi_pool_backward(proj[None], argmax[None], dmap)
 
-    def loss():
-        return float((roi_pool(fmap, roi, 4, 3)[0] * proj).sum())
+    def backward(projs, argmax):
+        dmap = np.zeros_like(fmap)
+        roi_pool_backward(projs[0][None], argmax[None], dmap)
+        return [dmap]
 
-    return finite_difference_check(loss, [fmap], [dmap], h=STEP)
+    return _projected_check(rng, lambda: roi_pool(fmap, roi, 4, 3), backward, [fmap])
 
 
 def _tiny_taps(rng):
@@ -223,23 +240,16 @@ def check_ms_roi_pool(seed: int) -> float:
     shrink = make_conv(rng, 3, 8, 1, pad=0)
     shrink.weight.data[...] = rng.standard_normal(shrink.weight.data.shape)
     rois = np.array([[2.0, 3.0, 21.0, 17.0], [10.0, 8.0, 14.0, 13.0]])
-    out, cache = ms_roi_pool_batch(taps, rois, norms, shrink, 3)
-    proj = rng.standard_normal(out.shape)
-    for gamma in norms.values():
-        gamma.zero_grad()
-    shrink.weight.zero_grad()
-    shrink.bias.zero_grad()
-    tap_grads = {t.name: np.zeros_like(t.map) for t in taps}
-    ms_roi_pool_batch_backward(proj, cache, tap_grads)
 
-    def loss():
-        return float((ms_roi_pool_batch(taps, rois, norms, shrink, 3)[0] * proj).sum())
+    def backward(projs, cache):
+        tap_grads = {t.name: np.zeros_like(t.map) for t in taps}
+        ms_roi_pool_batch_backward(projs[0], cache, tap_grads)
+        return [tap_grads[t.name] for t in taps]
 
-    arrays = [t.map for t in taps] + [norms[t.name].data for t in taps]
-    arrays += [shrink.weight.data, shrink.bias.data]
-    grads = [tap_grads[t.name] for t in taps] + [norms[t.name].grad for t in taps]
-    grads += [shrink.weight.grad, shrink.bias.grad]
-    return finite_difference_check(loss, arrays, grads, h=STEP)
+    params = [norms[t.name] for t in taps] + [shrink.weight, shrink.bias]
+    return _projected_check(
+        rng, lambda: ms_roi_pool_batch(taps, rois, norms, shrink, 3), backward, [t.map for t in taps], params
+    )
 
 
 def check_rpn_head(seed: int) -> float:
@@ -253,21 +263,9 @@ def check_rpn_head(seed: int) -> float:
     for conv in (head.conv, head.cls, head.bbox):
         conv.weight.data[...] = rng.standard_normal(conv.weight.data.shape)
         conv.bias.data[...] = 0.1 * rng.standard_normal(conv.bias.data.shape)
-    (logits, deltas), cache = rpn_forward(fused, head)
-    pl = rng.standard_normal(logits.shape)
-    pd = rng.standard_normal(deltas.shape)
-    params = [head.conv.weight, head.conv.bias, head.cls.weight, head.cls.bias, head.bbox.weight, head.bbox.bias]
-    for t in params:
-        t.ensure_grad()
-        t.zero_grad()
-    dfused = rpn_backward(pl, pd, cache)
-
-    def loss():
-        (lg, dl), _ = rpn_forward(fused, head)
-        return float((lg * pl).sum() + (dl * pd).sum())
-
-    return finite_difference_check(
-        loss, [fused] + [t.data for t in params], [dfused] + [t.grad for t in params], h=STEP
+    params = [t for conv in (head.conv, head.cls, head.bbox) for t in (conv.weight, conv.bias)]
+    return _projected_check(
+        rng, lambda: rpn_forward(fused, head), lambda pr, c: [rpn_backward(pr[0], pr[1], c)], [fused], params
     )
 
 

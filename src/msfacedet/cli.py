@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -100,19 +101,19 @@ def cmd_gen_data(args, tracker) -> int:
 
 
 def _config_from_args(args) -> RunConfig:
+    """The --config file (or the defaults) with every given flag named like a
+    config key applied on top, validated together."""
     cfg = load_run_config(args.config) if getattr(args, "config", None) else RunConfig()
+    for f in fields(RunConfig):
+        value = getattr(args, f.name, None)
+        if value not in (None, ""):
+            setattr(cfg, f.name, value)
     cfg.validate()
     return cfg
 
 
 def cmd_train(args, tracker) -> int:
     cfg = _config_from_args(args)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.iterations is not None:
-        cfg.iterations = args.iterations
-    if args.fusion_mode:
-        cfg.fusion_mode = args.fusion_mode
     data_dir = Path(args.data or cfg.data_dir)
     out_dir = Path(args.out or cfg.out_dir or ".")
     scenes = _load_scenes(data_dir)
@@ -143,13 +144,9 @@ def _detections_to_text(dets) -> str:
 
 def cmd_detect(args, tracker) -> int:
     cfg = _config_from_args(args)
-    if args.score_thresh is not None:
-        cfg.score_thresh = args.score_thresh
-    if args.fusion_mode:
-        cfg.fusion_mode = args.fusion_mode
     data_dir = Path(args.data or cfg.data_dir)
     out_dir = Path(args.out or cfg.out_dir or ".")
-    ckpt = Path(args.checkpoint or cfg.checkpoint)
+    ckpt = Path(cfg.checkpoint)
     if not ckpt.is_file():
         raise FileNotFoundError(f"checkpoint {ckpt} not found")
     images = sorted(p for p in data_dir.iterdir() if p.suffix in (".pgm", ".ppm"))
@@ -195,8 +192,8 @@ def _parse_detection_file(path: Path):
 
 def cmd_eval(args, tracker) -> int:
     cfg = _config_from_args(args)
-    ann_path = Path(args.annotations or cfg.annotations)
-    det_dir = Path(args.detections or cfg.detections)
+    ann_path = Path(cfg.annotations)
+    det_dir = Path(cfg.detections)
     if not ann_path.is_file():
         raise FileNotFoundError(f"annotation file {ann_path} not found")
     if not det_dir.is_dir():
@@ -229,10 +226,6 @@ def cmd_gradcheck(args, tracker) -> int:
 
 def cmd_ablate(args, tracker) -> int:
     cfg = _config_from_args(args)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.iterations is not None:
-        cfg.iterations = args.iterations
     train_scenes = _load_scenes(Path(args.data))
     eval_scenes = _load_scenes(Path(args.eval_data))
     out_dir = Path(args.out or cfg.out_dir or ".")
@@ -271,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", help="generate a synthetic scene dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--n-images", type=int, default=100)
+    p.add_argument("--n-images", type=positive_int, default=100)
     p.add_argument("--image-size", type=int, default=128)
     p.add_argument("--face-min", type=int, default=16)
     p.add_argument("--face-max", type=int, default=64)

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from .evaluation import EvalConfig
 from .model import ModelConfig
 from .training import TrainConfig
@@ -69,12 +71,16 @@ def _parse_value(key: str, raw: str, kind):
         if kind is int:
             return int(raw)
         if kind is float:
-            return float(raw)
-        if kind is tuple:
-            return tuple(float(v) for v in raw.split(",") if v.strip() != "")
-        return raw
+            value = float(raw)
+        elif kind is tuple:
+            value = tuple(float(v) for v in raw.split(",") if v.strip() != "")
+        else:
+            return raw
     except ValueError:
         raise ConfigError(f"config key {key}: cannot parse {raw!r} as {kind.__name__}") from None
+    if not np.isfinite(value).all():
+        raise ConfigError(f"config key {key}: {raw!r} is not finite")
+    return value
 
 
 def parse_run_config(text: str, source: str = "<config>") -> RunConfig:

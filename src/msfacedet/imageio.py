@@ -44,7 +44,12 @@ def read_pnm(path) -> np.ndarray:
     magic = tokens[0]
     if magic not in (b"P5", b"P6"):
         raise ImageFormatError(f"{path}: unsupported magic {magic!r} (want P5 or P6)")
-    w, h, maxval = (int(t) for t in tokens[1:])
+    try:
+        w, h, maxval = (int(t) for t in tokens[1:])
+    except ValueError:
+        raise ImageFormatError(f"{path}: width, height and maxval must be integers") from None
+    if min(w, h) < 1:
+        raise ImageFormatError(f"{path}: image extent {w}x{h} must be positive")
     if maxval != 255:
         raise ImageFormatError(f"{path}: maxval {maxval} unsupported (want 255)")
     channels = 1 if magic == b"P5" else 3

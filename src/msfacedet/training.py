@@ -47,6 +47,24 @@ class TrainConfig:
             raise ValueError("loss_lambda must be non-negative")
 
 
+def _head_loss(logits, deltas, labels, target_deltas, lam):
+    """One head's term: mean cross-entropy over the rows labelled >= 0 (rows
+    labelled -1 get zero gradient) and the masked quadratic-linear penalty
+    summed over the positives and divided by their count (at least 1).
+
+    Returns (cls, reg, dlogits, ddeltas), with ddeltas already scaled by lam.
+    """
+    sel = np.flatnonzero(labels >= 0)
+    cls, _, cache = softmax_cross_entropy(logits[sel], labels[sel])
+    dlogits = np.zeros_like(logits)
+    dlogits[sel] = softmax_cross_entropy_backward(cache)
+    pos = labels == 1
+    n_pos = max(int(pos.sum()), 1)
+    mask = np.repeat(pos[:, None], 4, axis=1).astype(np.float64)
+    reg_sum, reg_grad = smooth_l1(deltas, target_deltas, mask)
+    return cls, reg_sum / n_pos, dlogits, (lam / n_pos) * reg_grad
+
+
 def multitask_loss(
     rpn_logits: np.ndarray,
     rpn_deltas: np.ndarray,
@@ -59,38 +77,16 @@ def multitask_loss(
 ):
     """Combined objective and its gradients w.r.t. the four head outputs.
 
-    total = rpn_cls + lam * rpn_reg + det_cls + lam * det_reg, where the
-    classification terms are mean cross-entropy over the sampled rows and
-    the regression terms are the masked quadratic-linear penalty summed over
-    positives and divided by the positive count (0 when there are none).
+    total = rpn_cls + lam * rpn_reg + det_cls + lam * det_reg, one
+    :func:`_head_loss` term per head.  An empty detection batch gives zero
+    terms and zero-size gradients.
     """
-    labels = rpn_targets.labels
-    sel = np.flatnonzero(labels >= 0)
-    rpn_cls, _, cache = softmax_cross_entropy(rpn_logits[sel], labels[sel])
-    d_rpn_logits = np.zeros_like(rpn_logits)
-    d_rpn_logits[sel] = softmax_cross_entropy_backward(cache)
-
-    pos = labels == 1
-    n_pos = max(int(pos.sum()), 1)
-    mask = np.repeat(pos[:, None], 4, axis=1).astype(np.float64)
-    reg_sum, reg_grad = smooth_l1(rpn_deltas, rpn_targets.target_deltas, mask)
-    rpn_reg = reg_sum / n_pos
-    d_rpn_deltas = (lam / n_pos) * reg_grad
-
-    if det_logits.shape[0]:
-        det_cls, _, dcache = softmax_cross_entropy(det_logits, det_labels)
-        d_det_logits = softmax_cross_entropy_backward(dcache)
-        dpos = det_labels == 1
-        dn_pos = max(int(dpos.sum()), 1)
-        dmask = np.repeat(dpos[:, None], 4, axis=1).astype(np.float64)
-        dreg_sum, dreg_grad = smooth_l1(det_deltas, det_target_deltas, dmask)
-        det_reg = dreg_sum / dn_pos
-        d_det_deltas = (lam / dn_pos) * dreg_grad
-    else:
-        det_cls = det_reg = 0.0
-        d_det_logits = np.zeros_like(det_logits)
-        d_det_deltas = np.zeros_like(det_deltas)
-
+    rpn_cls, rpn_reg, d_rpn_logits, d_rpn_deltas = _head_loss(
+        rpn_logits, rpn_deltas, rpn_targets.labels, rpn_targets.target_deltas, lam
+    )
+    det_cls, det_reg, d_det_logits, d_det_deltas = _head_loss(
+        det_logits, det_deltas, det_labels, det_target_deltas, lam
+    )
     total = rpn_cls + lam * rpn_reg + det_cls + lam * det_reg
     comps = {
         "total": total,

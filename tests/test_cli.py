@@ -132,3 +132,38 @@ def test_train_on_missing_image_leaves_no_output(tmp_path):
     out = tmp_path / "out" / "run"
     assert run_cli(["train", "--data", str(data), "--out", str(out), "--iterations", "2"]) == 1
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("thresh", ["7", "-3"])
+def test_detect_rejects_out_of_range_score_thresh_flag(thresh, tmp_path, capsys):
+    ckpt = _checkpoint(tmp_path)
+    data = tmp_path / "data"
+    data.mkdir()
+    write_pgm(data / "scene.pgm", _gray(4))
+    out = tmp_path / "out" / "dets"
+    args = ["detect", "--checkpoint", str(ckpt), "--data", str(data), "--out", str(out)]
+    assert run_cli(args + ["--score-thresh", thresh]) == 1
+    assert "score_thresh" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_flag_overrides_config_file_value(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("score_thresh = 0.5\n")
+    data = tmp_path / "data"
+    data.mkdir()
+    write_pgm(data / "scene.pgm", _gray(5))
+    args = ["detect", "--checkpoint", str(_checkpoint(tmp_path)), "--data", str(data), "--config", str(config)]
+    assert run_cli(args + ["--out", str(tmp_path / "cfg")]) == 0
+    assert run_cli(args + ["--out", str(tmp_path / "flag"), "--score-thresh", "0"]) == 0
+    from_config = (tmp_path / "cfg" / "scene.txt").read_text().splitlines()
+    from_flag = (tmp_path / "flag" / "scene.txt").read_text().splitlines()
+    assert all(float(line.split()[4]) >= 0.5 for line in from_config)
+    assert len(from_flag) > len(from_config)
+
+
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_gen_data_rejects_image_count_below_one(count, tmp_path, capsys):
+    assert run_cli(["gen-data", "--out", str(tmp_path / "data"), "--n-images", count]) == 2
+    assert "argument --n-images" in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()

@@ -132,3 +132,12 @@ class TestRejected:
     def test_model_rejects_invalid_config(self):
         with pytest.raises(ValueError, match="gamma_init"):
             MultiScaleDetector(ModelConfig(gamma_init=0))
+
+
+@pytest.mark.parametrize(
+    "text", ["gamma_init = nan", "learning_rate = inf", "min_size = -inf", "anchor_scales = 1,nan", "anchor_ratios = inf"]
+)
+def test_non_finite_value_names_the_key(text):
+    key = text.split(" ")[0]
+    with pytest.raises(ConfigError, match=f"config key {key}: .* is not finite"):
+        parse_run_config(text)

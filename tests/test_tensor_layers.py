@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msfacedet.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from msfacedet.gradcheck import finite_difference_check
+from msfacedet.checks import finite_difference_check
 from msfacedet.tensor import (
     ConvParams,
     LinearParams,

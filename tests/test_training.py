@@ -1,6 +1,9 @@
+import numpy as np
 import pytest
 
 from msfacedet import ModelConfig, TrainConfig, generate_toy_dataset, train
+from msfacedet.rpn import RpnTargets
+from msfacedet.training import multitask_loss
 
 
 @pytest.mark.parametrize("mode", ["multi", "tap5"])
@@ -17,3 +20,48 @@ def test_same_seed_gives_bit_identical_trace_and_checkpoint(mode, tmp_path):
     assert len(trace_a) == cfg.iterations
     assert trace_a == trace_b
     assert ckpt_a == ckpt_b
+
+
+def _rpn_targets(labels, rng):
+    labels = np.asarray(labels)
+    return RpnTargets(labels=labels, target_deltas=rng.standard_normal((labels.size, 4)))
+
+
+def test_multitask_loss_ignores_rows_labelled_minus_one():
+    rng = np.random.default_rng(0)
+    rpn_t = _rpn_targets([1, -1, 0, -1, 1], rng)
+    det_labels = np.array([1, 0, 0])
+    _, comps, (dlg, ddl, ddet_lg, ddet_dl) = multitask_loss(
+        rng.standard_normal((5, 2)), rng.standard_normal((5, 4)), rpn_t,
+        rng.standard_normal((3, 2)), rng.standard_normal((3, 4)), det_labels, rng.standard_normal((3, 4)), 1.0,
+    )
+    ignored = rpn_t.labels == -1
+    assert np.all(dlg[ignored] == 0.0)
+    assert np.all(ddl[ignored] == 0.0)
+    assert np.all(dlg[~ignored] != 0.0)
+    assert comps["rpn_cls"] > 0.0
+
+
+def test_multitask_loss_with_empty_detection_batch():
+    rng = np.random.default_rng(1)
+    rpn_t = _rpn_targets([1, 0, 0], rng)
+    total, comps, (_, _, ddet_lg, ddet_dl) = multitask_loss(
+        rng.standard_normal((3, 2)), rng.standard_normal((3, 4)), rpn_t,
+        np.zeros((0, 2)), np.zeros((0, 4)), np.zeros(0, dtype=np.int64), np.zeros((0, 4)), 1.0,
+    )
+    assert comps["det_cls"] == comps["det_reg"] == 0.0
+    assert ddet_lg.shape == (0, 2) and ddet_dl.shape == (0, 4)
+    assert total == comps["rpn_cls"] + comps["rpn_reg"]
+
+
+def test_multitask_loss_head_without_positives_has_no_regression():
+    rng = np.random.default_rng(2)
+    rpn_t = _rpn_targets([0, -1, 0, 0], rng)
+    _, comps, (_, ddl, _, ddet_dl) = multitask_loss(
+        rng.standard_normal((4, 2)), rng.standard_normal((4, 4)), rpn_t,
+        rng.standard_normal((2, 2)), rng.standard_normal((2, 4)), np.zeros(2, dtype=np.int64),
+        rng.standard_normal((2, 4)), 1.0,
+    )
+    assert comps["rpn_reg"] == 0.0 and comps["det_reg"] == 0.0
+    assert not ddl.any() and not ddet_dl.any()
+    assert comps["rpn_cls"] > 0.0 and comps["det_cls"] > 0.0
