@@ -121,18 +121,15 @@ def nms(boxes: np.ndarray, scores: np.ndarray, iou_threshold: float) -> list[int
 
 
 def project_roi(b: np.ndarray, stride: int):
-    """Project an image-space box onto a feature grid of the given stride.
+    """Project image-space boxes (..., 4) onto a feature grid of the given stride.
 
-    Returns integer cell bounds (x1, y1, x2, y2) with floor/ceil rounding;
-    each side is forced to cover at least one cell so that arbitrarily small
-    boxes still map to a usable region.
+    Returns integer cell bounds (x1, y1, x2, y2), each shaped like ``b[..., 0]``,
+    with floor/ceil rounding; each side is forced to cover at least one cell
+    so that arbitrarily small boxes still map to a usable region.
     """
-    x1 = int(np.floor(b[0] / stride))
-    y1 = int(np.floor(b[1] / stride))
-    x2 = int(np.ceil(b[2] / stride))
-    y2 = int(np.ceil(b[3] / stride))
-    if x2 <= x1:
-        x2 = x1 + 1
-    if y2 <= y1:
-        y2 = y1 + 1
+    b = np.asarray(b, dtype=np.float64)
+    x1 = np.floor(b[..., 0] / stride).astype(np.int64)
+    y1 = np.floor(b[..., 1] / stride).astype(np.int64)
+    x2 = np.maximum(np.ceil(b[..., 2] / stride).astype(np.int64), x1 + 1)
+    y2 = np.maximum(np.ceil(b[..., 3] / stride).astype(np.int64), y1 + 1)
     return x1, y1, x2, y2

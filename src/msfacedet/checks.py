@@ -216,10 +216,10 @@ def check_roi_pool(seed: int) -> float:
 
     def backward(projs, argmax):
         dmap = np.zeros_like(fmap)
-        roi_pool_backward(projs[0][None], argmax[None], dmap)
+        roi_pool_backward(projs[0], argmax, dmap)
         return [dmap]
 
-    return _projected_check(rng, lambda: roi_pool(fmap, roi, 4, 3), backward, [fmap])
+    return _projected_check(rng, lambda: roi_pool(fmap, roi[None], 4, 3), backward, [fmap])
 
 
 def _tiny_taps(rng):

@@ -148,78 +148,94 @@ _GATHER_CACHE: dict = {}
 def _cell_gather(h_ext: int, w_ext: int, map_w: int, p: int):
     """Cached per-cell candidate offsets for one projected-rect shape.
 
-    Returns (rel, valid): flat index offsets relative to the rect origin and
-    the padding mask, both shaped (p*p, L).
+    Returns flat index offsets relative to the rect origin, shaped (p*p, L)
+    in row-major cell and candidate order.  A cell with fewer than L
+    candidates is padded with copies of its own first offset: a copy can
+    never come before the cell's first maximum, so it needs no mask.
     """
     key = (h_ext, w_ext, map_w, p)
-    hit = _GATHER_CACHE.get(key)
-    if hit is not None:
-        return hit
+    rel = _GATHER_CACHE.get(key)
+    if rel is not None:
+        return rel
     rows = _axis_gather(_partition(h_ext, p))
     cols = _axis_gather(_partition(w_ext, p))
     valid = (rows[:, None, :, None] >= 0) & (cols[None, :, None, :] >= 0)
-    rel = rows[:, None, :, None] * map_w + cols[None, :, None, :]
-    rel = np.where(valid, rel, 0).reshape(p * p, -1)
-    valid = valid.reshape(p * p, -1)
-    hit = (rel, valid)
-    _GATHER_CACHE[key] = hit
-    return hit
+    rel = (rows[:, None, :, None] * map_w + cols[None, :, None, :]).reshape(p * p, -1)
+    rel = np.where(valid.reshape(p * p, -1), rel, rel[:, :1])
+    _GATHER_CACHE[key] = rel
+    return rel
 
 
-def roi_pool(fmap: np.ndarray, roi: np.ndarray, stride: int, p: int):
-    """Max-pool an image-space ROI into a fixed (C, p, p) grid.
+def roi_pool(fmap: np.ndarray, rois: np.ndarray, stride: int, p: int):
+    """Max-pool an (R, 4) stack of image-space ROIs into fixed (R, C, p, p) grids.
 
-    The ROI is projected onto the feature grid (at least one cell per side),
-    partitioned into p x p near-equal cells, and each cell takes the
-    channel-wise max.  Returns (out, argmax) where argmax holds flat (h*w)
-    source indices for gradient routing.
+    Each ROI is projected onto the feature grid of one (C, H, W) map (at
+    least one cell per side), partitioned into p x p near-equal cells, and
+    each cell takes the channel-wise max; ties go to the first candidate in
+    row-major order, as with ``argmax``.  Returns (out, argmax) where argmax
+    holds flat (h*w) source indices for gradient routing.
+
+    ROIs are pooled together in buckets of equal padded cell length L: one
+    gather per candidate position from a channels-last copy of the map and
+    a strict-greater scan that keeps the first maximum and its index.
     """
     c, h, w = fmap.shape
-    x1, y1, x2, y2 = project_roi(roi, stride)
-    x1 = min(max(x1, 0), w - 1)
-    y1 = min(max(y1, 0), h - 1)
-    x2 = max(min(x2, w), x1 + 1)
-    y2 = max(min(y2, h), y1 + 1)
-    rel, valid = _cell_gather(y2 - y1, x2 - x1, w, p)
-    flat = rel + (y1 * w + x1)
-    vals = fmap.reshape(c, h * w)[:, flat]  # (c, p*p, L)
-    if not valid.all():
-        vals = np.where(valid[None], vals, -np.inf)
-    a = vals.argmax(axis=2)
-    out = np.take_along_axis(vals, a[..., None], axis=2)[..., 0].reshape(c, p, p)
-    argmax = flat[np.arange(p * p)[None, :], a]
-    return out, argmax.reshape(c, p, p)
+    x1, y1, x2, y2 = project_roi(rois, stride)
+    x1 = np.clip(x1, 0, w - 1)
+    y1 = np.clip(y1, 0, h - 1)
+    x2 = np.maximum(np.minimum(x2, w), x1 + 1)
+    y2 = np.maximum(np.minimum(y2, h), y1 + 1)
+    rels = [_cell_gather(rh, rw, w, p) for rh, rw in zip((y2 - y1).tolist(), (x2 - x1).tolist())]
+    lengths = np.array([rel.shape[1] for rel in rels], dtype=np.int64)
+    origins = y1 * w + x1
+    rows = np.ascontiguousarray(fmap.reshape(c, h * w).T)  # (h*w, c)
+    r = len(rels)
+    # C-contiguous: the order in which l2norm_scale sums channels, and so
+    # its bits, depend on the layout of what it is given
+    out = np.empty((r, c, p * p))
+    argmax = np.empty((r, c, p * p), dtype=np.int64)
+    for length in np.unique(lengths).tolist():
+        members = np.flatnonzero(lengths == length)
+        # (L, m, p*p): candidate l of every cell of every member ROI
+        idx = np.stack([rels[i].T for i in members], axis=1) + origins[members][:, None]
+        best = rows[idx[0]]  # (m, p*p, c)
+        arg = np.repeat(idx[0][..., None], c, axis=2)
+        for cand in idx[1:]:
+            vals = rows[cand]
+            win = vals > best
+            np.copyto(best, vals, where=win)
+            np.copyto(arg, cand[..., None], where=win)
+        out[members] = best.transpose(0, 2, 1)
+        argmax[members] = arg.transpose(0, 2, 1)
+    return out.reshape(r, c, p, p), argmax.reshape(r, c, p, p)
 
 
 def roi_pool_backward(dout: np.ndarray, argmax: np.ndarray, dmap: np.ndarray):
     """Scatter-add an (R, C, p, p) pooled-gradient stack back to the argmax
-    source positions of one (C, H, W) map."""
-    r, c = dout.shape[0], dout.shape[1]
-    flat = dmap.reshape(c, -1)
-    idx = argmax.reshape(r, c, -1)
-    np.add.at(flat, (np.arange(c)[None, :, None], idx), dout.reshape(r, c, -1))
+    source positions of one (C, H, W) map.
+
+    One ``np.bincount`` over (channel, position) indices sums each
+    position's contributions in (R, C, p*p) order, the order ``np.add.at``
+    uses.  Into a zero ``dmap`` the result equals ``np.add.at``'s bit for
+    bit; ``pipeline_loss`` keeps that condition by running the per-region
+    backward first, into fresh zero tap gradients.
+    """
+    c = dmap.shape[0]
+    hw = dmap[0].size
+    lin = argmax.reshape(argmax.shape[0], c, -1) + (np.arange(c) * hw)[:, None]
+    dmap += np.bincount(lin.ravel(), weights=dout.ravel(), minlength=c * hw).reshape(dmap.shape)
 
 
 def ms_roi_pool_batch(taps, rois: np.ndarray, norms, shrink: ConvParams, p: int):
     """Fixed-size fused descriptors (R, shrink_out, p, p) for an (R, 4) ROI stack.
 
-    Each tap is ROI-pooled at its own stride to (C_i, p, p), then the pooled
-    taps go through the fusion step, so the output shape does not depend on
-    ROI size.
+    Each tap pools the whole stack at its own stride to (R, C_i, p, p), then
+    the pooled taps go through the fusion step, so the output shape does not
+    depend on ROI size.
     """
-    r = rois.shape[0]
-    pooled, argmaxes = [], []
-    for tap in taps:
-        c = tap.map.shape[1]
-        po = np.empty((r, c, p, p))
-        am = np.empty((r, c, p, p), dtype=np.int64)
-        fmap = tap.map[0]
-        for i in range(r):
-            po[i], am[i] = roi_pool(fmap, rois[i], tap.stride, p)
-        pooled.append(po)
-        argmaxes.append(am)
-    out, fuse_cache = concat_shrink(pooled, [t.name for t in taps], norms, shrink)
-    return out, (taps, argmaxes, fuse_cache)
+    pools = [roi_pool(tap.map[0], rois, tap.stride, p) for tap in taps]
+    out, fuse_cache = concat_shrink([po for po, _ in pools], [t.name for t in taps], norms, shrink)
+    return out, (taps, [am for _, am in pools], fuse_cache)
 
 
 def ms_roi_pool_batch_backward(dout: np.ndarray, cache, tap_grads: dict):

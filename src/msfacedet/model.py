@@ -3,6 +3,7 @@ head and per-region head, with a flat named-parameter registry."""
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -55,14 +56,15 @@ class ModelConfig:
         return len(self.anchor_scales) * len(self.anchor_ratios)
 
     def validate(self):
-        if self.roi_pool_size < 1:
+        # each range is written so that NaN fails it
+        if not 1 <= self.roi_pool_size < math.inf:
             raise ValueError(f"roi_pool_size {self.roi_pool_size} must be positive")
-        if self.gamma_init <= 0:
-            raise ValueError("gamma_init must be positive")
+        if not 0 < self.gamma_init < math.inf:
+            raise ValueError("gamma_init must be positive and finite")
         if not self.anchor_scales or not self.anchor_ratios:
             raise ValueError("anchor_scales and anchor_ratios must be non-empty")
-        if any(s <= 0 for s in self.anchor_scales) or any(r <= 0 for r in self.anchor_ratios):
-            raise ValueError("anchor scales and ratios must be positive")
+        if not all(0 < v < math.inf for v in (*self.anchor_scales, *self.anchor_ratios)):
+            raise ValueError("anchor scales and ratios must be positive and finite")
         if self.fusion_mode not in FUSED_TAPS:
             raise ValueError(f"unknown fusion_mode {self.fusion_mode!r}")
 

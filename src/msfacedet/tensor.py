@@ -172,10 +172,8 @@ def maxpool2d(x: np.ndarray, window: int, stride: int):
 def maxpool2d_backward(dout: np.ndarray, cache) -> np.ndarray:
     x_shape, flat = cache
     n, c, h, w = x_shape
-    dx = np.zeros((n * c, h * w))
-    idx = flat.reshape(n * c, -1)
-    np.add.at(dx, (np.arange(n * c)[:, None], idx), dout.reshape(n * c, -1))
-    return dx.reshape(x_shape)
+    lin = flat.reshape(n * c, -1) + (np.arange(n * c) * (h * w))[:, None]
+    return np.bincount(lin.ravel(), weights=dout.ravel(), minlength=n * c * h * w).reshape(x_shape)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ under the combined multi-task loss."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,12 +40,25 @@ class TrainConfig:
     min_size: float = 4.0
 
     def validate(self):
-        if self.learning_rate <= 0 or self.momentum < 0 or self.weight_decay < 0:
-            raise ValueError("rates must be positive (momentum/decay non-negative)")
-        if self.iterations <= 0:
+        # each range is written so that NaN fails it
+        if not (
+            0 < self.learning_rate < math.inf
+            and 0 <= self.momentum < math.inf
+            and 0 <= self.weight_decay < math.inf
+        ):
+            raise ValueError("rates must be positive (momentum/decay non-negative) and finite")
+        if not 1 <= self.iterations < math.inf:
             raise ValueError("iterations must be positive")
-        if self.loss_lambda < 0:
-            raise ValueError("loss_lambda must be non-negative")
+        if not 0 <= self.seed < math.inf:
+            raise ValueError("seed must be non-negative")
+        if not 0 <= self.loss_lambda < math.inf:
+            raise ValueError("loss_lambda must be non-negative and finite")
+        if not (1 <= self.pre_nms_top_n < math.inf and 1 <= self.post_nms_top_n < math.inf):
+            raise ValueError("pre_nms_top_n and post_nms_top_n must be positive")
+        if not 0 < self.rpn_nms_thresh < 1:
+            raise ValueError(f"rpn_nms_thresh {self.rpn_nms_thresh} outside (0, 1)")
+        if not 0 <= self.min_size < math.inf:
+            raise ValueError("min_size must be non-negative and finite")
 
 
 def _head_loss(logits, deltas, labels, target_deltas, lam):

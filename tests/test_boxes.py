@@ -196,3 +196,12 @@ class TestProjectRoi:
     def test_stride_one_is_ceil_expanded_rect(self):
         x1, y1, x2, y2 = project_roi(np.array([3.2, 4.7, 10.1, 12.0]), 1)
         assert (x1, y1, x2, y2) == (3, 4, 11, 12)
+
+    def test_stack_matches_row_by_row(self):
+        rng = np.random.default_rng(3)
+        corner = rng.uniform(-20, 100, (2, 50, 2))
+        boxes = np.concatenate([corner[0], corner[0] + rng.uniform(0.1, 40, (50, 2))], axis=-1).reshape(5, 10, 4)
+        stacked = np.stack(project_roi(boxes, 8), axis=-1)
+        assert stacked.shape == (5, 10, 4)
+        for idx in np.ndindex(5, 10):
+            assert tuple(stacked[idx]) == project_roi(boxes[idx], 8)

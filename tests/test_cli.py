@@ -167,3 +167,53 @@ def test_gen_data_rejects_image_count_below_one(count, tmp_path, capsys):
     assert run_cli(["gen-data", "--out", str(tmp_path / "data"), "--n-images", count]) == 2
     assert "argument --n-images" in capsys.readouterr().err
     assert not (tmp_path / "data").exists()
+
+
+def _gen_data(out, n="2", seed="0"):
+    args = ["gen-data", "--out", str(out), "--n-images", n, "--image-size", "64", "--seed", seed]
+    return run_cli(args + ["--face-min", "16", "--face-max", "32"])
+
+
+def test_gen_data_failing_mid_write_leaves_no_output(tmp_path, monkeypatch, capsys):
+    real_write_pgm = msfacedet.cli.write_pgm
+    written = []
+
+    def write_first_only(path, image):
+        if written:
+            raise OSError("no space left on device")
+        written.append(path)
+        real_write_pgm(path, image)
+
+    monkeypatch.setattr(msfacedet.cli, "write_pgm", write_first_only)
+    assert _gen_data(tmp_path / "out" / "data", n="3") == 1
+    assert "no space left" in capsys.readouterr().err
+    assert len(written) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_gen_data_into_existing_directory_removes_only_its_files(tmp_path):
+    data = tmp_path / "data"
+    (data / "annotations.txt").mkdir(parents=True)  # the annotation write fails
+    (data / "keep.txt").write_text("mine")
+    assert _gen_data(data) == 1
+    assert sorted(p.name for p in data.iterdir()) == ["annotations.txt", "keep.txt"]
+
+
+def test_ablate_failing_in_second_mode_leaves_no_output(tmp_path, monkeypatch, capsys):
+    assert _gen_data(tmp_path / "train") == 0
+    assert _gen_data(tmp_path / "held", seed="1") == 0
+    real_train = msfacedet.cli.train
+
+    def diverge_in_tap5(scenes, cfg, model_cfg, **kwargs):
+        if model_cfg.fusion_mode == "tap5":
+            raise RuntimeError("training diverged at iteration 1")
+        return real_train(scenes, cfg, model_cfg, **kwargs)
+
+    monkeypatch.setattr(msfacedet.cli, "train", diverge_in_tap5)
+    out = tmp_path / "out" / "ablate"
+    args = ["ablate", "--data", str(tmp_path / "train"), "--eval-data", str(tmp_path / "held")]
+    assert run_cli(args + ["--out", str(out), "--iterations", "2"]) == 1
+    captured = capsys.readouterr()
+    assert "multi ap_overall" in captured.out
+    assert "training diverged" in captured.err
+    assert not (tmp_path / "out").exists()

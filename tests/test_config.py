@@ -1,3 +1,4 @@
+import math
 from dataclasses import fields
 
 import pytest
@@ -141,3 +142,18 @@ def test_non_finite_value_names_the_key(text):
     key = text.split(" ")[0]
     with pytest.raises(ConfigError, match=f"config key {key}: .* is not finite"):
         parse_run_config(text)
+
+
+def _numeric_fields(cls):
+    return [f.name for f in fields(cls) if type(f.default) in (int, float, tuple)]
+
+
+@pytest.mark.parametrize(
+    "cls,key", [(cls, key) for cls in (ModelConfig, TrainConfig) for key in _numeric_fields(cls)]
+)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_component_config_rejects_non_finite_field(cls, key, bad):
+    cls().validate()
+    value = (1.0, bad) if type(getattr(cls(), key)) is tuple else bad
+    with pytest.raises(ValueError):
+        cls(**{key: value}).validate()

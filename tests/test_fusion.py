@@ -4,11 +4,14 @@ import pytest
 from msfacedet.fusion import (
     TAP_ORDER,
     FeatureTap,
+    _axis_gather,
+    _partition,
     concat_shrink,
     l2norm_scale,
     make_l2norm,
     ms_roi_pool_batch,
     roi_pool,
+    roi_pool_backward,
     sync_downsample,
 )
 from msfacedet.tensor import ConvParams, ShapeError, Tensor
@@ -121,38 +124,129 @@ class TestConcatShrink:
             concat_shrink(maps, TAP_ORDER, {}, shrink)
 
 
+def reference_cells(shape, roi, stride, p):
+    """Candidate flat indices (p*p, L) of one ROI and their validity mask."""
+    _, h, w = shape
+    x1 = int(np.floor(roi[0] / stride))
+    y1 = int(np.floor(roi[1] / stride))
+    x2 = max(int(np.ceil(roi[2] / stride)), x1 + 1)
+    y2 = max(int(np.ceil(roi[3] / stride)), y1 + 1)
+    x1 = min(max(x1, 0), w - 1)
+    y1 = min(max(y1, 0), h - 1)
+    x2 = max(min(x2, w), x1 + 1)
+    y2 = max(min(y2, h), y1 + 1)
+    rows = _axis_gather(_partition(y2 - y1, p))
+    cols = _axis_gather(_partition(x2 - x1, p))
+    valid = ((rows[:, None, :, None] >= 0) & (cols[None, :, None, :] >= 0)).reshape(p * p, -1)
+    rel = (rows[:, None, :, None] * w + cols[None, :, None, :]).reshape(p * p, -1)
+    return np.where(valid, rel, 0) + (y1 * w + x1), valid
+
+
+def reference_roi_pool(fmap, roi, stride, p):
+    """One ROI at a time: -inf masked candidates and one argmax per cell."""
+    c, h, w = fmap.shape
+    flat, valid = reference_cells(fmap.shape, roi, stride, p)
+    vals = np.where(valid[None], fmap.reshape(c, h * w)[:, flat], -np.inf)
+    a = vals.argmax(axis=2)
+    out = np.take_along_axis(vals, a[..., None], axis=2)[..., 0]
+    return out.reshape(c, p, p), flat[np.arange(p * p)[None, :], a].reshape(c, p, p)
+
+
+def reference_roi_pool_backward(dout, argmax, dmap):
+    r, c = dout.shape[:2]
+    np.add.at(dmap.reshape(c, -1), (np.arange(c)[None, :, None], argmax.reshape(r, c, -1)), dout.reshape(r, c, -1))
+
+
+def mixed_rois(rng, n, extent):
+    """ROIs of many sizes: inside, partly outside and smaller than one cell."""
+    x1, y1 = rng.uniform(-0.25 * extent, extent, (2, n))
+    w, h = rng.uniform(0.5, extent, (2, n))
+    return np.stack([x1, y1, x1 + w, y1 + h], axis=1)
+
+
 class TestRoiPool:
     def test_quadrants(self):
         fmap = np.arange(16, dtype=float).reshape(1, 4, 4)
-        out, _ = roi_pool(fmap, np.array([0.0, 0.0, 4.0, 4.0]), 1, 2)
+        out, _ = roi_pool(fmap, np.array([[0.0, 0.0, 4.0, 4.0]]), 1, 2)
         assert out.reshape(-1).tolist() == [5.0, 7.0, 13.0, 15.0]
 
     def test_p1_is_global_max(self):
         rng = np.random.default_rng(6)
         fmap = rng.standard_normal((3, 6, 6))
-        out, _ = roi_pool(fmap, np.array([0.0, 0.0, 96.0, 96.0]), 16, 1)
+        out, _ = roi_pool(fmap, np.array([[0.0, 0.0, 96.0, 96.0]]), 16, 1)
         assert np.allclose(out.reshape(3), fmap.reshape(3, -1).max(axis=1))
 
     def test_tiny_roi_replicates_single_cell(self):
         rng = np.random.default_rng(7)
         fmap = rng.standard_normal((2, 8, 8))
-        out, argmax = roi_pool(fmap, np.array([50.0, 50.0, 60.0, 60.0]), 16, 7)
-        assert out.shape == (2, 7, 7)
+        out, argmax = roi_pool(fmap, np.array([[50.0, 50.0, 60.0, 60.0]]), 16, 7)
+        assert out.shape == (1, 2, 7, 7)
         # one projected source cell, replicated everywhere
         assert np.unique(argmax).size == 1
-        assert np.allclose(out, fmap[:, 3, 3].reshape(2, 1, 1))
+        assert np.allclose(out[0], fmap[:, 3, 3].reshape(2, 1, 1))
 
     def test_small_rois_total_and_finite(self):
         rng = np.random.default_rng(8)
         fmap = rng.standard_normal((2, 8, 8))
+        rois = []
         for _ in range(1000):
             x1 = rng.uniform(0, 110)
             y1 = rng.uniform(0, 110)
             side = rng.uniform(4, 15)
-            out, argmax = roi_pool(fmap, np.array([x1, y1, x1 + side, y1 + side]), 16, 7)
-            assert out.shape == (2, 7, 7)
-            assert np.all(np.isfinite(out))
-            assert argmax.min() >= 0 and argmax.max() < 64
+            rois.append([x1, y1, x1 + side, y1 + side])
+        out, argmax = roi_pool(fmap, np.array(rois), 16, 7)
+        assert out.shape == (1000, 2, 7, 7)
+        assert np.all(np.isfinite(out))
+        assert argmax.min() >= 0 and argmax.max() < 64
+
+    def test_empty_stack(self):
+        out, argmax = roi_pool(np.zeros((3, 4, 4)), np.zeros((0, 4)), 4, 7)
+        assert out.shape == argmax.shape == (0, 3, 7, 7)
+
+
+class TestRoiPoolMatchesPerRoiReference:
+    """The batched pooling gives the per-ROI reference's bits, ties included."""
+
+    @pytest.mark.parametrize("p", [1, 3, 7])
+    @pytest.mark.parametrize("relu_map", [True, False])
+    def test_values_and_argmax(self, p, relu_map):
+        rng = np.random.default_rng(20 + p)
+        fmap = rng.standard_normal((3, 16, 16))
+        if relu_map:
+            fmap = np.maximum(fmap, 0.0)  # many tied zeros
+        rois = mixed_rois(rng, 300, 64.0)
+        out, argmax = roi_pool(fmap, rois, 4, p)
+        assert out.flags.c_contiguous and argmax.flags.c_contiguous
+        for i, roi in enumerate(rois):
+            ref_out, ref_arg = reference_roi_pool(fmap, roi, 4, p)
+            assert out[i].tobytes() == ref_out.tobytes()
+            assert np.array_equal(argmax[i], ref_arg)
+
+    def test_rois_cover_several_cell_lengths(self):
+        rois = mixed_rois(np.random.default_rng(27), 300, 64.0)
+        lengths = {reference_cells((3, 16, 16), roi, 4, 7)[0].shape[1] for roi in rois}
+        assert len(lengths) >= 4
+
+    def test_constant_map_routes_to_first_candidate(self):
+        fmap = np.zeros((2, 8, 8))
+        rois = mixed_rois(np.random.default_rng(28), 50, 32.0)
+        _, argmax = roi_pool(fmap, rois, 4, 3)
+        for i, roi in enumerate(rois):
+            flat, _ = reference_cells(fmap.shape, roi, 4, 3)
+            assert np.array_equal(argmax[i], np.broadcast_to(flat[:, 0].reshape(3, 3), (2, 3, 3)))
+
+    @pytest.mark.parametrize("p", [1, 3, 7])
+    def test_backward_matches_add_at(self, p):
+        rng = np.random.default_rng(30 + p)
+        fmap = np.maximum(rng.standard_normal((3, 16, 16)), 0.0)
+        rois = mixed_rois(rng, 200, 64.0)
+        _, argmax = roi_pool(fmap, rois, 4, p)
+        dout = rng.standard_normal(argmax.shape)
+        ref = np.zeros_like(fmap)
+        reference_roi_pool_backward(dout, argmax, ref)
+        got = np.zeros_like(fmap)
+        roi_pool_backward(dout, argmax, got)
+        assert got.tobytes() == ref.tobytes()
 
 
 class TestMsRoiPool:

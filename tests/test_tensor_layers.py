@@ -16,6 +16,7 @@ from msfacedet.tensor import (
     fully_connected,
     make_conv,
     maxpool2d,
+    maxpool2d_backward,
     relu,
     smooth_l1,
     softmax_cross_entropy,
@@ -112,11 +113,19 @@ class TestMaxPool:
         x = (rng.permutation(1 * 3 * 6 * 6) * 0.01).reshape(1, 3, 6, 6)
         out, cache = maxpool2d(x, 2, 2)
         proj = rng.standard_normal(out.shape)
-        from msfacedet.tensor import maxpool2d_backward
-
         dx = maxpool2d_backward(proj, cache)
         err = finite_difference_check(lambda: float((maxpool2d(x, 2, 2)[0] * proj).sum()), [x], [dx])
         assert err <= 1e-4
+
+    @pytest.mark.parametrize("window,stride", [(2, 2), (3, 1)])
+    def test_backward_matches_add_at(self, window, stride):
+        rng = np.random.default_rng(5)
+        x = np.maximum(rng.standard_normal((2, 3, 7, 7)), 0.0)  # tied zeros
+        out, cache = maxpool2d(x, window, stride)
+        dout = rng.standard_normal(out.shape)
+        ref = np.zeros((6, 49))
+        np.add.at(ref, (np.arange(6)[:, None], cache[1].reshape(6, -1)), dout.reshape(6, -1))
+        assert maxpool2d_backward(dout, cache).tobytes() == ref.reshape(x.shape).tobytes()
 
 
 class TestRelu:
