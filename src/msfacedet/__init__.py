@@ -7,7 +7,7 @@ jointly from scratch at double precision on synthetic scenes, and every
 backward pass is verifiable against central finite differences.
 """
 
-from .boxes import decode_deltas, encode_deltas, iou, iou_matrix, nms, project_roi
+from .boxes import decode_deltas, encode_deltas, iou_matrix, nms, project_roi
 from .evaluation import EvalConfig, evaluate_dataset, match_detections, pr_curve_ap, roc_curve
 from .model import ModelConfig, MultiScaleDetector
 from .rpn import generate_anchors, propose
@@ -27,7 +27,6 @@ __all__ = [
     "evaluate_dataset",
     "generate_anchors",
     "generate_toy_dataset",
-    "iou",
     "iou_matrix",
     "match_detections",
     "nms",

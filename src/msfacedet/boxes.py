@@ -20,18 +20,6 @@ def box_area(b: np.ndarray) -> np.ndarray:
     return (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
 
 
-def iou(a: np.ndarray, b: np.ndarray) -> float:
-    """Intersection over union of two boxes."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    ix = min(a[2], b[2]) - max(a[0], b[0])
-    iy = min(a[3], b[3]) - max(a[1], b[1])
-    if ix <= 0.0 or iy <= 0.0:
-        return 0.0
-    inter = ix * iy
-    return float(inter / (box_area(a) + box_area(b) - inter))
-
-
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise IoU between (N, 4) and (M, 4) box stacks."""
     a = np.asarray(a, dtype=np.float64).reshape(-1, 4)
@@ -74,17 +62,6 @@ def decode_deltas(deltas: np.ndarray, anchor: np.ndarray) -> np.ndarray:
     return np.stack([cx - 0.5 * w, cy - 0.5 * h, cx + 0.5 * w, cy + 0.5 * h], axis=-1)
 
 
-def clip_box(b: np.ndarray, img_w: float, img_h: float):
-    """Clamp a box to the image; returns None if the clamped box is thinner than 1 px."""
-    x1 = min(max(float(b[0]), 0.0), img_w)
-    y1 = min(max(float(b[1]), 0.0), img_h)
-    x2 = min(max(float(b[2]), 0.0), img_w)
-    y2 = min(max(float(b[3]), 0.0), img_h)
-    if x2 - x1 < 1.0 or y2 - y1 < 1.0:
-        return None
-    return np.array([x1, y1, x2, y2])
-
-
 def clip_boxes(boxes: np.ndarray, img_w: float, img_h: float):
     """Vectorized clamp; returns (clipped, keep-mask) with the <1 px rule applied."""
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
@@ -95,12 +72,17 @@ def clip_boxes(boxes: np.ndarray, img_w: float, img_h: float):
     return out, keep
 
 
-def nms(boxes: np.ndarray, scores: np.ndarray, iou_threshold: float) -> list[int]:
+def nms(
+    boxes: np.ndarray, scores: np.ndarray, iou_threshold: float, *, max_keep: int | None = None
+) -> list[int]:
     """Greedy non-maximum suppression.
 
     Boxes are visited in descending score order (score ties broken by the
     original index); a box is suppressed iff its IoU with an already kept
     box exceeds ``iou_threshold``.  Returns kept indices in visit order.
+    The search stops once ``max_keep`` boxes are kept (``None``: no limit);
+    a box's fate depends only on the boxes kept before it, so the result is
+    the first ``max_keep`` entries of the unlimited list.
     """
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
     scores = np.asarray(scores, dtype=np.float64).reshape(-1)
@@ -108,7 +90,7 @@ def nms(boxes: np.ndarray, scores: np.ndarray, iou_threshold: float) -> list[int
     x1, y1, x2, y2 = boxes[:, 0], boxes[:, 1], boxes[:, 2], boxes[:, 3]
     areas = (x2 - x1) * (y2 - y1)
     keep: list[int] = []
-    while order.size:
+    while order.size and (max_keep is None or len(keep) < max_keep):
         i = order[0]
         keep.append(int(i))
         rest = order[1:]

@@ -190,8 +190,9 @@ def roi_pool(fmap: np.ndarray, rois: np.ndarray, stride: int, p: int):
     origins = y1 * w + x1
     rows = np.ascontiguousarray(fmap.reshape(c, h * w).T)  # (h*w, c)
     r = len(rels)
-    # C-contiguous: the order in which l2norm_scale sums channels, and so
-    # its bits, depend on the layout of what it is given
+    # C-contiguous NCHW, like the dense taps conv2d returns: every
+    # l2norm_scale input then sums its channels sequentially, and a
+    # channels-last layout would sum them pairwise to different bits
     out = np.empty((r, c, p * p))
     argmax = np.empty((r, c, p * p), dtype=np.int64)
     for length in np.unique(lengths).tolist():

@@ -97,9 +97,15 @@ def propose(
 ):
     """Turn per-anchor head outputs into a scored, NMS-filtered proposal list.
 
-    Score ties fall back to anchor enumeration order, so the output is a
-    pure function of its inputs.
+    The ``pre_nms_top_n`` highest-scoring boxes that survive clipping and
+    ``min_size`` enter NMS, which stops once it has kept ``post_nms_top_n``
+    of them; both limits must be at least 1.  Score ties fall back to
+    anchor enumeration order, so the output is a pure function of its inputs.
     """
+    if pre_nms_top_n < 1 or post_nms_top_n < 1:
+        raise ValueError(
+            f"propose: pre_nms_top_n ({pre_nms_top_n}) and post_nms_top_n ({post_nms_top_n}) must be at least 1"
+        )
     scores = softmax(logits)[:, 1]
     boxes = decode_deltas(deltas, anchors)
     boxes, keep = clip_boxes(boxes, img_w, img_h)
@@ -108,7 +114,7 @@ def propose(
     if idx.size == 0:
         return []
     order = idx[np.argsort(-scores[idx], kind="stable")][:pre_nms_top_n]
-    kept = nms(boxes[order], scores[order], nms_thresh)[:post_nms_top_n]
+    kept = nms(boxes[order], scores[order], nms_thresh, max_keep=post_nms_top_n)
     return [Proposal(box=boxes[order[i]].copy(), objectness=float(scores[order[i]])) for i in kept]
 
 

@@ -107,6 +107,10 @@ def conv2d(x: np.ndarray, p: ConvParams):
     """2-D convolution on NCHW input via window gather + matmul.
 
     Output spatial size is floor((H + 2*pad - kH)/stride) + 1 per axis.
+    The im2col columns are channel-major, ``(C*kH*kW, N*Ho*Wo)``, so each
+    gathered run is an output row rather than a kW-long kernel row, and the
+    output is ``W @ cols + b`` laid out ``(outC, N, Ho, Wo)`` and returned as
+    an NCHW view; for N == 1 it is C-contiguous.
     """
     n, c, h, w = x.shape
     out_c, in_c, kh, kw = p.weight.data.shape
@@ -119,31 +123,36 @@ def conv2d(x: np.ndarray, p: ConvParams):
     ho = conv_out_size(h, kh, s, p.pad)
     wo = conv_out_size(w, kw, s, p.pad)
     win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::s, ::s]
-    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(n * ho * wo, c * kh * kw)
+    cols = np.ascontiguousarray(win.transpose(1, 4, 5, 0, 2, 3)).reshape(c * kh * kw, n * ho * wo)
     wmat = p.weight.data.reshape(out_c, -1)
-    out = (cols @ wmat.T + p.bias.data).reshape(n, ho, wo, out_c).transpose(0, 3, 1, 2)
+    out = (wmat @ cols + p.bias.data[:, None]).reshape(out_c, n, ho, wo).transpose(1, 0, 2, 3)
     cache = (cols, x.shape, p)
     return out, cache
 
 
 def conv2d_backward(dout: np.ndarray, cache) -> np.ndarray:
+    """Mirror of :func:`conv2d` on its channel-major columns.
+
+    With ``dmat`` the ``(outC, N*Ho*Wo)`` output gradient, dW = dmat @ cols.T,
+    db = dmat.sum(axis=1) and dcols = W.T @ dmat; col2im adds each kernel
+    offset's contiguous (N, Ho, Wo) planes into a channel-major padded
+    gradient, returned as an NCHW view.
+    """
     cols, x_shape, p = cache
     n, c, h, w = x_shape
     out_c, _, kh, kw = p.weight.data.shape
     s, pad = p.stride, p.pad
     _, _, ho, wo = dout.shape
-    dmat = np.ascontiguousarray(dout.transpose(0, 2, 3, 1)).reshape(-1, out_c)
-    p.bias.ensure_grad()[...] += dmat.sum(axis=0)
-    p.weight.ensure_grad()[...] += (dmat.T @ cols).reshape(p.weight.data.shape)
-    dcols = dmat @ p.weight.data.reshape(out_c, -1)
-    dc = dcols.reshape(n, ho, wo, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
-    dxp = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
+    dmat = dout.transpose(1, 0, 2, 3).reshape(out_c, -1)
+    wmat = p.weight.data.reshape(out_c, -1)
+    p.bias.ensure_grad()[...] += dmat.sum(axis=1)
+    p.weight.ensure_grad()[...] += (dmat @ cols.T).reshape(p.weight.data.shape)
+    dc = (wmat.T @ dmat).reshape(c, kh, kw, n, ho, wo)
+    dxp = np.zeros((c, n, h + 2 * pad, w + 2 * pad))
     for i in range(kh):
         for j in range(kw):
-            dxp[:, :, i : i + s * ho : s, j : j + s * wo : s] += dc[:, :, :, :, i, j]
-    if pad:
-        return dxp[:, :, pad : pad + h, pad : pad + w]
-    return dxp
+            dxp[:, :, i : i + s * ho : s, j : j + s * wo : s] += dc[:, i, j]
+    return dxp[:, :, pad : pad + h, pad : pad + w].transpose(1, 0, 2, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -3,20 +3,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msfacedet.boxes import (
-    clip_box,
-    clip_boxes,
-    decode_deltas,
-    encode_deltas,
-    iou,
-    iou_matrix,
-    nms,
-    project_roi,
-)
+from msfacedet.boxes import box_area, clip_boxes, decode_deltas, encode_deltas, iou_matrix, nms, project_roi
 
 box_strategy = st.tuples(
     st.floats(0, 90), st.floats(0, 90), st.floats(1, 40), st.floats(1, 40)
 ).map(lambda t: np.array([t[0], t[1], t[0] + t[2], t[1] + t[3]]))
+
+
+def iou(a, b) -> float:
+    """Scalar reference IoU of two boxes, for the vectorized ``iou_matrix`` and ``nms``."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    ix = min(a[2], b[2]) - max(a[0], b[0])
+    iy = min(a[3], b[3]) - max(a[1], b[1])
+    if ix <= 0.0 or iy <= 0.0:
+        return 0.0
+    inter = ix * iy
+    return float(inter / (box_area(a) + box_area(b) - inter))
+
+
+def clip_box(b, img_w, img_h):
+    """Scalar reference for ``clip_boxes``: the clamped box, or None if thinner than 1 px."""
+    x1 = min(max(float(b[0]), 0.0), img_w)
+    y1 = min(max(float(b[1]), 0.0), img_h)
+    x2 = min(max(float(b[2]), 0.0), img_w)
+    y2 = min(max(float(b[3]), 0.0), img_h)
+    if x2 - x1 < 1.0 or y2 - y1 < 1.0:
+        return None
+    return np.array([x1, y1, x2, y2])
 
 
 def pixel_count_iou(a, b):
@@ -182,6 +196,23 @@ class TestNms:
         boxes = np.array([[0, 0, 10, 10], [20, 20, 30, 30], [0, 0, 10, 10.0]])
         scores = np.array([0.5, 0.5, 0.5])
         assert nms(boxes, scores, 0.3) == [0, 1]
+
+    @given(
+        data=st.data(),
+        n=st.integers(1, 40),
+        thresh=st.floats(0.1, 0.9),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_keep_budget_is_prefix_of_unlimited(self, data, n, thresh):
+        # few distinct corners and scores, so duplicate boxes and score ties are common
+        corner = st.integers(0, 6).map(float)
+        xy = np.array(data.draw(st.lists(st.tuples(corner, corner), min_size=n, max_size=n)))
+        wh = np.array(data.draw(st.lists(st.tuples(corner, corner), min_size=n, max_size=n))) + 1.0
+        boxes = np.hstack([xy, xy + wh])
+        scores = np.array(data.draw(st.lists(st.sampled_from([0.1, 0.5, 0.9]), min_size=n, max_size=n)))
+        full = nms(boxes, scores, thresh)
+        for k in {1, data.draw(st.integers(1, n + 3)), len(full), n, n + 5}:
+            assert nms(boxes, scores, thresh, max_keep=k) == full[:k]
 
 
 class TestProjectRoi:

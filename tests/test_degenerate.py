@@ -1,5 +1,5 @@
-"""Degenerate inputs: flat images (the L2-norm eps path), a faceless scene
-and an image smaller than one stride-16 cell."""
+"""Degenerate inputs: flat images (the L2-norm eps path), a faceless scene,
+an image smaller than one stride-16 cell and proposal limits below one."""
 
 import numpy as np
 import pytest
@@ -41,3 +41,10 @@ def test_detect_on_image_padded_from_under_16_px(tmp_path):
     boxes, scores = _boxes_and_scores(dets)
     assert np.isfinite(scores).all()
     assert np.all((boxes >= 0) & (boxes <= [12, 10, 12, 10]))
+
+
+@pytest.mark.parametrize("limits", [{"pre_nms_top_n": -1}, {"post_nms_top_n": -2}])
+def test_detect_rejects_proposal_limits_below_one(limits):
+    model = MultiScaleDetector(ModelConfig(), seed=0)
+    with pytest.raises(ValueError, match="at least 1"):
+        model.detect(np.full((1, 1, 64, 64), 0.6), 64, 64, score_thresh=0.0, **limits)

@@ -92,6 +92,7 @@ class TestRpnForward:
 
 
 def reference_propose(logits_rows, delta_rows, anchors, w, h, pre, post, thresh, min_size):
+    """``propose`` as it was before the keep budget: full NMS, then slice."""
     scores = softmax(logits_rows)[:, 1]
     boxes = decode_deltas(delta_rows, anchors)
     boxes, keep = clip_boxes(boxes, w, h)
@@ -140,6 +141,26 @@ class TestPropose:
             for p, (_, box, score) in zip(props, ref):
                 assert np.allclose(p.box, box)
                 assert p.objectness == pytest.approx(score)
+
+    @pytest.mark.parametrize("post", [1, 5, 50, 10_000])
+    def test_keep_budget_equals_full_nms_then_slice(self, post):
+        capped = 0
+        for seed in range(10):
+            logits, deltas, anchors = self._inputs(100 + seed, a=400)
+            props = propose(logits, deltas, anchors, 100, 100, 300, post, 0.7, 4.0)
+            ref = reference_propose(logits, deltas, anchors, 100, 100, 300, post, 0.7, 4.0)
+            full = reference_propose(logits, deltas, anchors, 100, 100, 300, 10_000, 0.7, 4.0)
+            capped += len(full) > post
+            assert [(p.box.tobytes(), p.objectness) for p in props] == [
+                (box.tobytes(), float(score)) for _, box, score in ref
+            ]
+        assert capped == (0 if post == 10_000 else 10)
+
+    @pytest.mark.parametrize("pre,post", [(-1, 300), (0, 300), (2000, -2), (2000, 0)])
+    def test_limits_below_one_rejected(self, pre, post):
+        logits, deltas, anchors = self._inputs(7, a=6)
+        with pytest.raises(ValueError, match="at least 1"):
+            propose(logits, deltas, anchors, 100, 100, pre_nms_top_n=pre, post_nms_top_n=post, nms_thresh=0.99)
 
     def test_respects_post_nms_cap_and_antichain(self):
         logits, deltas, anchors = self._inputs(99, a=120)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from msfacedet.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from msfacedet.checks import finite_difference_check
@@ -25,6 +26,67 @@ from msfacedet.tensor import (
 
 def _conv(weight, bias, stride=1, pad=0):
     return ConvParams(Tensor(weight, requires_grad=True), Tensor(bias, requires_grad=True), stride, pad)
+
+
+def reference_conv2d(x, p):
+    """Row-major im2col convolution: columns (N*Ho*Wo, C*kH*kW), output cols @ W.T."""
+    n, c, h, w = x.shape
+    out_c, _, kh, kw = p.weight.data.shape
+    s = p.stride
+    xp = np.pad(x, ((0, 0), (0, 0), (p.pad, p.pad), (p.pad, p.pad)))
+    ho = conv_out_size(h, kh, s, p.pad)
+    wo = conv_out_size(w, kw, s, p.pad)
+    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::s, ::s]
+    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(n * ho * wo, c * kh * kw)
+    out = (cols @ p.weight.data.reshape(out_c, -1).T + p.bias.data).reshape(n, ho, wo, out_c).transpose(0, 3, 1, 2)
+    return out, cols
+
+
+def reference_conv2d_backward(dout, x_shape, cols, p):
+    """Gradients (dx, dW, db) of the row-major form, by scatter over kernel offsets."""
+    n, c, h, w = x_shape
+    out_c, _, kh, kw = p.weight.data.shape
+    s, pad = p.stride, p.pad
+    _, _, ho, wo = dout.shape
+    dmat = np.ascontiguousarray(dout.transpose(0, 2, 3, 1)).reshape(-1, out_c)
+    db = dmat.sum(axis=0)
+    dw = (dmat.T @ cols).reshape(p.weight.data.shape)
+    dc = (dmat @ p.weight.data.reshape(out_c, -1)).reshape(n, ho, wo, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
+    dxp = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, :, i : i + s * ho : s, j : j + s * wo : s] += dc[:, :, :, :, i, j]
+    return dxp[:, :, pad : pad + h, pad : pad + w], dw, db
+
+
+def _random_conv(rng, out_c, in_c, k, stride, pad):
+    p = make_conv(rng, out_c, in_c, k, stride=stride, pad=pad)
+    p.weight.data[...] = rng.standard_normal(p.weight.data.shape)
+    p.bias.data[...] = rng.standard_normal(p.bias.data.shape)
+    return p
+
+
+def _conv_gradient_error(rng, x, p):
+    """Finite-difference error of conv2d_backward on a random projection of the output."""
+    out, cache = conv2d(x, p)
+    proj = rng.standard_normal(out.shape)
+    dx = conv2d_backward(proj, cache)
+    return finite_difference_check(
+        lambda: float((conv2d(x, p)[0] * proj).sum()),
+        [x, p.weight.data, p.bias.data],
+        [dx, p.weight.grad, p.bias.grad],
+    )
+
+
+# (x shape, out channels, kernel, stride, pad): backbone 3x3 convs at 128 px,
+# the 1x1 ROI shrink over 300 pooled regions, and a strided batch
+CONV_CASES = [
+    ((1, 1, 128, 128), 8, 3, 1, 1),
+    ((1, 32, 16, 16), 64, 3, 1, 1),
+    ((1, 64, 8, 8), 64, 3, 1, 1),
+    ((300, 160, 7, 7), 64, 1, 1, 0),
+    ((2, 3, 9, 8), 4, 3, 2, 1),
+]
 
 
 class TestConv2d:
@@ -80,15 +142,37 @@ class TestConv2d:
         x = rng.standard_normal((1, 2, 5, 5))
         p = make_conv(rng, 3, 2, 3, stride=1, pad=1)
         p.weight.data[...] = rng.standard_normal(p.weight.data.shape)
+        assert _conv_gradient_error(rng, x, p) <= 1e-4
+
+    @pytest.mark.parametrize(
+        "x_shape,k,stride,pad", [((2, 2, 5, 5), 3, 1, 1), ((2, 2, 7, 6), 3, 2, 1), ((2, 3, 4, 5), 1, 1, 0)]
+    )
+    def test_batched_strided_and_1x1_gradients_match_finite_differences(self, x_shape, k, stride, pad):
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal(x_shape)
+        p = _random_conv(rng, 3, x_shape[1], k, stride, pad)
+        assert _conv_gradient_error(rng, x, p) <= 1e-4
+
+    @pytest.mark.parametrize("x_shape,out_c,k,stride,pad", CONV_CASES)
+    def test_matches_row_major_reference(self, x_shape, out_c, k, stride, pad):
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal(x_shape)
+        p = _random_conv(rng, out_c, x_shape[1], k, stride, pad)
         out, cache = conv2d(x, p)
-        proj = rng.standard_normal(out.shape)
-        dx = conv2d_backward(proj, cache)
-        err = finite_difference_check(
-            lambda: float((conv2d(x, p)[0] * proj).sum()),
-            [x, p.weight.data, p.bias.data],
-            [dx, p.weight.grad, p.bias.grad],
-        )
-        assert err <= 1e-4
+        ref_out, ref_cols = reference_conv2d(x, p)
+        dout = rng.standard_normal(out.shape)
+        dx = conv2d_backward(dout, cache)
+        got = [out, dx, p.weight.grad, p.bias.grad]
+        want = [ref_out, *reference_conv2d_backward(dout, x.shape, ref_cols, p)]
+        for name, a, b in zip(["out", "dx", "dW", "db"], got, want):
+            assert a.shape == b.shape, name
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), name
+
+    def test_single_image_output_is_c_contiguous(self):
+        rng = np.random.default_rng(5)
+        out, _ = conv2d(rng.standard_normal((1, 4, 6, 7)), _random_conv(rng, 5, 4, 3, 1, 1))
+        assert out.shape == (1, 5, 6, 7)
+        assert out.flags.c_contiguous
 
 
 class TestMaxPool:
