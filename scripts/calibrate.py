@@ -4,6 +4,7 @@ import sys
 import time
 
 from msfacedet.evaluation import evaluate_detector, proposal_recall
+from msfacedet.rpn import DetectConfig
 from msfacedet.toydata import generate_toy_dataset
 from msfacedet.training import TrainConfig, train
 
@@ -24,11 +25,12 @@ def main():
         else None,
     )
     t_train = time.time() - t0
-    rec = proposal_recall(res.model, held[:40])
-    ap = evaluate_detector(res.model, held).overall.ap
+    detect_cfg = DetectConfig()
+    rec = proposal_recall(res.model, held[:40], detect_cfg)
+    ap = evaluate_detector(res.model, held, detect_cfg=detect_cfg).overall.ap
     print(
         f"seed={seed} iters={iters} lr={lr} train_time={t_train/60:.1f}min "
-        f"recall@300={rec:.3f} AP={ap:.4f}",
+        f"recall@{detect_cfg.post_nms_top_n}={rec:.3f} AP={ap:.4f}",
         flush=True,
     )
 

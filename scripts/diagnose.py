@@ -4,6 +4,7 @@ import sys
 import time
 
 from msfacedet.evaluation import evaluate_detector, proposal_recall
+from msfacedet.rpn import DetectConfig
 from msfacedet.toydata import generate_toy_dataset
 from msfacedet.training import TrainConfig, train
 
@@ -26,7 +27,8 @@ def main():
 
     res = train(scenes, cfg, progress=prog)
     print(f"time {(time.time()-t0)/60:.1f} min")
-    print(f"rpn recall@50 on train: {proposal_recall(res.model, scenes[:20], top_k=50):.3f}")
+    recall = proposal_recall(res.model, scenes[:20], DetectConfig(post_nms_top_n=50))
+    print(f"rpn recall@50 on train: {recall:.3f}")
     print(f"train-set AP: {evaluate_detector(res.model, scenes[:30]).overall.ap:.3f}")
 
 

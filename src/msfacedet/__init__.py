@@ -10,12 +10,13 @@ backward pass is verifiable against central finite differences.
 from .boxes import decode_deltas, encode_deltas, iou_matrix, nms, project_roi
 from .evaluation import EvalConfig, evaluate_dataset, match_detections, pr_curve_ap, roc_curve
 from .model import ModelConfig, MultiScaleDetector
-from .rpn import generate_anchors, propose
+from .rpn import DetectConfig, generate_anchors, propose
 from .tensor import Tensor
 from .toydata import ToyScene, generate_toy_dataset
 from .training import TrainConfig, train
 
 __all__ = [
+    "DetectConfig",
     "EvalConfig",
     "ModelConfig",
     "MultiScaleDetector",

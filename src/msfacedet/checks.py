@@ -27,7 +27,7 @@ from .fusion import (
     roi_pool,
     roi_pool_backward,
 )
-from .model import ModelConfig, MultiScaleDetector
+from .model import TAP_STRIDES, ModelConfig, MultiScaleDetector
 from .rpn import RpnHead, assign_rpn_targets, rpn_backward, rpn_forward
 from .tensor import (
     conv2d,
@@ -126,7 +126,7 @@ def _away_from_zero(rng, shape, margin=1e-3):
 def check_conv2d(seed: int) -> float:
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((1, 2, 5, 5))
-    p = make_conv(rng, 3, 2, 3, stride=1, pad=1)
+    p = make_conv(rng, 3, 2, 3)
     p.weight.data[...] = rng.standard_normal(p.weight.data.shape)
     p.bias.data[...] = rng.standard_normal(p.bias.data.shape)
     return _projected_check(
@@ -137,7 +137,7 @@ def check_conv2d(seed: int) -> float:
 def check_maxpool2d(seed: int) -> float:
     rng = np.random.default_rng(seed)
     x = _distinct(rng, (1, 3, 6, 6))
-    return _projected_check(rng, lambda: maxpool2d(x, 2, 2), lambda pr, c: [maxpool2d_backward(pr[0], c)], [x])
+    return _projected_check(rng, lambda: maxpool2d(x, 2), lambda pr, c: [maxpool2d_backward(pr[0], c)], [x])
 
 
 def check_relu(seed: int) -> float:
@@ -198,7 +198,7 @@ def check_l2norm_scale(seed: int) -> float:
 def check_concat_shrink(seed: int) -> float:
     rng = np.random.default_rng(seed)
     maps = [rng.standard_normal((1, c, 3, 3)) for c in (2, 3, 4)]
-    shrink = make_conv(rng, 4, 9, 1, pad=0)
+    shrink = make_conv(rng, 4, 9, 1)
     shrink.weight.data[...] = rng.standard_normal(shrink.weight.data.shape)
     return _projected_check(
         rng,
@@ -224,20 +224,18 @@ def check_roi_pool(seed: int) -> float:
 
 def _tiny_taps(rng):
     sizes = {"tap3": 8, "tap4": 4, "tap5": 2}
-    strides = {"tap3": 4, "tap4": 8, "tap5": 16}
     channels = {"tap3": 2, "tap4": 3, "tap5": 3}
-    taps = [
-        FeatureTap(name, _distinct(rng, (1, channels[name], sizes[name], sizes[name])) + 0.05, strides[name])
-        for name in ("tap3", "tap4", "tap5")
+    return [
+        FeatureTap(name, _distinct(rng, (1, channels[name], sizes[name], sizes[name])) + 0.05, TAP_STRIDES[name])
+        for name in TAP_ORDER
     ]
-    return taps
 
 
 def check_ms_roi_pool(seed: int) -> float:
     rng = np.random.default_rng(seed)
     taps = _tiny_taps(rng)
     norms = {t.name: make_l2norm(t.map.shape[1], gamma_init=2.0) for t in taps}
-    shrink = make_conv(rng, 3, 8, 1, pad=0)
+    shrink = make_conv(rng, 3, 8, 1)
     shrink.weight.data[...] = rng.standard_normal(shrink.weight.data.shape)
     rois = np.array([[2.0, 3.0, 21.0, 17.0], [10.0, 8.0, 14.0, 13.0]])
 
@@ -257,8 +255,8 @@ def check_rpn_head(seed: int) -> float:
     fused = rng.standard_normal((1, 3, 4, 4))
     head = RpnHead(
         conv=make_conv(rng, 4, 3, 3),
-        cls=make_conv(rng, 4, 4, 1, pad=0),
-        bbox=make_conv(rng, 8, 4, 1, pad=0),
+        cls=make_conv(rng, 4, 4, 1),
+        bbox=make_conv(rng, 8, 4, 1),
     )
     for conv in (head.conv, head.cls, head.bbox):
         conv.weight.data[...] = rng.standard_normal(conv.weight.data.shape)

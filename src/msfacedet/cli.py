@@ -122,6 +122,7 @@ def cmd_train(args, tracker) -> int:
         scenes,
         cfg.train_config(),
         cfg.model_config(),
+        detect_cfg=cfg.detect_config(),
         progress=lambda it, c: print(f"iter {it}: total {c['total']:.4f}") if it % 200 == 0 else None,
     )
     tracker.write_text(out_dir / "loss_trace.txt", format_trace(result.trace))
@@ -154,20 +155,11 @@ def cmd_detect(args, tracker) -> int:
         raise FileNotFoundError(f"no .pgm/.ppm images in {data_dir}")
     model = MultiScaleDetector(cfg.model_config(), seed=0)
     model.load(ckpt)
+    detect_cfg = cfg.detect_config()
     tracker.mkdir(out_dir)
     for img_path in images:
         tensor, orig_w, orig_h = load_image(img_path)
-        dets = model.detect(
-            tensor,
-            orig_w,
-            orig_h,
-            score_thresh=cfg.score_thresh,
-            det_nms_thresh=cfg.det_nms_thresh,
-            rpn_nms_thresh=cfg.rpn_nms_thresh,
-            pre_nms_top_n=cfg.pre_nms_top_n,
-            post_nms_top_n=cfg.post_nms_top_n,
-            min_size=cfg.min_size,
-        )
+        dets = model.detect(tensor, orig_w, orig_h, detect_cfg)
         tracker.write_text(out_dir / f"{img_path.stem}.txt", _detections_to_text(dets))
         if args.overlay:
             rgb = overlay_boxes(tensor[0, 0, :orig_h, :orig_w], [d.box for d in dets])
@@ -230,20 +222,12 @@ def cmd_ablate(args, tracker) -> int:
     eval_scenes = _load_scenes(Path(args.eval_data))
     out_dir = Path(args.out or cfg.out_dir or ".")
     tracker.mkdir(out_dir)
+    detect_cfg = cfg.detect_config()
     aps = {}
     for mode in ("multi", "tap5"):
         cfg.fusion_mode = mode
-        result = train(train_scenes, cfg.train_config(), cfg.model_config())
-        report = evaluate_detector(
-            result.model,
-            eval_scenes,
-            cfg.eval_config(),
-            det_nms_thresh=cfg.det_nms_thresh,
-            rpn_nms_thresh=cfg.rpn_nms_thresh,
-            pre_nms_top_n=cfg.pre_nms_top_n,
-            post_nms_top_n=cfg.post_nms_top_n,
-            min_size=cfg.min_size,
-        )
+        result = train(train_scenes, cfg.train_config(), cfg.model_config(), detect_cfg=detect_cfg)
+        report = evaluate_detector(result.model, eval_scenes, cfg.eval_config(), detect_cfg)
         tracker.write_text(out_dir / f"report_{mode}.txt", format_report(report))
         aps[mode] = report.overall.ap if report.overall.ap is not None else float("nan")
         print(f"{mode} ap_overall {aps[mode]:.6f}")

@@ -12,6 +12,7 @@ import numpy as np
 
 from .evaluation import EvalConfig
 from .model import ModelConfig
+from .rpn import DetectConfig
 from .training import TrainConfig
 
 
@@ -20,12 +21,9 @@ class ConfigError(ValueError):
 
 
 @dataclass
-class RunConfig(TrainConfig, EvalConfig, ModelConfig):
-    """Every training, evaluation and model field, plus the keys below."""
+class RunConfig(DetectConfig, TrainConfig, EvalConfig, ModelConfig):
+    """Every detection, training, evaluation and model field, plus the keys below."""
 
-    # detection
-    score_thresh: float = 0.8
-    det_nms_thresh: float = 0.3
     # paths (may also come from CLI flags, which win)
     data_dir: str = ""
     out_dir: str = ""
@@ -47,17 +45,17 @@ class RunConfig(TrainConfig, EvalConfig, ModelConfig):
     def model_config(self) -> ModelConfig:
         return self._component(ModelConfig)
 
+    def detect_config(self) -> DetectConfig:
+        return self._component(DetectConfig)
+
     def validate(self):
         try:
             self.train_config()
             self.eval_config()
             self.model_config()
+            self.detect_config()
         except ValueError as e:
             raise ConfigError(str(e)) from None
-        if not (0.0 <= self.score_thresh < 1.0):
-            raise ConfigError(f"score_thresh {self.score_thresh} outside [0, 1)")
-        if not (0.0 < self.det_nms_thresh < 1.0):
-            raise ConfigError(f"det_nms_thresh {self.det_nms_thresh} outside (0, 1)")
 
 
 def _parse_value(key: str, raw: str, kind):

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boxes import iou_matrix
-from .rpn import propose
+from .rpn import DetectConfig, propose
 from .training import pipeline_forward
 
 
@@ -180,24 +180,25 @@ def evaluate_dataset(dets_by_image: dict, gts_by_image: dict, cfg: EvalConfig = 
     return DatasetReport(overall=overall, splits=splits)
 
 
-def evaluate_detector(model, scenes, cfg: EvalConfig = None, **detect_kwargs) -> DatasetReport:
-    """Score ``model.detect`` over toy scenes, keeping every detection above
-    face probability 0.05 so the score sweep covers the whole PR curve."""
+def evaluate_detector(model, scenes, cfg: EvalConfig = None, detect_cfg: DetectConfig = None) -> DatasetReport:
+    """Score ``model.detect`` under ``detect_cfg`` over toy scenes, keeping
+    every detection above face probability 0.05 so the score sweep covers the
+    whole PR curve."""
     dets = {}
     for s in scenes:
-        found = model.detect(s.image, s.image.shape[3], s.image.shape[2], score_thresh=0.05, **detect_kwargs)
+        found = model.detect(s.image, s.image.shape[3], s.image.shape[2], detect_cfg, score_thresh=0.05)
         dets[s.name] = (np.array([d.box for d in found]).reshape(-1, 4), np.array([d.score for d in found]))
     return evaluate_dataset(dets, {s.name: s.gt_boxes for s in scenes}, cfg)
 
 
-def proposal_recall(model, scenes, top_k: int | None = None) -> float:
+def proposal_recall(model, scenes, detect_cfg: DetectConfig) -> float:
     """Share of ground-truth faces overlapped at IoU > 0.5 by one of the
-    first ``top_k`` proposals (all of them when None)."""
+    proposals that ``detect_cfg`` selects (its ``post_nms_top_n`` best)."""
     hits = total = 0
     for s in scenes:
         st = pipeline_forward(model, s.image)
-        props = propose(st.rpn_logits, st.rpn_deltas, st.anchors, s.image.shape[3], s.image.shape[2])
-        boxes = np.array([p.box for p in props[:top_k]]).reshape(-1, 4)
+        props = propose(st.rpn_logits, st.rpn_deltas, st.anchors, s.image.shape[3], s.image.shape[2], detect_cfg)
+        boxes = np.array([p.box for p in props]).reshape(-1, 4)
         gts = np.asarray(s.gt_boxes, dtype=np.float64).reshape(-1, 4)
         total += gts.shape[0]
         if boxes.size and gts.size:

@@ -84,7 +84,7 @@ def sync_downsample(tap: FeatureTap, target_stride: int):
     ratio = target_stride // tap.stride
     if ratio == 1:
         return tap.map, None
-    return maxpool2d(tap.map, ratio, ratio)
+    return maxpool2d(tap.map, ratio)
 
 
 def sync_downsample_backward(dout: np.ndarray, cache) -> np.ndarray:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .fusion import (
     sync_downsample,
     sync_downsample_backward,
 )
-from .rpn import RpnHead, generate_anchors, propose, rpn_backward, rpn_forward
+from .rpn import DetectConfig, RpnHead, generate_anchors, propose, rpn_backward, rpn_forward
 from .tensor import (
     ShapeError,
     conv2d,
@@ -105,12 +105,12 @@ class MultiScaleDetector:
         self.norms = {name: make_l2norm(tap_channels[name], self.cfg.gamma_init) for name in norm_taps}
         shrink_in = sum(tap_channels[name] for name in self.fused_taps)
         fused_c = ch[4]
-        self.shrink = make_conv(rng, fused_c, shrink_in, 1, pad=0)
+        self.shrink = make_conv(rng, fused_c, shrink_in, 1)
         k = self.cfg.anchors_per_cell
         self.rpn_head = RpnHead(
             conv=make_conv(rng, rpn_channels, fused_c, 3),
-            cls=make_conv(rng, 2 * k, rpn_channels, 1, pad=0),
-            bbox=make_conv(rng, 4 * k, rpn_channels, 1, pad=0),
+            cls=make_conv(rng, 2 * k, rpn_channels, 1),
+            bbox=make_conv(rng, 4 * k, rpn_channels, 1),
         )
         p = self.cfg.roi_pool_size
         self.det_head = DetHead(
@@ -186,7 +186,7 @@ class MultiScaleDetector:
             if i >= 2:
                 taps[f"tap{i + 1}"] = h
             if i < 4:
-                h, pc = maxpool2d(h, 2, 2)
+                h, pc = maxpool2d(h, 2)
                 caches.append(("pool", pc))
         tap_list = [FeatureTap(name, taps[name], TAP_STRIDES[name]) for name in TAP_ORDER]
         return tap_list, caches
@@ -251,39 +251,22 @@ class MultiScaleDetector:
         return self._anchor_cache[key]
 
     def detect(
-        self,
-        image: np.ndarray,
-        orig_w: int,
-        orig_h: int,
-        score_thresh: float = 0.8,
-        det_nms_thresh: float = 0.3,
-        rpn_nms_thresh: float = 0.7,
-        pre_nms_top_n: int = 2000,
-        post_nms_top_n: int = 300,
-        min_size: float = 4.0,
+        self, image: np.ndarray, orig_w: int, orig_h: int, cfg: DetectConfig | None = None, **overrides
     ) -> list[Detection]:
-        """Run the full pipeline on one padded image tensor."""
+        """Run the full pipeline on one padded image tensor under ``cfg`` (a
+        :class:`DetectConfig`, defaults when None) with any fields replaced by ``overrides``."""
+        cfg = replace(cfg or DetectConfig(), **overrides)
         taps, _ = self.backbone_forward(image)
         fused, _ = self.fused_map_forward(taps)
         (logits, deltas), _ = rpn_forward(fused, self.rpn_head)
         anchors = self.anchors_for(fused.shape[2], fused.shape[3])
-        proposals = propose(
-            logits,
-            deltas,
-            anchors,
-            orig_w,
-            orig_h,
-            pre_nms_top_n=pre_nms_top_n,
-            post_nms_top_n=post_nms_top_n,
-            nms_thresh=rpn_nms_thresh,
-            min_size=min_size,
-        )
+        proposals = propose(logits, deltas, anchors, orig_w, orig_h, cfg)
         if not proposals:
             return []
         rois = np.stack([p.box for p in proposals])
         (cls_logits, box_deltas), _ = self.roi_forward(taps, rois)
         return postprocess_detections(
-            cls_logits, box_deltas, rois, score_thresh, det_nms_thresh, orig_w, orig_h
+            cls_logits, box_deltas, rois, cfg.score_thresh, cfg.det_nms_thresh, orig_w, orig_h
         )
 
     def new_tap_grads(self, taps) -> dict:

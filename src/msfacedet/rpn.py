@@ -3,18 +3,43 @@ and anchor-to-ground-truth target assignment."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .boxes import clip_boxes, decode_deltas, encode_deltas, iou_matrix, nms
+from .detector import Detection
 from .tensor import ConvParams, conv2d, conv2d_backward, relu, relu_backward, softmax
 
 
 @dataclass
-class Proposal:
-    box: np.ndarray
-    objectness: float
+class DetectConfig:
+    """The six settings of the detection path, used alike in training and at
+    test time: the first four select proposals (:func:`propose`), the last
+    two threshold and suppress the per-region detections."""
+
+    pre_nms_top_n: int = 2000
+    post_nms_top_n: int = 300
+    rpn_nms_thresh: float = 0.7
+    min_size: float = 4.0
+    score_thresh: float = 0.8
+    det_nms_thresh: float = 0.3
+
+    def validate(self):
+        # each range is written so that NaN fails it
+        if not (1 <= self.pre_nms_top_n < math.inf and 1 <= self.post_nms_top_n < math.inf):
+            raise ValueError(
+                f"pre_nms_top_n ({self.pre_nms_top_n}) and post_nms_top_n ({self.post_nms_top_n}) must be at least 1"
+            )
+        if not 0 < self.rpn_nms_thresh < 1:
+            raise ValueError(f"rpn_nms_thresh {self.rpn_nms_thresh} outside (0, 1)")
+        if not 0 <= self.min_size < math.inf:
+            raise ValueError("min_size must be non-negative and finite")
+        if not 0 <= self.score_thresh < 1:
+            raise ValueError(f"score_thresh {self.score_thresh} outside [0, 1)")
+        if not 0 < self.det_nms_thresh < 1:
+            raise ValueError(f"det_nms_thresh {self.det_nms_thresh} outside (0, 1)")
 
 
 def generate_anchors(feat_h: int, feat_w: int, scales, ratios, stride: int) -> np.ndarray:
@@ -90,32 +115,28 @@ def propose(
     anchors: np.ndarray,
     img_w: float,
     img_h: float,
-    pre_nms_top_n: int = 2000,
-    post_nms_top_n: int = 300,
-    nms_thresh: float = 0.7,
-    min_size: float = 4.0,
-):
+    cfg: DetectConfig,
+) -> list[Detection]:
     """Turn per-anchor head outputs into a scored, NMS-filtered proposal list.
 
-    The ``pre_nms_top_n`` highest-scoring boxes that survive clipping and
-    ``min_size`` enter NMS, which stops once it has kept ``post_nms_top_n``
-    of them; both limits must be at least 1.  Score ties fall back to
-    anchor enumeration order, so the output is a pure function of its inputs.
+    ``cfg`` (a :class:`DetectConfig`, validated here) sets the selection: the
+    ``pre_nms_top_n`` highest-scoring boxes that survive clipping and
+    ``min_size`` enter NMS at ``rpn_nms_thresh``, which stops once it has kept
+    ``post_nms_top_n`` of them.  Each proposal's score is its objectness.
+    Score ties fall back to anchor enumeration order, so the output is a pure
+    function of its inputs.
     """
-    if pre_nms_top_n < 1 or post_nms_top_n < 1:
-        raise ValueError(
-            f"propose: pre_nms_top_n ({pre_nms_top_n}) and post_nms_top_n ({post_nms_top_n}) must be at least 1"
-        )
+    cfg.validate()
     scores = softmax(logits)[:, 1]
     boxes = decode_deltas(deltas, anchors)
     boxes, keep = clip_boxes(boxes, img_w, img_h)
-    keep &= (boxes[:, 2] - boxes[:, 0] >= min_size) & (boxes[:, 3] - boxes[:, 1] >= min_size)
+    keep &= (boxes[:, 2] - boxes[:, 0] >= cfg.min_size) & (boxes[:, 3] - boxes[:, 1] >= cfg.min_size)
     idx = np.flatnonzero(keep)
     if idx.size == 0:
         return []
-    order = idx[np.argsort(-scores[idx], kind="stable")][:pre_nms_top_n]
-    kept = nms(boxes[order], scores[order], nms_thresh, max_keep=post_nms_top_n)
-    return [Proposal(box=boxes[order[i]].copy(), objectness=float(scores[order[i]])) for i in kept]
+    order = idx[np.argsort(-scores[idx], kind="stable")][: cfg.pre_nms_top_n]
+    kept = nms(boxes[order], scores[order], cfg.rpn_nms_thresh, max_keep=cfg.post_nms_top_n)
+    return [Detection(box=boxes[order[i]].copy(), score=float(scores[order[i]])) for i in kept]
 
 
 @dataclass

@@ -55,7 +55,6 @@ class ConvParams:
 
     weight: Tensor
     bias: Tensor
-    stride: int = 1
     pad: int = 0
 
 
@@ -72,18 +71,16 @@ def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -
     return rng.uniform(-limit, limit, size=shape)
 
 
-def make_conv(rng, out_c, in_c, k, stride=1, pad=None) -> ConvParams:
-    """Fresh conv parameters with variance-preserving init and zero bias."""
-    if pad is None:
-        pad = (k - 1) // 2
+def make_conv(rng, out_c, in_c, k) -> ConvParams:
+    """Fresh conv parameters with variance-preserving init, zero bias and
+    pad (k - 1) // 2, which keeps the input size for odd k."""
     fan_in = in_c * k * k
     fan_out = out_c * k * k
     w = glorot_uniform(rng, (out_c, in_c, k, k), fan_in, fan_out)
     return ConvParams(
         weight=Tensor(w, requires_grad=True),
         bias=Tensor(np.zeros(out_c), requires_grad=True),
-        stride=stride,
-        pad=pad,
+        pad=(k - 1) // 2,
     )
 
 
@@ -99,14 +96,10 @@ def make_linear(rng, d, m) -> LinearParams:
 # convolution
 
 
-def conv_out_size(extent: int, k: int, stride: int, pad: int) -> int:
-    return (extent + 2 * pad - k) // stride + 1
-
-
 def conv2d(x: np.ndarray, p: ConvParams):
-    """2-D convolution on NCHW input via window gather + matmul.
+    """Stride-1 2-D convolution on NCHW input via window gather + matmul.
 
-    Output spatial size is floor((H + 2*pad - kH)/stride) + 1 per axis.
+    Output spatial size is H + 2*pad - kH + 1 per axis.
     The im2col columns are channel-major, ``(C*kH*kW, N*Ho*Wo)``, so each
     gathered run is an output row rather than a kW-long kernel row, and the
     output is ``W @ cols + b`` laid out ``(outC, N, Ho, Wo)`` and returned as
@@ -118,11 +111,9 @@ def conv2d(x: np.ndarray, p: ConvParams):
         raise ShapeError(f"conv2d: input has {c} channels {x.shape} but kernel expects {in_c} {p.weight.data.shape}")
     if h + 2 * p.pad < kh or w + 2 * p.pad < kw:
         raise ShapeError(f"conv2d: padded input {x.shape} smaller than kernel {p.weight.data.shape}")
-    s = p.stride
     xp = np.pad(x, ((0, 0), (0, 0), (p.pad, p.pad), (p.pad, p.pad))) if p.pad else x
-    ho = conv_out_size(h, kh, s, p.pad)
-    wo = conv_out_size(w, kw, s, p.pad)
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::s, ::s]
+    ho, wo = h + 2 * p.pad - kh + 1, w + 2 * p.pad - kw + 1
+    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))
     cols = np.ascontiguousarray(win.transpose(1, 4, 5, 0, 2, 3)).reshape(c * kh * kw, n * ho * wo)
     wmat = p.weight.data.reshape(out_c, -1)
     out = (wmat @ cols + p.bias.data[:, None]).reshape(out_c, n, ho, wo).transpose(1, 0, 2, 3)
@@ -141,40 +132,37 @@ def conv2d_backward(dout: np.ndarray, cache) -> np.ndarray:
     cols, x_shape, p = cache
     n, c, h, w = x_shape
     out_c, _, kh, kw = p.weight.data.shape
-    s, pad = p.stride, p.pad
     _, _, ho, wo = dout.shape
     dmat = dout.transpose(1, 0, 2, 3).reshape(out_c, -1)
     wmat = p.weight.data.reshape(out_c, -1)
     p.bias.ensure_grad()[...] += dmat.sum(axis=1)
     p.weight.ensure_grad()[...] += (dmat @ cols.T).reshape(p.weight.data.shape)
     dc = (wmat.T @ dmat).reshape(c, kh, kw, n, ho, wo)
-    dxp = np.zeros((c, n, h + 2 * pad, w + 2 * pad))
+    dxp = np.zeros((c, n, h + 2 * p.pad, w + 2 * p.pad))
     for i in range(kh):
         for j in range(kw):
-            dxp[:, :, i : i + s * ho : s, j : j + s * wo : s] += dc[:, i, j]
-    return dxp[:, :, pad : pad + h, pad : pad + w].transpose(1, 0, 2, 3)
+            dxp[:, :, i : i + ho, j : j + wo] += dc[:, i, j]
+    return dxp[:, :, p.pad : p.pad + h, p.pad : p.pad + w].transpose(1, 0, 2, 3)
 
 
 # ---------------------------------------------------------------------------
 # pooling
 
 
-def maxpool2d(x: np.ndarray, window: int, stride: int):
-    """Max pooling with an argmax map; ties go to the lowest linear index."""
+def maxpool2d(x: np.ndarray, k: int):
+    """Non-overlapping k x k max pooling (window == stride) with an argmax
+    map; trailing rows and columns that fill no window are dropped, and ties
+    go to the lowest linear index."""
     n, c, h, w = x.shape
-    if window > h or window > w:
-        raise ShapeError(f"maxpool2d: window {window} exceeds input extent {x.shape}")
-    ho = (h - window) // stride + 1
-    wo = (w - window) // stride + 1
-    win = sliding_window_view(x, (window, window), axis=(2, 3))[:, :, ::stride, ::stride]
-    wins = np.ascontiguousarray(win).reshape(n, c, ho, wo, window * window)
+    if k > h or k > w:
+        raise ShapeError(f"maxpool2d: window {k} exceeds input extent {x.shape}")
+    ho, wo = h // k, w // k
+    wins = x[:, :, : ho * k, : wo * k].reshape(n, c, ho, k, wo, k).transpose(0, 1, 2, 4, 3, 5)
+    wins = wins.reshape(n, c, ho, wo, k * k)
     arg = wins.argmax(axis=-1)
     out = np.take_along_axis(wins, arg[..., None], axis=-1)[..., 0]
-    # flat indices into (h, w) of each winner, for gradient routing
-    oy, ox = np.meshgrid(np.arange(ho), np.arange(wo), indexing="ij")
-    rows = oy * stride + arg // window
-    cols_ = ox * stride + arg % window
-    flat = rows * w + cols_
+    # flat index into (h, w) of each winner, row * w + col, for gradient routing
+    flat = (np.arange(ho)[:, None] * k + arg // k) * w + np.arange(wo) * k + arg % k
     return out, (x.shape, flat)
 
 

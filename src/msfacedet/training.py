@@ -11,6 +11,7 @@ import numpy as np
 from .detector import assign_detection_targets
 from .model import MultiScaleDetector, ModelConfig
 from .rpn import (
+    DetectConfig,
     RpnTargets,
     TargetAssignmentError,
     assign_rpn_targets,
@@ -34,10 +35,6 @@ class TrainConfig:
     seed: int = 7
     loss_lambda: float = 1.0
     lr_drop: bool = False  # 10x learning-rate drop at 75% of the run
-    pre_nms_top_n: int = 2000
-    post_nms_top_n: int = 300
-    rpn_nms_thresh: float = 0.7
-    min_size: float = 4.0
 
     def validate(self):
         # each range is written so that NaN fails it
@@ -53,12 +50,6 @@ class TrainConfig:
             raise ValueError("seed must be non-negative")
         if not 0 <= self.loss_lambda < math.inf:
             raise ValueError("loss_lambda must be non-negative and finite")
-        if not (1 <= self.pre_nms_top_n < math.inf and 1 <= self.post_nms_top_n < math.inf):
-            raise ValueError("pre_nms_top_n and post_nms_top_n must be positive")
-        if not 0 < self.rpn_nms_thresh < 1:
-            raise ValueError(f"rpn_nms_thresh {self.rpn_nms_thresh} outside (0, 1)")
-        if not 0 <= self.min_size < math.inf:
-            raise ValueError("min_size must be non-negative and finite")
 
 
 def _head_loss(logits, deltas, labels, target_deltas, lam):
@@ -196,6 +187,7 @@ def train(
     scenes,
     cfg: TrainConfig,
     model_cfg: ModelConfig | None = None,
+    detect_cfg: DetectConfig | None = None,
     trace_every: int = 10,
     progress=None,
 ) -> TrainResult:
@@ -203,10 +195,13 @@ def train(
 
     Each iteration draws one scene from a reshuffled epoch order, forwards
     the shared backbone once, assigns proposal and region targets, and takes
-    one momentum-SGD step on all parameters.  Identical config and seed give
-    a bit-identical trace and checkpoint.
+    one momentum-SGD step on all parameters.  Proposals for the region head
+    are selected by ``detect_cfg`` (a :class:`DetectConfig`, default settings
+    when None), as at test time.  Identical config and seed give a
+    bit-identical trace and checkpoint.
     """
     cfg.validate()
+    detect_cfg = detect_cfg or DetectConfig()
     if not scenes:
         raise ValueError("training requires a non-empty dataset")
     for s in scenes:
@@ -232,17 +227,7 @@ def train(
         except TargetAssignmentError:
             skipped += 1
             continue
-        proposals = propose(
-            st.rpn_logits,
-            st.rpn_deltas,
-            st.anchors,
-            img_w,
-            img_h,
-            pre_nms_top_n=cfg.pre_nms_top_n,
-            post_nms_top_n=cfg.post_nms_top_n,
-            nms_thresh=cfg.rpn_nms_thresh,
-            min_size=cfg.min_size,
-        )
+        proposals = propose(st.rpn_logits, st.rpn_deltas, st.anchors, img_w, img_h, detect_cfg)
         boxes = [p.box for p in proposals] + list(scene.gt_boxes)
         rois = np.stack(boxes) if boxes else np.zeros((0, 4))
         det_t = assign_detection_targets(rois, scene.gt_boxes, rng)

@@ -1,12 +1,18 @@
+import inspect
 import math
-from dataclasses import fields
+from dataclasses import fields, is_dataclass, replace
 
 import pytest
 
+import msfacedet.evaluation
+import msfacedet.model
+import msfacedet.training
+from msfacedet import generate_toy_dataset
 from msfacedet.config import ConfigError, RunConfig, parse_run_config
-from msfacedet.evaluation import EvalConfig
+from msfacedet.evaluation import EvalConfig, evaluate_detector, proposal_recall
 from msfacedet.model import ModelConfig, MultiScaleDetector
-from msfacedet.training import TrainConfig
+from msfacedet.rpn import DetectConfig, propose
+from msfacedet.training import TrainConfig, train
 
 DEFAULTS = {
     "learning_rate": 1e-3,
@@ -47,13 +53,39 @@ class TestRunConfigKeys:
             assert type(got) is type(value), key
             assert got == value, key
 
+    def test_each_setting_is_declared_once(self):
+        components = [c for c in RunConfig.__mro__[1:] if is_dataclass(c)]
+        assert set(components) == {DetectConfig, TrainConfig, EvalConfig, ModelConfig}
+        names = [f.name for c in components for f in fields(c)]
+        assert len(names) == len(set(names))
+        detect_keys = {f.name for f in fields(DetectConfig)}
+        for fn in (propose, MultiScaleDetector.detect, train, evaluate_detector, proposal_recall):
+            assert not detect_keys & set(inspect.signature(fn).parameters), fn.__name__
+
+    def test_detect_config_reaches_propose_from_every_caller(self, monkeypatch):
+        seen = []
+
+        def recording_propose(*args):
+            seen.append(args[5])
+            return propose(*args)
+
+        for module in (msfacedet.training, msfacedet.model, msfacedet.evaluation):
+            monkeypatch.setattr(module, "propose", recording_propose)
+        cfg = DetectConfig(pre_nms_top_n=500, post_nms_top_n=20, rpn_nms_thresh=0.6, min_size=2.0, det_nms_thresh=0.4)
+        scenes = generate_toy_dataset(1, 64, (16, 32), seed=3)
+        model = train(scenes, TrainConfig(iterations=1), detect_cfg=cfg).model
+        proposal_recall(model, scenes, cfg)
+        evaluate_detector(model, scenes, detect_cfg=cfg)
+        assert seen == [cfg, cfg, replace(cfg, score_thresh=0.05)]
+
     def test_empty_text_gives_defaults(self):
         assert parse_run_config("# only a comment\n\n") == RunConfig()
 
     def test_component_configs_carry_the_values(self):
-        cfg = parse_run_config("iterations = 5\nseed = 3\niou_threshold = 0.4\nroi_pool_size = 5\n")
+        cfg = parse_run_config("iterations = 5\nseed = 3\niou_threshold = 0.4\nroi_pool_size = 5\nmin_size = 2\n")
         train_cfg, eval_cfg, model_cfg = cfg.train_config(), cfg.eval_config(), cfg.model_config()
         assert type(train_cfg) is TrainConfig and type(eval_cfg) is EvalConfig and type(model_cfg) is ModelConfig
+        assert cfg.detect_config() == DetectConfig(min_size=2.0)
         assert (train_cfg.iterations, train_cfg.seed) == (5, 3)
         assert train_cfg.learning_rate == DEFAULTS["learning_rate"]
         assert eval_cfg.iou_threshold == 0.4
@@ -149,7 +181,7 @@ def _numeric_fields(cls):
 
 
 @pytest.mark.parametrize(
-    "cls,key", [(cls, key) for cls in (ModelConfig, TrainConfig) for key in _numeric_fields(cls)]
+    "cls,key", [(cls, key) for cls in (ModelConfig, TrainConfig, DetectConfig) for key in _numeric_fields(cls)]
 )
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_component_config_rejects_non_finite_field(cls, key, bad):

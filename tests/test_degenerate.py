@@ -1,5 +1,8 @@
 """Degenerate inputs: flat images (the L2-norm eps path), a faceless scene,
-an image smaller than one stride-16 cell and proposal limits below one."""
+an image smaller than one stride-16 cell, proposal limits below one and
+other out-of-range detection settings."""
+
+import math
 
 import numpy as np
 import pytest
@@ -48,3 +51,19 @@ def test_detect_rejects_proposal_limits_below_one(limits):
     model = MultiScaleDetector(ModelConfig(), seed=0)
     with pytest.raises(ValueError, match="at least 1"):
         model.detect(np.full((1, 1, 64, 64), 0.6), 64, 64, score_thresh=0.0, **limits)
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("rpn_nms_thresh", math.nan),
+        ("score_thresh", math.nan),
+        ("det_nms_thresh", 1.5),
+        ("rpn_nms_thresh", 2.0),
+        ("min_size", -5.0),
+    ],
+)
+def test_detect_rejects_out_of_range_setting(key, value):
+    model = MultiScaleDetector(ModelConfig(), seed=0)
+    with pytest.raises(ValueError, match=key):
+        model.detect(np.full((1, 1, 64, 64), 0.6), 64, 64, **{key: value})

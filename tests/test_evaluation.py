@@ -1,12 +1,11 @@
-from msfacedet import ModelConfig, MultiScaleDetector, generate_toy_dataset
+from msfacedet import DetectConfig, ModelConfig, MultiScaleDetector, generate_toy_dataset
 from msfacedet.evaluation import evaluate_detector, proposal_recall
 
 
 def test_model_level_helpers():
     scenes = generate_toy_dataset(2, 64, (16, 32), seed=3)
     model = MultiScaleDetector(ModelConfig(), seed=0)
-    recalls = [proposal_recall(model, scenes, top_k=k) for k in (0, 5, 50, None)]
-    assert recalls[0] == 0.0
+    recalls = [proposal_recall(model, scenes, DetectConfig(post_nms_top_n=k)) for k in (1, 5, 50, 300)]
     assert recalls == sorted(recalls) and recalls[-1] <= 1.0
     report = evaluate_detector(model, scenes)
     assert report.overall.n_gt == sum(len(s.gt_boxes) for s in scenes)

@@ -4,6 +4,7 @@ import pytest
 from msfacedet.boxes import clip_boxes, decode_deltas, iou_matrix, nms
 from msfacedet.rpn import (
     RPN_POS_IOU,
+    DetectConfig,
     RpnHead,
     TargetAssignmentError,
     assign_rpn_targets,
@@ -53,8 +54,8 @@ class TestGenerateAnchors:
 def _head(rng, in_c=3, mid=4, k=2):
     return RpnHead(
         conv=make_conv(rng, mid, in_c, 3),
-        cls=make_conv(rng, 2 * k, mid, 1, pad=0),
-        bbox=make_conv(rng, 4 * k, mid, 1, pad=0),
+        cls=make_conv(rng, 2 * k, mid, 1),
+        bbox=make_conv(rng, 4 * k, mid, 1),
     )
 
 
@@ -117,7 +118,7 @@ class TestPropose:
         anchors = generate_anchors(2, 2, (1.0,), (1.0,), 16)
         logits = np.zeros((4, 2))
         deltas = np.zeros((4, 4))
-        props = propose(logits, deltas, anchors, 32, 32, nms_thresh=0.9)
+        props = propose(logits, deltas, anchors, 32, 32, DetectConfig(rpn_nms_thresh=0.9))
         got = np.stack([p.box for p in props])
         assert np.allclose(got, anchors)
 
@@ -125,33 +126,32 @@ class TestPropose:
         anchors = generate_anchors(2, 2, (1.0,), (1.0,), 16)
         logits = np.zeros((4, 2))
         logits[2, 1] = 5.0
-        props = propose(logits, np.zeros((4, 4)), anchors, 32, 32)
+        props = propose(logits, np.zeros((4, 4)), anchors, 32, 32, DetectConfig())
         assert np.allclose(props[0].box, anchors[2])
-        assert props[0].objectness > 0.9
+        assert props[0].score > 0.9
 
     def test_matches_compositional_reference(self):
         for seed in range(20):
             logits, deltas, anchors = self._inputs(seed)
-            props = propose(
-                logits, deltas, anchors, 100, 100, pre_nms_top_n=20, post_nms_top_n=10,
-                nms_thresh=0.5, min_size=4.0,
-            )
+            cfg = DetectConfig(pre_nms_top_n=20, post_nms_top_n=10, rpn_nms_thresh=0.5, min_size=4.0)
+            props = propose(logits, deltas, anchors, 100, 100, cfg)
             ref = reference_propose(logits, deltas, anchors, 100, 100, 20, 10, 0.5, 4.0)
             assert len(props) == len(ref)
             for p, (_, box, score) in zip(props, ref):
                 assert np.allclose(p.box, box)
-                assert p.objectness == pytest.approx(score)
+                assert p.score == pytest.approx(score)
 
     @pytest.mark.parametrize("post", [1, 5, 50, 10_000])
     def test_keep_budget_equals_full_nms_then_slice(self, post):
         capped = 0
         for seed in range(10):
             logits, deltas, anchors = self._inputs(100 + seed, a=400)
-            props = propose(logits, deltas, anchors, 100, 100, 300, post, 0.7, 4.0)
+            cfg = DetectConfig(pre_nms_top_n=300, post_nms_top_n=post, rpn_nms_thresh=0.7, min_size=4.0)
+            props = propose(logits, deltas, anchors, 100, 100, cfg)
             ref = reference_propose(logits, deltas, anchors, 100, 100, 300, post, 0.7, 4.0)
             full = reference_propose(logits, deltas, anchors, 100, 100, 300, 10_000, 0.7, 4.0)
             capped += len(full) > post
-            assert [(p.box.tobytes(), p.objectness) for p in props] == [
+            assert [(p.box.tobytes(), p.score) for p in props] == [
                 (box.tobytes(), float(score)) for _, box, score in ref
             ]
         assert capped == (0 if post == 10_000 else 10)
@@ -160,11 +160,11 @@ class TestPropose:
     def test_limits_below_one_rejected(self, pre, post):
         logits, deltas, anchors = self._inputs(7, a=6)
         with pytest.raises(ValueError, match="at least 1"):
-            propose(logits, deltas, anchors, 100, 100, pre_nms_top_n=pre, post_nms_top_n=post, nms_thresh=0.99)
+            propose(logits, deltas, anchors, 100, 100, DetectConfig(pre_nms_top_n=pre, post_nms_top_n=post))
 
     def test_respects_post_nms_cap_and_antichain(self):
         logits, deltas, anchors = self._inputs(99, a=120)
-        props = propose(logits, deltas, anchors, 100, 100, post_nms_top_n=15, nms_thresh=0.4)
+        props = propose(logits, deltas, anchors, 100, 100, DetectConfig(post_nms_top_n=15, rpn_nms_thresh=0.4))
         assert len(props) <= 15
         boxes = np.stack([p.box for p in props])
         m = iou_matrix(boxes, boxes)

@@ -13,7 +13,6 @@ from msfacedet.tensor import (
     Tensor,
     conv2d,
     conv2d_backward,
-    conv_out_size,
     fully_connected,
     make_conv,
     maxpool2d,
@@ -24,19 +23,17 @@ from msfacedet.tensor import (
 )
 
 
-def _conv(weight, bias, stride=1, pad=0):
-    return ConvParams(Tensor(weight, requires_grad=True), Tensor(bias, requires_grad=True), stride, pad)
+def _conv(weight, bias, pad=0):
+    return ConvParams(Tensor(weight, requires_grad=True), Tensor(bias, requires_grad=True), pad)
 
 
 def reference_conv2d(x, p):
     """Row-major im2col convolution: columns (N*Ho*Wo, C*kH*kW), output cols @ W.T."""
     n, c, h, w = x.shape
     out_c, _, kh, kw = p.weight.data.shape
-    s = p.stride
     xp = np.pad(x, ((0, 0), (0, 0), (p.pad, p.pad), (p.pad, p.pad)))
-    ho = conv_out_size(h, kh, s, p.pad)
-    wo = conv_out_size(w, kw, s, p.pad)
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::s, ::s]
+    ho, wo = h + 2 * p.pad - kh + 1, w + 2 * p.pad - kw + 1
+    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))
     cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(n * ho * wo, c * kh * kw)
     out = (cols @ p.weight.data.reshape(out_c, -1).T + p.bias.data).reshape(n, ho, wo, out_c).transpose(0, 3, 1, 2)
     return out, cols
@@ -46,7 +43,7 @@ def reference_conv2d_backward(dout, x_shape, cols, p):
     """Gradients (dx, dW, db) of the row-major form, by scatter over kernel offsets."""
     n, c, h, w = x_shape
     out_c, _, kh, kw = p.weight.data.shape
-    s, pad = p.stride, p.pad
+    pad = p.pad
     _, _, ho, wo = dout.shape
     dmat = np.ascontiguousarray(dout.transpose(0, 2, 3, 1)).reshape(-1, out_c)
     db = dmat.sum(axis=0)
@@ -55,15 +52,12 @@ def reference_conv2d_backward(dout, x_shape, cols, p):
     dxp = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
     for i in range(kh):
         for j in range(kw):
-            dxp[:, :, i : i + s * ho : s, j : j + s * wo : s] += dc[:, :, :, :, i, j]
+            dxp[:, :, i : i + ho, j : j + wo] += dc[:, :, :, :, i, j]
     return dxp[:, :, pad : pad + h, pad : pad + w], dw, db
 
 
-def _random_conv(rng, out_c, in_c, k, stride, pad):
-    p = make_conv(rng, out_c, in_c, k, stride=stride, pad=pad)
-    p.weight.data[...] = rng.standard_normal(p.weight.data.shape)
-    p.bias.data[...] = rng.standard_normal(p.bias.data.shape)
-    return p
+def _random_conv(rng, out_c, in_c, k, pad):
+    return _conv(rng.standard_normal((out_c, in_c, k, k)), rng.standard_normal(out_c), pad)
 
 
 def _conv_gradient_error(rng, x, p):
@@ -78,14 +72,14 @@ def _conv_gradient_error(rng, x, p):
     )
 
 
-# (x shape, out channels, kernel, stride, pad): backbone 3x3 convs at 128 px,
-# the 1x1 ROI shrink over 300 pooled regions, and a strided batch
+# (x shape, out channels, kernel, pad): backbone 3x3 convs at 128 px, the
+# 1x1 ROI shrink over 300 pooled regions, and a 3x3 batch
 CONV_CASES = [
-    ((1, 1, 128, 128), 8, 3, 1, 1),
-    ((1, 32, 16, 16), 64, 3, 1, 1),
-    ((1, 64, 8, 8), 64, 3, 1, 1),
-    ((300, 160, 7, 7), 64, 1, 1, 0),
-    ((2, 3, 9, 8), 4, 3, 2, 1),
+    ((1, 1, 128, 128), 8, 3, 1),
+    ((1, 32, 16, 16), 64, 3, 1),
+    ((1, 64, 8, 8), 64, 3, 1),
+    ((300, 160, 7, 7), 64, 1, 0),
+    ((2, 3, 9, 8), 4, 3, 1),
 ]
 
 
@@ -93,13 +87,13 @@ class TestConv2d:
     def test_same_size_padding(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((1, 1, 8, 8))
-        p = make_conv(rng, 4, 1, 3, stride=1, pad=1)
+        p = make_conv(rng, 4, 1, 3)
         out, _ = conv2d(x, p)
         assert out.shape == (1, 4, 8, 8)
 
     def test_zero_weights_give_zero_output(self):
         x = np.random.default_rng(1).standard_normal((2, 3, 6, 6))
-        p = _conv(np.zeros((5, 3, 3, 3)), np.zeros(5), 1, 1)
+        p = _conv(np.zeros((5, 3, 3, 3)), np.zeros(5), 1)
         out, _ = conv2d(x, p)
         assert np.all(out == 0.0)
 
@@ -111,7 +105,7 @@ class TestConv2d:
 
     def test_linearity_in_input(self):
         rng = np.random.default_rng(2)
-        p = make_conv(rng, 3, 2, 3, stride=1, pad=1)
+        p = make_conv(rng, 3, 2, 3)
         p.weight.data[...] = rng.standard_normal(p.weight.data.shape)
         x = rng.standard_normal((1, 2, 7, 7))
         y = rng.standard_normal((1, 2, 7, 7))
@@ -125,39 +119,36 @@ class TestConv2d:
         h=st.integers(3, 12),
         w=st.integers(3, 12),
         k=st.sampled_from([1, 3, 5]),
-        stride=st.integers(1, 3),
         pad=st.integers(0, 2),
     )
     @settings(max_examples=40, deadline=None)
-    def test_shape_algebra(self, h, w, k, stride, pad):
+    def test_shape_algebra(self, h, w, k, pad):
         if h + 2 * pad < k or w + 2 * pad < k:
             return
         x = np.zeros((1, 2, h, w))
-        p = _conv(np.zeros((3, 2, k, k)), np.zeros(3), stride, pad)
+        p = _conv(np.zeros((3, 2, k, k)), np.zeros(3), pad)
         out, _ = conv2d(x, p)
-        assert out.shape == (1, 3, conv_out_size(h, k, stride, pad), conv_out_size(w, k, stride, pad))
+        assert out.shape == (1, 3, h + 2 * pad - k + 1, w + 2 * pad - k + 1)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((1, 2, 5, 5))
-        p = make_conv(rng, 3, 2, 3, stride=1, pad=1)
+        p = make_conv(rng, 3, 2, 3)
         p.weight.data[...] = rng.standard_normal(p.weight.data.shape)
         assert _conv_gradient_error(rng, x, p) <= 1e-4
 
-    @pytest.mark.parametrize(
-        "x_shape,k,stride,pad", [((2, 2, 5, 5), 3, 1, 1), ((2, 2, 7, 6), 3, 2, 1), ((2, 3, 4, 5), 1, 1, 0)]
-    )
-    def test_batched_strided_and_1x1_gradients_match_finite_differences(self, x_shape, k, stride, pad):
+    @pytest.mark.parametrize("x_shape,k,pad", [((2, 2, 5, 5), 3, 1), ((2, 3, 4, 5), 1, 0)])
+    def test_batched_and_1x1_gradients_match_finite_differences(self, x_shape, k, pad):
         rng = np.random.default_rng(3)
         x = rng.standard_normal(x_shape)
-        p = _random_conv(rng, 3, x_shape[1], k, stride, pad)
+        p = _random_conv(rng, 3, x_shape[1], k, pad)
         assert _conv_gradient_error(rng, x, p) <= 1e-4
 
-    @pytest.mark.parametrize("x_shape,out_c,k,stride,pad", CONV_CASES)
-    def test_matches_row_major_reference(self, x_shape, out_c, k, stride, pad):
+    @pytest.mark.parametrize("x_shape,out_c,k,pad", CONV_CASES)
+    def test_matches_row_major_reference(self, x_shape, out_c, k, pad):
         rng = np.random.default_rng(4)
         x = rng.standard_normal(x_shape)
-        p = _random_conv(rng, out_c, x_shape[1], k, stride, pad)
+        p = _random_conv(rng, out_c, x_shape[1], k, pad)
         out, cache = conv2d(x, p)
         ref_out, ref_cols = reference_conv2d(x, p)
         dout = rng.standard_normal(out.shape)
@@ -170,42 +161,62 @@ class TestConv2d:
 
     def test_single_image_output_is_c_contiguous(self):
         rng = np.random.default_rng(5)
-        out, _ = conv2d(rng.standard_normal((1, 4, 6, 7)), _random_conv(rng, 5, 4, 3, 1, 1))
+        out, _ = conv2d(rng.standard_normal((1, 4, 6, 7)), _random_conv(rng, 5, 4, 3, 1))
         assert out.shape == (1, 5, 6, 7)
         assert out.flags.c_contiguous
 
 
+def reference_maxpool2d(x, k):
+    """k x k pooling at stride k over gathered sliding windows."""
+    n, c, h, w = x.shape
+    ho, wo = (h - k) // k + 1, (w - k) // k + 1
+    win = sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::k, ::k]
+    wins = np.ascontiguousarray(win).reshape(n, c, ho, wo, k * k)
+    arg = wins.argmax(axis=-1)
+    oy, ox = np.meshgrid(np.arange(ho), np.arange(wo), indexing="ij")
+    return wins.max(axis=-1), (oy * k + arg // k) * w + ox * k + arg % k
+
+
 class TestMaxPool:
+    @pytest.mark.parametrize("shape,k", [((1, 8, 256, 256), 2), ((1, 32, 64, 64), 4), ((1, 3, 7, 9), 2)])
+    def test_matches_sliding_window_reference(self, shape, k):
+        rng = np.random.default_rng(6)
+        for x in (rng.standard_normal(shape), rng.integers(0, 3, size=shape).astype(np.float64)):
+            out, (_, flat) = maxpool2d(x, k)
+            ref_out, ref_flat = reference_maxpool2d(x, k)
+            assert out.tobytes() == ref_out.tobytes()
+            assert flat.tobytes() == ref_flat.tobytes()
+
     def test_two_by_two(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2)
-        out, _ = maxpool2d(x, 2, 2)
+        out, _ = maxpool2d(x, 2)
         assert out.reshape(-1).tolist() == [4.0]
 
     def test_tie_routes_to_first_element(self):
         x = np.full((1, 1, 4, 4), 2.5)
-        out, (shape, flat) = maxpool2d(x, 2, 2)
+        out, (shape, flat) = maxpool2d(x, 2)
         assert np.all(out == 2.5)
         # winner of each window is its lowest linear index
         assert flat.reshape(-1).tolist() == [0, 2, 8, 10]
 
     def test_window_too_large_rejected(self):
         with pytest.raises(ShapeError):
-            maxpool2d(np.zeros((1, 1, 3, 3)), 4, 1)
+            maxpool2d(np.zeros((1, 1, 3, 3)), 4)
 
     def test_gradcheck_away_from_ties(self):
         rng = np.random.default_rng(4)
         x = (rng.permutation(1 * 3 * 6 * 6) * 0.01).reshape(1, 3, 6, 6)
-        out, cache = maxpool2d(x, 2, 2)
+        out, cache = maxpool2d(x, 2)
         proj = rng.standard_normal(out.shape)
         dx = maxpool2d_backward(proj, cache)
-        err = finite_difference_check(lambda: float((maxpool2d(x, 2, 2)[0] * proj).sum()), [x], [dx])
+        err = finite_difference_check(lambda: float((maxpool2d(x, 2)[0] * proj).sum()), [x], [dx])
         assert err <= 1e-4
 
-    @pytest.mark.parametrize("window,stride", [(2, 2), (3, 1)])
-    def test_backward_matches_add_at(self, window, stride):
+    @pytest.mark.parametrize("window", [2, 3])
+    def test_backward_matches_add_at(self, window):
         rng = np.random.default_rng(5)
         x = np.maximum(rng.standard_normal((2, 3, 7, 7)), 0.0)  # tied zeros
-        out, cache = maxpool2d(x, window, stride)
+        out, cache = maxpool2d(x, window)
         dout = rng.standard_normal(out.shape)
         ref = np.zeros((6, 49))
         np.add.at(ref, (np.arange(6)[:, None], cache[1].reshape(6, -1)), dout.reshape(6, -1))
