@@ -187,7 +187,7 @@ def check_smooth_l1(seed: int) -> float:
 
 def check_l2norm_scale(seed: int) -> float:
     rng = np.random.default_rng(seed)
-    x = _away_from_zero(rng, (1, 4, 3, 3))
+    x = _away_from_zero(rng, (4, 1, 9))
     gamma = make_l2norm(4, gamma_init=1.0)
     gamma.data[...] = rng.uniform(0.5, 3.0, size=4)
     return _projected_check(
@@ -197,7 +197,7 @@ def check_l2norm_scale(seed: int) -> float:
 
 def check_concat_shrink(seed: int) -> float:
     rng = np.random.default_rng(seed)
-    maps = [rng.standard_normal((1, c, 3, 3)) for c in (2, 3, 4)]
+    maps = [rng.standard_normal((c, 1, 9)) for c in (2, 3, 4)]
     shrink = make_conv(rng, 4, 9, 1)
     shrink.weight.data[...] = rng.standard_normal(shrink.weight.data.shape)
     return _projected_check(
@@ -214,9 +214,9 @@ def check_roi_pool(seed: int) -> float:
     fmap = _distinct(rng, (3, 8, 8))
     roi = np.array([3.0, 2.0, 29.0, 27.0])
 
-    def backward(projs, argmax):
+    def backward(projs, cache):
         dmap = np.zeros_like(fmap)
-        roi_pool_backward(projs[0], argmax, dmap)
+        roi_pool_backward(projs[0], cache, dmap)
         return [dmap]
 
     return _projected_check(rng, lambda: roi_pool(fmap, roi[None], 4, 3), backward, [fmap])

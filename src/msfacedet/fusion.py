@@ -8,6 +8,12 @@ Both branches run that step after their own spatial synchronization:
 downsample pooling for the dense branch, ROI pooling for the per-region
 branch.  The single-tap ablation runs the same code over the stride-16
 tap alone, without a norm.
+
+The fusion step takes channel-major parts ``(C, N, HW)``: a dense
+``(1, C, H, W)`` tap reshapes to that for free and :func:`roi_pool` writes
+``(C, R, p*p)``.  The normed parts fill one ``(sum C, N*HW)`` matrix, so the
+shrink is one matmul.  Max pooling builds its gradient routing only in the
+backward pass, from the input and gather geometry its cache holds.
 """
 
 from __future__ import annotations
@@ -17,7 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boxes import project_roi
-from .tensor import (
+
+# conv2d and conv2d_backward are not called here, but benchmark/tracer.py
+# wraps them at this module's names
+from .tensor import (  # noqa: F401
     ConvParams,
     ShapeError,
     Tensor,
@@ -45,29 +54,32 @@ def make_l2norm(channels: int, gamma_init: float = 10.0) -> Tensor:
     return Tensor(np.full(channels, gamma_init), requires_grad=True)
 
 
-def l2norm_scale(x: np.ndarray, gamma: Tensor):
-    """Normalize every channel vector to unit L2 norm, then scale by gamma.
+def l2norm_scale(x: np.ndarray, gamma: Tensor, out: np.ndarray | None = None):
+    """Normalize every channel vector of a (C, N, HW) part to unit L2 norm,
+    then scale by gamma, into ``out`` (also the scratch space) when given.
 
-    At each (n, h, w) the C-vector v becomes gamma * v / sqrt(|v|^2 + eps^2),
+    At each (n, hw) the C-vector v becomes gamma * v / sqrt(|v|^2 + eps^2),
     so activation magnitude differences between feature maps are removed
     before fusion and gamma alone sets the contribution of each channel.
+    The channel sum runs over the outer axis, so it adds channels in order.
     """
-    c = x.shape[1]
+    c = x.shape[0]
     g = gamma.data
     if g.shape != (c,):
         raise ShapeError(f"l2norm_scale: gamma {g.shape} for {c}-channel input {x.shape}")
-    s = np.sqrt((x * x).sum(axis=1, keepdims=True) + L2NORM_EPS * L2NORM_EPS)
-    xn = x / s
-    y = g[None, :, None, None] * xn
-    return y, (x, s, xn, gamma)
+    y = np.multiply(x, x, out=out)
+    s = np.sqrt(y.sum(axis=0) + L2NORM_EPS * L2NORM_EPS)
+    np.divide(x, s, out=y)
+    return np.multiply(y, g[:, None, None], out=y), (x, s, gamma)
 
 
 def l2norm_scale_backward(dout: np.ndarray, cache) -> np.ndarray:
-    x, s, xn, gamma = cache
-    g = gamma.data
-    gamma.ensure_grad()[...] += (dout * xn).sum(axis=(0, 2, 3))
-    gd = dout * g[None, :, None, None]
-    dot = (gd * x).sum(axis=1, keepdims=True)
+    x, s, gamma = cache
+    # sum each (c, n) plane, then the planes in n order
+    planes = (dout * (x / s)).sum(axis=2)
+    gamma.ensure_grad()[...] += np.ascontiguousarray(planes.T).sum(axis=0)
+    gd = dout * gamma.data[:, None, None]
+    dot = (gd * x).sum(axis=0)
     return gd / s - x * (dot / (s * s * s))
 
 
@@ -94,30 +106,47 @@ def sync_downsample_backward(dout: np.ndarray, cache) -> np.ndarray:
 
 
 def concat_shrink(parts, names, norms, shrink: ConvParams):
-    """The fusion step: norm each named part that has a norm in ``norms``,
-    concatenate along channels in the given order, then 1x1-convolve."""
-    hw = {m.shape[2:] for m in parts}
-    if len(hw) != 1:
-        sizes = ", ".join(f"{n}={m.shape[2:]}" for n, m in zip(names, parts))
-        raise ShapeError(f"concat_shrink: spatial sizes differ: {sizes}")
-    normed, norm_caches = [], []
-    for name, x in zip(names, parts):
+    """The fusion step on channel-major (C_i, N, HW) parts: norm each named
+    part that has a norm in ``norms``, stack the parts along channels in the
+    given order, then apply the 1x1 shrink.  Returns (outC, N, HW)."""
+    sizes = {m.shape[1:] for m in parts}
+    if len(sizes) != 1:
+        desc = ", ".join(f"{n}={m.shape[1:]}" for n, m in zip(names, parts))
+        raise ShapeError(f"concat_shrink: spatial sizes differ: {desc}")
+    w = shrink.weight.data
+    wmat = w.reshape(w.shape[0], -1)
+    shapes = [m.shape for m in parts]
+    z = np.empty((sum(sh[0] for sh in shapes), parts[0][0].size))  # (sum C, N*HW)
+    if wmat.shape[1] != z.shape[0]:
+        raise ShapeError(f"concat_shrink: {z.shape[0]} channels for shrink weight {w.shape}")
+    norm_caches = []
+    for name, x, rows in zip(names, parts, _row_blocks(z, shapes)):
         nc = None
         if name in norms:
-            x, nc = l2norm_scale(x, norms[name])
-        normed.append(x)
+            _, nc = l2norm_scale(x, norms[name], out=rows)
+        else:
+            rows[...] = x
         norm_caches.append(nc)
-    out, conv_cache = conv2d(np.concatenate(normed, axis=1), shrink)
-    splits = [m.shape[1] for m in parts]
-    return out, (conv_cache, norm_caches, splits)
+    out = wmat @ z
+    out += shrink.bias.data[:, None]
+    return out.reshape(-1, *shapes[0][1:]), (z, shapes, norm_caches, shrink)
 
 
 def concat_shrink_backward(dout: np.ndarray, cache):
-    """Gradient of each part, through the shrink and the part's norm."""
-    conv_cache, norm_caches, splits = cache
-    dz = conv2d_backward(dout, conv_cache)
-    dparts = np.split(dz, np.cumsum(splits)[:-1], axis=1)
-    return [d if nc is None else l2norm_scale_backward(d, nc) for d, nc in zip(dparts, norm_caches)]
+    """Gradient of each (C_i, N, HW) part from a channel-major (outC, N, ...)
+    output gradient, through the shrink and the part's norm."""
+    z, shapes, norm_caches, shrink = cache
+    w = shrink.weight.data
+    dmat = dout.reshape(w.shape[0], -1)
+    shrink.bias.ensure_grad()[...] += dmat.sum(axis=1)
+    shrink.weight.ensure_grad()[...] += (dmat @ z.T).reshape(w.shape)
+    dz = w.reshape(w.shape[0], -1).T @ dmat
+    return [d if nc is None else l2norm_scale_backward(d, nc) for d, nc in zip(_row_blocks(dz, shapes), norm_caches)]
+
+
+def _row_blocks(mat: np.ndarray, shapes):
+    """Consecutive row blocks of a (sum C, N*HW) matrix as (C, N, HW) views."""
+    return [b.reshape(sh) for b, sh in zip(np.split(mat, np.cumsum([sh[0] for sh in shapes])[:-1]), shapes)]
 
 
 def _partition(extent: int, p: int):
@@ -167,17 +196,16 @@ def _cell_gather(h_ext: int, w_ext: int, map_w: int, p: int):
 
 
 def roi_pool(fmap: np.ndarray, rois: np.ndarray, stride: int, p: int):
-    """Max-pool an (R, 4) stack of image-space ROIs into fixed (R, C, p, p) grids.
+    """Max-pool an (R, 4) stack of image-space ROIs into a (C, R, p*p) stack.
 
     Each ROI is projected onto the feature grid of one (C, H, W) map (at
     least one cell per side), partitioned into p x p near-equal cells, and
-    each cell takes the channel-wise max; ties go to the first candidate in
-    row-major order, as with ``argmax``.  Returns (out, argmax) where argmax
-    holds flat (h*w) source indices for gradient routing.
-
-    ROIs are pooled together in buckets of equal padded cell length L: one
-    gather per candidate position from a channels-last copy of the map and
-    a strict-greater scan that keeps the first maximum and its index.
+    each cell takes the channel-wise max.  Returns (out, cache); the cache
+    holds a channels-last copy of the map, ``out`` and the candidate indices
+    of each bucket of ROIs with equal padded cell length L.  Per bucket, one
+    gather per candidate feeds one ``np.fmax``, which skips NaN; a NaN first
+    candidate is put back, so the values are those of a strict-greater scan
+    keeping the first max.
     """
     c, h, w = fmap.shape
     x1, y1, x2, y2 = project_roi(rois, stride)
@@ -189,58 +217,62 @@ def roi_pool(fmap: np.ndarray, rois: np.ndarray, stride: int, p: int):
     lengths = np.array([rel.shape[1] for rel in rels], dtype=np.int64)
     origins = y1 * w + x1
     rows = np.ascontiguousarray(fmap.reshape(c, h * w).T)  # (h*w, c)
-    r = len(rels)
-    # C-contiguous NCHW, like the dense taps conv2d returns: every
-    # l2norm_scale input then sums its channels sequentially, and a
-    # channels-last layout would sum them pairwise to different bits
-    out = np.empty((r, c, p * p))
-    argmax = np.empty((r, c, p * p), dtype=np.int64)
+    has_nan = np.isnan(rows).any()
+    out = np.empty((c, len(rels), p * p))
+    buckets = []
     for length in np.unique(lengths).tolist():
         members = np.flatnonzero(lengths == length)
         # (L, m, p*p): candidate l of every cell of every member ROI
         idx = np.stack([rels[i].T for i in members], axis=1) + origins[members][:, None]
         best = rows[idx[0]]  # (m, p*p, c)
-        arg = np.repeat(idx[0][..., None], c, axis=2)
         for cand in idx[1:]:
-            vals = rows[cand]
-            win = vals > best
-            np.copyto(best, vals, where=win)
-            np.copyto(arg, cand[..., None], where=win)
-        out[members] = best.transpose(0, 2, 1)
-        argmax[members] = arg.transpose(0, 2, 1)
-    return out.reshape(r, c, p, p), argmax.reshape(r, c, p, p)
+            np.fmax(best, rows[cand], out=best)
+        if has_nan:
+            np.copyto(best, rows[idx[0]], where=np.isnan(rows[idx[0]]))
+        out[:, members] = best.transpose(2, 0, 1)
+        buckets.append((members, idx))
+    return out, (rows, out, buckets)
 
 
-def roi_pool_backward(dout: np.ndarray, argmax: np.ndarray, dmap: np.ndarray):
-    """Scatter-add an (R, C, p, p) pooled-gradient stack back to the argmax
-    source positions of one (C, H, W) map.
+def roi_pool_backward(dout: np.ndarray, cache, dmap: np.ndarray):
+    """Scatter-add a (C, R, p*p) pooled-gradient stack into the (C, H, W) ``dmap``.
 
-    One ``np.bincount`` over (channel, position) indices sums each
-    position's contributions in (R, C, p*p) order, the order ``np.add.at``
-    uses.  Into a zero ``dmap`` the result equals ``np.add.at``'s bit for
-    bit; ``pipeline_loss`` keeps that condition by running the per-region
-    backward first, into fresh zero tap gradients.
+    A reverse scan over the candidates routes each cell to its first
+    candidate equal to the pooled max, or to candidate 0 when none is (a NaN
+    max): the cell the strict-greater scan kept.  One ``np.bincount`` then
+    sums each position's contributions in (R, p*p) order per channel, as
+    ``np.add.at`` does on an (R, C, p*p) stack, so into a zero ``dmap`` the
+    two agree bit for bit; ``pipeline_loss`` keeps that condition by running
+    the per-region backward first, into fresh zero tap gradients.
     """
-    c = dmap.shape[0]
-    hw = dmap[0].size
-    lin = argmax.reshape(argmax.shape[0], c, -1) + (np.arange(c) * hw)[:, None]
+    rows, out, buckets = cache
+    hw, c = rows.shape
+    src = np.empty(out.shape, dtype=np.int64)
+    for members, idx in buckets:
+        best = np.ascontiguousarray(out[:, members].transpose(1, 2, 0))  # (m, p*p, c)
+        arg = np.repeat(idx[0][..., None], c, axis=2)
+        for cand in idx[::-1]:
+            np.copyto(arg, cand[..., None], where=rows[cand] == best)
+        src[:, members] = arg.transpose(2, 0, 1)
+    lin = src + (np.arange(c) * hw)[:, None, None]
     dmap += np.bincount(lin.ravel(), weights=dout.ravel(), minlength=c * hw).reshape(dmap.shape)
 
 
 def ms_roi_pool_batch(taps, rois: np.ndarray, norms, shrink: ConvParams, p: int):
     """Fixed-size fused descriptors (R, shrink_out, p, p) for an (R, 4) ROI stack.
 
-    Each tap pools the whole stack at its own stride to (R, C_i, p, p), then
+    Each tap pools the whole stack at its own stride to (C_i, R, p*p), then
     the pooled taps go through the fusion step, so the output shape does not
     depend on ROI size.
     """
     pools = [roi_pool(tap.map[0], rois, tap.stride, p) for tap in taps]
     out, fuse_cache = concat_shrink([po for po, _ in pools], [t.name for t in taps], norms, shrink)
-    return out, (taps, [am for _, am in pools], fuse_cache)
+    return out.reshape(-1, len(rois), p, p).transpose(1, 0, 2, 3), (taps, [pc for _, pc in pools], fuse_cache)
 
 
 def ms_roi_pool_batch_backward(dout: np.ndarray, cache, tap_grads: dict):
     """Backprop through the fusion step and pooling; adds into ``tap_grads``."""
-    taps, argmaxes, fuse_cache = cache
-    for tap, am, dpart in zip(taps, argmaxes, concat_shrink_backward(dout, fuse_cache)):
-        roi_pool_backward(dpart, am, tap_grads[tap.name][0])
+    taps, pool_caches, fuse_cache = cache
+    dparts = concat_shrink_backward(dout.transpose(1, 0, 2, 3), fuse_cache)
+    for tap, pc, dpart in zip(taps, pool_caches, dparts):
+        roi_pool_backward(dpart, pc, tap_grads[tap.name][0])

@@ -219,14 +219,17 @@ class MultiScaleDetector:
             d, dc = sync_downsample(tap, TAP_STRIDES["tap5"])
             maps.append(d)
             caches.append(dc)
-        fused, fuse_cache = concat_shrink(maps, self.fused_taps, self.norms, self.shrink)
-        return fused, (caches, fuse_cache)
+        n, _, h, w = maps[0].shape
+        parts = [m.transpose(1, 0, 2, 3).reshape(m.shape[1], n, -1) for m in maps]  # a view when n == 1
+        fused, fuse_cache = concat_shrink(parts, self.fused_taps, self.norms, self.shrink)
+        return fused.reshape(-1, n, h, w).transpose(1, 0, 2, 3), (caches, fuse_cache)
 
     def fused_map_backward(self, dfused: np.ndarray, cache, tap_grads: dict):
         caches, fuse_cache = cache
-        parts = concat_shrink_backward(dfused, fuse_cache)
+        n, _, h, w = dfused.shape
+        parts = concat_shrink_backward(dfused.transpose(1, 0, 2, 3), fuse_cache)
         for name, dc, dpart in zip(self.fused_taps, caches, parts):
-            tap_grads[name] += sync_downsample_backward(dpart, dc)
+            tap_grads[name] += sync_downsample_backward(dpart.reshape(-1, n, h, w).transpose(1, 0, 2, 3), dc)
 
     # ------------------------------------------------------------------
     # per-region branch

@@ -4,6 +4,7 @@ and anchor-to-ground-truth target assignment."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,10 +28,11 @@ class DetectConfig:
     det_nms_thresh: float = 0.3
 
     def validate(self):
-        # each range is written so that NaN fails it
-        if not (1 <= self.pre_nms_top_n < math.inf and 1 <= self.post_nms_top_n < math.inf):
+        # each range is written so that NaN fails it; the limits are slice bounds
+        limits = (self.pre_nms_top_n, self.post_nms_top_n)
+        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1 for v in limits):
             raise ValueError(
-                f"pre_nms_top_n ({self.pre_nms_top_n}) and post_nms_top_n ({self.post_nms_top_n}) must be at least 1"
+                f"pre_nms_top_n ({limits[0]}) and post_nms_top_n ({limits[1]}) must be integers of at least 1"
             )
         if not 0 < self.rpn_nms_thresh < 1:
             raise ValueError(f"rpn_nms_thresh {self.rpn_nms_thresh} outside (0, 1)")

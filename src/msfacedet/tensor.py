@@ -150,27 +150,30 @@ def conv2d_backward(dout: np.ndarray, cache) -> np.ndarray:
 
 
 def maxpool2d(x: np.ndarray, k: int):
-    """Non-overlapping k x k max pooling (window == stride) with an argmax
-    map; trailing rows and columns that fill no window are dropped, and ties
-    go to the lowest linear index."""
+    """Non-overlapping k x k max pooling (window == stride) by in-place
+    ``np.maximum`` over k*k strided views; trailing rows and columns that
+    fill no window are dropped.  The cache holds ``x``: the gradient routing
+    (ties to the lowest linear index) is built only by the backward."""
     n, c, h, w = x.shape
     if k > h or k > w:
         raise ShapeError(f"maxpool2d: window {k} exceeds input extent {x.shape}")
     ho, wo = h // k, w // k
-    wins = x[:, :, : ho * k, : wo * k].reshape(n, c, ho, k, wo, k).transpose(0, 1, 2, 4, 3, 5)
-    wins = wins.reshape(n, c, ho, wo, k * k)
-    arg = wins.argmax(axis=-1)
-    out = np.take_along_axis(wins, arg[..., None], axis=-1)[..., 0]
-    # flat index into (h, w) of each winner, row * w + col, for gradient routing
-    flat = (np.arange(ho)[:, None] * k + arg // k) * w + np.arange(wo) * k + arg % k
-    return out, (x.shape, flat)
+    out = x[:, :, : ho * k : k, : wo * k : k].copy()
+    for i, j in list(np.ndindex(k, k))[1:]:
+        np.maximum(out, x[:, :, i : ho * k : k, j : wo * k : k], out=out)
+    return out, (x, k)
 
 
 def maxpool2d_backward(dout: np.ndarray, cache) -> np.ndarray:
-    x_shape, flat = cache
-    n, c, h, w = x_shape
+    x, k = cache
+    n, c, h, w = x.shape
+    ho, wo = h // k, w // k
+    wins = x[:, :, : ho * k, : wo * k].reshape(n, c, ho, k, wo, k).transpose(0, 1, 2, 4, 3, 5)
+    arg = wins.reshape(n, c, ho, wo, k * k).argmax(axis=-1)
+    # flat index into (h, w) of each winner, row * w + col
+    flat = (np.arange(ho)[:, None] * k + arg // k) * w + np.arange(wo) * k + arg % k
     lin = flat.reshape(n * c, -1) + (np.arange(n * c) * (h * w))[:, None]
-    return np.bincount(lin.ravel(), weights=dout.ravel(), minlength=n * c * h * w).reshape(x_shape)
+    return np.bincount(lin.ravel(), weights=dout.ravel(), minlength=n * c * h * w).reshape(x.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Degenerate inputs: flat images (the L2-norm eps path), a faceless scene,
-an image smaller than one stride-16 cell, proposal limits below one and
-other out-of-range detection settings."""
+an image smaller than one stride-16 cell, proposal limits below one or not
+integers and other out-of-range detection settings."""
 
 import math
 
@@ -51,6 +51,24 @@ def test_detect_rejects_proposal_limits_below_one(limits):
     model = MultiScaleDetector(ModelConfig(), seed=0)
     with pytest.raises(ValueError, match="at least 1"):
         model.detect(np.full((1, 1, 64, 64), 0.6), 64, 64, score_thresh=0.0, **limits)
+
+
+@pytest.mark.parametrize(
+    "limits",
+    [{"pre_nms_top_n": 2.5}, {"post_nms_top_n": 2.5}, {"pre_nms_top_n": True}, {"post_nms_top_n": True}],
+)
+def test_detect_rejects_non_integer_proposal_limits(limits):
+    model = MultiScaleDetector(ModelConfig(), seed=0)
+    with pytest.raises(ValueError, match="integers of at least 1"):
+        model.detect(np.full((1, 1, 64, 64), 0.6), 64, 64, score_thresh=0.0, **limits)
+
+
+def test_detect_accepts_numpy_integer_proposal_limits():
+    model = MultiScaleDetector(ModelConfig(), seed=0)
+    image = np.full((1, 1, 64, 64), 0.6)
+    dets = model.detect(image, 64, 64, score_thresh=0.0, pre_nms_top_n=np.int64(40), post_nms_top_n=np.int32(5))
+    ref = model.detect(image, 64, 64, score_thresh=0.0, pre_nms_top_n=40, post_nms_top_n=5)
+    assert [d.score for d in dets] == [d.score for d in ref]
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from msfacedet.fusion import (
+    L2NORM_EPS,
     TAP_ORDER,
     FeatureTap,
     _axis_gather,
@@ -10,11 +11,15 @@ from msfacedet.fusion import (
     l2norm_scale,
     make_l2norm,
     ms_roi_pool_batch,
+    ms_roi_pool_batch_backward,
     roi_pool,
     roi_pool_backward,
     sync_downsample,
+    sync_downsample_backward,
 )
-from msfacedet.tensor import ConvParams, ShapeError, Tensor
+from msfacedet.model import TAP_STRIDES, ModelConfig, MultiScaleDetector
+from msfacedet.tensor import ConvParams, ShapeError, Tensor, conv2d, conv2d_backward
+from msfacedet.toydata import generate_toy_dataset
 
 
 def make_taps(rng, size=32, channels=(2, 3, 4)):
@@ -27,23 +32,23 @@ def make_taps(rng, size=32, channels=(2, 3, 4)):
 
 class TestL2NormScale:
     def test_three_four_five(self):
-        x = np.array([3.0, 4.0]).reshape(1, 2, 1, 1)
+        x = np.array([3.0, 4.0]).reshape(2, 1, 1)
         gamma = make_l2norm(2, gamma_init=1.0)
         out, _ = l2norm_scale(x, gamma)
         assert np.allclose(out.reshape(-1), [0.6, 0.8])
 
     def test_unit_norm_before_gamma(self):
         rng = np.random.default_rng(0)
-        x = rng.standard_normal((2, 5, 4, 4)) + 0.1
+        x = rng.standard_normal((5, 2, 16)) + 0.1
         gamma = make_l2norm(5, gamma_init=1.0)
         out, _ = l2norm_scale(x, gamma)
-        norms = np.sqrt((out * out).sum(axis=1))
+        norms = np.sqrt((out * out).sum(axis=0))
         assert np.max(np.abs(norms - 1.0)) < 1e-6
 
     @pytest.mark.parametrize("alpha", [10.0, 1000.0])
     def test_scale_equivariance(self, alpha):
         rng = np.random.default_rng(1)
-        x = rng.standard_normal((1, 6, 3, 3)) + 0.2
+        x = rng.standard_normal((6, 1, 9)) + 0.2
         gamma = make_l2norm(6, gamma_init=3.0)
         a, _ = l2norm_scale(x, gamma)
         b, _ = l2norm_scale(alpha * x, gamma)
@@ -51,7 +56,7 @@ class TestL2NormScale:
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            l2norm_scale(np.zeros((1, 3, 2, 2)), make_l2norm(4))
+            l2norm_scale(np.zeros((3, 1, 4)), make_l2norm(4))
 
 
 class TestSyncDownsample:
@@ -84,17 +89,17 @@ class TestSyncDownsample:
 class TestConcatShrink:
     def test_channel_count(self):
         rng = np.random.default_rng(4)
-        maps = [rng.standard_normal((1, c, 4, 4)) for c in (32, 64, 64)]
+        maps = [rng.standard_normal((c, 1, 16)) for c in (32, 64, 64)]
         shrink = ConvParams(
             Tensor(rng.standard_normal((64, 160, 1, 1)), requires_grad=True),
             Tensor(np.zeros(64), requires_grad=True),
         )
         out, _ = concat_shrink(maps, TAP_ORDER, {}, shrink)
-        assert out.shape == (1, 64, 4, 4)
+        assert out.shape == (64, 1, 16)
 
     def test_selection_weights_pick_one_tap(self):
         rng = np.random.default_rng(5)
-        maps = [rng.standard_normal((1, c, 3, 3)) for c in (2, 3, 4)]
+        maps = [rng.standard_normal((c, 2, 9)) for c in (2, 3, 4)]
         w = np.zeros((4, 9, 1, 1))
         w[np.arange(4), 5 + np.arange(4), 0, 0] = 1.0  # select the tap5 block
         shrink = ConvParams(Tensor(w, requires_grad=True), Tensor(np.zeros(4), requires_grad=True))
@@ -103,7 +108,7 @@ class TestConcatShrink:
 
     def test_norms_apply_to_the_named_parts_only(self):
         rng = np.random.default_rng(14)
-        maps = [rng.standard_normal((1, c, 3, 3)) for c in (2, 3, 4)]
+        maps = [rng.standard_normal((c, 1, 9)) for c in (2, 3, 4)]
         shrink = ConvParams(
             Tensor(rng.standard_normal((4, 9, 1, 1)), requires_grad=True),
             Tensor(np.zeros(4), requires_grad=True),
@@ -115,12 +120,19 @@ class TestConcatShrink:
         assert np.array_equal(out, ref)
 
     def test_spatial_mismatch_names_taps(self):
-        maps = [np.zeros((1, 2, 4, 4)), np.zeros((1, 2, 3, 3)), np.zeros((1, 2, 4, 4))]
+        maps = [np.zeros((2, 1, 16)), np.zeros((2, 1, 9)), np.zeros((2, 1, 16))]
         shrink = ConvParams(
             Tensor(np.zeros((2, 6, 1, 1)), requires_grad=True),
             Tensor(np.zeros(2), requires_grad=True),
         )
         with pytest.raises(ShapeError, match="tap4"):
+            concat_shrink(maps, TAP_ORDER, {}, shrink)
+
+    @pytest.mark.parametrize("weight_shape", [(2, 5, 1, 1), (2, 6, 3, 3)])
+    def test_shrink_weight_mismatch_rejected(self, weight_shape):
+        maps = [np.zeros((2, 1, 16)) for _ in TAP_ORDER]
+        shrink = ConvParams(Tensor(np.zeros(weight_shape), requires_grad=True), Tensor(np.zeros(2), requires_grad=True))
+        with pytest.raises(ShapeError, match="6 channels"):
             concat_shrink(maps, TAP_ORDER, {}, shrink)
 
 
@@ -152,9 +164,23 @@ def reference_roi_pool(fmap, roi, stride, p):
     return out.reshape(c, p, p), flat[np.arange(p * p)[None, :], a].reshape(c, p, p)
 
 
+def reference_roi_pool_stack(fmap, rois, stride, p):
+    """The reference over a stack: pooled (R, C, p, p) and flat argmax (R, C, p, p)."""
+    pooled = [reference_roi_pool(fmap, roi, stride, p) for roi in rois]
+    return np.stack([o for o, _ in pooled]), np.stack([a for _, a in pooled])
+
+
 def reference_roi_pool_backward(dout, argmax, dmap):
+    """np.add.at of an (R, C, p, p) gradient stack at the argmax sources."""
     r, c = dout.shape[:2]
     np.add.at(dmap.reshape(c, -1), (np.arange(c)[None, :, None], argmax.reshape(r, c, -1)), dout.reshape(r, c, -1))
+
+
+def pooled_grad(fmap, cache, dout):
+    """roi_pool_backward of a (C, R, p*p) gradient into a fresh zero map."""
+    dmap = np.zeros_like(fmap)
+    roi_pool_backward(dout, cache, dmap)
+    return dmap
 
 
 def mixed_rois(rng, n, extent):
@@ -179,11 +205,13 @@ class TestRoiPool:
     def test_tiny_roi_replicates_single_cell(self):
         rng = np.random.default_rng(7)
         fmap = rng.standard_normal((2, 8, 8))
-        out, argmax = roi_pool(fmap, np.array([[50.0, 50.0, 60.0, 60.0]]), 16, 7)
-        assert out.shape == (1, 2, 7, 7)
+        out, cache = roi_pool(fmap, np.array([[50.0, 50.0, 60.0, 60.0]]), 16, 7)
+        assert out.shape == (2, 1, 49)
         # one projected source cell, replicated everywhere
-        assert np.unique(argmax).size == 1
-        assert np.allclose(out[0], fmap[:, 3, 3].reshape(2, 1, 1))
+        assert np.allclose(out, fmap[:, 3, 3].reshape(2, 1, 1))
+        expected = np.zeros_like(fmap)
+        expected[:, 3, 3] = 49.0
+        assert np.array_equal(pooled_grad(fmap, cache, np.ones_like(out)), expected)
 
     def test_small_rois_total_and_finite(self):
         rng = np.random.default_rng(8)
@@ -194,18 +222,30 @@ class TestRoiPool:
             y1 = rng.uniform(0, 110)
             side = rng.uniform(4, 15)
             rois.append([x1, y1, x1 + side, y1 + side])
-        out, argmax = roi_pool(fmap, np.array(rois), 16, 7)
-        assert out.shape == (1000, 2, 7, 7)
+        out, cache = roi_pool(fmap, np.array(rois), 16, 7)
+        assert out.shape == (2, 1000, 49)
         assert np.all(np.isfinite(out))
-        assert argmax.min() >= 0 and argmax.max() < 64
+        # every pooled value routes its gradient to one position of the map
+        assert pooled_grad(fmap, cache, np.ones_like(out)).sum() == out.size
+
+    def test_later_nan_candidate_is_skipped(self):
+        # as in a strict-greater scan, a NaN after the first candidate never wins
+        fmap = np.array([[1.0, 5.0, 0.0, 0.0], [3.0, np.nan, 0.0, 0.0], [0.0] * 4, [0.0] * 4])[None]
+        out, cache = roi_pool(fmap, np.array([[0.0, 0.0, 4.0, 4.0]]), 1, 2)
+        assert out.reshape(-1).tolist() == [5.0, 0.0, 0.0, 0.0]
+        dout = np.array([1.0, 0.0, 0.0, 0.0]).reshape(out.shape)
+        assert np.flatnonzero(pooled_grad(fmap, cache, dout)).tolist() == [1]
 
     def test_empty_stack(self):
-        out, argmax = roi_pool(np.zeros((3, 4, 4)), np.zeros((0, 4)), 4, 7)
-        assert out.shape == argmax.shape == (0, 3, 7, 7)
+        fmap = np.zeros((3, 4, 4))
+        out, cache = roi_pool(fmap, np.zeros((0, 4)), 4, 7)
+        assert out.shape == (3, 0, 49)
+        assert not pooled_grad(fmap, cache, out).any()
 
 
 class TestRoiPoolMatchesPerRoiReference:
-    """The batched pooling gives the per-ROI reference's bits, ties included."""
+    """The batched pooling gives the per-ROI reference's bits, ties included,
+    and its backward routes every cell where the reference argmax does."""
 
     @pytest.mark.parametrize("p", [1, 3, 7])
     @pytest.mark.parametrize("relu_map", [True, False])
@@ -215,12 +255,16 @@ class TestRoiPoolMatchesPerRoiReference:
         if relu_map:
             fmap = np.maximum(fmap, 0.0)  # many tied zeros
         rois = mixed_rois(rng, 300, 64.0)
-        out, argmax = roi_pool(fmap, rois, 4, p)
-        assert out.flags.c_contiguous and argmax.flags.c_contiguous
-        for i, roi in enumerate(rois):
-            ref_out, ref_arg = reference_roi_pool(fmap, roi, 4, p)
-            assert out[i].tobytes() == ref_out.tobytes()
-            assert np.array_equal(argmax[i], ref_arg)
+        out, cache = roi_pool(fmap, rois, 4, p)
+        assert out.flags.c_contiguous
+        ref_out, ref_arg = reference_roi_pool_stack(fmap, rois, 4, p)
+        assert out.tobytes() == ref_out.reshape(300, 3, -1).transpose(1, 0, 2).tobytes()
+        # a sample of one-hot gradients lands exactly on the reference argmax
+        for i in rng.choice(out.size, 30, replace=False):
+            ch, r, cell = np.unravel_index(i, out.shape)
+            dout = np.zeros(out.shape)
+            dout[ch, r, cell] = 1.0
+            assert np.flatnonzero(pooled_grad(fmap, cache, dout)).tolist() == [ch * 256 + ref_arg[r, ch].flat[cell]]
 
     def test_rois_cover_several_cell_lengths(self):
         rois = mixed_rois(np.random.default_rng(27), 300, 64.0)
@@ -230,23 +274,24 @@ class TestRoiPoolMatchesPerRoiReference:
     def test_constant_map_routes_to_first_candidate(self):
         fmap = np.zeros((2, 8, 8))
         rois = mixed_rois(np.random.default_rng(28), 50, 32.0)
-        _, argmax = roi_pool(fmap, rois, 4, 3)
-        for i, roi in enumerate(rois):
-            flat, _ = reference_cells(fmap.shape, roi, 4, 3)
-            assert np.array_equal(argmax[i], np.broadcast_to(flat[:, 0].reshape(3, 3), (2, 3, 3)))
+        out, cache = roi_pool(fmap, rois, 4, 3)
+        dout = np.random.default_rng(29).standard_normal(out.shape)
+        first = np.stack([np.broadcast_to(reference_cells(fmap.shape, roi, 4, 3)[0][:, 0], (2, 9)) for roi in rois])
+        ref = np.zeros_like(fmap)
+        reference_roi_pool_backward(dout.transpose(1, 0, 2), first, ref)
+        assert pooled_grad(fmap, cache, dout).tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("p", [1, 3, 7])
     def test_backward_matches_add_at(self, p):
         rng = np.random.default_rng(30 + p)
         fmap = np.maximum(rng.standard_normal((3, 16, 16)), 0.0)
         rois = mixed_rois(rng, 200, 64.0)
-        _, argmax = roi_pool(fmap, rois, 4, p)
-        dout = rng.standard_normal(argmax.shape)
+        out, cache = roi_pool(fmap, rois, 4, p)
+        _, ref_arg = reference_roi_pool_stack(fmap, rois, 4, p)
+        dout = rng.standard_normal(out.shape)
         ref = np.zeros_like(fmap)
-        reference_roi_pool_backward(dout, argmax, ref)
-        got = np.zeros_like(fmap)
-        roi_pool_backward(dout, argmax, got)
-        assert got.tobytes() == ref.tobytes()
+        reference_roi_pool_backward(np.ascontiguousarray(dout.transpose(1, 0, 2)), ref_arg, ref)
+        assert pooled_grad(fmap, cache, dout).tobytes() == ref.tobytes()
 
 
 class TestMsRoiPool:
@@ -309,3 +354,92 @@ class TestMsRoiPool:
         for i, roi in enumerate(rois):
             single, _ = ms_roi_pool_batch(taps, roi.reshape(1, 4), norms, shrink, 5)
             assert np.allclose(batch[i], single[0])
+
+
+def reference_l2norm_scale(x, g):
+    """The per-channel norm of an NCHW map, summed over axis 1."""
+    s = np.sqrt((x * x).sum(axis=1, keepdims=True) + L2NORM_EPS * L2NORM_EPS)
+    xn = x / s
+    return g[None, :, None, None] * xn, (x, s, xn, g)
+
+
+def reference_l2norm_scale_backward(dout, cache):
+    """Input and gamma gradients of :func:`reference_l2norm_scale`."""
+    x, s, xn, g = cache
+    dgamma = (dout * xn).sum(axis=(0, 2, 3))
+    gd = dout * g[None, :, None, None]
+    dot = (gd * x).sum(axis=1, keepdims=True)
+    return gd / s - x * (dot / (s * s * s)), dgamma
+
+
+def reference_fusion(parts, gammas, shrink, dout):
+    """The NCHW fusion step: norm the parts that have a gamma, concatenate
+    along channels and shrink with a 1x1 ``conv2d``.  Returns the output,
+    the part and gamma gradients for ``dout``, and the shrink gradients."""
+    shrink = ConvParams(Tensor(shrink.weight.data.copy(), True), Tensor(shrink.bias.data.copy(), True))
+    normed, caches = [], []
+    for x, g in zip(parts, gammas):
+        y, cache = (x, None) if g is None else reference_l2norm_scale(x, g)
+        normed.append(y)
+        caches.append(cache)
+    out, conv_cache = conv2d(np.concatenate(normed, axis=1), shrink)
+    dz = conv2d_backward(dout, conv_cache)
+    dparts = np.split(dz, np.cumsum([x.shape[1] for x in parts])[:-1], axis=1)
+    grads = [(d, None) if c is None else reference_l2norm_scale_backward(d, c) for d, c in zip(dparts, caches)]
+    return out, grads, (shrink.weight.grad, shrink.bias.grad)
+
+
+class TestFusionMatchesNchwReference:
+    """Both branches give the bits of the NCHW fusion composition: outputs,
+    tap gradients, gamma gradients and shrink gradients."""
+
+    def _model(self, mode):
+        model = MultiScaleDetector(ModelConfig(fusion_mode=mode), seed=3)
+        model.zero_grads()
+        scene = generate_toy_dataset(1, 128, (16, 64), seed=41)[0]
+        taps, _ = model.backbone_forward(scene.image)
+        return model, model._fused(taps)
+
+    def _assert_param_grads(self, model, taps, grads, shrink_grads):
+        for tap, (_, dgamma) in zip(taps, grads):
+            if tap.name in model.norms:
+                assert np.array_equal(model.norms[tap.name].grad, dgamma)
+        assert np.array_equal(model.shrink.weight.grad, shrink_grads[0])
+        assert np.array_equal(model.shrink.bias.grad, shrink_grads[1])
+
+    @pytest.mark.parametrize("n_rois", [1, 80, 300])
+    @pytest.mark.parametrize("mode", ["multi", "tap5"])
+    def test_ms_roi_pool_batch(self, mode, n_rois):
+        model, taps = self._model(mode)
+        rng = np.random.default_rng(n_rois)
+        rois = mixed_rois(rng, n_rois, 128.0)
+        out, cache = ms_roi_pool_batch(taps, rois, model.norms, model.shrink, 7)
+        dout = rng.standard_normal(out.shape)
+        tap_grads = model.new_tap_grads(taps)
+        ms_roi_pool_batch_backward(dout, cache, tap_grads)
+
+        pooled = [reference_roi_pool_stack(t.map[0], rois, t.stride, 7) for t in taps]
+        gammas = [model.norms[t.name].data if t.name in model.norms else None for t in taps]
+        ref_out, grads, shrink_grads = reference_fusion([o for o, _ in pooled], gammas, model.shrink, dout)
+        assert np.array_equal(out, ref_out)
+        for tap, (_, arg), (dpart, _) in zip(taps, pooled, grads):
+            ref = np.zeros_like(tap.map[0])
+            reference_roi_pool_backward(dpart, arg, ref)
+            assert np.array_equal(tap_grads[tap.name][0], ref)
+        self._assert_param_grads(model, taps, grads, shrink_grads)
+
+    @pytest.mark.parametrize("mode", ["multi", "tap5"])
+    def test_fused_map_forward(self, mode):
+        model, taps = self._model(mode)
+        fused, cache = model.fused_map_forward(taps)
+        dfused = np.random.default_rng(5).standard_normal(fused.shape)
+        tap_grads = model.new_tap_grads(taps)
+        model.fused_map_backward(dfused, cache, tap_grads)
+
+        synced = [sync_downsample(t, TAP_STRIDES["tap5"]) for t in taps]
+        gammas = [model.norms[t.name].data if t.name in model.norms else None for t in taps]
+        ref_out, grads, shrink_grads = reference_fusion([m for m, _ in synced], gammas, model.shrink, dfused)
+        assert np.array_equal(fused, ref_out)
+        for tap, (_, dc), (dpart, _) in zip(taps, synced, grads):
+            assert np.array_equal(tap_grads[tap.name], sync_downsample_backward(dpart, dc))
+        self._assert_param_grads(model, taps, grads, shrink_grads)

@@ -177,15 +177,26 @@ def reference_maxpool2d(x, k):
     return wins.max(axis=-1), (oy * k + arg // k) * w + ox * k + arg % k
 
 
+def reference_maxpool2d_backward(dout, x_shape, flat):
+    """np.add.at of each window's gradient at its reference argmax."""
+    n, c, h, w = x_shape
+    dx = np.zeros((n * c, h * w))
+    np.add.at(dx, (np.arange(n * c)[:, None], flat.reshape(n * c, -1)), dout.reshape(n * c, -1))
+    return dx.reshape(x_shape)
+
+
 class TestMaxPool:
     @pytest.mark.parametrize("shape,k", [((1, 8, 256, 256), 2), ((1, 32, 64, 64), 4), ((1, 3, 7, 9), 2)])
     def test_matches_sliding_window_reference(self, shape, k):
         rng = np.random.default_rng(6)
         for x in (rng.standard_normal(shape), rng.integers(0, 3, size=shape).astype(np.float64)):
-            out, (_, flat) = maxpool2d(x, k)
+            out, cache = maxpool2d(x, k)
             ref_out, ref_flat = reference_maxpool2d(x, k)
             assert out.tobytes() == ref_out.tobytes()
-            assert flat.tobytes() == ref_flat.tobytes()
+            # windows do not overlap, so each gradient lands alone on its argmax
+            dout = rng.standard_normal(out.shape)
+            ref_dx = reference_maxpool2d_backward(dout, x.shape, ref_flat)
+            assert maxpool2d_backward(dout, cache).tobytes() == ref_dx.tobytes()
 
     def test_two_by_two(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2)
@@ -194,10 +205,12 @@ class TestMaxPool:
 
     def test_tie_routes_to_first_element(self):
         x = np.full((1, 1, 4, 4), 2.5)
-        out, (shape, flat) = maxpool2d(x, 2)
+        out, cache = maxpool2d(x, 2)
         assert np.all(out == 2.5)
         # winner of each window is its lowest linear index
-        assert flat.reshape(-1).tolist() == [0, 2, 8, 10]
+        dx = maxpool2d_backward(np.arange(1.0, 5.0).reshape(out.shape), cache)
+        assert np.flatnonzero(dx).tolist() == [0, 2, 8, 10]
+        assert dx.reshape(-1)[[0, 2, 8, 10]].tolist() == [1.0, 2.0, 3.0, 4.0]
 
     def test_window_too_large_rejected(self):
         with pytest.raises(ShapeError):
@@ -218,9 +231,9 @@ class TestMaxPool:
         x = np.maximum(rng.standard_normal((2, 3, 7, 7)), 0.0)  # tied zeros
         out, cache = maxpool2d(x, window)
         dout = rng.standard_normal(out.shape)
-        ref = np.zeros((6, 49))
-        np.add.at(ref, (np.arange(6)[:, None], cache[1].reshape(6, -1)), dout.reshape(6, -1))
-        assert maxpool2d_backward(dout, cache).tobytes() == ref.reshape(x.shape).tobytes()
+        _, ref_flat = reference_maxpool2d(x, window)
+        ref_dx = reference_maxpool2d_backward(dout, x.shape, ref_flat)
+        assert maxpool2d_backward(dout, cache).tobytes() == ref_dx.tobytes()
 
 
 class TestRelu:
