@@ -106,9 +106,9 @@ def sync_downsample_backward(dout: np.ndarray, cache) -> np.ndarray:
 
 
 def concat_shrink(parts, names, norms, shrink: ConvParams):
-    """The fusion step on channel-major (C_i, N, HW) parts: norm each named
-    part that has a norm in ``norms``, stack the parts along channels in the
-    given order, then apply the 1x1 shrink.  Returns (outC, N, HW)."""
+    """The fusion step on channel-major (C_i, N, HW) parts, which it only
+    reads: norm each named part that has a norm in ``norms``, stack the parts
+    along channels in the given order, then apply the 1x1 shrink -> (outC, N, HW)."""
     sizes = {m.shape[1:] for m in parts}
     if len(sizes) != 1:
         desc = ", ".join(f"{n}={m.shape[1:]}" for n, m in zip(names, parts))
@@ -199,13 +199,13 @@ def roi_pool(fmap: np.ndarray, rois: np.ndarray, stride: int, p: int):
     """Max-pool an (R, 4) stack of image-space ROIs into a (C, R, p*p) stack.
 
     Each ROI is projected onto the feature grid of one (C, H, W) map (at
-    least one cell per side), partitioned into p x p near-equal cells, and
-    each cell takes the channel-wise max.  Returns (out, cache); the cache
-    holds a channels-last copy of the map, ``out`` and the candidate indices
-    of each bucket of ROIs with equal padded cell length L.  Per bucket, one
-    gather per candidate feeds one ``np.fmax``, which skips NaN; a NaN first
-    candidate is put back, so the values are those of a strict-greater scan
-    keeping the first max.
+    least one cell per side) and partitioned into p x p near-equal cells.
+    Per bucket of ROIs with equal padded cell length L, one gather per
+    candidate feeds one ``np.fmax``, which skips NaN, and a NaN first
+    candidate is put back: the values of a strict-greater scan keeping the
+    first max.  Returns (out, cache); the cache holds a channels-last copy
+    of the map, ``out`` itself and each bucket's candidate indices.  The
+    backward routes by matching ``out``: nothing may write into it first.
     """
     c, h, w = fmap.shape
     x1, y1, x2, y2 = project_roi(rois, stride)
@@ -237,9 +237,9 @@ def roi_pool(fmap: np.ndarray, rois: np.ndarray, stride: int, p: int):
 def roi_pool_backward(dout: np.ndarray, cache, dmap: np.ndarray):
     """Scatter-add a (C, R, p*p) pooled-gradient stack into the (C, H, W) ``dmap``.
 
-    A reverse scan over the candidates routes each cell to its first
-    candidate equal to the pooled max, or to candidate 0 when none is (a NaN
-    max): the cell the strict-greater scan kept.  One ``np.bincount`` then
+    A reverse scan routes each cell to its first candidate equal to the
+    cached, unmodified ``out``, or to candidate 0 when none is (a NaN max):
+    the cell the strict-greater scan kept.  One ``np.bincount`` then
     sums each position's contributions in (R, p*p) order per channel, as
     ``np.add.at`` does on an (R, C, p*p) stack, so into a zero ``dmap`` the
     two agree bit for bit; ``pipeline_loss`` keeps that condition by running

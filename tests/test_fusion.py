@@ -247,6 +247,20 @@ class TestRoiPoolMatchesPerRoiReference:
     """The batched pooling gives the per-ROI reference's bits, ties included,
     and its backward routes every cell where the reference argmax does."""
 
+    @staticmethod
+    def check(fmap, rois, p, rng):
+        """Values byte-equal to the reference, and one random gradient over
+        every cell scattered byte-equal to np.add.at at the reference argmax."""
+        out, cache = roi_pool(fmap, rois, 4, p)
+        assert out.flags.c_contiguous
+        ref_out, ref_arg = reference_roi_pool_stack(fmap, rois, 4, p)
+        assert out.tobytes() == ref_out.reshape(len(rois), len(fmap), -1).transpose(1, 0, 2).tobytes()
+        dout = rng.standard_normal(out.shape)
+        ref = np.zeros_like(fmap)
+        reference_roi_pool_backward(np.ascontiguousarray(dout.transpose(1, 0, 2)), ref_arg, ref)
+        assert pooled_grad(fmap, cache, dout).tobytes() == ref.tobytes()
+        return out
+
     @pytest.mark.parametrize("p", [1, 3, 7])
     @pytest.mark.parametrize("relu_map", [True, False])
     def test_values_and_argmax(self, p, relu_map):
@@ -254,17 +268,26 @@ class TestRoiPoolMatchesPerRoiReference:
         fmap = rng.standard_normal((3, 16, 16))
         if relu_map:
             fmap = np.maximum(fmap, 0.0)  # many tied zeros
-        rois = mixed_rois(rng, 300, 64.0)
-        out, cache = roi_pool(fmap, rois, 4, p)
-        assert out.flags.c_contiguous
-        ref_out, ref_arg = reference_roi_pool_stack(fmap, rois, 4, p)
-        assert out.tobytes() == ref_out.reshape(300, 3, -1).transpose(1, 0, 2).tobytes()
-        # a sample of one-hot gradients lands exactly on the reference argmax
-        for i in rng.choice(out.size, 30, replace=False):
-            ch, r, cell = np.unravel_index(i, out.shape)
-            dout = np.zeros(out.shape)
-            dout[ch, r, cell] = 1.0
-            assert np.flatnonzero(pooled_grad(fmap, cache, dout)).tolist() == [ch * 256 + ref_arg[r, ch].flat[cell]]
+        self.check(fmap, mixed_rois(rng, 300, 64.0), p, rng)
+
+    @pytest.mark.parametrize("p", [1, 3, 7])
+    def test_plateau_map(self, p):
+        # constant 4x4 blocks of 0, 1 or 2: most cells tie on several candidates
+        rng = np.random.default_rng(40 + p)
+        fmap = np.kron(rng.integers(0, 3, size=(3, 4, 4)), np.ones((4, 4)))
+        out = self.check(fmap, mixed_rois(rng, 300, 64.0), p, rng)
+        assert np.unique(out).tolist() == [0.0, 1.0, 2.0]
+
+    def test_nan_first_candidate_is_kept(self):
+        # where the NaN comes first, np.argmax and the strict-greater scan agree
+        rng = np.random.default_rng(7)
+        fmap = rng.standard_normal((2, 6, 6))
+        # (2, 2) is the first candidate of the centre cell of the first ROI and
+        # of the corner cell of the second; (0, 0) starts the first ROI's corner
+        fmap[0, 2, 2] = np.nan
+        fmap[1, 0, 0] = np.nan
+        rois = np.array([[0.0, 0.0, 24.0, 24.0], [8.0, 8.0, 24.0, 24.0]])
+        assert np.isnan(self.check(fmap, rois, 3, rng)).sum() == 3
 
     def test_rois_cover_several_cell_lengths(self):
         rois = mixed_rois(np.random.default_rng(27), 300, 64.0)
@@ -284,14 +307,7 @@ class TestRoiPoolMatchesPerRoiReference:
     @pytest.mark.parametrize("p", [1, 3, 7])
     def test_backward_matches_add_at(self, p):
         rng = np.random.default_rng(30 + p)
-        fmap = np.maximum(rng.standard_normal((3, 16, 16)), 0.0)
-        rois = mixed_rois(rng, 200, 64.0)
-        out, cache = roi_pool(fmap, rois, 4, p)
-        _, ref_arg = reference_roi_pool_stack(fmap, rois, 4, p)
-        dout = rng.standard_normal(out.shape)
-        ref = np.zeros_like(fmap)
-        reference_roi_pool_backward(np.ascontiguousarray(dout.transpose(1, 0, 2)), ref_arg, ref)
-        assert pooled_grad(fmap, cache, dout).tobytes() == ref.tobytes()
+        self.check(np.maximum(rng.standard_normal((3, 16, 16)), 0.0), mixed_rois(rng, 200, 64.0), p, rng)
 
 
 class TestMsRoiPool:

@@ -189,7 +189,13 @@ class TestMaxPool:
     @pytest.mark.parametrize("shape,k", [((1, 8, 256, 256), 2), ((1, 32, 64, 64), 4), ((1, 3, 7, 9), 2)])
     def test_matches_sliding_window_reference(self, shape, k):
         rng = np.random.default_rng(6)
-        for x in (rng.standard_normal(shape), rng.integers(0, 3, size=shape).astype(np.float64)):
+        n, c, h, w = shape
+        # constant 3x3 plateaus of 0, 1 or 2, cut across by the windows
+        blocks = rng.integers(0, 3, size=(n, c, -(-h // 3), -(-w // 3))).astype(np.float64)
+        plateaus = np.repeat(np.repeat(blocks, 3, axis=2), 3, axis=3)[:, :, :h, :w]
+        with_nan = rng.standard_normal(shape)
+        with_nan[:, :, ::3, ::5] = np.nan  # first in some windows, later in others
+        for x in (rng.standard_normal(shape), rng.integers(0, 3, size=shape).astype(np.float64), plateaus, with_nan):
             out, cache = maxpool2d(x, k)
             ref_out, ref_flat = reference_maxpool2d(x, k)
             assert out.tobytes() == ref_out.tobytes()
