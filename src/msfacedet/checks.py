@@ -16,7 +16,7 @@ import numpy as np
 from .detector import assign_detection_targets
 from .fusion import (
     TAP_ORDER,
-    FeatureTap,
+    TAP_STRIDES,
     concat_shrink,
     concat_shrink_backward,
     l2norm_scale,
@@ -27,7 +27,7 @@ from .fusion import (
     roi_pool,
     roi_pool_backward,
 )
-from .model import TAP_STRIDES, ModelConfig, MultiScaleDetector
+from .model import ModelConfig, MultiScaleDetector
 from .rpn import RpnHead, assign_rpn_targets, rpn_backward, rpn_forward
 from .tensor import (
     conv2d,
@@ -58,13 +58,12 @@ def finite_difference_check(
     loss_fn: Callable[[], float],
     arrays: Sequence[np.ndarray],
     analytic: Sequence[np.ndarray],
-    h: float = 1e-5,
 ) -> float:
     """Max relative error between analytic gradients and central differences.
 
     ``loss_fn`` must recompute the scalar from the current contents of
-    ``arrays``, which are perturbed in place one element at a time.  The
-    relative error for one element is |a - n| / max(|a|, |n|, 1e-8).
+    ``arrays``, which are perturbed in place by ``STEP`` one element at a
+    time.  The relative error for one element is |a - n| / max(|a|, |n|, 1e-8).
     """
     worst = 0.0
     for arr, grad in zip(arrays, analytic):
@@ -74,12 +73,12 @@ def finite_difference_check(
         gflat = grad.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + h
+            flat[i] = orig + STEP
             up = loss_fn()
-            flat[i] = orig - h
+            flat[i] = orig - STEP
             down = loss_fn()
             flat[i] = orig
-            num = (up - down) / (2.0 * h)
+            num = (up - down) / (2.0 * STEP)
             err = abs(gflat[i] - num) / max(abs(gflat[i]), abs(num), 1e-8)
             worst = max(worst, err)
     return worst
@@ -102,14 +101,14 @@ def _projected_check(rng, forward, backward, inputs, params=()) -> float:
     outs, cache = outputs()
     projs = [rng.standard_normal(o.shape) for o in outs]
     for t in params:
-        t.ensure_grad().fill(0.0)
+        t.grad.fill(0.0)
     dinputs = backward(projs, cache)
 
     def loss():
         return sum(float((o * p).sum()) for o, p in zip(outputs()[0], projs))
 
     arrays = list(inputs) + [t.data for t in params]
-    return finite_difference_check(loss, arrays, list(dinputs) + [t.grad for t in params], h=STEP)
+    return finite_difference_check(loss, arrays, list(dinputs) + [t.grad for t in params])
 
 
 def _distinct(rng, shape, scale=0.01):
@@ -167,7 +166,7 @@ def check_softmax_cross_entropy(seed: int) -> float:
     def loss():
         return softmax_cross_entropy(logits, labels)[0]
 
-    return finite_difference_check(loss, [logits], [dlogits], h=STEP)
+    return finite_difference_check(loss, [logits], [dlogits])
 
 
 def check_smooth_l1(seed: int) -> float:
@@ -182,7 +181,7 @@ def check_smooth_l1(seed: int) -> float:
     def loss():
         return smooth_l1(pred, target, mask)[0]
 
-    return finite_difference_check(loss, [pred], [grad], h=STEP)
+    return finite_difference_check(loss, [pred], [grad])
 
 
 def check_l2norm_scale(seed: int) -> float:
@@ -223,30 +222,27 @@ def check_roi_pool(seed: int) -> float:
 
 
 def _tiny_taps(rng):
-    sizes = {"tap3": 8, "tap4": 4, "tap5": 2}
+    """The taps of a 32x32 image, each on its stride's grid."""
     channels = {"tap3": 2, "tap4": 3, "tap5": 3}
-    return [
-        FeatureTap(name, _distinct(rng, (1, channels[name], sizes[name], sizes[name])) + 0.05, TAP_STRIDES[name])
-        for name in TAP_ORDER
-    ]
+    return {name: _distinct(rng, (1, channels[name], 32 // s, 32 // s)) + 0.05 for name, s in TAP_STRIDES.items()}
 
 
 def check_ms_roi_pool(seed: int) -> float:
     rng = np.random.default_rng(seed)
     taps = _tiny_taps(rng)
-    norms = {t.name: make_l2norm(t.map.shape[1], gamma_init=2.0) for t in taps}
+    norms = {name: make_l2norm(fmap.shape[1], gamma_init=2.0) for name, fmap in taps.items()}
     shrink = make_conv(rng, 3, 8, 1)
     shrink.weight.data[...] = rng.standard_normal(shrink.weight.data.shape)
     rois = np.array([[2.0, 3.0, 21.0, 17.0], [10.0, 8.0, 14.0, 13.0]])
 
     def backward(projs, cache):
-        tap_grads = {t.name: np.zeros_like(t.map) for t in taps}
+        tap_grads = {name: np.zeros_like(fmap) for name, fmap in taps.items()}
         ms_roi_pool_batch_backward(projs[0], cache, tap_grads)
-        return [tap_grads[t.name] for t in taps]
+        return list(tap_grads.values())
 
-    params = [norms[t.name] for t in taps] + [shrink.weight, shrink.bias]
+    params = [*norms.values(), shrink.weight, shrink.bias]
     return _projected_check(
-        rng, lambda: ms_roi_pool_batch(taps, rois, norms, shrink, 3), backward, [t.map for t in taps], params
+        rng, lambda: ms_roi_pool_batch(taps, rois, norms, shrink, 3), backward, list(taps.values()), params
     )
 
 
@@ -300,7 +296,7 @@ def check_multitask_loss(seed: int, fusion_mode: str = "multi") -> float:
     params = model.params()
     arrays = [t.data for t in params.values()]
     grads = [t.grad for t in params.values()]
-    return finite_difference_check(loss, arrays, grads, h=STEP)
+    return finite_difference_check(loss, arrays, grads)
 
 
 LAYER_CHECKS = [

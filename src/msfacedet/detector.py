@@ -11,7 +11,7 @@ import numpy as np
 from .boxes import clip_boxes, decode_deltas, encode_deltas, iou_matrix, nms
 from .fusion import ms_roi_pool_batch, ms_roi_pool_batch_backward
 from .tensor import (
-    LinearParams,
+    Params,
     fully_connected,
     fully_connected_backward,
     relu,
@@ -28,13 +28,13 @@ class Detection:
 
 @dataclass
 class DetHead:
-    fc1: LinearParams
-    fc2: LinearParams
-    cls: LinearParams
-    bbox: LinearParams
+    fc1: Params
+    fc2: Params
+    cls: Params
+    bbox: Params
 
 
-def detection_forward(taps, rois: np.ndarray, head: DetHead, norms, shrink, pool_size: int):
+def detection_forward(taps: dict, rois: np.ndarray, head: DetHead, norms, shrink, pool_size: int):
     """Class logits (R, 2) and box deltas (R, 4) for every ROI.
 
     Each ROI gets a fused fixed-size descriptor via multi-scale ROI pooling,

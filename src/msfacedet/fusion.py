@@ -1,13 +1,14 @@
 """Multi-scale feature fusion.
 
-Three backbone taps with different strides are made comparable in one
-fusion step, ``concat_shrink``: each tap is L2-normalized along the
-channel axis and scaled by a learnable per-channel gamma, then the taps
-are concatenated in a fixed order and shrunk by a shared 1x1 convolution.
-Both branches run that step after their own spatial synchronization:
-downsample pooling for the dense branch, ROI pooling for the per-region
-branch.  The single-tap ablation runs the same code over the stride-16
-tap alone, without a norm.
+Three backbone taps, a ``{name: (N, C, H, W) map}`` dict with each stride
+declared once in :data:`TAP_STRIDES`, are made comparable in one fusion
+step, ``concat_shrink``: each tap is L2-normalized along the channel axis
+and scaled by a learnable per-channel gamma (a :class:`Tensor`, so its
+grad is always present), then the taps are concatenated in dict order and
+shrunk by a shared 1x1 convolution.  Both branches run that step after
+their own spatial synchronization: downsample pooling for the dense
+branch, ROI pooling for the per-region branch.  The single-tap ablation
+runs the same code over the stride-16 tap alone, without a norm.
 
 The fusion step takes channel-major parts ``(C, N, HW)``: a dense
 ``(1, C, H, W)`` tap reshapes to that for free and :func:`roi_pool` writes
@@ -18,8 +19,6 @@ backward pass, from the input and gather geometry its cache holds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .boxes import project_roi
@@ -27,7 +26,7 @@ from .boxes import project_roi
 # conv2d and conv2d_backward are not called here, but benchmark/tracer.py
 # wraps them at this module's names
 from .tensor import (  # noqa: F401
-    ConvParams,
+    Params,
     ShapeError,
     Tensor,
     conv2d,
@@ -36,22 +35,14 @@ from .tensor import (  # noqa: F401
     maxpool2d_backward,
 )
 
-TAP_ORDER = ("tap3", "tap4", "tap5")
+TAP_STRIDES = {"tap3": 4, "tap4": 8, "tap5": 16}
+TAP_ORDER = tuple(TAP_STRIDES)
 L2NORM_EPS = 1e-10
 
 
-@dataclass
-class FeatureTap:
-    """One backbone stage output together with its cumulative stride."""
-
-    name: str
-    map: np.ndarray  # (N, C, H, W)
-    stride: int
-
-
-def make_l2norm(channels: int, gamma_init: float = 10.0) -> Tensor:
+def make_l2norm(channels: int, gamma_init: float) -> Tensor:
     """The learnable per-channel gamma of one tap's norm."""
-    return Tensor(np.full(channels, gamma_init), requires_grad=True)
+    return Tensor(np.full(channels, gamma_init))
 
 
 def l2norm_scale(x: np.ndarray, gamma: Tensor, out: np.ndarray | None = None):
@@ -77,26 +68,21 @@ def l2norm_scale_backward(dout: np.ndarray, cache) -> np.ndarray:
     x, s, gamma = cache
     # sum each (c, n) plane, then the planes in n order
     planes = (dout * (x / s)).sum(axis=2)
-    gamma.ensure_grad()[...] += np.ascontiguousarray(planes.T).sum(axis=0)
+    gamma.grad += np.ascontiguousarray(planes.T).sum(axis=0)
     gd = dout * gamma.data[:, None, None]
     dot = (gd * x).sum(axis=0)
     return gd / s - x * (dot / (s * s * s))
 
 
-def sync_downsample(tap: FeatureTap, target_stride: int):
-    """Max-pool a tap down to the spatial grid of ``target_stride``.
+def sync_downsample(name: str, fmap: np.ndarray):
+    """Max-pool the (N, C, H, W) map of tap ``name`` down to the tap5 grid.
 
     The pooling window equals the stride ratio; a ratio of 1 is the identity.
     """
-    if target_stride % tap.stride:
-        raise ShapeError(
-            f"sync_downsample: target stride {target_stride} not a multiple of "
-            f"{tap.name} stride {tap.stride}"
-        )
-    ratio = target_stride // tap.stride
+    ratio = TAP_STRIDES["tap5"] // TAP_STRIDES[name]
     if ratio == 1:
-        return tap.map, None
-    return maxpool2d(tap.map, ratio)
+        return fmap, None
+    return maxpool2d(fmap, ratio)
 
 
 def sync_downsample_backward(dout: np.ndarray, cache) -> np.ndarray:
@@ -105,7 +91,7 @@ def sync_downsample_backward(dout: np.ndarray, cache) -> np.ndarray:
     return maxpool2d_backward(dout, cache)
 
 
-def concat_shrink(parts, names, norms, shrink: ConvParams):
+def concat_shrink(parts, names, norms, shrink: Params):
     """The fusion step on channel-major (C_i, N, HW) parts, which it only
     reads: norm each named part that has a norm in ``norms``, stack the parts
     along channels in the given order, then apply the 1x1 shrink -> (outC, N, HW)."""
@@ -138,8 +124,8 @@ def concat_shrink_backward(dout: np.ndarray, cache):
     z, shapes, norm_caches, shrink = cache
     w = shrink.weight.data
     dmat = dout.reshape(w.shape[0], -1)
-    shrink.bias.ensure_grad()[...] += dmat.sum(axis=1)
-    shrink.weight.ensure_grad()[...] += (dmat @ z.T).reshape(w.shape)
+    shrink.bias.grad += dmat.sum(axis=1)
+    shrink.weight.grad += (dmat @ z.T).reshape(w.shape)
     dz = w.reshape(w.shape[0], -1).T @ dmat
     return [d if nc is None else l2norm_scale_backward(d, nc) for d, nc in zip(_row_blocks(dz, shapes), norm_caches)]
 
@@ -258,21 +244,22 @@ def roi_pool_backward(dout: np.ndarray, cache, dmap: np.ndarray):
     dmap += np.bincount(lin.ravel(), weights=dout.ravel(), minlength=c * hw).reshape(dmap.shape)
 
 
-def ms_roi_pool_batch(taps, rois: np.ndarray, norms, shrink: ConvParams, p: int):
+def ms_roi_pool_batch(taps: dict, rois: np.ndarray, norms, shrink: Params, p: int):
     """Fixed-size fused descriptors (R, shrink_out, p, p) for an (R, 4) ROI stack.
 
-    Each tap pools the whole stack at its own stride to (C_i, R, p*p), then
-    the pooled taps go through the fusion step, so the output shape does not
-    depend on ROI size.
+    Each tap of the ``{name: (1, C, H, W) map}`` dict pools the whole stack
+    at its stride to (C_i, R, p*p), then the pooled taps go through the
+    fusion step in dict order, so the output shape does not depend on ROI size.
     """
-    pools = [roi_pool(tap.map[0], rois, tap.stride, p) for tap in taps]
-    out, fuse_cache = concat_shrink([po for po, _ in pools], [t.name for t in taps], norms, shrink)
-    return out.reshape(-1, len(rois), p, p).transpose(1, 0, 2, 3), (taps, [pc for _, pc in pools], fuse_cache)
+    names = list(taps)
+    pools = [roi_pool(taps[name][0], rois, TAP_STRIDES[name], p) for name in names]
+    out, fuse_cache = concat_shrink([po for po, _ in pools], names, norms, shrink)
+    return out.reshape(-1, len(rois), p, p).transpose(1, 0, 2, 3), (names, [pc for _, pc in pools], fuse_cache)
 
 
 def ms_roi_pool_batch_backward(dout: np.ndarray, cache, tap_grads: dict):
     """Backprop through the fusion step and pooling; adds into ``tap_grads``."""
-    taps, pool_caches, fuse_cache = cache
+    names, pool_caches, fuse_cache = cache
     dparts = concat_shrink_backward(dout.transpose(1, 0, 2, 3), fuse_cache)
-    for tap, pc, dpart in zip(taps, pool_caches, dparts):
-        roi_pool_backward(dpart, pc, tap_grads[tap.name][0])
+    for name, pc, dpart in zip(names, pool_caches, dparts):
+        roi_pool_backward(dpart, pc, tap_grads[name][0])

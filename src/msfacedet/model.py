@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -13,7 +13,7 @@ from . import checkpoint as ckpt
 from .detector import DetHead, Detection, detection_backward, detection_forward, postprocess_detections
 from .fusion import (
     TAP_ORDER,
-    FeatureTap,
+    TAP_STRIDES,
     concat_shrink,
     concat_shrink_backward,
     make_l2norm,
@@ -34,7 +34,6 @@ from .tensor import (
 )
 
 STAGE_CHANNELS = (8, 16, 32, 64, 64)
-TAP_STRIDES = {"tap3": 4, "tap4": 8, "tap5": 16}
 FUSED_TAPS = {"multi": TAP_ORDER, "tap5": ("tap5",)}
 
 
@@ -126,31 +125,25 @@ class MultiScaleDetector:
 
     def params(self) -> "OrderedDict[str, object]":
         reg = OrderedDict()
+
+        def add(prefix, layer):
+            reg[f"{prefix}.weight"] = layer.weight
+            reg[f"{prefix}.bias"] = layer.bias
+
         for i, stage in enumerate(self.stages, start=1):
             for j, conv in enumerate(stage, start=1):
-                reg[f"backbone.s{i}.c{j}.weight"] = conv.weight
-                reg[f"backbone.s{i}.c{j}.bias"] = conv.bias
-        for name in TAP_ORDER:
-            if name in self.norms:
-                reg[f"norm.{name}.gamma"] = self.norms[name]
-        reg["fusion.shrink.weight"] = self.shrink.weight
-        reg["fusion.shrink.bias"] = self.shrink.bias
-        reg["rpn.conv.weight"] = self.rpn_head.conv.weight
-        reg["rpn.conv.bias"] = self.rpn_head.conv.bias
-        reg["rpn.cls.weight"] = self.rpn_head.cls.weight
-        reg["rpn.cls.bias"] = self.rpn_head.cls.bias
-        reg["rpn.bbox.weight"] = self.rpn_head.bbox.weight
-        reg["rpn.bbox.bias"] = self.rpn_head.bbox.bias
-        for name in ("fc1", "fc2", "cls", "bbox"):
-            lin = getattr(self.det_head, name)
-            reg[f"det.{name}.weight"] = lin.weight
-            reg[f"det.{name}.bias"] = lin.bias
+                add(f"backbone.s{i}.c{j}", conv)
+        for name, gamma in self.norms.items():
+            reg[f"norm.{name}.gamma"] = gamma
+        add("fusion.shrink", self.shrink)
+        for prefix, head in (("rpn", self.rpn_head), ("det", self.det_head)):
+            for f in fields(head):
+                add(f"{prefix}.{f.name}", getattr(head, f.name))
         return reg
 
     def zero_grads(self):
         for t in self.params().values():
-            t.ensure_grad()
-            t.zero_grad()
+            t.grad.fill(0.0)
 
     def save(self, path):
         ckpt.save_checkpoint(path, OrderedDict((k, v.data) for k, v in self.params().items()))
@@ -173,6 +166,7 @@ class MultiScaleDetector:
     # backbone
 
     def backbone_forward(self, x: np.ndarray):
+        """The ``{name: (N, C, H, W) map}`` taps in :data:`TAP_ORDER`, and the caches."""
         if x.ndim != 4 or x.shape[2] % 16 or x.shape[3] % 16:
             raise ShapeError(f"backbone input must be NCHW with extents divisible by 16, got {x.shape}")
         caches = []
@@ -188,8 +182,7 @@ class MultiScaleDetector:
             if i < 4:
                 h, pc = maxpool2d(h, 2)
                 caches.append(("pool", pc))
-        tap_list = [FeatureTap(name, taps[name], TAP_STRIDES[name]) for name in TAP_ORDER]
-        return tap_list, caches
+        return taps, caches
 
     def backbone_backward(self, tap_grads: dict, caches) -> np.ndarray:
         """Single backward sweep; tap gradients join at their stage outputs."""
@@ -210,13 +203,13 @@ class MultiScaleDetector:
     # ------------------------------------------------------------------
     # dense fusion for the proposal branch
 
-    def _fused(self, taps):
-        return [t for t in taps if t.name in self.fused_taps]
+    def _fused(self, taps: dict) -> dict:
+        return {name: taps[name] for name in self.fused_taps}
 
-    def fused_map_forward(self, taps):
+    def fused_map_forward(self, taps: dict):
         maps, caches = [], []
-        for tap in self._fused(taps):
-            d, dc = sync_downsample(tap, TAP_STRIDES["tap5"])
+        for name, fmap in self._fused(taps).items():
+            d, dc = sync_downsample(name, fmap)
             maps.append(d)
             caches.append(dc)
         n, _, h, w = maps[0].shape
@@ -272,5 +265,5 @@ class MultiScaleDetector:
             cls_logits, box_deltas, rois, cfg.score_thresh, cfg.det_nms_thresh, orig_w, orig_h
         )
 
-    def new_tap_grads(self, taps) -> dict:
-        return {t.name: np.zeros_like(t.map) for t in taps}
+    def new_tap_grads(self, taps: dict) -> dict:
+        return {name: np.zeros_like(fmap) for name, fmap in taps.items()}

@@ -11,7 +11,7 @@ import numpy as np
 
 from .boxes import clip_boxes, decode_deltas, encode_deltas, iou_matrix, nms
 from .detector import Detection
-from .tensor import ConvParams, conv2d, conv2d_backward, relu, relu_backward, softmax
+from .tensor import Params, conv2d, conv2d_backward, relu, relu_backward, softmax
 
 
 @dataclass
@@ -78,9 +78,9 @@ def generate_anchors(feat_h: int, feat_w: int, scales, ratios, stride: int) -> n
 class RpnHead:
     """3x3 conv + ReLU trunk with sibling 1x1 objectness and delta convs."""
 
-    conv: ConvParams
-    cls: ConvParams
-    bbox: ConvParams
+    conv: Params
+    cls: Params
+    bbox: Params
 
 
 def rpn_forward(fused_map: np.ndarray, head: RpnHead):

@@ -1,6 +1,8 @@
 """Dense float64 tensors and the differentiable layer primitives.
 
-Everything runs at double precision.  Layers follow a functional style:
+Everything runs at double precision.  A parameter is a :class:`Tensor`,
+whose same-shape ``grad`` exists from construction on, and each layer's
+weight and bias form one :class:`Params`.  Layers follow a functional style:
 ``<op>(...)`` returns ``(out, cache)`` and ``<op>_backward(dout, cache, ...)``
 returns the gradient w.r.t. the input while accumulating parameter gradients
 in place (``param.grad += ...``), so parameters shared between branches pick
@@ -20,47 +22,19 @@ class ShapeError(ValueError):
 
 
 class Tensor:
-    """A float64 array plus optional same-shape gradient storage."""
+    """A float64 array and its same-shape gradient, zero until a backward adds into it."""
 
     __slots__ = ("data", "grad")
 
-    def __init__(self, data, requires_grad: bool = False):
+    def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = np.zeros_like(self.data) if requires_grad else None
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    def ensure_grad(self) -> np.ndarray:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        elif self.grad.shape != self.data.shape:
-            raise ShapeError(
-                f"grad shape {self.grad.shape} does not match data shape {self.data.shape}"
-            )
-        return self.grad
-
-    def zero_grad(self):
-        if self.grad is not None:
-            self.grad.fill(0.0)
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, grad={'yes' if self.grad is not None else 'no'})"
+        self.grad = np.zeros_like(self.data)
 
 
 @dataclass
-class ConvParams:
-    """Weights for a 2-D convolution: weight (outC, inC, kH, kW), bias (outC,)."""
-
-    weight: Tensor
-    bias: Tensor
-    pad: int = 0
-
-
-@dataclass
-class LinearParams:
-    """Weights for an affine map: weight (D, M), bias (M,)."""
+class Params:
+    """Weight and bias of one layer: a conv weight (outC, inC, kH, kW) with
+    bias (outC,), or an affine weight (D, M) with bias (M,)."""
 
     weight: Tensor
     bias: Tensor
@@ -71,35 +45,28 @@ def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -
     return rng.uniform(-limit, limit, size=shape)
 
 
-def make_conv(rng, out_c, in_c, k) -> ConvParams:
-    """Fresh conv parameters with variance-preserving init, zero bias and
-    pad (k - 1) // 2, which keeps the input size for odd k."""
+def make_conv(rng, out_c, in_c, k) -> Params:
+    """Fresh conv parameters with variance-preserving init and zero bias."""
     fan_in = in_c * k * k
     fan_out = out_c * k * k
     w = glorot_uniform(rng, (out_c, in_c, k, k), fan_in, fan_out)
-    return ConvParams(
-        weight=Tensor(w, requires_grad=True),
-        bias=Tensor(np.zeros(out_c), requires_grad=True),
-        pad=(k - 1) // 2,
-    )
+    return Params(Tensor(w), Tensor(np.zeros(out_c)))
 
 
-def make_linear(rng, d, m) -> LinearParams:
+def make_linear(rng, d, m) -> Params:
     w = glorot_uniform(rng, (d, m), d, m)
-    return LinearParams(
-        weight=Tensor(w, requires_grad=True),
-        bias=Tensor(np.zeros(m), requires_grad=True),
-    )
+    return Params(Tensor(w), Tensor(np.zeros(m)))
 
 
 # ---------------------------------------------------------------------------
 # convolution
 
 
-def conv2d(x: np.ndarray, p: ConvParams):
+def conv2d(x: np.ndarray, p: Params):
     """Stride-1 2-D convolution on NCHW input via window gather + matmul.
 
-    Output spatial size is H + 2*pad - kH + 1 per axis.
+    The input is zero-padded by (kH - 1) // 2 on every side, which keeps its
+    size for odd square kernels: the output extent is H + 2*pad - kH + 1.
     The im2col columns are channel-major, ``(C*kH*kW, N*Ho*Wo)``, so each
     gathered run is an output row rather than a kW-long kernel row, and the
     output is ``W @ cols + b`` laid out ``(outC, N, Ho, Wo)`` and returned as
@@ -109,10 +76,11 @@ def conv2d(x: np.ndarray, p: ConvParams):
     out_c, in_c, kh, kw = p.weight.data.shape
     if c != in_c:
         raise ShapeError(f"conv2d: input has {c} channels {x.shape} but kernel expects {in_c} {p.weight.data.shape}")
-    if h + 2 * p.pad < kh or w + 2 * p.pad < kw:
+    pad = (kh - 1) // 2
+    if h + 2 * pad < kh or w + 2 * pad < kw:
         raise ShapeError(f"conv2d: padded input {x.shape} smaller than kernel {p.weight.data.shape}")
-    xp = np.pad(x, ((0, 0), (0, 0), (p.pad, p.pad), (p.pad, p.pad))) if p.pad else x
-    ho, wo = h + 2 * p.pad - kh + 1, w + 2 * p.pad - kw + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+    ho, wo = h + 2 * pad - kh + 1, w + 2 * pad - kw + 1
     win = sliding_window_view(xp, (kh, kw), axis=(2, 3))
     cols = np.ascontiguousarray(win.transpose(1, 4, 5, 0, 2, 3)).reshape(c * kh * kw, n * ho * wo)
     wmat = p.weight.data.reshape(out_c, -1)
@@ -132,17 +100,18 @@ def conv2d_backward(dout: np.ndarray, cache) -> np.ndarray:
     cols, x_shape, p = cache
     n, c, h, w = x_shape
     out_c, _, kh, kw = p.weight.data.shape
+    pad = (kh - 1) // 2
     _, _, ho, wo = dout.shape
     dmat = dout.transpose(1, 0, 2, 3).reshape(out_c, -1)
     wmat = p.weight.data.reshape(out_c, -1)
-    p.bias.ensure_grad()[...] += dmat.sum(axis=1)
-    p.weight.ensure_grad()[...] += (dmat @ cols.T).reshape(p.weight.data.shape)
+    p.bias.grad += dmat.sum(axis=1)
+    p.weight.grad += (dmat @ cols.T).reshape(p.weight.data.shape)
     dc = (wmat.T @ dmat).reshape(c, kh, kw, n, ho, wo)
-    dxp = np.zeros((c, n, h + 2 * p.pad, w + 2 * p.pad))
+    dxp = np.zeros((c, n, h + 2 * pad, w + 2 * pad))
     for i in range(kh):
         for j in range(kw):
             dxp[:, :, i : i + ho, j : j + wo] += dc[:, i, j]
-    return dxp[:, :, p.pad : p.pad + h, p.pad : p.pad + w].transpose(1, 0, 2, 3)
+    return dxp[:, :, pad : pad + h, pad : pad + w].transpose(1, 0, 2, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +157,7 @@ def relu_backward(dout: np.ndarray, cache) -> np.ndarray:
     return dout * cache
 
 
-def fully_connected(x: np.ndarray, p: LinearParams):
+def fully_connected(x: np.ndarray, p: Params):
     """Affine map on (N, D) input with (D, M) weights."""
     if x.ndim != 2 or x.shape[1] != p.weight.data.shape[0]:
         raise ShapeError(
@@ -199,8 +168,8 @@ def fully_connected(x: np.ndarray, p: LinearParams):
 
 def fully_connected_backward(dout: np.ndarray, cache) -> np.ndarray:
     x, p = cache
-    p.weight.ensure_grad()[...] += x.T @ dout
-    p.bias.ensure_grad()[...] += dout.sum(axis=0)
+    p.weight.grad += x.T @ dout
+    p.bias.grad += dout.sum(axis=0)
     return dout @ p.weight.data.T
 
 

@@ -107,8 +107,6 @@ def sgd_momentum_step(params, velocity: dict, lr: float, momentum: float, weight
     """v <- momentum*v - lr*(g + weight_decay*p); p <- p + v."""
     for name, t in params.items():
         g = t.grad
-        if g is None:
-            continue
         if not np.all(np.isfinite(g)):
             raise RuntimeError(f"non-finite gradient in parameter {name}")
         v = velocity.get(name)
@@ -123,7 +121,7 @@ def sgd_momentum_step(params, velocity: dict, lr: float, momentum: float, weight
 
 @dataclass
 class PipelineState:
-    taps: list
+    taps: dict  # {name: (N, C, H, W) map}
     bb_cache: object
     fus_cache: object
     rpn_cache: object

@@ -12,7 +12,7 @@ from msfacedet.annotations import AnnotationRecord, format_annotations
 from msfacedet.checkpoint import CheckpointError
 from msfacedet.checks import LAYER_CHECKS
 from msfacedet.cli import run_cli
-from msfacedet.imageio import write_pgm, write_ppm
+from msfacedet.imageio import read_pnm, write_pgm, write_ppm
 
 DATA = Path(__file__).parent / "data"
 
@@ -53,6 +53,30 @@ def test_detect_on_ppm_matches_the_same_pgm(tmp_path):
     from_ppm = (tmp_path / "out_ppm" / "scene.txt").read_text()
     assert from_ppm
     assert from_ppm == (tmp_path / "out_pgm" / "scene.txt").read_text()
+
+
+def test_detect_overlay_draws_every_detected_box(tmp_path):
+    data, out = tmp_path / "data", tmp_path / "out"
+    data.mkdir()
+    for i in range(2):
+        write_pgm(data / f"scene{i}.pgm", _gray(10 + i))
+    args = ["detect", "--checkpoint", str(_checkpoint(tmp_path)), "--data", str(data), "--out", str(out)]
+    assert run_cli(args + ["--score-thresh", "0", "--overlay"]) == 0
+    for i in range(2):
+        boxes = [[float(v) for v in line.split()[:4]] for line in (out / f"scene{i}.txt").read_text().splitlines()]
+        assert boxes
+        # 1-px borders through the first and last pixel row and column each box covers
+        border = np.zeros((64, 64), dtype=bool)
+        for x1, y1, x2, y2 in boxes:
+            c1, c2 = np.clip([np.floor(x1), np.ceil(x2) - 1], 0, 63).astype(int)
+            r1, r2 = np.clip([np.floor(y1), np.ceil(y2) - 1], 0, 63).astype(int)
+            border[[r1, r2], c1 : c2 + 1] = True
+            border[r1 : r2 + 1, [c1, c2]] = True
+        rgb = read_pnm(out / f"scene{i}_overlay.ppm")
+        assert rgb.shape == (64, 64, 3)
+        assert np.array_equal((rgb == [255, 32, 32]).all(axis=2), border)
+        gray = np.clip(np.rint(_gray(10 + i) * 255.0), 0, 255)
+        assert (rgb[~border] == gray[~border][:, None]).all()
 
 
 def test_detect_on_truncated_image_leaves_no_output(tmp_path):
@@ -217,3 +241,30 @@ def test_ablate_failing_in_second_mode_leaves_no_output(tmp_path, monkeypatch, c
     assert "multi ap_overall" in captured.out
     assert "training diverged" in captured.err
     assert not (tmp_path / "out").exists()
+
+
+def test_ablate_writes_both_reports_and_their_margin(tmp_path, monkeypatch, capsys):
+    assert _gen_data(tmp_path / "train") == 0
+    assert _gen_data(tmp_path / "held", seed="1") == 0
+    real_evaluate = msfacedet.cli.evaluate_detector
+    # two untrained models both score AP 0 here: give each mode its own AP so
+    # that a margin taken from the wrong terms shows
+    known_ap = iter([0.625, 0.25])
+
+    def evaluate_with_known_ap(*args):
+        report = real_evaluate(*args)
+        report.overall.ap = next(known_ap)
+        return report
+
+    monkeypatch.setattr(msfacedet.cli, "evaluate_detector", evaluate_with_known_ap)
+    out = tmp_path / "out"
+    args = ["ablate", "--data", str(tmp_path / "train"), "--eval-data", str(tmp_path / "held")]
+    capsys.readouterr()
+    assert run_cli(args + ["--out", str(out), "--iterations", "2"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["report_multi.txt", "report_tap5.txt"]
+    assert (out / "report_multi.txt").read_text().startswith("ap_overall 0.625000\n")
+    assert (out / "report_tap5.txt").read_text().startswith("ap_overall 0.250000\n")
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.rsplit(" ", 1)[0] for line in lines] == ["multi ap_overall", "tap5 ap_overall", "multi-scale margin"]
+    multi, tap5, margin = (float(line.split()[-1]) for line in lines)
+    assert margin == multi - tap5 == 0.375

@@ -8,7 +8,6 @@ from msfacedet.detector import (
     assign_detection_targets,
     postprocess_detections,
 )
-from msfacedet.fusion import FeatureTap, make_l2norm
 from msfacedet.model import ModelConfig, MultiScaleDetector
 from msfacedet.tensor import softmax
 

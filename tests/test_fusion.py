@@ -4,7 +4,7 @@ import pytest
 from msfacedet.fusion import (
     L2NORM_EPS,
     TAP_ORDER,
-    FeatureTap,
+    TAP_STRIDES,
     _axis_gather,
     _partition,
     concat_shrink,
@@ -17,17 +17,19 @@ from msfacedet.fusion import (
     sync_downsample,
     sync_downsample_backward,
 )
-from msfacedet.model import TAP_STRIDES, ModelConfig, MultiScaleDetector
-from msfacedet.tensor import ConvParams, ShapeError, Tensor, conv2d, conv2d_backward
+from msfacedet.model import ModelConfig, MultiScaleDetector
+from msfacedet.tensor import Params, ShapeError, Tensor, conv2d, conv2d_backward
 from msfacedet.toydata import generate_toy_dataset
 
 
 def make_taps(rng, size=32, channels=(2, 3, 4)):
-    return [
-        FeatureTap("tap3", rng.standard_normal((1, channels[0], size // 4, size // 4)), 4),
-        FeatureTap("tap4", rng.standard_normal((1, channels[1], size // 8, size // 8)), 8),
-        FeatureTap("tap5", rng.standard_normal((1, channels[2], size // 16, size // 16)), 16),
-    ]
+    return {
+        name: rng.standard_normal((1, c, size // s, size // s)) for (name, s), c in zip(TAP_STRIDES.items(), channels)
+    }
+
+
+def make_shrink(weight):
+    return Params(Tensor(weight), Tensor(np.zeros(weight.shape[0])))
 
 
 class TestL2NormScale:
@@ -56,44 +58,33 @@ class TestL2NormScale:
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            l2norm_scale(np.zeros((3, 1, 4)), make_l2norm(4))
+            l2norm_scale(np.zeros((3, 1, 4)), make_l2norm(4, 1.0))
 
 
 class TestSyncDownsample:
     def test_stride_arithmetic(self):
         rng = np.random.default_rng(2)
-        taps = make_taps(rng)
-        for tap, expected in zip(taps, [(2, 2), (2, 2), (2, 2)]):
-            out, _ = sync_downsample(tap, 16)
-            assert out.shape[2:] == expected
+        for name, fmap in make_taps(rng).items():
+            out, _ = sync_downsample(name, fmap)
+            assert out.shape[2:] == (2, 2)
 
     def test_identity_for_matching_stride(self):
-        rng = np.random.default_rng(3)
-        tap = FeatureTap("tap5", rng.standard_normal((1, 2, 4, 4)), 16)
-        out, cache = sync_downsample(tap, 16)
-        assert out is tap.map
+        fmap = np.random.default_rng(3).standard_normal((1, 2, 4, 4))
+        out, cache = sync_downsample("tap5", fmap)
+        assert out is fmap
         assert cache is None
 
     def test_constant_map_stays_constant(self):
-        tap = FeatureTap("tap3", np.full((1, 2, 8, 8), 1.5), 4)
-        out, _ = sync_downsample(tap, 16)
+        out, _ = sync_downsample("tap3", np.full((1, 2, 8, 8), 1.5))
         assert out.shape == (1, 2, 2, 2)
         assert np.all(out == 1.5)
-
-    def test_non_divisible_rejected(self):
-        tap = FeatureTap("tap3", np.zeros((1, 1, 8, 8)), 3)
-        with pytest.raises(ShapeError):
-            sync_downsample(tap, 16)
 
 
 class TestConcatShrink:
     def test_channel_count(self):
         rng = np.random.default_rng(4)
         maps = [rng.standard_normal((c, 1, 16)) for c in (32, 64, 64)]
-        shrink = ConvParams(
-            Tensor(rng.standard_normal((64, 160, 1, 1)), requires_grad=True),
-            Tensor(np.zeros(64), requires_grad=True),
-        )
+        shrink = make_shrink(rng.standard_normal((64, 160, 1, 1)))
         out, _ = concat_shrink(maps, TAP_ORDER, {}, shrink)
         assert out.shape == (64, 1, 16)
 
@@ -102,17 +93,13 @@ class TestConcatShrink:
         maps = [rng.standard_normal((c, 2, 9)) for c in (2, 3, 4)]
         w = np.zeros((4, 9, 1, 1))
         w[np.arange(4), 5 + np.arange(4), 0, 0] = 1.0  # select the tap5 block
-        shrink = ConvParams(Tensor(w, requires_grad=True), Tensor(np.zeros(4), requires_grad=True))
-        out, _ = concat_shrink(maps, TAP_ORDER, {}, shrink)
+        out, _ = concat_shrink(maps, TAP_ORDER, {}, make_shrink(w))
         assert np.allclose(out, maps[2])
 
     def test_norms_apply_to_the_named_parts_only(self):
         rng = np.random.default_rng(14)
         maps = [rng.standard_normal((c, 1, 9)) for c in (2, 3, 4)]
-        shrink = ConvParams(
-            Tensor(rng.standard_normal((4, 9, 1, 1)), requires_grad=True),
-            Tensor(np.zeros(4), requires_grad=True),
-        )
+        shrink = make_shrink(rng.standard_normal((4, 9, 1, 1)))
         norms = {"tap3": make_l2norm(2, 2.0), "tap5": make_l2norm(4, 3.0)}
         out, _ = concat_shrink(maps, TAP_ORDER, norms, shrink)
         normed = [l2norm_scale(maps[0], norms["tap3"])[0], maps[1], l2norm_scale(maps[2], norms["tap5"])[0]]
@@ -121,19 +108,14 @@ class TestConcatShrink:
 
     def test_spatial_mismatch_names_taps(self):
         maps = [np.zeros((2, 1, 16)), np.zeros((2, 1, 9)), np.zeros((2, 1, 16))]
-        shrink = ConvParams(
-            Tensor(np.zeros((2, 6, 1, 1)), requires_grad=True),
-            Tensor(np.zeros(2), requires_grad=True),
-        )
         with pytest.raises(ShapeError, match="tap4"):
-            concat_shrink(maps, TAP_ORDER, {}, shrink)
+            concat_shrink(maps, TAP_ORDER, {}, make_shrink(np.zeros((2, 6, 1, 1))))
 
     @pytest.mark.parametrize("weight_shape", [(2, 5, 1, 1), (2, 6, 3, 3)])
     def test_shrink_weight_mismatch_rejected(self, weight_shape):
         maps = [np.zeros((2, 1, 16)) for _ in TAP_ORDER]
-        shrink = ConvParams(Tensor(np.zeros(weight_shape), requires_grad=True), Tensor(np.zeros(2), requires_grad=True))
         with pytest.raises(ShapeError, match="6 channels"):
-            concat_shrink(maps, TAP_ORDER, {}, shrink)
+            concat_shrink(maps, TAP_ORDER, {}, make_shrink(np.zeros(weight_shape)))
 
 
 def reference_cells(shape, roi, stride, p):
@@ -313,12 +295,8 @@ class TestRoiPoolMatchesPerRoiReference:
 class TestMsRoiPool:
     def _setup(self, rng):
         taps = make_taps(rng)
-        norms = {t.name: make_l2norm(t.map.shape[1], gamma_init=2.0) for t in taps}
-        shrink = ConvParams(
-            Tensor(rng.standard_normal((4, 9, 1, 1)), requires_grad=True),
-            Tensor(np.zeros(4), requires_grad=True),
-        )
-        return taps, norms, shrink
+        norms = {name: make_l2norm(fmap.shape[1], gamma_init=2.0) for name, fmap in taps.items()}
+        return taps, norms, make_shrink(rng.standard_normal((4, 9, 1, 1)))
 
     def test_output_shape_fixed(self):
         rng = np.random.default_rng(9)
@@ -336,8 +314,7 @@ class TestMsRoiPool:
     def test_constant_taps_give_constant_output(self):
         rng = np.random.default_rng(11)
         taps, norms, shrink = self._setup(rng)
-        for t in taps:
-            t.map = np.full_like(t.map, 0.7)
+        taps = {name: np.full_like(fmap, 0.7) for name, fmap in taps.items()}
         out, _ = ms_roi_pool_batch(taps, np.array([[2.0, 2.0, 20.0, 20.0]]), norms, shrink, 3)
         spread = out.reshape(4, -1)
         assert np.max(spread.max(axis=1) - spread.min(axis=1)) < 1e-12
@@ -346,19 +323,12 @@ class TestMsRoiPool:
         rng = np.random.default_rng(12)
         taps, norms, shrink = self._setup(rng)
         # same channel count per tap so a permutation is shape-legal
-        taps = [
-            FeatureTap("tap3", rng.standard_normal((1, 3, 8, 8)), 4),
-            FeatureTap("tap4", rng.standard_normal((1, 3, 4, 4)), 8),
-            FeatureTap("tap5", rng.standard_normal((1, 3, 2, 2)), 16),
-        ]
-        norms = {t.name: make_l2norm(3, gamma_init=2.0) for t in taps}
-        shrink = ConvParams(
-            Tensor(rng.standard_normal((3, 9, 1, 1)), requires_grad=True),
-            Tensor(np.zeros(3), requires_grad=True),
-        )
+        taps = make_taps(rng, channels=(3, 3, 3))
+        norms = {name: make_l2norm(3, gamma_init=2.0) for name in taps}
+        shrink = make_shrink(rng.standard_normal((3, 9, 1, 1)))
         roi = np.array([[1.0, 1.0, 28.0, 28.0]])
         out_a, _ = ms_roi_pool_batch(taps, roi, norms, shrink, 3)
-        swapped = [taps[1], taps[0], taps[2]]
+        swapped = {name: taps[name] for name in ("tap4", "tap3", "tap5")}
         out_b, _ = ms_roi_pool_batch(swapped, roi, norms, shrink, 3)
         assert np.max(np.abs(out_a - out_b)) > 1e-6
 
@@ -392,7 +362,7 @@ def reference_fusion(parts, gammas, shrink, dout):
     """The NCHW fusion step: norm the parts that have a gamma, concatenate
     along channels and shrink with a 1x1 ``conv2d``.  Returns the output,
     the part and gamma gradients for ``dout``, and the shrink gradients."""
-    shrink = ConvParams(Tensor(shrink.weight.data.copy(), True), Tensor(shrink.bias.data.copy(), True))
+    shrink = Params(Tensor(shrink.weight.data.copy()), Tensor(shrink.bias.data.copy()))
     normed, caches = [], []
     for x, g in zip(parts, gammas):
         y, cache = (x, None) if g is None else reference_l2norm_scale(x, g)
@@ -417,9 +387,9 @@ class TestFusionMatchesNchwReference:
         return model, model._fused(taps)
 
     def _assert_param_grads(self, model, taps, grads, shrink_grads):
-        for tap, (_, dgamma) in zip(taps, grads):
-            if tap.name in model.norms:
-                assert np.array_equal(model.norms[tap.name].grad, dgamma)
+        for name, (_, dgamma) in zip(taps, grads):
+            if name in model.norms:
+                assert np.array_equal(model.norms[name].grad, dgamma)
         assert np.array_equal(model.shrink.weight.grad, shrink_grads[0])
         assert np.array_equal(model.shrink.bias.grad, shrink_grads[1])
 
@@ -434,14 +404,14 @@ class TestFusionMatchesNchwReference:
         tap_grads = model.new_tap_grads(taps)
         ms_roi_pool_batch_backward(dout, cache, tap_grads)
 
-        pooled = [reference_roi_pool_stack(t.map[0], rois, t.stride, 7) for t in taps]
-        gammas = [model.norms[t.name].data if t.name in model.norms else None for t in taps]
+        pooled = [reference_roi_pool_stack(fmap[0], rois, TAP_STRIDES[name], 7) for name, fmap in taps.items()]
+        gammas = [model.norms[name].data if name in model.norms else None for name in taps]
         ref_out, grads, shrink_grads = reference_fusion([o for o, _ in pooled], gammas, model.shrink, dout)
         assert np.array_equal(out, ref_out)
-        for tap, (_, arg), (dpart, _) in zip(taps, pooled, grads):
-            ref = np.zeros_like(tap.map[0])
+        for (name, fmap), (_, arg), (dpart, _) in zip(taps.items(), pooled, grads):
+            ref = np.zeros_like(fmap[0])
             reference_roi_pool_backward(dpart, arg, ref)
-            assert np.array_equal(tap_grads[tap.name][0], ref)
+            assert np.array_equal(tap_grads[name][0], ref)
         self._assert_param_grads(model, taps, grads, shrink_grads)
 
     @pytest.mark.parametrize("mode", ["multi", "tap5"])
@@ -452,10 +422,10 @@ class TestFusionMatchesNchwReference:
         tap_grads = model.new_tap_grads(taps)
         model.fused_map_backward(dfused, cache, tap_grads)
 
-        synced = [sync_downsample(t, TAP_STRIDES["tap5"]) for t in taps]
-        gammas = [model.norms[t.name].data if t.name in model.norms else None for t in taps]
+        synced = [sync_downsample(name, fmap) for name, fmap in taps.items()]
+        gammas = [model.norms[name].data if name in model.norms else None for name in taps]
         ref_out, grads, shrink_grads = reference_fusion([m for m, _ in synced], gammas, model.shrink, dfused)
         assert np.array_equal(fused, ref_out)
-        for tap, (_, dc), (dpart, _) in zip(taps, synced, grads):
-            assert np.array_equal(tap_grads[tap.name], sync_downsample_backward(dpart, dc))
+        for name, (_, dc), (dpart, _) in zip(taps, synced, grads):
+            assert np.array_equal(tap_grads[name], sync_downsample_backward(dpart, dc))
         self._assert_param_grads(model, taps, grads, shrink_grads)

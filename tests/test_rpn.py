@@ -3,6 +3,9 @@ import pytest
 
 from msfacedet.boxes import clip_boxes, decode_deltas, iou_matrix, nms
 from msfacedet.rpn import (
+    RPN_BATCH_SIZE,
+    RPN_MAX_POS,
+    RPN_NEG_IOU,
     RPN_POS_IOU,
     DetectConfig,
     RpnHead,
@@ -13,7 +16,7 @@ from msfacedet.rpn import (
     rpn_forward,
 )
 from msfacedet.model import ModelConfig
-from msfacedet.tensor import ConvParams, Tensor, conv2d, make_conv, relu, softmax
+from msfacedet.tensor import conv2d, make_conv, relu, softmax
 
 
 class TestGenerateAnchors:
@@ -238,11 +241,24 @@ class TestAssignRpnTargets:
             assert ok
 
     def test_minibatch_caps(self):
-        anchors = self._anchors()
-        rng = np.random.default_rng(6)
-        t = assign_rpn_targets(anchors, np.array([[30.0, 30.0, 62.0, 62.0]]), rng, 128, 128)
-        assert t.n_pos + t.n_neg <= 256
-        assert t.n_pos <= 128
+        # a 16 px face in every cell of a 256 px image: the matching anchors
+        # outnumber the positive cap and the larger ones the negative room
+        anchors = generate_anchors(16, 16, (1.0, 2.0, 4.0), (1.0, 1.3), 16)
+        gt = anchors[::6]  # the scale-1, ratio-1 anchor of each cell
+        inside = np.all((anchors >= 0.0) & (anchors <= 256.0), axis=1)
+        best = iou_matrix(anchors, gt).max(axis=1)
+        assert (inside & (best >= RPN_POS_IOU)).sum() > RPN_MAX_POS
+        assert (inside & (best <= RPN_NEG_IOU)).sum() > RPN_BATCH_SIZE - RPN_MAX_POS
+        t, again = (assign_rpn_targets(anchors, gt, np.random.default_rng(6), 256, 256) for _ in range(2))
+        assert t.n_pos == RPN_MAX_POS
+        assert t.n_pos + t.n_neg == RPN_BATCH_SIZE
+        assert (t.labels == 1).sum() == t.n_pos
+        assert (t.labels == 0).sum() == t.n_neg
+        assert np.array_equal(t.labels, again.labels)
+        # another seed draws other kept subsets of both labels
+        other = assign_rpn_targets(anchors, gt, np.random.default_rng(7), 256, 256)
+        assert not np.array_equal(t.labels == 1, other.labels == 1)
+        assert not np.array_equal(t.labels == 0, other.labels == 0)
 
     def test_no_anchors_inside_rejected(self):
         anchors = generate_anchors(2, 2, (16.0,), (1.0,), 16)

@@ -22,6 +22,20 @@ def test_same_seed_gives_bit_identical_trace_and_checkpoint(mode, tmp_path):
     assert ckpt_a == ckpt_b
 
 
+def test_lr_drop_slows_only_the_last_quarter_of_steps():
+    scenes = generate_toy_dataset(3, 64, (16, 32), seed=1)
+    n = 12
+    plain, dropped = (
+        train(scenes, TrainConfig(iterations=n, seed=5, lr_drop=drop), trace_every=1).trace for drop in (False, True)
+    )
+    # the step of iteration int(0.75 * n) + 1 is the first at a tenth of the
+    # rate; a row's losses come before its own step, so the next row differs first
+    first = int(0.75 * n) + 1
+    assert plain[:first] == dropped[:first]
+    assert len(plain) == len(dropped) == n
+    assert all(a != b for a, b in zip(plain[first:], dropped[first:]))
+
+
 def _rpn_targets(labels, rng):
     labels = np.asarray(labels)
     return RpnTargets(labels=labels, target_deltas=rng.standard_normal((labels.size, 4)))
