@@ -13,11 +13,12 @@ import numpy as np
 from .annotations import AnnotationRecord, format_annotations, load_annotations
 from .checks import MODEL_CHECK_SEEDS, TOLERANCE, run_suite
 from .config import RunConfig, load_run_config
-from .evaluation import evaluate_dataset, evaluate_detector, format_report
+from .evaluation import EvalConfig, evaluate_dataset, evaluate_detector, format_report
 from .imageio import load_image, overlay_boxes, write_pgm, write_ppm
-from .model import MultiScaleDetector
+from .model import ModelConfig, MultiScaleDetector
+from .rpn import DetectConfig
 from .toydata import ToyScene, generate_toy_dataset
-from .training import format_trace, train
+from .training import TrainConfig, format_trace, train
 
 
 class _OutputTracker:
@@ -120,9 +121,9 @@ def cmd_train(args, tracker) -> int:
     tracker.mkdir(out_dir)
     result = train(
         scenes,
-        cfg.train_config(),
-        cfg.model_config(),
-        detect_cfg=cfg.detect_config(),
+        cfg.component(TrainConfig),
+        cfg.component(ModelConfig),
+        detect_cfg=cfg.component(DetectConfig),
         progress=lambda it, c: print(f"iter {it}: total {c['total']:.4f}") if it % 200 == 0 else None,
     )
     tracker.write_text(out_dir / "loss_trace.txt", format_trace(result.trace))
@@ -153,9 +154,9 @@ def cmd_detect(args, tracker) -> int:
     images = sorted(p for p in data_dir.iterdir() if p.suffix in (".pgm", ".ppm"))
     if not images:
         raise FileNotFoundError(f"no .pgm/.ppm images in {data_dir}")
-    model = MultiScaleDetector(cfg.model_config(), seed=0)
+    model = MultiScaleDetector(cfg.component(ModelConfig), seed=0)
     model.load(ckpt)
-    detect_cfg = cfg.detect_config()
+    detect_cfg = cfg.component(DetectConfig)
     tracker.mkdir(out_dir)
     for img_path in images:
         tensor, orig_w, orig_h = load_image(img_path)
@@ -169,17 +170,20 @@ def cmd_detect(args, tracker) -> int:
 
 
 def _parse_detection_file(path: Path):
-    boxes, scores = [], []
-    for line in path.read_text().splitlines():
+    """Boxes (N, 4) and scores (N,) from lines of five finite numbers."""
+    rows = []
+    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         if not line.strip():
             continue
-        parts = line.split()
-        if len(parts) != 5:
-            raise ValueError(f"{path}: malformed detection line {line!r}")
-        vals = [float(v) for v in parts]
-        boxes.append(vals[:4])
-        scores.append(vals[4])
-    return np.array(boxes).reshape(-1, 4), np.array(scores)
+        try:
+            vals = [float(v) for v in line.split()]
+        except ValueError:
+            vals = []
+        if len(vals) != 5 or not np.isfinite(vals).all():
+            raise ValueError(f"{path}:{lineno}: expected 5 finite numbers, got {line!r}")
+        rows.append(vals)
+    rows = np.array(rows).reshape(-1, 5)
+    return rows[:, :4], rows[:, 4]
 
 
 def cmd_eval(args, tracker) -> int:
@@ -192,7 +196,7 @@ def cmd_eval(args, tracker) -> int:
         raise FileNotFoundError(f"detection directory {det_dir} not found")
     gts = {Path(rec.image_path).stem: rec.boxes for rec in load_annotations(ann_path)}
     dets = {p.stem: _parse_detection_file(p) for p in sorted(det_dir.glob("*.txt"))}
-    report = evaluate_dataset(dets, gts, cfg.eval_config())
+    report = evaluate_dataset(dets, gts, cfg.component(EvalConfig))
     text = format_report(report)
     if args.out:
         tracker.write_text(args.out, text)
@@ -222,12 +226,12 @@ def cmd_ablate(args, tracker) -> int:
     eval_scenes = _load_scenes(Path(args.eval_data))
     out_dir = Path(args.out or cfg.out_dir or ".")
     tracker.mkdir(out_dir)
-    detect_cfg = cfg.detect_config()
+    detect_cfg = cfg.component(DetectConfig)
     aps = {}
     for mode in ("multi", "tap5"):
         cfg.fusion_mode = mode
-        result = train(train_scenes, cfg.train_config(), cfg.model_config(), detect_cfg=detect_cfg)
-        report = evaluate_detector(result.model, eval_scenes, cfg.eval_config(), detect_cfg)
+        result = train(train_scenes, cfg.component(TrainConfig), cfg.component(ModelConfig), detect_cfg=detect_cfg)
+        report = evaluate_detector(result.model, eval_scenes, cfg.component(EvalConfig), detect_cfg)
         tracker.write_text(out_dir / f"report_{mode}.txt", format_report(report))
         aps[mode] = report.overall.ap if report.overall.ap is not None else float("nan")
         print(f"{mode} ap_overall {aps[mode]:.6f}")

@@ -31,29 +31,16 @@ class RunConfig(DetectConfig, TrainConfig, EvalConfig, ModelConfig):
     annotations: str = ""
     detections: str = ""
 
-    def _component(self, cls):
+    def component(self, cls):
+        """The validated ``cls`` part (one of the base classes) of this config."""
         cfg = cls(**{f.name: getattr(self, f.name) for f in fields(cls)})
         cfg.validate()
         return cfg
 
-    def train_config(self) -> TrainConfig:
-        return self._component(TrainConfig)
-
-    def eval_config(self) -> EvalConfig:
-        return self._component(EvalConfig)
-
-    def model_config(self) -> ModelConfig:
-        return self._component(ModelConfig)
-
-    def detect_config(self) -> DetectConfig:
-        return self._component(DetectConfig)
-
     def validate(self):
         try:
-            self.train_config()
-            self.eval_config()
-            self.model_config()
-            self.detect_config()
+            for cls in (TrainConfig, EvalConfig, ModelConfig, DetectConfig):
+                self.component(cls)
         except ValueError as e:
             raise ConfigError(str(e)) from None
 

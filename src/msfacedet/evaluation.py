@@ -29,7 +29,6 @@ class EvalConfig:
 
 @dataclass
 class EvalReport:
-    flags: np.ndarray  # bool TP flag per detection in the score sweep
     pr_points: list  # (recall, precision) per prefix
     ap: float | None  # None when n_gt == 0 (undefined)
     roc_points: list  # (cumulative FP count, true-positive rate)
@@ -82,9 +81,7 @@ def pr_curve_ap(flags: np.ndarray, n_gt: int):
     precision = tp / (tp + fp)
     points = list(zip(recall.tolist(), precision.tolist()))
     mrec = np.concatenate([[0.0], recall])
-    mpre = np.concatenate([[1.0], precision])
-    for i in range(mpre.size - 2, -1, -1):
-        mpre[i] = max(mpre[i], mpre[i + 1])
+    mpre = np.maximum.accumulate(np.concatenate([[1.0], precision])[::-1])[::-1]
     steps = np.flatnonzero(mrec[1:] != mrec[:-1]) + 1
     ap = float(np.sum((mrec[steps] - mrec[steps - 1]) * mpre[steps]))
     return points, ap
@@ -100,16 +97,9 @@ def roc_curve(flags: np.ndarray, n_gt: int):
     return [(int(f), t / n_gt) for f, t in zip(fp.tolist(), tp.tolist())]
 
 
-def _report(flags: np.ndarray, n_gt: int, n_det: int) -> EvalReport:
+def _report(flags: np.ndarray, n_gt: int) -> EvalReport:
     pr, ap = pr_curve_ap(flags, n_gt)
-    return EvalReport(
-        flags=np.asarray(flags, dtype=bool),
-        pr_points=pr,
-        ap=ap,
-        roc_points=roc_curve(flags, n_gt),
-        n_gt=n_gt,
-        n_det=n_det,
-    )
+    return EvalReport(pr_points=pr, ap=ap, roc_points=roc_curve(flags, n_gt), n_gt=n_gt, n_det=flags.size)
 
 
 @dataclass
@@ -126,10 +116,11 @@ def evaluate_dataset(dets_by_image: dict, gts_by_image: dict, cfg: EvalConfig = 
 
     ``dets_by_image`` maps image id -> (boxes (N, 4), scores (N,));
     ``gts_by_image`` maps image id -> boxes (G, 4).  Detections are matched
-    per image, then swept globally in descending score order.  Per-split
-    reports reuse the overall matching: a detection matched to an
-    out-of-split box is ignored there, an unmatched detection counts as a
-    false positive in every split.
+    per image, then swept globally in descending score order; equal scores
+    fall to the image that sorts first by id, then to the detection that
+    comes first in its image's input.  Per-split reports reuse the overall
+    matching: a detection matched to an out-of-split box is ignored there,
+    an unmatched detection counts as a false positive in every split.
     """
     cfg = cfg or EvalConfig()
     cfg.validate()
@@ -137,46 +128,27 @@ def evaluate_dataset(dets_by_image: dict, gts_by_image: dict, cfg: EvalConfig = 
     if unknown:
         raise ValueError(f"detections reference unknown image {unknown[0]!r}")
 
-    entries = []  # (score, image_rank, det_idx, tp, matched_height)
-    n_gt = 0
-    gt_split_counts = dict.fromkeys(SPLIT_NAMES, 0)
-
-    def split_of(height: float) -> str:
-        if height < cfg.split_small_max:
-            return "small"
-        if height < cfg.split_medium_max:
-            return "medium"
-        return "large"
-
-    for rank, image_id in enumerate(sorted(gts_by_image)):
+    bounds = (cfg.split_small_max, cfg.split_medium_max)
+    gt_counts = np.zeros(len(SPLIT_NAMES), dtype=np.int64)
+    scores, det_split = [np.zeros(0)], [np.zeros(0, dtype=np.int64)]  # per image, in its score order
+    for image_id in sorted(gts_by_image):
         gts = np.asarray(gts_by_image[image_id], dtype=np.float64).reshape(-1, 4)
-        n_gt += gts.shape[0]
-        for b in gts:
-            gt_split_counts[split_of(b[3] - b[1])] += 1
-        boxes, scores = dets_by_image.get(image_id, (np.zeros((0, 4)), np.zeros(0)))
+        gt_split = np.searchsorted(bounds, gts[:, 3] - gts[:, 1], side="right")
+        gt_counts += np.bincount(gt_split, minlength=len(SPLIT_NAMES))
+        boxes, image_scores = dets_by_image.get(image_id, (np.zeros((0, 4)), np.zeros(0)))
         boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
-        scores = np.asarray(scores, dtype=np.float64).reshape(-1)
-        order = np.argsort(-scores, kind="stable")
-        flags, matched = match_detections(boxes[order], gts, cfg.iou_threshold)
-        for pos, det_idx in enumerate(order):
-            height = gts[matched[pos], 3] - gts[matched[pos], 1] if matched[pos] >= 0 else None
-            entries.append((float(scores[det_idx]), rank, int(det_idx), bool(flags[pos]), height))
+        image_scores = np.asarray(image_scores, dtype=np.float64).reshape(-1)
+        order = np.argsort(-image_scores, kind="stable")
+        _, matched = match_detections(boxes[order], gts, cfg.iou_threshold)
+        scores.append(image_scores[order])
+        det_split.append(np.append(gt_split, -1)[matched])  # matched box's split; unmatched (-1) picks the -1
 
-    entries.sort(key=lambda e: (-e[0], e[1], e[2]))
-    all_flags = np.array([e[3] for e in entries], dtype=bool)
-    overall = _report(all_flags, n_gt, len(entries))
-
-    splits = {}
-    for name in SPLIT_NAMES:
-        kept = []
-        for e in entries:
-            if e[3]:
-                if split_of(e[4]) == name:
-                    kept.append(True)
-                # matched outside the split: ignored
-            else:
-                kept.append(False)
-        splits[name] = _report(np.array(kept, dtype=bool), gt_split_counts[name], len(kept))
+    det_split = np.concatenate(det_split)[np.argsort(-np.concatenate(scores), kind="stable")]
+    overall = _report(det_split >= 0, int(gt_counts.sum()))
+    splits = {
+        name: _report(det_split[(det_split == k) | (det_split < 0)] == k, int(gt_counts[k]))
+        for k, name in enumerate(SPLIT_NAMES)
+    }
     return DatasetReport(overall=overall, splits=splits)
 
 

@@ -11,6 +11,9 @@ from pathlib import Path
 
 import numpy as np
 
+PAD_MULTIPLE = 16  # the largest backbone stride, fusion.TAP_STRIDES["tap5"]
+OVERLAY_COLOR = (255, 32, 32)
+
 
 class ImageFormatError(ValueError):
     pass
@@ -61,10 +64,10 @@ def read_pnm(path) -> np.ndarray:
     return arr.reshape(h, w) if channels == 1 else arr.reshape(h, w, 3)
 
 
-def pad_to_multiple(img: np.ndarray, multiple: int = 16) -> np.ndarray:
+def pad_to_multiple(img: np.ndarray) -> np.ndarray:
     h, w = img.shape[-2], img.shape[-1]
-    ph = (-h) % multiple
-    pw = (-w) % multiple
+    ph = (-h) % PAD_MULTIPLE
+    pw = (-w) % PAD_MULTIPLE
     if ph == 0 and pw == 0:
         return img
     pad = [(0, 0)] * (img.ndim - 2) + [(0, ph), (0, pw)]
@@ -101,11 +104,11 @@ def write_ppm(path, rgb: np.ndarray):
         f.write(q.tobytes())
 
 
-def overlay_boxes(gray: np.ndarray, boxes, color=(255, 32, 32)) -> np.ndarray:
+def overlay_boxes(gray: np.ndarray, boxes) -> np.ndarray:
     """Burn 1-px box borders into a grayscale [0, 1] image; returns RGB uint8."""
     h, w = gray.shape
     rgb = np.repeat(np.clip(np.rint(gray * 255.0), 0, 255).astype(np.uint8)[:, :, None], 3, axis=2)
-    col = np.array(color, dtype=np.uint8)
+    col = np.array(OVERLAY_COLOR, dtype=np.uint8)
     for b in boxes:
         x1 = int(np.clip(np.floor(b[0]), 0, w - 1))
         y1 = int(np.clip(np.floor(b[1]), 0, h - 1))

@@ -16,6 +16,8 @@ from .boxes import iou_matrix
 
 FACE_ASPECT = 0.8  # width / height of a face box
 NOISE_SIGMA = 0.05
+MAX_FACES = 4
+MAX_DISTRACTORS = 3
 PLACEMENT_ATTEMPTS = 100
 
 
@@ -67,14 +69,7 @@ def _draw_distractor(img, yy, xx, rng, size: int, scale_lo: int, scale_hi: int):
     return np.array(box, dtype=np.float64)
 
 
-def generate_toy_dataset(
-    n_images: int,
-    image_size: int,
-    face_scale_range: tuple,
-    seed: int,
-    max_faces: int = 4,
-    max_distractors: int = 3,
-) -> list[ToyScene]:
+def generate_toy_dataset(n_images: int, image_size: int, face_scale_range: tuple, seed: int) -> list[ToyScene]:
     """Deterministically generate ``n_images`` scenes from ``seed``.
 
     Face heights are drawn from ``face_scale_range`` (pixels); every ground
@@ -90,8 +85,8 @@ def generate_toy_dataset(
     scenes = []
     for i in range(n_images):
         img = np.full((image_size, image_size), 0.5)
-        n_faces = int(rng.integers(1, max_faces + 1))
-        n_distract = int(rng.integers(0, max_distractors + 1))
+        n_faces = int(rng.integers(1, MAX_FACES + 1))
+        n_distract = int(rng.integers(0, MAX_DISTRACTORS + 1))
         face_boxes = []
         for _ in range(n_faces):
             placed = None

@@ -1,13 +1,15 @@
 """Regenerate the golden evaluation fixture with an independent reference.
 
-Writes tests/data/golden_annotations.txt, tests/data/golden_dets/*.txt and
-tests/data/golden_report.txt.  The report is computed here from scratch with
-plain-Python greedy matching and a max-scan AP, not by the library under
-test; the committed fixture pins the library's expected output bytes.
+Writes golden_annotations.txt, golden_dets/*.txt and golden_report.txt
+into an output directory, tests/data by default.  The report is computed
+here from scratch with plain-Python greedy matching and a max-scan AP, not
+by the library under test; the committed fixture pins the library's
+expected output bytes.
 
-Run from the repository root:  python3 tests/make_golden.py
+Run from the repository root:  python3 tests/make_golden.py [out_dir]
 """
 
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -82,10 +84,11 @@ def split_of(h):
     return "large"
 
 
-def main():
+def main(out_dir=DATA):
+    out_dir = Path(out_dir)
     rng = np.random.default_rng(20240917)
-    DATA.mkdir(exist_ok=True)
-    det_dir = DATA / "golden_dets"
+    out_dir.mkdir(exist_ok=True)
+    det_dir = out_dir / "golden_dets"
     det_dir.mkdir(exist_ok=True)
 
     ann_lines = []
@@ -135,7 +138,7 @@ def main():
         for idx, (d, fl, ht) in enumerate(zip(file_dets, flags, heights)):
             all_entries.append((d[4], i, idx, fl, ht))
 
-    (DATA / "golden_annotations.txt").write_text("\n".join(ann_lines) + "\n")
+    (out_dir / "golden_annotations.txt").write_text("\n".join(ann_lines) + "\n")
 
     all_entries.sort(key=lambda e: (-e[0], e[1], e[2]))
     flags = [e[3] for e in all_entries]
@@ -175,9 +178,9 @@ def main():
         tp += 1 if f else 0
         fp += 0 if f else 1
         lines.append(f"{fp} {tp / n_gt:.6f}")
-    (DATA / "golden_report.txt").write_text("\n".join(lines) + "\n")
+    (out_dir / "golden_report.txt").write_text("\n".join(lines) + "\n")
     print(f"golden fixture: {n_gt} boxes, {len(all_entries)} detections, ap={fmt(ap_overall)}")
 
 
 if __name__ == "__main__":
-    main()
+    main(*sys.argv[1:])

@@ -99,6 +99,18 @@ def test_eval_matches_golden_report(tmp_path):
     assert report.read_bytes() == (DATA / "golden_report.txt").read_bytes()
 
 
+@pytest.mark.parametrize("bad", ["10 10 30 30 nan", "0 0 inf 5 0.5", "0 0 5 five 0.5", "0 0 5 5"])
+def test_eval_rejects_malformed_detection_line_without_report(bad, tmp_path, capsys):
+    dets = tmp_path / "dets"
+    dets.mkdir()
+    (dets / "img_00.txt").write_text(f"1 1 20 20 0.9\n\n{bad}\n")
+    report = tmp_path / "report.txt"
+    args = ["eval", "--detections", str(dets), "--annotations", str(DATA / "golden_annotations.txt")]
+    assert run_cli(args + ["--out", str(report)]) == 1
+    assert f"{dets / 'img_00.txt'}:3:" in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_load_rejects_non_finite_checkpoint(tmp_path):
     path = _nan_checkpoint(tmp_path)
     with pytest.raises(CheckpointError, match="det.cls.bias"):

@@ -83,9 +83,9 @@ class TestRunConfigKeys:
 
     def test_component_configs_carry_the_values(self):
         cfg = parse_run_config("iterations = 5\nseed = 3\niou_threshold = 0.4\nroi_pool_size = 5\nmin_size = 2\n")
-        train_cfg, eval_cfg, model_cfg = cfg.train_config(), cfg.eval_config(), cfg.model_config()
+        train_cfg, eval_cfg, model_cfg = (cfg.component(c) for c in (TrainConfig, EvalConfig, ModelConfig))
         assert type(train_cfg) is TrainConfig and type(eval_cfg) is EvalConfig and type(model_cfg) is ModelConfig
-        assert cfg.detect_config() == DetectConfig(min_size=2.0)
+        assert cfg.component(DetectConfig) == DetectConfig(min_size=2.0)
         assert (train_cfg.iterations, train_cfg.seed) == (5, 3)
         assert train_cfg.learning_rate == DEFAULTS["learning_rate"]
         assert eval_cfg.iou_threshold == 0.4
@@ -113,8 +113,8 @@ class TestRoundTrip:
         assert cfg.anchor_scales == (1.5, 3.0)
         assert cfg.fusion_mode == "tap5"
         assert cfg.data_dir == "some/dir"
-        assert cfg.model_config().fusion_mode == "tap5"
-        assert cfg.model_config().anchor_scales == (1.5, 3.0)
+        assert cfg.component(ModelConfig).fusion_mode == "tap5"
+        assert cfg.component(ModelConfig).anchor_scales == (1.5, 3.0)
 
     @pytest.mark.parametrize("raw,expected", [("true", True), ("1", True), ("No", False), ("false", False)])
     def test_bool_spellings(self, raw, expected):
