@@ -39,14 +39,11 @@ def detection_forward(taps: dict, rois: np.ndarray, head: DetHead, norms, shrink
 
     Each ROI gets a fused fixed-size descriptor via multi-scale ROI pooling,
     then two ReLU fully-connected layers and sibling output layers.  An empty
-    ROI stack yields empty outputs.
+    ROI stack takes the same path.
     """
     rois = np.asarray(rois, dtype=np.float64).reshape(-1, 4)
-    r = rois.shape[0]
-    if r == 0:
-        return (np.zeros((0, 2)), np.zeros((0, 4))), None
     fused, pool_cache = ms_roi_pool_batch(taps, rois, norms, shrink, pool_size)
-    flat = fused.reshape(r, -1)
+    flat = fused.reshape(len(rois), head.fc1.weight.data.shape[0])
     h1, c1 = fully_connected(flat, head.fc1)
     a1, r1 = relu(h1)
     h2, c2 = fully_connected(a1, head.fc2)
@@ -59,8 +56,6 @@ def detection_forward(taps: dict, rois: np.ndarray, head: DetHead, norms, shrink
 
 def detection_backward(dlogits: np.ndarray, ddeltas: np.ndarray, cache, tap_grads: dict):
     """Backprop the head and pooled fusion; adds tap gradients into ``tap_grads``."""
-    if cache is None:
-        return
     pool_cache, fused_shape, c1, r1, c2, r2, c3, c4 = cache
     da2 = fully_connected_backward(dlogits, c3) + fully_connected_backward(ddeltas, c4)
     dh2 = relu_backward(da2, r2)
@@ -121,8 +116,7 @@ def assign_detection_targets(
     idx = np.concatenate([pos, neg]).astype(np.int64)
     labels = np.concatenate([np.ones(pos.size, dtype=np.int64), np.zeros(neg.size, dtype=np.int64)])
     deltas = np.zeros((idx.size, 4))
-    if pos.size:
-        deltas[: pos.size] = encode_deltas(gt_boxes[best_gt[pos]], rois[pos])
+    deltas[: pos.size] = encode_deltas(gt_boxes[best_gt[pos]], rois[pos])
     return DetTargets(roi_indices=idx, labels=labels, target_deltas=deltas, n_pos=int(pos.size))
 
 
@@ -137,15 +131,10 @@ def postprocess_detections(
 ) -> list[Detection]:
     """Refine ROIs with predicted deltas, threshold on face probability and NMS."""
     rois = np.asarray(rois, dtype=np.float64).reshape(-1, 4)
-    if rois.shape[0] == 0:
-        return []
     scores = softmax(logits)[:, 1]
     boxes = decode_deltas(deltas, rois)
     boxes, keep = clip_boxes(boxes, img_w, img_h)
     keep &= scores > score_thresh
     idx = np.flatnonzero(keep)
-    if idx.size == 0:
-        return []
-    order = idx[np.argsort(-scores[idx], kind="stable")]
-    kept = nms(boxes[order], scores[order], nms_thresh)
-    return [Detection(box=boxes[order[i]].copy(), score=float(scores[order[i]])) for i in kept]
+    kept = idx[nms(boxes[idx], scores[idx], nms_thresh)]
+    return [Detection(box=boxes[i].copy(), score=float(scores[i])) for i in kept]

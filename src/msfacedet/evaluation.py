@@ -73,8 +73,6 @@ def pr_curve_ap(flags: np.ndarray, n_gt: int):
     flags = np.asarray(flags, dtype=bool)
     if n_gt == 0:
         return [], None
-    if flags.size == 0:
-        return [], 0.0
     tp = np.cumsum(flags)
     fp = np.cumsum(~flags)
     recall = tp / n_gt
@@ -114,7 +112,7 @@ SPLIT_NAMES = ("small", "medium", "large")
 def evaluate_dataset(dets_by_image: dict, gts_by_image: dict, cfg: EvalConfig = None) -> DatasetReport:
     """Score a detection set against annotations.
 
-    ``dets_by_image`` maps image id -> (boxes (N, 4), scores (N,));
+    ``dets_by_image`` maps image id -> finite (boxes (N, 4), scores (N,));
     ``gts_by_image`` maps image id -> boxes (G, 4).  Detections are matched
     per image, then swept globally in descending score order; equal scores
     fall to the image that sorts first by id, then to the detection that
@@ -136,8 +134,14 @@ def evaluate_dataset(dets_by_image: dict, gts_by_image: dict, cfg: EvalConfig = 
         gt_split = np.searchsorted(bounds, gts[:, 3] - gts[:, 1], side="right")
         gt_counts += np.bincount(gt_split, minlength=len(SPLIT_NAMES))
         boxes, image_scores = dets_by_image.get(image_id, (np.zeros((0, 4)), np.zeros(0)))
-        boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
-        image_scores = np.asarray(image_scores, dtype=np.float64).reshape(-1)
+        boxes = np.asarray(boxes, dtype=np.float64)
+        image_scores = np.asarray(image_scores, dtype=np.float64)
+        finite = np.isfinite(boxes).all() and np.isfinite(image_scores).all()
+        if image_scores.ndim != 1 or boxes.shape != (image_scores.size, 4) or not finite:
+            raise ValueError(
+                f"image {image_id!r}: detections must be (N, 4) boxes and (N,) scores, all finite; "
+                f"got {boxes.shape} and {image_scores.shape}"
+            )
         order = np.argsort(-image_scores, kind="stable")
         _, matched = match_detections(boxes[order], gts, cfg.iou_threshold)
         scores.append(image_scores[order])
@@ -173,8 +177,7 @@ def proposal_recall(model, scenes, detect_cfg: DetectConfig) -> float:
         boxes = np.array([p.box for p in props]).reshape(-1, 4)
         gts = np.asarray(s.gt_boxes, dtype=np.float64).reshape(-1, 4)
         total += gts.shape[0]
-        if boxes.size and gts.size:
-            hits += int((iou_matrix(gts, boxes).max(axis=1) > 0.5).sum())
+        hits += int((iou_matrix(gts, boxes).max(axis=1, initial=0.0) > 0.5).sum())
     return hits / max(total, 1)
 
 

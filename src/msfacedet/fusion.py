@@ -115,7 +115,7 @@ def concat_shrink(parts, names, norms, shrink: Params):
         norm_caches.append(nc)
     out = wmat @ z
     out += shrink.bias.data[:, None]
-    return out.reshape(-1, *shapes[0][1:]), (z, shapes, norm_caches, shrink)
+    return out.reshape(len(out), *shapes[0][1:]), (z, shapes, norm_caches, shrink)
 
 
 def concat_shrink_backward(dout: np.ndarray, cache):
@@ -254,7 +254,7 @@ def ms_roi_pool_batch(taps: dict, rois: np.ndarray, norms, shrink: Params, p: in
     names = list(taps)
     pools = [roi_pool(taps[name][0], rois, TAP_STRIDES[name], p) for name in names]
     out, fuse_cache = concat_shrink([po for po, _ in pools], names, norms, shrink)
-    return out.reshape(-1, len(rois), p, p).transpose(1, 0, 2, 3), (names, [pc for _, pc in pools], fuse_cache)
+    return out.reshape(len(out), len(rois), p, p).transpose(1, 0, 2, 3), (names, [pc for _, pc in pools], fuse_cache)
 
 
 def ms_roi_pool_batch_backward(dout: np.ndarray, cache, tap_grads: dict):

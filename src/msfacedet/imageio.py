@@ -68,8 +68,6 @@ def pad_to_multiple(img: np.ndarray) -> np.ndarray:
     h, w = img.shape[-2], img.shape[-1]
     ph = (-h) % PAD_MULTIPLE
     pw = (-w) % PAD_MULTIPLE
-    if ph == 0 and pw == 0:
-        return img
     pad = [(0, 0)] * (img.ndim - 2) + [(0, ph), (0, pw)]
     return np.pad(img, pad, mode="edge")
 

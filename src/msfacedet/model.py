@@ -118,7 +118,6 @@ class MultiScaleDetector:
             cls=make_linear(rng, head_width, 2),
             bbox=make_linear(rng, head_width, 4),
         )
-        self._anchor_cache = {}
 
     # ------------------------------------------------------------------
     # parameter registry
@@ -239,12 +238,7 @@ class MultiScaleDetector:
     # inference
 
     def anchors_for(self, feat_h: int, feat_w: int) -> np.ndarray:
-        key = (feat_h, feat_w)
-        if key not in self._anchor_cache:
-            self._anchor_cache[key] = generate_anchors(
-                feat_h, feat_w, self.cfg.anchor_scales, self.cfg.anchor_ratios, TAP_STRIDES["tap5"]
-            )
-        return self._anchor_cache[key]
+        return generate_anchors(feat_h, feat_w, self.cfg.anchor_scales, self.cfg.anchor_ratios, TAP_STRIDES["tap5"])
 
     def detect(
         self, image: np.ndarray, orig_w: int, orig_h: int, cfg: DetectConfig | None = None, **overrides
@@ -257,9 +251,7 @@ class MultiScaleDetector:
         (logits, deltas), _ = rpn_forward(fused, self.rpn_head)
         anchors = self.anchors_for(fused.shape[2], fused.shape[3])
         proposals = propose(logits, deltas, anchors, orig_w, orig_h, cfg)
-        if not proposals:
-            return []
-        rois = np.stack([p.box for p in proposals])
+        rois = np.array([p.box for p in proposals]).reshape(-1, 4)
         (cls_logits, box_deltas), _ = self.roi_forward(taps, rois)
         return postprocess_detections(
             cls_logits, box_deltas, rois, cfg.score_thresh, cfg.det_nms_thresh, orig_w, orig_h

@@ -134,8 +134,6 @@ def propose(
     boxes, keep = clip_boxes(boxes, img_w, img_h)
     keep &= (boxes[:, 2] - boxes[:, 0] >= cfg.min_size) & (boxes[:, 3] - boxes[:, 1] >= cfg.min_size)
     idx = np.flatnonzero(keep)
-    if idx.size == 0:
-        return []
     order = idx[np.argsort(-scores[idx], kind="stable")][: cfg.pre_nms_top_n]
     kept = nms(boxes[order], scores[order], cfg.rpn_nms_thresh, max_keep=cfg.post_nms_top_n)
     return [Detection(box=boxes[order[i]].copy(), score=float(scores[order[i]])) for i in kept]
@@ -199,14 +197,10 @@ def assign_rpn_targets(
         labels[inside[best_iou >= RPN_POS_IOU]] = 1
         # the best anchor of each ground-truth box is positive regardless
         per_gt_best = ious.max(axis=0)
-        for g in range(gt_boxes.shape[0]):
-            if per_gt_best[g] > 0.0:
-                labels[inside[ious[:, g] == per_gt_best[g]]] = 1
+        labels[inside[((ious == per_gt_best) & (per_gt_best > 0.0)).any(axis=1)]] = 1
         pos = np.flatnonzero(labels == 1)
-        if pos.size:
-            pos_inside = np.searchsorted(inside, pos)
-            match = best_gt[pos_inside]
-            target_deltas[pos] = encode_deltas(gt_boxes[match], anchors[pos])
+        match = best_gt[np.searchsorted(inside, pos)]
+        target_deltas[pos] = encode_deltas(gt_boxes[match], anchors[pos])
 
     pos = np.flatnonzero(labels == 1)
     if pos.size > RPN_MAX_POS:

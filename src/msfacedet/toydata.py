@@ -51,7 +51,8 @@ def _draw_face(img, yy, xx, box, face_val, dark_val):
     img[mouth] = dark_val
 
 
-def _draw_distractor(img, yy, xx, rng, size: int, scale_lo: int, scale_hi: int):
+def _distractor(yy, xx, rng, size: int, scale_lo: int, scale_hi: int):
+    """A random plain rectangle or disc as (box, pixel mask, gray value)."""
     val = rng.uniform(0.2, 0.95)
     if rng.random() < 0.5:
         w = int(rng.integers(scale_lo, scale_hi + 1))
@@ -59,14 +60,14 @@ def _draw_distractor(img, yy, xx, rng, size: int, scale_lo: int, scale_hi: int):
         x1 = int(rng.integers(0, max(size - w, 1)))
         y1 = int(rng.integers(0, max(size - h, 1)))
         box = (x1, y1, x1 + w, y1 + h)
-        img[(xx >= box[0]) & (xx <= box[2]) & (yy >= box[1]) & (yy <= box[3])] = val
+        mask = (xx >= box[0]) & (xx <= box[2]) & (yy >= box[1]) & (yy <= box[3])
     else:
         r = int(rng.integers(scale_lo, scale_hi + 1)) / 2.0
         cx = rng.uniform(r, size - r)
         cy = rng.uniform(r, size - r)
         box = (cx - r, cy - r, cx + r, cy + r)
-        img[(xx - cx) ** 2 + (yy - cy) ** 2 <= r * r] = val
-    return np.array(box, dtype=np.float64)
+        mask = (xx - cx) ** 2 + (yy - cy) ** 2 <= r * r
+    return np.array(box, dtype=np.float64), mask, val
 
 
 def generate_toy_dataset(n_images: int, image_size: int, face_scale_range: tuple, seed: int) -> list[ToyScene]:
@@ -104,11 +105,10 @@ def generate_toy_dataset(n_images: int, image_size: int, face_scale_range: tuple
                 face_boxes.append(placed)
         for _ in range(n_distract):
             for _attempt in range(PLACEMENT_ATTEMPTS):
-                snapshot = img.copy()
-                box = _draw_distractor(img, yy, xx, rng, image_size, int(lo), int(hi))
+                box, mask, val = _distractor(yy, xx, rng, image_size, int(lo), int(hi))
                 if face_boxes and iou_matrix(box, np.stack(face_boxes)).max() > 0.05:
-                    img = snapshot  # discard overlapping distractor
-                    continue
+                    continue  # overlapping distractor: draw another
+                img[mask] = val
                 break
         for box in face_boxes:
             _draw_face(img, yy, xx, box, rng.uniform(0.85, 0.95), rng.uniform(0.1, 0.2))

@@ -104,14 +104,13 @@ def multitask_loss(
 
 
 def sgd_momentum_step(params, velocity: dict, lr: float, momentum: float, weight_decay: float):
-    """v <- momentum*v - lr*(g + weight_decay*p); p <- p + v."""
+    """v <- momentum*v - lr*(g + weight_decay*p); p <- p + v, where ``velocity``
+    holds one zero-initialised buffer per parameter name, updated in place."""
     for name, t in params.items():
         g = t.grad
         if not np.all(np.isfinite(g)):
             raise RuntimeError(f"non-finite gradient in parameter {name}")
-        v = velocity.get(name)
-        if v is None:
-            v = velocity[name] = np.zeros_like(t.data)
+        v = velocity[name]
         v *= momentum
         v -= lr * g
         if weight_decay:
@@ -208,7 +207,7 @@ def train(
     model = MultiScaleDetector(model_cfg or ModelConfig(), seed=cfg.seed)
     rng = np.random.default_rng([cfg.seed, 1])
     params = model.params()
-    velocity: dict = {}
+    velocity = {name: np.zeros_like(t.data) for name, t in params.items()}
     trace = []
     skipped = 0
     order = None
@@ -226,8 +225,7 @@ def train(
             skipped += 1
             continue
         proposals = propose(st.rpn_logits, st.rpn_deltas, st.anchors, img_w, img_h, detect_cfg)
-        boxes = [p.box for p in proposals] + list(scene.gt_boxes)
-        rois = np.stack(boxes) if boxes else np.zeros((0, 4))
+        rois = np.array([p.box for p in proposals] + list(scene.gt_boxes)).reshape(-1, 4)
         det_t = assign_detection_targets(rois, scene.gt_boxes, rng)
         sampled = rois[det_t.roi_indices]
         total, comps = pipeline_loss(

@@ -34,6 +34,12 @@ def test_train_on_faceless_flat_scene_stays_finite():
     assert np.isfinite(np.array(result.trace)).all()
 
 
+def test_detect_without_proposals_returns_no_detections():
+    # no proposal reaches 1000 px, so the region head sees an empty stack
+    image = np.random.default_rng(0).uniform(size=(1, 1, 64, 64))
+    assert MultiScaleDetector(ModelConfig(), seed=0).detect(image, 64, 64, score_thresh=0.0, min_size=1000.0) == []
+
+
 def test_detect_on_image_padded_from_under_16_px(tmp_path):
     path = tmp_path / "small.pgm"
     write_pgm(path, np.random.default_rng(0).uniform(size=(10, 12)))

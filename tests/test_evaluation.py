@@ -69,6 +69,22 @@ def test_evaluate_dataset_matches_the_reference_scorer(seed):
     assert report.overall.n_det == n_det
 
 
+@pytest.mark.parametrize(
+    "boxes, scores",
+    [
+        ([[0, 0, 10, 10], [20, 20, 30, 30]], [np.nan, 0.5]),
+        ([[0, 0, 10, 10], [20, 20, np.nan, 30]], [0.9, 0.5]),
+        ([[0, 0, 10, 10], [20, 20, 30, 30], [40, 40, 50, 50]], [0.9, 0.5]),
+        ([[0, 0, 10, 10]], [0.9, 0.5]),
+    ],
+    ids=["nan-score", "nan-box-corner", "more-boxes-than-scores", "more-scores-than-boxes"],
+)
+def test_evaluate_dataset_rejects_malformed_detections(boxes, scores):
+    gts = {"a": np.array([[0.0, 0.0, 10.0, 10.0], [20.0, 20.0, 30.0, 30.0]])}
+    with pytest.raises(ValueError, match="image 'a'"):
+        evaluate_dataset({"a": (np.array(boxes, dtype=np.float64), np.array(scores))}, gts)
+
+
 def test_golden_fixture_regenerates_byte_identical(tmp_path, capsys):
     make_golden.main(tmp_path)
     committed = Path(make_golden.DATA)

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from msfacedet import ModelConfig, TrainConfig, generate_toy_dataset, train
+from msfacedet.checks import tiny_model_setup
 from msfacedet.rpn import RpnTargets
-from msfacedet.training import multitask_loss
+from msfacedet.training import multitask_loss, pipeline_forward, pipeline_loss
 
 
 @pytest.mark.parametrize("mode", ["multi", "tap5"])
@@ -66,6 +67,21 @@ def test_multitask_loss_with_empty_detection_batch():
     assert comps["det_cls"] == comps["det_reg"] == 0.0
     assert ddet_lg.shape == (0, 2) and ddet_dl.shape == (0, 4)
     assert total == comps["rpn_cls"] + comps["rpn_reg"]
+
+
+@pytest.mark.parametrize("mode", ["multi", "tap5"])
+def test_pipeline_loss_without_sampled_rois_trains_only_the_proposal_branch(mode):
+    model, image, rpn_t, _, _ = tiny_model_setup(0, mode)
+    model.zero_grads()
+    _, comps = pipeline_loss(
+        model, pipeline_forward(model, image), rpn_t,
+        np.zeros((0, 4)), np.zeros(0, dtype=np.int64), np.zeros((0, 4)), 1.0, backward=True,
+    )
+    grads = {name: t.grad for name, t in model.params().items()}
+    assert comps["det_cls"] == comps["det_reg"] == 0.0
+    assert all(np.isfinite(g).all() for g in grads.values())
+    assert not any(g.any() for name, g in grads.items() if name.startswith("det."))
+    assert any(g.any() for name, g in grads.items() if name.startswith("rpn."))
 
 
 def test_multitask_loss_head_without_positives_has_no_regression():
