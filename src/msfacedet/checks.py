@@ -212,13 +212,9 @@ def check_roi_pool(seed: int) -> float:
     rng = np.random.default_rng(seed)
     fmap = _distinct(rng, (3, 8, 8))
     roi = np.array([3.0, 2.0, 29.0, 27.0])
-
-    def backward(projs, cache):
-        dmap = np.zeros_like(fmap)
-        roi_pool_backward(projs[0], cache, dmap)
-        return [dmap]
-
-    return _projected_check(rng, lambda: roi_pool(fmap, roi[None], 4, 3), backward, [fmap])
+    return _projected_check(
+        rng, lambda: roi_pool(fmap, roi[None], 4, 3), lambda pr, c: [roi_pool_backward(pr[0], c)], [fmap]
+    )
 
 
 def _tiny_taps(rng):
@@ -234,15 +230,12 @@ def check_ms_roi_pool(seed: int) -> float:
     shrink = make_conv(rng, 3, 8, 1)
     shrink.weight.data[...] = rng.standard_normal(shrink.weight.data.shape)
     rois = np.array([[2.0, 3.0, 21.0, 17.0], [10.0, 8.0, 14.0, 13.0]])
-
-    def backward(projs, cache):
-        tap_grads = {name: np.zeros_like(fmap) for name, fmap in taps.items()}
-        ms_roi_pool_batch_backward(projs[0], cache, tap_grads)
-        return list(tap_grads.values())
-
-    params = [*norms.values(), shrink.weight, shrink.bias]
     return _projected_check(
-        rng, lambda: ms_roi_pool_batch(taps, rois, norms, shrink, 3), backward, list(taps.values()), params
+        rng,
+        lambda: ms_roi_pool_batch(taps, rois, norms, shrink, 3),
+        lambda pr, c: list(ms_roi_pool_batch_backward(pr[0], c).values()),
+        list(taps.values()),
+        [*norms.values(), shrink.weight, shrink.bias],
     )
 
 

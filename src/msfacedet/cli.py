@@ -72,6 +72,8 @@ def _load_scenes(data_dir: Path):
                 name=Path(rec.image_path).stem,
                 image=tensor,
                 gt_boxes=rec.boxes,
+                width=orig_w,
+                height=orig_h,
                 requested_faces=len(rec.boxes),
             )
         )

@@ -54,15 +54,16 @@ def detection_forward(taps: dict, rois: np.ndarray, head: DetHead, norms, shrink
     return (logits, deltas), cache
 
 
-def detection_backward(dlogits: np.ndarray, ddeltas: np.ndarray, cache, tap_grads: dict):
-    """Backprop the head and pooled fusion; adds tap gradients into ``tap_grads``."""
+def detection_backward(dlogits: np.ndarray, ddeltas: np.ndarray, cache) -> dict:
+    """Backprop the head and pooled fusion; returns the ``{name: (1, C, H, W)
+    grad}`` of each tap the forward pooled."""
     pool_cache, fused_shape, c1, r1, c2, r2, c3, c4 = cache
     da2 = fully_connected_backward(dlogits, c3) + fully_connected_backward(ddeltas, c4)
     dh2 = relu_backward(da2, r2)
     da1 = fully_connected_backward(dh2, c2)
     dh1 = relu_backward(da1, r1)
     dflat = fully_connected_backward(dh1, c1)
-    ms_roi_pool_batch_backward(dflat.reshape(fused_shape), pool_cache, tap_grads)
+    return ms_roi_pool_batch_backward(dflat.reshape(fused_shape), pool_cache)
 
 
 @dataclass

@@ -113,7 +113,7 @@ def evaluate_dataset(dets_by_image: dict, gts_by_image: dict, cfg: EvalConfig = 
     """Score a detection set against annotations.
 
     ``dets_by_image`` maps image id -> finite (boxes (N, 4), scores (N,));
-    ``gts_by_image`` maps image id -> boxes (G, 4).  Detections are matched
+    ``gts_by_image`` maps image id -> finite boxes (G, 4).  Detections are matched
     per image, then swept globally in descending score order; equal scores
     fall to the image that sorts first by id, then to the detection that
     comes first in its image's input.  Per-split reports reuse the overall
@@ -130,7 +130,9 @@ def evaluate_dataset(dets_by_image: dict, gts_by_image: dict, cfg: EvalConfig = 
     gt_counts = np.zeros(len(SPLIT_NAMES), dtype=np.int64)
     scores, det_split = [np.zeros(0)], [np.zeros(0, dtype=np.int64)]  # per image, in its score order
     for image_id in sorted(gts_by_image):
-        gts = np.asarray(gts_by_image[image_id], dtype=np.float64).reshape(-1, 4)
+        gts = np.asarray(gts_by_image[image_id], dtype=np.float64)
+        if gts.ndim != 2 or gts.shape[1] != 4 or not np.isfinite(gts).all():
+            raise ValueError(f"image {image_id!r}: ground truth must be finite (G, 4) boxes; got {gts.shape}")
         gt_split = np.searchsorted(bounds, gts[:, 3] - gts[:, 1], side="right")
         gt_counts += np.bincount(gt_split, minlength=len(SPLIT_NAMES))
         boxes, image_scores = dets_by_image.get(image_id, (np.zeros((0, 4)), np.zeros(0)))
@@ -162,7 +164,7 @@ def evaluate_detector(model, scenes, cfg: EvalConfig = None, detect_cfg: DetectC
     whole PR curve."""
     dets = {}
     for s in scenes:
-        found = model.detect(s.image, s.image.shape[3], s.image.shape[2], detect_cfg, score_thresh=0.05)
+        found = model.detect(s.image, s.width, s.height, detect_cfg, score_thresh=0.05)
         dets[s.name] = (np.array([d.box for d in found]).reshape(-1, 4), np.array([d.score for d in found]))
     return evaluate_dataset(dets, {s.name: s.gt_boxes for s in scenes}, cfg)
 
@@ -173,7 +175,7 @@ def proposal_recall(model, scenes, detect_cfg: DetectConfig) -> float:
     hits = total = 0
     for s in scenes:
         st = pipeline_forward(model, s.image)
-        props = propose(st.rpn_logits, st.rpn_deltas, st.anchors, s.image.shape[3], s.image.shape[2], detect_cfg)
+        props = propose(st.rpn_logits, st.rpn_deltas, st.anchors, s.width, s.height, detect_cfg)
         boxes = np.array([p.box for p in props]).reshape(-1, 4)
         gts = np.asarray(s.gt_boxes, dtype=np.float64).reshape(-1, 4)
         total += gts.shape[0]

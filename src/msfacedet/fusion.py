@@ -190,8 +190,9 @@ def roi_pool(fmap: np.ndarray, rois: np.ndarray, stride: int, p: int):
     candidate feeds one ``np.fmax``, which skips NaN, and a NaN first
     candidate is put back: the values of a strict-greater scan keeping the
     first max.  Returns (out, cache); the cache holds a channels-last copy
-    of the map, ``out`` itself and each bucket's candidate indices.  The
-    backward routes by matching ``out``: nothing may write into it first.
+    of the map, ``out`` itself, each bucket's candidate indices and the map
+    shape.  The backward routes by matching ``out``: nothing may write into
+    it first.
     """
     c, h, w = fmap.shape
     x1, y1, x2, y2 = project_roi(rois, stride)
@@ -217,21 +218,20 @@ def roi_pool(fmap: np.ndarray, rois: np.ndarray, stride: int, p: int):
             np.copyto(best, rows[idx[0]], where=np.isnan(rows[idx[0]]))
         out[:, members] = best.transpose(2, 0, 1)
         buckets.append((members, idx))
-    return out, (rows, out, buckets)
+    return out, (rows, out, buckets, fmap.shape)
 
 
-def roi_pool_backward(dout: np.ndarray, cache, dmap: np.ndarray):
-    """Scatter-add a (C, R, p*p) pooled-gradient stack into the (C, H, W) ``dmap``.
+def roi_pool_backward(dout: np.ndarray, cache) -> np.ndarray:
+    """Gradient of the (C, H, W) map from a (C, R, p*p) pooled-gradient stack.
 
     A reverse scan routes each cell to its first candidate equal to the
     cached, unmodified ``out``, or to candidate 0 when none is (a NaN max):
     the cell the strict-greater scan kept.  One ``np.bincount`` then
     sums each position's contributions in (R, p*p) order per channel, as
-    ``np.add.at`` does on an (R, C, p*p) stack, so into a zero ``dmap`` the
-    two agree bit for bit; ``pipeline_loss`` keeps that condition by running
-    the per-region backward first, into fresh zero tap gradients.
+    ``np.add.at`` does on an (R, C, p*p) stack into a zero map, so the two
+    agree bit for bit.
     """
-    rows, out, buckets = cache
+    rows, out, buckets, shape = cache
     hw, c = rows.shape
     src = np.empty(out.shape, dtype=np.int64)
     for members, idx in buckets:
@@ -241,7 +241,7 @@ def roi_pool_backward(dout: np.ndarray, cache, dmap: np.ndarray):
             np.copyto(arg, cand[..., None], where=rows[cand] == best)
         src[:, members] = arg.transpose(2, 0, 1)
     lin = src + (np.arange(c) * hw)[:, None, None]
-    dmap += np.bincount(lin.ravel(), weights=dout.ravel(), minlength=c * hw).reshape(dmap.shape)
+    return np.bincount(lin.ravel(), weights=dout.ravel(), minlength=c * hw).reshape(shape)
 
 
 def ms_roi_pool_batch(taps: dict, rois: np.ndarray, norms, shrink: Params, p: int):
@@ -257,9 +257,9 @@ def ms_roi_pool_batch(taps: dict, rois: np.ndarray, norms, shrink: Params, p: in
     return out.reshape(len(out), len(rois), p, p).transpose(1, 0, 2, 3), (names, [pc for _, pc in pools], fuse_cache)
 
 
-def ms_roi_pool_batch_backward(dout: np.ndarray, cache, tap_grads: dict):
-    """Backprop through the fusion step and pooling; adds into ``tap_grads``."""
+def ms_roi_pool_batch_backward(dout: np.ndarray, cache) -> dict:
+    """Backprop through the fusion step and pooling: the ``{name: (1, C, H, W)
+    grad}`` of each pooled tap, in the forward's tap order."""
     names, pool_caches, fuse_cache = cache
     dparts = concat_shrink_backward(dout.transpose(1, 0, 2, 3), fuse_cache)
-    for name, pc, dpart in zip(names, pool_caches, dparts):
-        roi_pool_backward(dpart, pc, tap_grads[name][0])
+    return {name: roi_pool_backward(dpart, pc)[None] for name, pc, dpart in zip(names, pool_caches, dparts)}

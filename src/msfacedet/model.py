@@ -165,34 +165,34 @@ class MultiScaleDetector:
     # backbone
 
     def backbone_forward(self, x: np.ndarray):
-        """The ``{name: (N, C, H, W) map}`` taps in :data:`TAP_ORDER`, and the caches."""
+        """The ``{name: (N, C, H, W) map}`` of the fused taps and the caches,
+        which hold a ``("tap", name)`` entry where each tap leaves its stage."""
         if x.ndim != 4 or x.shape[2] % 16 or x.shape[3] % 16:
             raise ShapeError(f"backbone input must be NCHW with extents divisible by 16, got {x.shape}")
         caches = []
         taps = {}
         h = x
-        for i, stage in enumerate(self.stages):
+        for i, stage in enumerate(self.stages, start=1):
             for conv in stage:
                 h, cc = conv2d(h, conv)
                 h, rc = relu(h)
                 caches.append(("conv", cc, rc))
-            if i >= 2:
-                taps[f"tap{i + 1}"] = h
-            if i < 4:
+            if f"tap{i}" in self.fused_taps:
+                taps[f"tap{i}"] = h
+                caches.append(("tap", f"tap{i}"))
+            if i < len(self.stages):
                 h, pc = maxpool2d(h, 2)
                 caches.append(("pool", pc))
         return taps, caches
 
     def backbone_backward(self, tap_grads: dict, caches) -> np.ndarray:
-        """Single backward sweep; tap gradients join at their stage outputs."""
-        d = tap_grads["tap5"]
-        stage_idx = 4
+        """Single backward sweep; each tap's gradient joins where the forward took the tap."""
+        d = 0.0
         for entry in reversed(caches):
-            if entry[0] == "pool":
+            if entry[0] == "tap":
+                d = d + tap_grads[entry[1]]
+            elif entry[0] == "pool":
                 d = maxpool2d_backward(d, entry[1])
-                stage_idx -= 1
-                if stage_idx in (2, 3):
-                    d = d + tap_grads[f"tap{stage_idx + 1}"]
             else:
                 _, cc, rc = entry
                 d = relu_backward(d, rc)
@@ -202,37 +202,32 @@ class MultiScaleDetector:
     # ------------------------------------------------------------------
     # dense fusion for the proposal branch
 
-    def _fused(self, taps: dict) -> dict:
-        return {name: taps[name] for name in self.fused_taps}
-
     def fused_map_forward(self, taps: dict):
-        maps, caches = [], []
-        for name, fmap in self._fused(taps).items():
-            d, dc = sync_downsample(name, fmap)
-            maps.append(d)
-            caches.append(dc)
-        n, _, h, w = maps[0].shape
-        parts = [m.transpose(1, 0, 2, 3).reshape(m.shape[1], n, -1) for m in maps]  # a view when n == 1
+        synced = [sync_downsample(name, fmap) for name, fmap in taps.items()]
+        n, _, h, w = synced[0][0].shape
+        parts = [m.transpose(1, 0, 2, 3).reshape(m.shape[1], n, -1) for m, _ in synced]  # a view when n == 1
         fused, fuse_cache = concat_shrink(parts, self.fused_taps, self.norms, self.shrink)
-        return fused.reshape(-1, n, h, w).transpose(1, 0, 2, 3), (caches, fuse_cache)
+        return fused.reshape(-1, n, h, w).transpose(1, 0, 2, 3), ([dc for _, dc in synced], fuse_cache)
 
-    def fused_map_backward(self, dfused: np.ndarray, cache, tap_grads: dict):
+    def fused_map_backward(self, dfused: np.ndarray, cache) -> dict:
+        """The ``{name: (N, C, H, W) grad}`` of each fused tap."""
         caches, fuse_cache = cache
         n, _, h, w = dfused.shape
         parts = concat_shrink_backward(dfused.transpose(1, 0, 2, 3), fuse_cache)
-        for name, dc, dpart in zip(self.fused_taps, caches, parts):
-            tap_grads[name] += sync_downsample_backward(dpart.reshape(-1, n, h, w).transpose(1, 0, 2, 3), dc)
+        return {
+            name: sync_downsample_backward(dpart.reshape(-1, n, h, w).transpose(1, 0, 2, 3), dc)
+            for name, dc, dpart in zip(self.fused_taps, caches, parts)
+        }
 
     # ------------------------------------------------------------------
     # per-region branch
 
     def roi_forward(self, taps, rois: np.ndarray):
-        return detection_forward(
-            self._fused(taps), rois, self.det_head, self.norms, self.shrink, self.cfg.roi_pool_size
-        )
+        return detection_forward(taps, rois, self.det_head, self.norms, self.shrink, self.cfg.roi_pool_size)
 
-    def roi_backward(self, dlogits, ddeltas, cache, tap_grads):
-        detection_backward(dlogits, ddeltas, cache, tap_grads)
+    def roi_backward(self, dlogits, ddeltas, cache) -> dict:
+        """The ``{name: (1, C, H, W) grad}`` of each fused tap."""
+        return detection_backward(dlogits, ddeltas, cache)
 
     # ------------------------------------------------------------------
     # inference
@@ -256,6 +251,3 @@ class MultiScaleDetector:
         return postprocess_detections(
             cls_logits, box_deltas, rois, cfg.score_thresh, cfg.det_nms_thresh, orig_w, orig_h
         )
-
-    def new_tap_grads(self, taps: dict) -> dict:
-        return {name: np.zeros_like(fmap) for name, fmap in taps.items()}

@@ -24,8 +24,10 @@ PLACEMENT_ATTEMPTS = 100
 @dataclass
 class ToyScene:
     name: str
-    image: np.ndarray  # (1, 1, S, S) values in [0, 1]
+    image: np.ndarray  # (1, 1, H, W) values in [0, 1], padded to a multiple of 16 when loaded
     gt_boxes: np.ndarray  # (G, 4) corner form
+    width: int  # image extent before padding
+    height: int
     requested_faces: int = 0
 
 
@@ -118,6 +120,8 @@ def generate_toy_dataset(n_images: int, image_size: int, face_scale_range: tuple
                 name=f"img_{i:04d}",
                 image=img[None, None],
                 gt_boxes=np.stack(face_boxes) if face_boxes else np.zeros((0, 4)),
+                width=image_size,
+                height=image_size,
                 requested_faces=n_faces,
             )
         )

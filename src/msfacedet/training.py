@@ -120,7 +120,7 @@ def sgd_momentum_step(params, velocity: dict, lr: float, momentum: float, weight
 
 @dataclass
 class PipelineState:
-    taps: dict  # {name: (N, C, H, W) map}
+    taps: dict  # {name: (N, C, H, W) map} of the fused taps
     bb_cache: object
     fus_cache: object
     rpn_cache: object
@@ -149,19 +149,18 @@ def pipeline_loss(
 ):
     """Loss of the current state against frozen targets; optional backward.
 
-    The backward pass runs the per-region branch and the proposal branch
-    into shared tap gradients, then sweeps the backbone exactly once.
+    The backward pass adds each tap's gradients from the per-region branch
+    and the proposal branch (run in that order, which fixes the order of the
+    shared shrink and norm gradients), then sweeps the backbone exactly once.
     """
     (det_lg, det_dl), det_cache = model.roi_forward(st.taps, rois)
     total, comps, (dlg, ddl, ddet_lg, ddet_dl) = multitask_loss(
         st.rpn_logits, st.rpn_deltas, rpn_targets, det_lg, det_dl, det_labels, det_target_deltas, lam
     )
     if backward:
-        tap_grads = model.new_tap_grads(st.taps)
-        model.roi_backward(ddet_lg, ddet_dl, det_cache, tap_grads)
-        dfused = rpn_backward(dlg, ddl, st.rpn_cache)
-        model.fused_map_backward(dfused, st.fus_cache, tap_grads)
-        model.backbone_backward(tap_grads, st.bb_cache)
+        roi = model.roi_backward(ddet_lg, ddet_dl, det_cache)
+        dense = model.fused_map_backward(rpn_backward(dlg, ddl, st.rpn_cache), st.fus_cache)
+        model.backbone_backward({name: roi[name] + dense[name] for name in roi}, st.bb_cache)
     return total, comps
 
 
@@ -217,14 +216,13 @@ def train(
         if t % n == 0:
             order = rng.permutation(n)
         scene = scenes[order[t % n]]
-        img_h, img_w = scene.image.shape[2], scene.image.shape[3]
         st = pipeline_forward(model, scene.image)
         try:
-            rpn_t = assign_rpn_targets(st.anchors, scene.gt_boxes, rng, img_w, img_h)
+            rpn_t = assign_rpn_targets(st.anchors, scene.gt_boxes, rng, scene.width, scene.height)
         except TargetAssignmentError:
             skipped += 1
             continue
-        proposals = propose(st.rpn_logits, st.rpn_deltas, st.anchors, img_w, img_h, detect_cfg)
+        proposals = propose(st.rpn_logits, st.rpn_deltas, st.anchors, scene.width, scene.height, detect_cfg)
         rois = np.array([p.box for p in proposals] + list(scene.gt_boxes)).reshape(-1, 4)
         det_t = assign_detection_targets(rois, scene.gt_boxes, rng)
         sampled = rois[det_t.roi_indices]

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 import msfacedet
-from msfacedet import ModelConfig, MultiScaleDetector
+from msfacedet import DetectConfig, ModelConfig, MultiScaleDetector, TrainConfig, train
 from msfacedet.annotations import AnnotationRecord, format_annotations
 from msfacedet.checkpoint import CheckpointError
 from msfacedet.checks import LAYER_CHECKS
 from msfacedet.cli import run_cli
+from msfacedet.evaluation import evaluate_detector, proposal_recall
 from msfacedet.imageio import read_pnm, write_pgm, write_ppm
 
 DATA = Path(__file__).parent / "data"
@@ -208,6 +209,29 @@ def test_gen_data_rejects_image_count_below_one(count, tmp_path, capsys):
 def _gen_data(out, n="2", seed="0"):
     args = ["gen-data", "--out", str(out), "--n-images", n, "--image-size", "64", "--seed", seed]
     return run_cli(args + ["--face-min", "16", "--face-max", "32"])
+
+
+def test_loaded_scenes_propose_within_the_unpadded_extent(tmp_path, monkeypatch):
+    # 100 px images load padded to 112 px; train, scoring and recall must clip to 100
+    args = ["gen-data", "--out", str(tmp_path), "--n-images", "2", "--image-size", "100", "--face-max", "32"]
+    assert run_cli(args) == 0
+    scenes = msfacedet.cli._load_scenes(tmp_path)
+    assert {s.image.shape for s in scenes} == {(1, 1, 112, 112)}
+    extents = []
+
+    def recording(real):
+        def propose(*args):
+            extents.append(args[3:5])
+            return real(*args)
+
+        return propose
+
+    for module in (msfacedet.training, msfacedet.model, msfacedet.evaluation):
+        monkeypatch.setattr(module, "propose", recording(module.propose))
+    result = train(scenes, TrainConfig(iterations=2))
+    evaluate_detector(result.model, scenes)
+    proposal_recall(result.model, scenes, DetectConfig())
+    assert extents == [(100, 100)] * 6
 
 
 def test_gen_data_failing_mid_write_leaves_no_output(tmp_path, monkeypatch, capsys):

@@ -27,7 +27,7 @@ def test_detect_on_flat_image_gives_finite_boxes(value):
 
 def test_train_on_faceless_flat_scene_stays_finite():
     # an all-zero image zeroes every tap at the first iteration
-    scene = ToyScene(name="flat", image=np.zeros((1, 1, 64, 64)), gt_boxes=np.zeros((0, 4)))
+    scene = ToyScene(name="flat", image=np.zeros((1, 1, 64, 64)), gt_boxes=np.zeros((0, 4)), width=64, height=64)
     result = train([scene], TrainConfig(iterations=3), trace_every=1)
     assert result.skipped == 0
     assert len(result.trace) == 3

@@ -57,8 +57,7 @@ class TestDetectionForward:
         assert logits.shape == (0, 2)
         assert deltas.shape == (0, 4)
         model.zero_grads()
-        tap_grads = model.new_tap_grads(taps)
-        model.roi_backward(np.zeros((0, 2)), np.zeros((0, 4)), cache, tap_grads)
+        tap_grads = model.roi_backward(np.zeros((0, 2)), np.zeros((0, 4)), cache)
         assert not any(g.any() for g in tap_grads.values())
         assert not any(t.grad.any() for t in model.params().values())
 

@@ -85,6 +85,22 @@ def test_evaluate_dataset_rejects_malformed_detections(boxes, scores):
         evaluate_dataset({"a": (np.array(boxes, dtype=np.float64), np.array(scores))}, gts)
 
 
+@pytest.mark.parametrize(
+    "gt",
+    [
+        [[0, 0, 10, 10], [20, 20, 30, np.nan]],
+        [[0, 0, 10, 10], [20, 20, np.inf, 30]],
+        [0, 0, 10, 10],
+        [[0, 0, 10, 10, 1]],
+    ],
+    ids=["nan-corner", "inf-corner", "one-flat-box", "five-column-row"],
+)
+def test_evaluate_dataset_rejects_malformed_ground_truth(gt):
+    dets = {"a": (np.array([[0.0, 0.0, 10.0, 10.0]]), np.array([0.9]))}
+    with pytest.raises(ValueError, match="image 'a'"):
+        evaluate_dataset(dets, {"a": np.array(gt, dtype=np.float64)})
+
+
 def test_golden_fixture_regenerates_byte_identical(tmp_path, capsys):
     make_golden.main(tmp_path)
     committed = Path(make_golden.DATA)

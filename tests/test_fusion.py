@@ -158,13 +158,6 @@ def reference_roi_pool_backward(dout, argmax, dmap):
     np.add.at(dmap.reshape(c, -1), (np.arange(c)[None, :, None], argmax.reshape(r, c, -1)), dout.reshape(r, c, -1))
 
 
-def pooled_grad(fmap, cache, dout):
-    """roi_pool_backward of a (C, R, p*p) gradient into a fresh zero map."""
-    dmap = np.zeros_like(fmap)
-    roi_pool_backward(dout, cache, dmap)
-    return dmap
-
-
 def mixed_rois(rng, n, extent):
     """ROIs of many sizes: inside, partly outside and smaller than one cell."""
     x1, y1 = rng.uniform(-0.25 * extent, extent, (2, n))
@@ -193,7 +186,7 @@ class TestRoiPool:
         assert np.allclose(out, fmap[:, 3, 3].reshape(2, 1, 1))
         expected = np.zeros_like(fmap)
         expected[:, 3, 3] = 49.0
-        assert np.array_equal(pooled_grad(fmap, cache, np.ones_like(out)), expected)
+        assert np.array_equal(roi_pool_backward(np.ones_like(out), cache), expected)
 
     def test_small_rois_total_and_finite(self):
         rng = np.random.default_rng(8)
@@ -208,7 +201,7 @@ class TestRoiPool:
         assert out.shape == (2, 1000, 49)
         assert np.all(np.isfinite(out))
         # every pooled value routes its gradient to one position of the map
-        assert pooled_grad(fmap, cache, np.ones_like(out)).sum() == out.size
+        assert roi_pool_backward(np.ones_like(out), cache).sum() == out.size
 
     def test_later_nan_candidate_is_skipped(self):
         # as in a strict-greater scan, a NaN after the first candidate never wins
@@ -216,13 +209,13 @@ class TestRoiPool:
         out, cache = roi_pool(fmap, np.array([[0.0, 0.0, 4.0, 4.0]]), 1, 2)
         assert out.reshape(-1).tolist() == [5.0, 0.0, 0.0, 0.0]
         dout = np.array([1.0, 0.0, 0.0, 0.0]).reshape(out.shape)
-        assert np.flatnonzero(pooled_grad(fmap, cache, dout)).tolist() == [1]
+        assert np.flatnonzero(roi_pool_backward(dout, cache)).tolist() == [1]
 
     def test_empty_stack(self):
         fmap = np.zeros((3, 4, 4))
         out, cache = roi_pool(fmap, np.zeros((0, 4)), 4, 7)
         assert out.shape == (3, 0, 49)
-        assert not pooled_grad(fmap, cache, out).any()
+        assert not roi_pool_backward(out, cache).any()
 
 
 class TestRoiPoolMatchesPerRoiReference:
@@ -240,7 +233,7 @@ class TestRoiPoolMatchesPerRoiReference:
         dout = rng.standard_normal(out.shape)
         ref = np.zeros_like(fmap)
         reference_roi_pool_backward(np.ascontiguousarray(dout.transpose(1, 0, 2)), ref_arg, ref)
-        assert pooled_grad(fmap, cache, dout).tobytes() == ref.tobytes()
+        assert roi_pool_backward(dout, cache).tobytes() == ref.tobytes()
         return out
 
     @pytest.mark.parametrize("p", [1, 3, 7])
@@ -284,7 +277,7 @@ class TestRoiPoolMatchesPerRoiReference:
         first = np.stack([np.broadcast_to(reference_cells(fmap.shape, roi, 4, 3)[0][:, 0], (2, 9)) for roi in rois])
         ref = np.zeros_like(fmap)
         reference_roi_pool_backward(dout.transpose(1, 0, 2), first, ref)
-        assert pooled_grad(fmap, cache, dout).tobytes() == ref.tobytes()
+        assert roi_pool_backward(dout, cache).tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("p", [1, 3, 7])
     def test_backward_matches_add_at(self, p):
@@ -384,7 +377,7 @@ class TestFusionMatchesNchwReference:
         model.zero_grads()
         scene = generate_toy_dataset(1, 128, (16, 64), seed=41)[0]
         taps, _ = model.backbone_forward(scene.image)
-        return model, model._fused(taps)
+        return model, taps
 
     def _assert_param_grads(self, model, taps, grads, shrink_grads):
         for name, (_, dgamma) in zip(taps, grads):
@@ -401,8 +394,7 @@ class TestFusionMatchesNchwReference:
         rois = mixed_rois(rng, n_rois, 128.0)
         out, cache = ms_roi_pool_batch(taps, rois, model.norms, model.shrink, 7)
         dout = rng.standard_normal(out.shape)
-        tap_grads = model.new_tap_grads(taps)
-        ms_roi_pool_batch_backward(dout, cache, tap_grads)
+        tap_grads = ms_roi_pool_batch_backward(dout, cache)
 
         pooled = [reference_roi_pool_stack(fmap[0], rois, TAP_STRIDES[name], 7) for name, fmap in taps.items()]
         gammas = [model.norms[name].data if name in model.norms else None for name in taps]
@@ -419,8 +411,7 @@ class TestFusionMatchesNchwReference:
         model, taps = self._model(mode)
         fused, cache = model.fused_map_forward(taps)
         dfused = np.random.default_rng(5).standard_normal(fused.shape)
-        tap_grads = model.new_tap_grads(taps)
-        model.fused_map_backward(dfused, cache, tap_grads)
+        tap_grads = model.fused_map_backward(dfused, cache)
 
         synced = [sync_downsample(name, fmap) for name, fmap in taps.items()]
         gammas = [model.norms[name].data if name in model.norms else None for name in taps]
@@ -429,3 +420,34 @@ class TestFusionMatchesNchwReference:
         for name, (_, dc), (dpart, _) in zip(taps, synced, grads):
             assert np.array_equal(tap_grads[name], sync_downsample_backward(dpart, dc))
         self._assert_param_grads(model, taps, grads, shrink_grads)
+
+
+class TestTapGradientsJoin:
+    """Each tap's gradient enters the backbone sweep where the forward took the tap."""
+
+    @staticmethod
+    def _model(mode="multi"):
+        model = MultiScaleDetector(ModelConfig(fusion_mode=mode), seed=0, stage_channels=(2, 2, 3, 3, 3))
+        return model, *model.backbone_forward(np.random.default_rng(0).uniform(size=(1, 1, 32, 32)))
+
+    @pytest.mark.parametrize("mode", ["multi", "tap5"])
+    def test_forward_returns_only_the_fused_taps(self, mode):
+        model, taps, _ = self._model(mode)
+        assert list(taps) == list(model.fused_taps)
+
+    def test_tap_gradient_reaches_only_its_stage_and_those_below(self):
+        model, taps, caches = self._model()
+        rng = np.random.default_rng(1)
+        grads = {name: rng.standard_normal(fmap.shape) for name, fmap in taps.items()}
+
+        def param_grads(tap_grads):
+            model.zero_grads()
+            model.backbone_backward(tap_grads, caches)
+            return {name: t.grad.copy() for name, t in model.params().items()}
+
+        base = param_grads(grads)
+        for name, last_stage in (("tap3", 3), ("tap4", 4)):
+            doubled = param_grads({**grads, name: 2.0 * grads[name]})
+            changed = {p for p in base if not np.array_equal(base[p], doubled[p])}
+            below = tuple(f"backbone.s{i}." for i in range(1, last_stage + 1))
+            assert changed == {p for p in base if p.startswith(below)}
