@@ -14,6 +14,9 @@ import numpy as np
 # exp() of regression widths is clamped to this, keeping decode finite
 LOG_SIZE_CLAMP = math.log(1000.0)
 
+# candidates per NMS block; 16, 32 and 128 were slower on every benchmark workload
+_NMS_BLOCK = 64
+
 
 def box_area(b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=np.float64)
@@ -24,11 +27,17 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise IoU between (N, 4) and (M, 4) box stacks."""
     a = np.asarray(a, dtype=np.float64).reshape(-1, 4)
     b = np.asarray(b, dtype=np.float64).reshape(-1, 4)
-    ix = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
-    iy = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
-    inter = np.clip(ix, 0.0, None) * np.clip(iy, 0.0, None)
-    union = box_area(a)[:, None] + box_area(b)[None, :] - inter
-    return inter / union
+    # in place, to spare (N, M) temporaries; the same operations in the same order
+    inter = np.minimum(a[:, None, 2], b[None, :, 2])
+    inter -= np.maximum(a[:, None, 0], b[None, :, 0])
+    iy = np.minimum(a[:, None, 3], b[None, :, 3])
+    iy -= np.maximum(a[:, None, 1], b[None, :, 1])
+    np.maximum(inter, 0.0, out=inter)
+    inter *= np.maximum(iy, 0.0, out=iy)
+    union = box_area(a)[:, None] + box_area(b)[None, :]
+    union -= inter
+    inter /= union
+    return inter
 
 
 def _centers(b: np.ndarray):
@@ -79,26 +88,44 @@ def nms(
 
     Boxes are visited in descending score order (score ties broken by the
     original index); a box is suppressed iff its IoU with an already kept
-    box exceeds ``iou_threshold``.  Returns kept indices in visit order.
-    The search stops once ``max_keep`` boxes are kept (``None``: no limit);
-    a box's fate depends only on the boxes kept before it, so the result is
-    the first ``max_keep`` entries of the unlimited list.
+    box is not ``<= iou_threshold`` (so a NaN IoU suppresses).  Returns kept
+    indices in visit order.  The search stops once ``max_keep`` boxes are
+    kept (``None``: no limit); a box's fate depends only on the boxes kept
+    before it, so the result is the first ``max_keep`` entries of the
+    unlimited list.
+
+    The sweep is blocked: the next ``_NMS_BLOCK`` surviving candidates take
+    one ``iou_matrix`` among themselves, their keeps are settled in visit
+    order from its rows as bitmasks, and one more ``iou_matrix`` of the
+    block's keeps against every later candidate drops those they suppress.
+    Each pair's IoU is the same arithmetic as the one-box-at-a-time greedy
+    loop, so the list is the one the greedy definition returns.
     """
-    boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
-    scores = np.asarray(scores, dtype=np.float64).reshape(-1)
-    order = np.argsort(-scores, kind="stable")
-    x1, y1, x2, y2 = boxes[:, 0], boxes[:, 1], boxes[:, 2], boxes[:, 3]
-    areas = (x2 - x1) * (y2 - y1)
+    boxes = np.asarray(boxes, dtype=np.float64)
+    scores = np.asarray(scores, dtype=np.float64)
+    if boxes.size != 4 * scores.size:
+        raise ValueError(f"nms: boxes {boxes.shape} and scores {scores.shape} do not pair one score with each box")
+    boxes = boxes.reshape(-1, 4)
+    order = np.argsort(-scores.reshape(-1), kind="stable")
+    budget = len(order) if max_keep is None else max_keep
     keep: list[int] = []
-    while order.size and (max_keep is None or len(keep) < max_keep):
-        i = order[0]
-        keep.append(int(i))
-        rest = order[1:]
-        ix = np.minimum(x2[i], x2[rest]) - np.maximum(x1[i], x1[rest])
-        iy = np.minimum(y2[i], y2[rest]) - np.maximum(y1[i], y1[rest])
-        inter = np.clip(ix, 0.0, None) * np.clip(iy, 0.0, None)
-        ovr = inter / (areas[i] + areas[rest] - inter)
-        order = rest[ovr <= iou_threshold]
+    while order.size and len(keep) < budget:
+        block, rest = order[:_NMS_BLOCK], order[_NMS_BLOCK:]
+        # bit j of allowed[i]: block[j] may be kept alongside block[i]
+        fits = np.zeros((len(block), _NMS_BLOCK), dtype=bool)
+        np.less_equal(iou_matrix(boxes[block], boxes[block]), iou_threshold, out=fits[:, : len(block)])
+        allowed = np.packbits(fits, axis=1, bitorder="little").view("<u8").ravel().tolist()
+        alive = (1 << len(block)) - 1
+        kept = []
+        while alive and len(keep) + len(kept) < budget:
+            i = (alive & -alive).bit_length() - 1  # lowest surviving position
+            kept.append(i)
+            alive &= allowed[i] & ~(1 << i)
+        kept_ids = block[kept]
+        keep.extend(kept_ids.tolist())
+        if len(keep) == budget:
+            break
+        order = rest[(iou_matrix(boxes[kept_ids], boxes[rest]) <= iou_threshold).all(axis=0)]
     return keep
 
 

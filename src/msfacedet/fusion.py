@@ -235,6 +235,9 @@ def roi_pool_backward(dout: np.ndarray, cache) -> np.ndarray:
     hw, c = rows.shape
     src = np.empty(out.shape, dtype=np.int64)
     for members, idx in buckets:
+        if len(idx) == 1:  # a single candidate per cell is the one the scan would pick
+            src[:, members] = idx[0]
+            continue
         best = np.ascontiguousarray(out[:, members].transpose(1, 2, 0))  # (m, p*p, c)
         arg = np.repeat(idx[0][..., None], c, axis=2)
         for cand in idx[::-1]:

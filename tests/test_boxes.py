@@ -159,6 +159,41 @@ def reference_nms(boxes, scores, thresh):
     return kept
 
 
+def reference_loop_nms(boxes, scores, iou_threshold, *, max_keep=None):
+    """The one-kept-box-at-a-time greedy loop that ``nms`` replaced by a blocked sweep."""
+    boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+    scores = np.asarray(scores, dtype=np.float64).reshape(-1)
+    order = np.argsort(-scores, kind="stable")
+    x1, y1, x2, y2 = boxes[:, 0], boxes[:, 1], boxes[:, 2], boxes[:, 3]
+    areas = (x2 - x1) * (y2 - y1)
+    keep = []
+    while order.size and (max_keep is None or len(keep) < max_keep):
+        i = order[0]
+        keep.append(int(i))
+        rest = order[1:]
+        ix = np.minimum(x2[i], x2[rest]) - np.maximum(x1[i], x1[rest])
+        iy = np.minimum(y2[i], y2[rest]) - np.maximum(y1[i], y1[rest])
+        inter = np.clip(ix, 0.0, None) * np.clip(iy, 0.0, None)
+        ovr = inter / (areas[i] + areas[rest] - inter)
+        order = rest[ovr <= iou_threshold]
+    return keep
+
+
+def random_boxes(rng, n, extent):
+    xy = rng.uniform(0, extent, size=(n, 2))
+    wh = rng.uniform(2, 40, size=(n, 2))
+    return np.hstack([xy, xy + wh])
+
+
+def with_fillers(pair, gap):
+    """The first box of ``pair``, then ``gap`` disjoint boxes, then the second
+    box, in descending score order: the pair shares an NMS block only while
+    ``gap`` is small."""
+    fillers = [[100.0 + 3 * k, 100.0, 101.0 + 3 * k, 101.0] for k in range(gap)]
+    boxes = np.array([pair[0], *fillers, pair[1]], dtype=float)
+    return boxes, np.linspace(1.0, 0.5, len(boxes))
+
+
 class TestNms:
     def test_single_box(self):
         assert nms(np.array([[0, 0, 5, 5.0]]), np.array([0.3]), 0.5) == [0]
@@ -197,20 +232,63 @@ class TestNms:
         scores = np.array([0.5, 0.5, 0.5])
         assert nms(boxes, scores, 0.3) == [0, 1]
 
+    @pytest.mark.parametrize("n", [63, 64, 65, 129, 400])
+    def test_matches_loop_across_block_edges(self, n):
+        rng = np.random.default_rng(n)
+        for extent, thresh in ((60, 0.3), (200, 0.5), (400, 0.7)):
+            boxes = random_boxes(rng, n, extent)
+            scores = rng.random(n)
+            assert nms(boxes, scores, thresh) == reference_loop_nms(boxes, scores, thresh)
+
+    def test_duplicates_and_score_ties_match_loop(self):
+        rng = np.random.default_rng(6)
+        boxes = random_boxes(rng, 30, 150)[rng.integers(0, 30, 300)]
+        scores = rng.choice([0.2, 0.5, 0.8], 300)
+        for thresh in (0.3, 0.7):
+            assert nms(boxes, scores, thresh) == reference_loop_nms(boxes, scores, thresh)
+
+    @pytest.mark.parametrize("gap", [0, 63])
+    def test_iou_exactly_at_threshold_keeps_both(self, gap):
+        boxes, scores = with_fillers(([0, 0, 2, 1], [0, 0, 1, 1]), gap)
+        assert iou_matrix(boxes[0], boxes[-1])[0, 0] == 0.5
+        assert nms(boxes, scores, 0.5) == list(range(gap + 2)) == reference_loop_nms(boxes, scores, 0.5)
+
+    @pytest.mark.parametrize("gap", [0, 63])
+    def test_zero_area_duplicates_suppress(self, gap):
+        boxes, scores = with_fillers(([5, 5, 5, 5], [5, 5, 5, 5]), gap)
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(iou_matrix(boxes[0], boxes[-1])[0, 0])
+            assert nms(boxes, scores, 0.5) == list(range(gap + 1)) == reference_loop_nms(boxes, scores, 0.5)
+
+    @pytest.mark.parametrize("max_keep", [30, 63, 64, 65, 100, 128])
+    def test_keep_budget_mid_block_and_at_block_edge(self, max_keep):
+        rng = np.random.default_rng(7)
+        boxes = random_boxes(rng, 400, 400)
+        scores = rng.random(400)
+        kept = nms(boxes, scores, 0.5, max_keep=max_keep)
+        assert len(kept) == max_keep
+        assert kept == reference_loop_nms(boxes, scores, 0.5, max_keep=max_keep)
+
+    @pytest.mark.parametrize("n_scores", [2, 4])
+    def test_score_count_must_match_box_count(self, n_scores):
+        with pytest.raises(ValueError, match=rf"\(3, 4\).*\({n_scores},\)"):
+            nms(np.tile([0.0, 0.0, 5.0, 5.0], (3, 1)), np.ones(n_scores), 0.5)
+
     @given(
         data=st.data(),
-        n=st.integers(1, 40),
+        n=st.integers(1, 150),
         thresh=st.floats(0.1, 0.9),
     )
     @settings(max_examples=150, deadline=None)
     def test_keep_budget_is_prefix_of_unlimited(self, data, n, thresh):
-        # few distinct corners and scores, so duplicate boxes and score ties are common
-        corner = st.integers(0, 6).map(float)
-        xy = np.array(data.draw(st.lists(st.tuples(corner, corner), min_size=n, max_size=n)))
-        wh = np.array(data.draw(st.lists(st.tuples(corner, corner), min_size=n, max_size=n))) + 1.0
-        boxes = np.hstack([xy, xy + wh])
-        scores = np.array(data.draw(st.lists(st.sampled_from([0.1, 0.5, 0.9]), min_size=n, max_size=n)))
+        # few distinct corners and scores, so duplicate boxes and score ties are common;
+        # one drawn integer per box codes x1, y1, width - 1 and height - 1 (0-6 each) and its score
+        codes = np.array(data.draw(st.lists(st.integers(0, 3 * 7**4 - 1), min_size=n, max_size=n)), dtype=np.int64)
+        x, y, w, h = (codes // 7**k % 7 for k in range(4))
+        boxes = np.stack([x, y, x + w + 1, y + h + 1], axis=1).astype(float)
+        scores = np.array([0.1, 0.5, 0.9])[codes // 7**4]
         full = nms(boxes, scores, thresh)
+        assert full == reference_loop_nms(boxes, scores, thresh)
         for k in {1, data.draw(st.integers(1, n + 3)), len(full), n, n + 5}:
             assert nms(boxes, scores, thresh, max_keep=k) == full[:k]
 
