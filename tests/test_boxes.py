@@ -208,18 +208,14 @@ class TestNms:
         rng = np.random.default_rng(4)
         for _ in range(100):
             n = int(rng.integers(1, 201))
-            xy = rng.uniform(0, 80, size=(n, 2))
-            wh = rng.uniform(2, 40, size=(n, 2))
-            boxes = np.hstack([xy, xy + wh])
+            boxes = random_boxes(rng, n, 80)
             scores = rng.random(n)
             thresh = float(rng.uniform(0.2, 0.7))
             assert nms(boxes, scores, thresh) == reference_nms(boxes, scores, thresh)
 
     def test_kept_set_is_an_antichain(self):
         rng = np.random.default_rng(5)
-        xy = rng.uniform(0, 60, size=(80, 2))
-        wh = rng.uniform(2, 40, size=(80, 2))
-        boxes = np.hstack([xy, xy + wh])
+        boxes = random_boxes(rng, 80, 60)
         scores = rng.random(80)
         kept = nms(boxes, scores, 0.4)
         for i in kept:
