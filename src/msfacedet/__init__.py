@@ -4,7 +4,8 @@ Three backbone taps at strides 4/8/16 are L2-normalized per channel,
 re-weighted by learnable factors, concatenated and shrunk to feed both a
 region-proposal head and a per-region detection head; everything trains
 jointly from scratch at double precision on synthetic scenes, and every
-backward pass is verifiable against central finite differences.
+backward pass is verifiable against central finite differences.  Detection
+runs the same layers in single precision.
 """
 
 from .boxes import decode_deltas, encode_deltas, iou_matrix, nms, project_roi

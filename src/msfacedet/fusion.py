@@ -14,7 +14,9 @@ The fusion step takes channel-major parts ``(C, N, HW)``: a dense
 ``(1, C, H, W)`` tap reshapes to that for free and :func:`roi_pool` writes
 ``(C, R, p*p)``.  The normed parts fill one ``(sum C, N*HW)`` matrix, so the
 shrink is one matmul.  Max pooling builds its gradient routing only in the
-backward pass, from the input and gather geometry its cache holds.
+backward pass, from the input and gather geometry its cache holds.  The
+forwards keep their input's dtype (float32 in ``detect``, float64 in
+training) and read gamma and the shrink in it; the backwards are float64.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ def l2norm_scale(x: np.ndarray, gamma: Tensor, out: np.ndarray | None = None):
     The channel sum runs over the outer axis, so it adds channels in order.
     """
     c = x.shape[0]
-    g = gamma.data
+    g = gamma.data.astype(x.dtype, copy=False)
     if g.shape != (c,):
         raise ShapeError(f"l2norm_scale: gamma {g.shape} for {c}-channel input {x.shape}")
     y = np.multiply(x, x, out=out)
@@ -99,10 +101,11 @@ def concat_shrink(parts, names, norms, shrink: Params):
     if len(sizes) != 1:
         desc = ", ".join(f"{n}={m.shape[1:]}" for n, m in zip(names, parts))
         raise ShapeError(f"concat_shrink: spatial sizes differ: {desc}")
+    dtype = np.result_type(*parts)
     w = shrink.weight.data
-    wmat = w.reshape(w.shape[0], -1)
+    wmat = w.astype(dtype, copy=False).reshape(w.shape[0], -1)
     shapes = [m.shape for m in parts]
-    z = np.empty((sum(sh[0] for sh in shapes), parts[0][0].size))  # (sum C, N*HW)
+    z = np.empty((sum(sh[0] for sh in shapes), parts[0][0].size), dtype=dtype)  # (sum C, N*HW)
     if wmat.shape[1] != z.shape[0]:
         raise ShapeError(f"concat_shrink: {z.shape[0]} channels for shrink weight {w.shape}")
     norm_caches = []
@@ -114,7 +117,7 @@ def concat_shrink(parts, names, norms, shrink: Params):
             rows[...] = x
         norm_caches.append(nc)
     out = wmat @ z
-    out += shrink.bias.data[:, None]
+    out += shrink.bias.data.astype(dtype, copy=False)[:, None]
     return out.reshape(len(out), *shapes[0][1:]), (z, shapes, norm_caches, shrink)
 
 
@@ -205,7 +208,7 @@ def roi_pool(fmap: np.ndarray, rois: np.ndarray, stride: int, p: int):
     origins = y1 * w + x1
     rows = np.ascontiguousarray(fmap.reshape(c, h * w).T)  # (h*w, c)
     has_nan = np.isnan(rows).any()
-    out = np.empty((c, len(rels), p * p))
+    out = np.empty((c, len(rels), p * p), dtype=fmap.dtype)
     buckets = []
     for length in np.unique(lengths).tolist():
         members = np.flatnonzero(lengths == length)

@@ -239,15 +239,29 @@ class MultiScaleDetector:
         self, image: np.ndarray, orig_w: int, orig_h: int, cfg: DetectConfig | None = None, **overrides
     ) -> list[Detection]:
         """Run the full pipeline on one padded image tensor under ``cfg`` (a
-        :class:`DetectConfig`, defaults when None) with any fields replaced by ``overrides``."""
+        :class:`DetectConfig`, defaults when None) with any fields replaced by ``overrides``.
+
+        The layers (backbone, dense fusion, proposal head, ROI pooling, fusion
+        and the region head) run in float32; their per-anchor and per-ROI
+        outputs are cast to float64 before :func:`propose` and
+        :func:`postprocess_detections`, so softmax, decoding, thresholds and
+        NMS, and the returned boxes and scores, are float64.  Raises
+        ``ValueError`` when the image is not finite in float32.
+        """
         cfg = replace(cfg or DetectConfig(), **overrides)
+        with np.errstate(over="ignore"):  # values beyond the float32 range become inf and are rejected
+            image = np.asarray(image, dtype=np.float32)
+        bad = image.size - np.count_nonzero(np.isfinite(image))
+        if bad:
+            raise ValueError(f"detect: image {image.shape} has {bad} values that are not finite in float32")
         taps, _ = self.backbone_forward(image)
         fused, _ = self.fused_map_forward(taps)
         (logits, deltas), _ = rpn_forward(fused, self.rpn_head)
         anchors = self.anchors_for(fused.shape[2], fused.shape[3])
-        proposals = propose(logits, deltas, anchors, orig_w, orig_h, cfg)
+        proposals = propose(logits.astype(np.float64), deltas.astype(np.float64), anchors, orig_w, orig_h, cfg)
         rois = np.array([p.box for p in proposals]).reshape(-1, 4)
         (cls_logits, box_deltas), _ = self.roi_forward(taps, rois)
         return postprocess_detections(
-            cls_logits, box_deltas, rois, cfg.score_thresh, cfg.det_nms_thresh, orig_w, orig_h
+            cls_logits.astype(np.float64), box_deltas.astype(np.float64), rois,
+            cfg.score_thresh, cfg.det_nms_thresh, orig_w, orig_h,
         )

@@ -1,12 +1,16 @@
-"""Dense float64 tensors and the differentiable layer primitives.
+"""Dense tensors and the differentiable layer primitives.
 
-Everything runs at double precision.  A parameter is a :class:`Tensor`,
-whose same-shape ``grad`` exists from construction on, and each layer's
-weight and bias form one :class:`Params`.  Layers follow a functional style:
-``<op>(...)`` returns ``(out, cache)`` and ``<op>_backward(dout, cache, ...)``
-returns the gradient w.r.t. the input while accumulating parameter gradients
-in place (``param.grad += ...``), so parameters shared between branches pick
-up contributions from every use.
+A parameter is a float64 :class:`Tensor`, whose same-shape ``grad`` exists
+from construction on, and each layer's weight and bias form one
+:class:`Params`.  Every forward computes in its input's dtype and reads each
+parameter as ``param.data.astype(x.dtype, copy=False)``, which is the
+parameter array itself for float64 input: training, gradient checks and
+checkpoints run in float64, and ``MultiScaleDetector.detect`` runs the same
+forwards in float32.  The backwards are float64 only.  Layers follow a
+functional style: ``<op>(...)`` returns ``(out, cache)`` and
+``<op>_backward(dout, cache, ...)`` returns the gradient w.r.t. the input
+while accumulating parameter gradients in place (``param.grad += ...``), so
+parameters shared between branches pick up contributions from every use.
 """
 
 from __future__ import annotations
@@ -22,7 +26,10 @@ class ShapeError(ValueError):
 
 
 class Tensor:
-    """A float64 array and its same-shape gradient, zero until a backward adds into it."""
+    """A float64 array and its same-shape gradient, zero until a backward adds into it.
+
+    Forwards read ``data`` in their input's dtype; it is never stored in
+    another, so an in-place update or a checkpoint load reaches every read."""
 
     __slots__ = ("data", "grad")
 
@@ -83,8 +90,9 @@ def conv2d(x: np.ndarray, p: Params):
     ho, wo = h + 2 * pad - kh + 1, w + 2 * pad - kw + 1
     win = sliding_window_view(xp, (kh, kw), axis=(2, 3))
     cols = np.ascontiguousarray(win.transpose(1, 4, 5, 0, 2, 3)).reshape(c * kh * kw, n * ho * wo)
-    wmat = p.weight.data.reshape(out_c, -1)
-    out = (wmat @ cols + p.bias.data[:, None]).reshape(out_c, n, ho, wo).transpose(1, 0, 2, 3)
+    wmat = p.weight.data.astype(x.dtype, copy=False).reshape(out_c, -1)
+    bias = p.bias.data.astype(x.dtype, copy=False)
+    out = (wmat @ cols + bias[:, None]).reshape(out_c, n, ho, wo).transpose(1, 0, 2, 3)
     cache = (cols, x.shape, p)
     return out, cache
 
@@ -163,7 +171,8 @@ def fully_connected(x: np.ndarray, p: Params):
         raise ShapeError(
             f"fully_connected: input {x.shape} incompatible with weights {p.weight.data.shape}"
         )
-    return x @ p.weight.data + p.bias.data, (x, p)
+    w, b = (t.data.astype(x.dtype, copy=False) for t in (p.weight, p.bias))
+    return x @ w + b, (x, p)
 
 
 def fully_connected_backward(dout: np.ndarray, cache) -> np.ndarray:

@@ -91,3 +91,12 @@ def test_detect_rejects_out_of_range_setting(key, value):
     model = MultiScaleDetector(ModelConfig(), seed=0)
     with pytest.raises(ValueError, match=key):
         model.detect(np.full((1, 1, 64, 64), 0.6), 64, 64, **{key: value})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 1e39])
+def test_detect_rejects_image_not_finite_in_float32(value):
+    # 1e39 is finite in float64 but beyond the float32 range
+    image = np.full((1, 1, 64, 64), 0.6)
+    image[0, 0, 5, 7:10] = value
+    with pytest.raises(ValueError, match=r"\(1, 1, 64, 64\) has 3 values that are not finite"):
+        MultiScaleDetector(ModelConfig(), seed=0).detect(image, 64, 64)
