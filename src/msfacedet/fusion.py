@@ -13,10 +13,12 @@ runs the same code over the stride-16 tap alone, without a norm.
 The fusion step takes channel-major parts ``(C, N, HW)``: a dense
 ``(1, C, H, W)`` tap reshapes to that for free and :func:`roi_pool` writes
 ``(C, R, p*p)``.  The normed parts fill one ``(sum C, N*HW)`` matrix, so the
-shrink is one matmul.  Max pooling builds its gradient routing only in the
-backward pass, from the input and gather geometry its cache holds.  The
-forwards keep their input's dtype (float32 in ``detect``, float64 in
-training) and read gamma and the shrink in it; the backwards are float64.
+shrink is one matmul.  ROI pooling's bins are array arithmetic over the
+whole ROI stack, gathered per bucket of ROIs with equal candidate counts.
+Max pooling builds its gradient routing only in the backward pass, from the
+input and gather geometry its cache holds.  The forwards keep their input's
+dtype (float32 in ``detect``, float64 in training) and read gamma and the
+shrink in it; the backwards are float64.
 """
 
 from __future__ import annotations
@@ -138,87 +140,64 @@ def _row_blocks(mat: np.ndarray, shapes):
     return [b.reshape(sh) for b, sh in zip(np.split(mat, np.cumsum([sh[0] for sh in shapes])[:-1]), shapes)]
 
 
-def _partition(extent: int, p: int):
-    """Split [0, extent) into p near-equal segments; empty segments borrow
-    the nearest nonempty one (ties toward the lower index)."""
-    edges = [int(np.floor(i * extent / p + 0.5)) for i in range(p + 1)]
-    segs = [(edges[i], edges[i + 1]) for i in range(p)]
-    nonempty = [i for i, (lo, hi) in enumerate(segs) if hi > lo]
-    return [
-        segs[i] if segs[i][1] > segs[i][0] else segs[min(nonempty, key=lambda q: (abs(q - i), q))]
-        for i in range(p)
-    ]
-
-
-def _axis_gather(segs):
-    """Index matrix (p, maxlen) over one axis, -1 padded past each segment."""
-    p = len(segs)
-    maxlen = max(hi - lo for lo, hi in segs)
-    idx = np.full((p, maxlen), -1, dtype=np.int64)
-    for i, (lo, hi) in enumerate(segs):
-        idx[i, : hi - lo] = np.arange(lo, hi)
-    return idx
-
-
-_GATHER_CACHE: dict = {}
-
-
-def _cell_gather(h_ext: int, w_ext: int, map_w: int, p: int):
-    """Cached per-cell candidate offsets for one projected-rect shape.
-
-    Returns flat index offsets relative to the rect origin, shaped (p*p, L)
-    in row-major cell and candidate order.  A cell with fewer than L
-    candidates is padded with copies of its own first offset: a copy can
-    never come before the cell's first maximum, so it needs no mask.
-    """
-    key = (h_ext, w_ext, map_w, p)
-    rel = _GATHER_CACHE.get(key)
-    if rel is not None:
-        return rel
-    rows = _axis_gather(_partition(h_ext, p))
-    cols = _axis_gather(_partition(w_ext, p))
-    valid = (rows[:, None, :, None] >= 0) & (cols[None, :, None, :] >= 0)
-    rel = (rows[:, None, :, None] * map_w + cols[None, :, None, :]).reshape(p * p, -1)
-    rel = np.where(valid.reshape(p * p, -1), rel, rel[:, :1])
-    _GATHER_CACHE[key] = rel
-    return rel
+def _bins(lo: np.ndarray, extent: np.ndarray, p: int):
+    """First cell and cell count of the p bins of segments [lo, lo + extent)
+    along one axis, each shaped like ``lo`` plus a bin axis.  Bin i spans the
+    cells from edge i to edge i + 1, edge i = floor(i * extent / p + 0.5) in
+    exact integers; an empty bin takes the nearest non-empty one, ties to the
+    lower index.  The rule runs once per extent up to the largest."""
+    e = np.arange(1, extent.max(initial=0) + 1)[:, None]
+    edges = (2 * np.arange(p + 1) * e + p) // (2 * p)  # (largest extent, p + 1)
+    count = np.diff(edges, axis=1)
+    i = np.arange(p)
+    below = np.maximum.accumulate(np.where(count > 0, i, -p), axis=1)
+    above = np.minimum.accumulate(np.where(count > 0, i, 2 * p)[:, ::-1], axis=1)[:, ::-1]
+    src = np.where(i - below <= above - i, below, above)
+    return lo[..., None] + edges[e - 1, src][extent - 1], count[e - 1, src][extent - 1]
 
 
 def roi_pool(fmap: np.ndarray, rois: np.ndarray, stride: int, p: int):
     """Max-pool an (R, 4) stack of image-space ROIs into a (C, R, p*p) stack.
 
     Each ROI is projected onto the feature grid of one (C, H, W) map (at
-    least one cell per side) and partitioned into p x p near-equal cells.
-    Per bucket of ROIs with equal padded cell length L, one gather per
-    candidate feeds one ``np.fmax``, which skips NaN, and a NaN first
-    candidate is put back: the values of a strict-greater scan keeping the
-    first max.  Returns (out, cache); the cache holds a channels-last copy
-    of the map, ``out`` itself, each bucket's candidate indices and the map
-    shape.  The backward routes by matching ``out``: nothing may write into
-    it first.
+    least one cell per side) and split into p x p bins by :func:`_bins`
+    along each axis.  ROIs are bucketed by their candidate count L, their
+    largest bin height times their largest bin width.  Candidate k of a bin
+    is its row k // width and column k % width; past a smaller bin's rows or
+    columns it is the bin's first cell again, a copy of an earlier
+    candidate, so neither the max nor its first position moves.  Per bucket,
+    one gather per candidate feeds one ``np.fmax``, which skips NaN, and a
+    NaN first candidate is put back: the values of a strict-greater scan
+    keeping the first max.  Returns (out, cache); the cache holds a
+    channels-last copy of the map, ``out`` itself, each bucket's (L, m, p*p)
+    candidate indices and the map shape.  The backward routes by matching
+    ``out``: nothing may write into it first.
     """
     c, h, w = fmap.shape
     x1, y1, x2, y2 = project_roi(rois, stride)
-    x1 = np.clip(x1, 0, w - 1)
-    y1 = np.clip(y1, 0, h - 1)
-    x2 = np.maximum(np.minimum(x2, w), x1 + 1)
-    y2 = np.maximum(np.minimum(y2, h), y1 + 1)
-    rels = [_cell_gather(rh, rw, w, p) for rh, rw in zip((y2 - y1).tolist(), (x2 - x1).tolist())]
-    lengths = np.array([rel.shape[1] for rel in rels], dtype=np.int64)
-    origins = y1 * w + x1
+    size = np.array([[h], [w]])
+    lo = np.clip(np.stack([y1, x1]), 0, size - 1)  # (2, R): rows, then columns
+    hi = np.maximum(np.minimum(np.stack([y2, x2]), size), lo + 1)
+    (y0, x0), (ny, nx) = _bins(lo, hi - lo, p)
+    first = y0[:, :, None] * w + x0[:, None, :]  # (R, p, p): each bin's first cell
+    width = nx.max(axis=1)
+    lengths = ny.max(axis=1) * width
     rows = np.ascontiguousarray(fmap.reshape(c, h * w).T)  # (h*w, c)
     has_nan = np.isnan(rows).any()
-    out = np.empty((c, len(rels), p * p), dtype=fmap.dtype)
+    out = np.empty((c, len(rois), p * p), dtype=fmap.dtype)
     buckets = []
     for length in np.unique(lengths).tolist():
         members = np.flatnonzero(lengths == length)
-        # (L, m, p*p): candidate l of every cell of every member ROI
-        idx = np.stack([rels[i].T for i in members], axis=1) + origins[members][:, None]
-        best = rows[idx[0]]  # (m, p*p, c)
+        r, q = np.divmod(np.arange(length)[:, None], width[members])  # (L, m): row and column of candidate k
+        off = (r * w + q)[..., None] * (r[..., None] < ny[members])  # (L, m, p), 0 past a bin's rows
+        off = off[..., None] * (q[..., None] < nx[members])[:, :, None]  # (L, m, p, p), 0 past its columns
+        idx = (first[members] + off).reshape(length, len(members), p * p)
+        best = np.take(rows, idx[0], axis=0)  # (m, p*p, c)
         for cand in idx[1:]:
-            np.fmax(best, rows[cand], out=best)
+            np.fmax(best, np.take(rows, cand, axis=0), out=best)
         if has_nan:
-            np.copyto(best, rows[idx[0]], where=np.isnan(rows[idx[0]]))
+            head = np.take(rows, idx[0], axis=0)
+            np.copyto(best, head, where=np.isnan(head))
         out[:, members] = best.transpose(2, 0, 1)
         buckets.append((members, idx))
     return out, (rows, out, buckets, fmap.shape)

@@ -20,7 +20,7 @@ from .fusion import (
     sync_downsample,
     sync_downsample_backward,
 )
-from .rpn import DetectConfig, RpnHead, generate_anchors, propose, rpn_backward, rpn_forward
+from .rpn import DetectConfig, RpnHead, generate_anchors, propose, require_int, rpn_backward, rpn_forward
 from .tensor import (
     ShapeError,
     conv2d,
@@ -56,8 +56,7 @@ class ModelConfig:
 
     def validate(self):
         # each range is written so that NaN fails it
-        if not 1 <= self.roi_pool_size < math.inf:
-            raise ValueError(f"roi_pool_size {self.roi_pool_size} must be positive")
+        require_int("roi_pool_size", self.roi_pool_size, 1)
         if not 0 < self.gamma_init < math.inf:
             raise ValueError("gamma_init must be positive and finite")
         if not self.anchor_scales or not self.anchor_ratios:

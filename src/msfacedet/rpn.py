@@ -14,6 +14,12 @@ from .detector import Detection
 from .tensor import Params, conv2d, conv2d_backward, relu, relu_backward, softmax
 
 
+def require_int(name: str, value, least: int):
+    """Raise ValueError naming field ``name`` unless ``value`` is a non-bool integer >= ``least``."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least):
+        raise ValueError(f"{name} {value!r}: only integers of at least {least} are allowed")
+
+
 @dataclass
 class DetectConfig:
     """The six settings of the detection path, used alike in training and at
@@ -29,11 +35,8 @@ class DetectConfig:
 
     def validate(self):
         # each range is written so that NaN fails it; the limits are slice bounds
-        limits = (self.pre_nms_top_n, self.post_nms_top_n)
-        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1 for v in limits):
-            raise ValueError(
-                f"pre_nms_top_n ({limits[0]}) and post_nms_top_n ({limits[1]}) must be integers of at least 1"
-            )
+        require_int("pre_nms_top_n", self.pre_nms_top_n, 1)
+        require_int("post_nms_top_n", self.post_nms_top_n, 1)
         if not 0 < self.rpn_nms_thresh < 1:
             raise ValueError(f"rpn_nms_thresh {self.rpn_nms_thresh} outside (0, 1)")
         if not 0 <= self.min_size < math.inf:

@@ -16,6 +16,7 @@ from .rpn import (
     TargetAssignmentError,
     assign_rpn_targets,
     propose,
+    require_int,
     rpn_backward,
     rpn_forward,
 )
@@ -44,10 +45,8 @@ class TrainConfig:
             and 0 <= self.weight_decay < math.inf
         ):
             raise ValueError("rates must be positive (momentum/decay non-negative) and finite")
-        if not 1 <= self.iterations < math.inf:
-            raise ValueError("iterations must be positive")
-        if not 0 <= self.seed < math.inf:
-            raise ValueError("seed must be non-negative")
+        require_int("iterations", self.iterations, 1)
+        require_int("seed", self.seed, 0)
         if not 0 <= self.loss_lambda < math.inf:
             raise ValueError("loss_lambda must be non-negative and finite")
 

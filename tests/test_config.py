@@ -189,3 +189,13 @@ def test_component_config_rejects_non_finite_field(cls, key, bad):
     value = (1.0, bad) if type(getattr(cls(), key)) is tuple else bad
     with pytest.raises(ValueError):
         cls(**{key: value}).validate()
+
+
+@pytest.mark.parametrize(
+    "cls,key",
+    [(cls, f.name) for cls in (ModelConfig, TrainConfig, DetectConfig) for f in fields(cls) if type(f.default) is int],
+)
+@pytest.mark.parametrize("bad", [2.5, True])
+def test_component_config_rejects_non_integer_int_field(cls, key, bad):
+    with pytest.raises(ValueError, match=f"^{key} {bad!r}: only integers"):
+        cls(**{key: bad}).validate()

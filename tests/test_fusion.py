@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,7 @@ from msfacedet.fusion import (
     L2NORM_EPS,
     TAP_ORDER,
     TAP_STRIDES,
-    _axis_gather,
-    _partition,
+    _bins,
     concat_shrink,
     l2norm_scale,
     make_l2norm,
@@ -118,8 +119,21 @@ class TestConcatShrink:
             concat_shrink(maps, TAP_ORDER, {}, make_shrink(np.zeros(weight_shape)))
 
 
+def reference_partition(extent, p):
+    """The bins [lo, hi) of [0, extent): edge i at floor(i * extent / p + 0.5), and
+    an empty bin takes the nearest non-empty one, ties to the lower index."""
+    edges = [math.floor(i * extent / p + 0.5) for i in range(p + 1)]
+    bins = list(zip(edges[:-1], edges[1:]))
+    full = [i for i, (lo, hi) in enumerate(bins) if hi > lo]
+    return [bins[min(full, key=lambda j: (abs(j - i), j))] for i in range(p)]
+
+
 def reference_cells(shape, roi, stride, p):
-    """Candidate flat indices (p*p, L) of one ROI and their validity mask."""
+    """Candidate flat indices (p*p, L) of one ROI and their validity mask.
+
+    L is the largest bin height times the largest bin width; candidate k of
+    a bin is its row k // width and column k % width, valid inside the bin.
+    """
     _, h, w = shape
     x1 = int(np.floor(roi[0] / stride))
     y1 = int(np.floor(roi[1] / stride))
@@ -129,11 +143,18 @@ def reference_cells(shape, roi, stride, p):
     y1 = min(max(y1, 0), h - 1)
     x2 = max(min(x2, w), x1 + 1)
     y2 = max(min(y2, h), y1 + 1)
-    rows = _axis_gather(_partition(y2 - y1, p))
-    cols = _axis_gather(_partition(x2 - x1, p))
-    valid = ((rows[:, None, :, None] >= 0) & (cols[None, :, None, :] >= 0)).reshape(p * p, -1)
-    rel = (rows[:, None, :, None] * w + cols[None, :, None, :]).reshape(p * p, -1)
-    return np.where(valid, rel, 0) + (y1 * w + x1), valid
+    rows, cols = reference_partition(y2 - y1, p), reference_partition(x2 - x1, p)
+    height = max(hi - lo for lo, hi in rows)
+    width = max(hi - lo for lo, hi in cols)
+    flat = np.zeros((p * p, height * width), dtype=np.int64)
+    valid = np.zeros(flat.shape, dtype=bool)
+    for i, (r0, r1) in enumerate(rows):
+        for j, (c0, c1) in enumerate(cols):
+            for k in range(height * width):
+                r, c = r0 + k // width, c0 + k % width
+                valid[i * p + j, k] = r < r1 and c < c1
+                flat[i * p + j, k] = (y1 + r) * w + x1 + c if valid[i * p + j, k] else 0
+    return flat, valid
 
 
 def reference_roi_pool(fmap, roi, stride, p):
@@ -163,6 +184,17 @@ def mixed_rois(rng, n, extent):
     x1, y1 = rng.uniform(-0.25 * extent, extent, (2, n))
     w, h = rng.uniform(0.5, extent, (2, n))
     return np.stack([x1, y1, x1 + w, y1 + h], axis=1)
+
+
+@pytest.mark.parametrize("p", range(1, 16))
+def test_bins_match_reference_partition(p):
+    # every extent up to 199 covers the exact-half edges and every empty-bin case
+    extent = np.arange(1, 200)
+    lo = np.arange(199) % 13
+    first, count = _bins(lo, extent, p)
+    bins = [reference_partition(e, p) for e in extent.tolist()]
+    assert first.tolist() == [[a + b[0] for b in row] for a, row in zip(lo.tolist(), bins)]
+    assert count.tolist() == [[b[1] - b[0] for b in row] for row in bins]
 
 
 class TestRoiPool:
@@ -224,12 +256,14 @@ class TestRoiPoolMatchesPerRoiReference:
 
     @staticmethod
     def check(fmap, rois, p, rng):
-        """Values byte-equal to the reference, and one random gradient over
-        every cell scattered byte-equal to np.add.at at the reference argmax."""
+        """Values byte-equal to the reference, and for a float64 map one random gradient
+        over every cell scattered byte-equal to np.add.at at the reference argmax."""
         out, cache = roi_pool(fmap, rois, 4, p)
-        assert out.flags.c_contiguous
+        assert out.flags.c_contiguous and out.dtype == fmap.dtype
         ref_out, ref_arg = reference_roi_pool_stack(fmap, rois, 4, p)
         assert out.tobytes() == ref_out.reshape(len(rois), len(fmap), -1).transpose(1, 0, 2).tobytes()
+        if fmap.dtype != np.float64:  # detect pools float32 maps; training, the one backward user, float64
+            return out
         dout = rng.standard_normal(out.shape)
         ref = np.zeros_like(fmap)
         reference_roi_pool_backward(np.ascontiguousarray(dout.transpose(1, 0, 2)), ref_arg, ref)
@@ -237,13 +271,15 @@ class TestRoiPoolMatchesPerRoiReference:
         return out
 
     @pytest.mark.parametrize("p", [1, 3, 7])
-    @pytest.mark.parametrize("relu_map", [True, False])
-    def test_values_and_argmax(self, p, relu_map):
+    @pytest.mark.parametrize(
+        "relu_map,dtype", [(True, np.float64), (False, np.float64), (True, np.float32)], ids=["True", "False", "float32"]
+    )
+    def test_values_and_argmax(self, p, relu_map, dtype):
         rng = np.random.default_rng(20 + p)
         fmap = rng.standard_normal((3, 16, 16))
         if relu_map:
             fmap = np.maximum(fmap, 0.0)  # many tied zeros
-        self.check(fmap, mixed_rois(rng, 300, 64.0), p, rng)
+        self.check(fmap.astype(dtype), mixed_rois(rng, 300, 64.0), p, rng)
 
     @pytest.mark.parametrize("p", [1, 3, 7])
     def test_plateau_map(self, p):
