@@ -223,7 +223,7 @@ def roi_pool_backward(dout: np.ndarray, cache) -> np.ndarray:
         best = np.ascontiguousarray(out[:, members].transpose(1, 2, 0))  # (m, p*p, c)
         arg = np.repeat(idx[0][..., None], c, axis=2)
         for cand in idx[::-1]:
-            np.copyto(arg, cand[..., None], where=rows[cand] == best)
+            np.copyto(arg, cand[..., None], where=np.take(rows, cand, axis=0) == best)
         src[:, members] = arg.transpose(2, 0, 1)
     lin = src + (np.arange(c) * hw)[:, None, None]
     return np.bincount(lin.ravel(), weights=dout.ravel(), minlength=c * hw).reshape(shape)

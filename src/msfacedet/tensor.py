@@ -7,7 +7,9 @@ parameter as ``param.data.astype(x.dtype, copy=False)``, which is the
 parameter array itself for float64 input: training, gradient checks and
 checkpoints run in float64, and ``MultiScaleDetector.detect`` runs the same
 forwards in float32.  The backwards are float64 only.  Layers follow a
-functional style: ``<op>(...)`` returns ``(out, cache)`` and
+functional style: ``<op>(...)`` returns ``(out, cache)``, and the cache may
+hold the input itself (``maxpool2d``, ``fully_connected``; ``conv2d`` holds a
+padded copy), so a caller must not write into an input before its backward.
 ``<op>_backward(dout, cache, ...)`` returns the gradient w.r.t. the input
 while accumulating parameter gradients in place (``param.grad += ...``), so
 parameters shared between branches pick up contributions from every use.
@@ -69,57 +71,64 @@ def make_linear(rng, d, m) -> Params:
 # convolution
 
 
-def conv2d(x: np.ndarray, p: Params):
-    """Stride-1 2-D convolution on NCHW input via window gather + matmul.
+def _columns(xp: np.ndarray, k: int) -> np.ndarray:
+    """Fresh, writable channel-major im2col columns (C*k*k, N*Ho*Wo): each run is an output row."""
+    win = sliding_window_view(xp, (k, k), axis=(2, 3)).transpose(1, 4, 5, 0, 2, 3)
+    return win.copy().reshape(xp.shape[1] * k * k, -1)
 
-    The input is zero-padded by (kH - 1) // 2 on every side, which keeps its
-    size for odd square kernels: the output extent is H + 2*pad - kH + 1.
-    The im2col columns are channel-major, ``(C*kH*kW, N*Ho*Wo)``, so each
-    gathered run is an output row rather than a kW-long kernel row, and the
-    output is ``W @ cols + b`` laid out ``(outC, N, Ho, Wo)`` and returned as
-    an NCHW view; for N == 1 it is C-contiguous.
+
+def conv2d(x: np.ndarray, p: Params):
+    """Stride-1 2-D convolution of NCHW input with a square k x k kernel of
+    odd k: ``W @ _columns(xp) + b``.
+
+    The input is zero-padded by (k - 1) // 2 on every side, so the output
+    keeps its size.  The output is laid out ``(outC, N, H, W)`` and returned
+    as an NCHW view, C-contiguous for N == 1.  The cache holds the zero-padded
+    copy ``xp`` of the input, from which the backward rebuilds the columns.
     """
     n, c, h, w = x.shape
-    out_c, in_c, kh, kw = p.weight.data.shape
+    out_c, in_c, k, kw = p.weight.data.shape
     if c != in_c:
         raise ShapeError(f"conv2d: input has {c} channels {x.shape} but kernel expects {in_c} {p.weight.data.shape}")
-    pad = (kh - 1) // 2
-    if h + 2 * pad < kh or w + 2 * pad < kw:
+    if k != kw or k % 2 == 0:
+        raise ShapeError(f"conv2d: kernel {p.weight.data.shape} is not square with an odd size")
+    pad = (k - 1) // 2
+    if h + 2 * pad < k or w + 2 * pad < k:
         raise ShapeError(f"conv2d: padded input {x.shape} smaller than kernel {p.weight.data.shape}")
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-    ho, wo = h + 2 * pad - kh + 1, w + 2 * pad - kw + 1
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    cols = np.ascontiguousarray(win.transpose(1, 4, 5, 0, 2, 3)).reshape(c * kh * kw, n * ho * wo)
-    wmat = p.weight.data.astype(x.dtype, copy=False).reshape(out_c, -1)
-    bias = p.bias.data.astype(x.dtype, copy=False)
-    out = (wmat @ cols + bias[:, None]).reshape(out_c, n, ho, wo).transpose(1, 0, 2, 3)
-    cache = (cols, x.shape, p)
-    return out, cache
+    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), x.dtype)  # np.pad builds the same at 7x the call time
+    xp[:, :, pad : pad + h, pad : pad + w] = x
+    out = p.weight.data.astype(x.dtype, copy=False).reshape(out_c, -1) @ _columns(xp, k)
+    out += p.bias.data.astype(x.dtype, copy=False)[:, None]
+    return out.reshape(out_c, n, h, w).transpose(1, 0, 2, 3), (xp, p)
 
 
 def conv2d_backward(dout: np.ndarray, cache) -> np.ndarray:
-    """Mirror of :func:`conv2d` on its channel-major columns.
+    """Mirror of :func:`conv2d` on columns rebuilt from the cached padded input.
 
-    With ``dmat`` the ``(outC, N*Ho*Wo)`` output gradient, dW = dmat @ cols.T,
-    db = dmat.sum(axis=1) and dcols = W.T @ dmat; col2im adds each kernel
-    offset's contiguous (N, Ho, Wo) planes into a channel-major padded
-    gradient, returned as an NCHW view.
+    With ``dmat`` the ``(outC, N*H*W)`` output gradient, dW = dmat @ cols.T,
+    db = dmat.sum(axis=1) and dcols = W.T @ dmat, written into the columns'
+    buffer.  col2im adds each kernel offset (i, j)'s (C, N, H*W) planes as one
+    span at i*W + j of zero-started (C, N, pad + (H + 2*pad)*W + pad) rows,
+    after zeroing the columns that would wrap past a row edge: a sum that
+    starts at +0.0 is never -0.0, so an added zero changes none of its bits.
     """
-    cols, x_shape, p = cache
-    n, c, h, w = x_shape
-    out_c, _, kh, kw = p.weight.data.shape
-    pad = (kh - 1) // 2
-    _, _, ho, wo = dout.shape
+    xp, p = cache
+    n, c = xp.shape[:2]
+    out_c, _, k, _ = p.weight.data.shape
+    pad = (k - 1) // 2
+    _, _, h, w = dout.shape
     dmat = dout.transpose(1, 0, 2, 3).reshape(out_c, -1)
-    wmat = p.weight.data.reshape(out_c, -1)
+    cols = _columns(xp, k)
     p.bias.grad += dmat.sum(axis=1)
     p.weight.grad += (dmat @ cols.T).reshape(p.weight.data.shape)
-    dc = (wmat.T @ dmat).reshape(c, kh, kw, n, ho, wo)
-    dxp = np.zeros((c, n, h + 2 * pad, w + 2 * pad))
-    for i in range(kh):
-        for j in range(kw):
-            dxp[:, :, i : i + ho, j : j + wo] += dc[:, i, j]
-    return dxp[:, :, pad : pad + h, pad : pad + w].transpose(1, 0, 2, 3)
+    dc = np.matmul(p.weight.data.reshape(out_c, -1).T, dmat, out=cols).reshape(c, k, k, n, h, w)
+    dxp = np.zeros((c, n, (h + 2 * pad) * w + 2 * pad))
+    for i, j in np.ndindex(k, k):
+        plane = dc[:, i, j]
+        plane[..., : max(pad - j, 0)] = plane[..., w - max(j - pad, 0) :] = 0.0
+        dxp[:, :, i * w + j : i * w + j + h * w] += plane.reshape(c, n, h * w)
+    o = pad * (w + 1)
+    return dxp[:, :, o : o + h * w].reshape(c, n, h, w).transpose(1, 0, 2, 3)
 
 
 # ---------------------------------------------------------------------------

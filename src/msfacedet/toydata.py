@@ -8,7 +8,7 @@ interior pattern.  Ground truth is the ellipse bounding box.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,12 +31,17 @@ class ToyScene:
     requested_faces: int = 0
 
 
-def _pixel_grid(size: int):
-    c = np.arange(size) + 0.5
-    return np.meshgrid(c, c, indexing="ij")  # (yy, xx)
+def _window(box, size: int):
+    """Slices of the pixels around ``box`` plus one, clipped, and their centres (yy column, xx row)."""
+    x1, y1, x2, y2 = box
+    r0, r1 = max(int(np.floor(y1)) - 1, 0), min(int(np.ceil(y2)) + 1, size)
+    c0, c1 = max(int(np.floor(x1)) - 1, 0), min(int(np.ceil(x2)) + 1, size)
+    return (slice(r0, r1), slice(c0, c1)), np.arange(r0, r1)[:, None] + 0.5, np.arange(c0, c1) + 0.5
 
 
-def _draw_face(img, yy, xx, box, face_val, dark_val):
+def _draw_face(img, box, face_val, dark_val):
+    win, yy, xx = _window(box, img.shape[0])
+    img = img[win]
     x1, y1, x2, y2 = box
     cx, cy = (x1 + x2) / 2.0, (y1 + y2) / 2.0
     a, b = (x2 - x1) / 2.0, (y2 - y1) / 2.0
@@ -53,8 +58,8 @@ def _draw_face(img, yy, xx, box, face_val, dark_val):
     img[mouth] = dark_val
 
 
-def _distractor(yy, xx, rng, size: int, scale_lo: int, scale_hi: int):
-    """A random plain rectangle or disc as (box, pixel mask, gray value)."""
+def _distractor(rng, size: int, scale_lo: int, scale_hi: int):
+    """A random plain rectangle or disc as (box, pixel window, mask on it, gray value)."""
     val = rng.uniform(0.2, 0.95)
     if rng.random() < 0.5:
         w = int(rng.integers(scale_lo, scale_hi + 1))
@@ -62,14 +67,16 @@ def _distractor(yy, xx, rng, size: int, scale_lo: int, scale_hi: int):
         x1 = int(rng.integers(0, max(size - w, 1)))
         y1 = int(rng.integers(0, max(size - h, 1)))
         box = (x1, y1, x1 + w, y1 + h)
+        win, yy, xx = _window(box, size)
         mask = (xx >= box[0]) & (xx <= box[2]) & (yy >= box[1]) & (yy <= box[3])
     else:
         r = int(rng.integers(scale_lo, scale_hi + 1)) / 2.0
         cx = rng.uniform(r, size - r)
         cy = rng.uniform(r, size - r)
         box = (cx - r, cy - r, cx + r, cy + r)
+        win, yy, xx = _window(box, size)
         mask = (xx - cx) ** 2 + (yy - cy) ** 2 <= r * r
-    return np.array(box, dtype=np.float64), mask, val
+    return np.array(box, dtype=np.float64), win, mask, val
 
 
 def generate_toy_dataset(n_images: int, image_size: int, face_scale_range: tuple, seed: int) -> list[ToyScene]:
@@ -84,7 +91,6 @@ def generate_toy_dataset(n_images: int, image_size: int, face_scale_range: tuple
     if not (4 < lo <= hi <= image_size / 2):
         raise ValueError(f"face_scale_range {face_scale_range} outside (4, {image_size / 2}]")
     rng = np.random.default_rng(seed)
-    yy, xx = _pixel_grid(image_size)
     scenes = []
     for i in range(n_images):
         img = np.full((image_size, image_size), 0.5)
@@ -92,7 +98,6 @@ def generate_toy_dataset(n_images: int, image_size: int, face_scale_range: tuple
         n_distract = int(rng.integers(0, MAX_DISTRACTORS + 1))
         face_boxes = []
         for _ in range(n_faces):
-            placed = None
             for _attempt in range(PLACEMENT_ATTEMPTS):
                 h = int(rng.integers(lo, hi + 1))
                 w = max(int(round(FACE_ASPECT * h)), 4)
@@ -100,20 +105,18 @@ def generate_toy_dataset(n_images: int, image_size: int, face_scale_range: tuple
                 y1 = int(rng.integers(2, image_size - h - 1))
                 cand = np.array([x1, y1, x1 + w, y1 + h], dtype=np.float64)
                 if face_boxes and iou_matrix(cand, np.stack(face_boxes)).max() > 0.1:
-                    continue
-                placed = cand
+                    continue  # overlapping face: draw another
+                face_boxes.append(cand)
                 break
-            if placed is not None:
-                face_boxes.append(placed)
         for _ in range(n_distract):
             for _attempt in range(PLACEMENT_ATTEMPTS):
-                box, mask, val = _distractor(yy, xx, rng, image_size, int(lo), int(hi))
+                box, win, mask, val = _distractor(rng, image_size, int(lo), int(hi))
                 if face_boxes and iou_matrix(box, np.stack(face_boxes)).max() > 0.05:
                     continue  # overlapping distractor: draw another
-                img[mask] = val
+                img[win][mask] = val
                 break
         for box in face_boxes:
-            _draw_face(img, yy, xx, box, rng.uniform(0.85, 0.95), rng.uniform(0.1, 0.2))
+            _draw_face(img, box, rng.uniform(0.85, 0.95), rng.uniform(0.1, 0.2))
         img = np.clip(img + rng.normal(0.0, NOISE_SIGMA, img.shape), 0.0, 1.0)
         scenes.append(
             ToyScene(

@@ -6,6 +6,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from msfacedet.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from msfacedet.checks import finite_difference_check
+from msfacedet.model import ModelConfig, MultiScaleDetector
 from msfacedet.tensor import (
     Params,
     ShapeError,
@@ -54,6 +55,41 @@ def reference_conv2d_backward(dout, x_shape, cols, p, pad):
     return dxp[:, :, pad : pad + h, pad : pad + w], dw, db
 
 
+def column_cache_conv2d(x, p):
+    """The convolution that cached its channel-major im2col columns instead of
+    the padded input, kept as the bitwise reference for ``conv2d``."""
+    n, c, h, w = x.shape
+    out_c, _, kh, kw = p.weight.data.shape
+    pad = (kh - 1) // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+    ho, wo = h + 2 * pad - kh + 1, w + 2 * pad - kw + 1
+    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    cols = np.ascontiguousarray(win.transpose(1, 4, 5, 0, 2, 3)).reshape(c * kh * kw, n * ho * wo)
+    wmat = p.weight.data.astype(x.dtype, copy=False).reshape(out_c, -1)
+    bias = p.bias.data.astype(x.dtype, copy=False)
+    out = (wmat @ cols + bias[:, None]).reshape(out_c, n, ho, wo).transpose(1, 0, 2, 3)
+    return out, (cols, x.shape, p)
+
+
+def column_cache_conv2d_backward(dout, cache):
+    """Backward of :func:`column_cache_conv2d` on its cached columns."""
+    cols, x_shape, p = cache
+    n, c, h, w = x_shape
+    out_c, _, kh, kw = p.weight.data.shape
+    pad = (kh - 1) // 2
+    _, _, ho, wo = dout.shape
+    dmat = dout.transpose(1, 0, 2, 3).reshape(out_c, -1)
+    wmat = p.weight.data.reshape(out_c, -1)
+    p.bias.grad += dmat.sum(axis=1)
+    p.weight.grad += (dmat @ cols.T).reshape(p.weight.data.shape)
+    dc = (wmat.T @ dmat).reshape(c, kh, kw, n, ho, wo)
+    dxp = np.zeros((c, n, h + 2 * pad, w + 2 * pad))
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, :, i : i + ho, j : j + wo] += dc[:, i, j]
+    return dxp[:, :, pad : pad + h, pad : pad + w].transpose(1, 0, 2, 3)
+
+
 def _random_conv(rng, out_c, in_c, k):
     return _conv(rng.standard_normal((out_c, in_c, k, k)), rng.standard_normal(out_c))
 
@@ -71,13 +107,17 @@ def _conv_gradient_error(rng, x, p):
 
 
 # (x shape, out channels, kernel, the pad conv2d must use): backbone 3x3
-# convs at 128 px, the 1x1 ROI shrink over 300 pooled regions, and a 3x3 batch
+# convs at 128 px, the 1x1 ROI shrink over 300 pooled regions, a 3x3 batch,
+# a 1x1 RPN head on one image, whose gather alone is a read-only view,
+# and a 5x5 batch whose col2im spans wrap two columns past each row edge
 CONV_CASES = [
     ((1, 1, 128, 128), 8, 3, 1),
     ((1, 32, 16, 16), 64, 3, 1),
     ((1, 64, 8, 8), 64, 3, 1),
     ((300, 160, 7, 7), 64, 1, 0),
     ((2, 3, 9, 8), 4, 3, 1),
+    ((1, 64, 8, 8), 12, 1, 0),
+    ((2, 2, 6, 7), 3, 5, 2),
 ]
 
 
@@ -100,6 +140,12 @@ class TestConv2d:
         p = _conv(np.zeros((3, 4, 3, 3)), np.zeros(3))
         with pytest.raises(ShapeError, match=r"2.*\(1, 2, 5, 5\)|\(1, 2, 5, 5\).*4"):
             conv2d(x, p)
+
+    @pytest.mark.parametrize("kernel", [(2, 2), (3, 1), (1, 3)])
+    def test_even_or_non_square_kernel_rejected(self, kernel):
+        p = _conv(np.zeros((3, 2, *kernel)), np.zeros(3))
+        with pytest.raises(ShapeError, match="not square with an odd size"):
+            conv2d(np.zeros((1, 2, 5, 5)), p)
 
     def test_linearity_in_input(self):
         rng = np.random.default_rng(2)
@@ -155,11 +201,53 @@ class TestConv2d:
             assert a.shape == b.shape, name
             assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), name
 
+    @pytest.mark.parametrize("x_shape,out_c,k,pad", CONV_CASES)
+    def test_matches_column_cache_reference_bit_for_bit(self, x_shape, out_c, k, pad):
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal(x_shape)
+        p = _random_conv(rng, out_c, x_shape[1], k)
+        ref_p = _conv(p.weight.data.copy(), p.bias.data.copy())
+        out, cache = conv2d(x, p)
+        ref_out, ref_cache = column_cache_conv2d(x, ref_p)
+        dout = rng.standard_normal(out.shape)
+        got = [out, conv2d_backward(dout, cache), p.weight.grad, p.bias.grad]
+        want = [ref_out, column_cache_conv2d_backward(dout, ref_cache), ref_p.weight.grad, ref_p.bias.grad]
+        for name, a, b in zip(["out", "dx", "dW", "db"], got, want):
+            assert a.shape == b.shape and a.dtype == b.dtype, name
+            assert a.tobytes() == b.tobytes(), name
+        x32 = x.astype(np.float32)
+        out32, ref32 = conv2d(x32, p)[0], column_cache_conv2d(x32, p)[0]
+        assert out32.dtype == np.float32 and out32.tobytes() == ref32.tobytes()
+
+    @pytest.mark.parametrize("x_shape,out_c,k,pad", CONV_CASES)
+    def test_cache_holds_no_array_larger_than_padded_input(self, x_shape, out_c, k, pad):
+        rng = np.random.default_rng(7)
+        _, cache = conv2d(rng.standard_normal(x_shape), _random_conv(rng, out_c, x_shape[1], k))
+        n, c, h, w = x_shape
+        arrays = [a for a in cache if isinstance(a, np.ndarray)]
+        assert arrays
+        assert max(a.size for a in arrays) <= n * c * (h + 2 * pad) * (w + 2 * pad)
+
     def test_single_image_output_is_c_contiguous(self):
         rng = np.random.default_rng(5)
         out, _ = conv2d(rng.standard_normal((1, 4, 6, 7)), _random_conv(rng, 5, 4, 3))
         assert out.shape == (1, 5, 6, 7)
         assert out.flags.c_contiguous
+
+
+def _cache_arrays(obj):
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _cache_arrays(item)
+
+
+def test_backbone_caches_of_a_256_px_float32_image_hold_at_most_12_mb():
+    # 53.1 MB while every conv cached its im2col columns; 11.4 MB with padded inputs
+    model = MultiScaleDetector(ModelConfig(), seed=0)
+    _, caches = model.backbone_forward(np.full((1, 1, 256, 256), 0.5, dtype=np.float32))
+    assert sum(a.size * a.itemsize for a in _cache_arrays(caches)) <= 12e6
 
 
 def reference_maxpool2d(x, k):
