@@ -213,9 +213,12 @@ def check_roi_pool(seed: int) -> float:
     fmap = _distinct(rng, (3, 8, 8))
     # 8 x 7 cells; 2 cells wide, so a bin borrows its neighbour's; 4 x 4 cells, another candidate count
     rois = np.array([[3.0, 2.0, 29.0, 27.0], [13.0, 9.0, 19.0, 30.0], [16.0, 12.0, 32.0, 28.0]])
-    return _projected_check(
-        rng, lambda: roi_pool(fmap, rois, 4, 3), lambda pr, c: [roi_pool_backward(pr[0], c)], [fmap]
-    )
+
+    def pooled():  # the (C, R, p*p) stack the backward takes the gradient of
+        (table, index), cache = roi_pool(fmap, rois, 4, 3)
+        return np.take(table, index, axis=1), cache
+
+    return _projected_check(rng, pooled, lambda pr, c: [roi_pool_backward(pr[0], c)], [fmap])
 
 
 def _tiny_taps(rng):

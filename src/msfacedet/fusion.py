@@ -11,17 +11,21 @@ branch, ROI pooling for the per-region branch.  The single-tap ablation
 runs the same code over the stride-16 tap alone, without a norm.
 
 The fusion step takes channel-major parts ``(C, N, HW)``: a dense
-``(1, C, H, W)`` tap reshapes to that for free and :func:`roi_pool` writes
-``(C, R, p*p)``.  The normed parts fill one ``(sum C, N*HW)`` matrix, so the
-shrink is one matmul.  ROI pooling's bins are array arithmetic over the
-whole ROI stack, gathered per bucket of ROIs with equal candidate counts.
-Max pooling builds its gradient routing only in the backward pass, from the
-input and gather geometry its cache holds.  The forwards keep their input's
+``(1, C, H, W)`` tap reshapes to that for free.  Overlapping ROIs share most
+bin rectangles, so :func:`roi_pool` pools each distinct rectangle of the
+stack once, per bucket of equal shape, into a ``(C, U)`` table with an
+``(R, p*p)`` index from each bin to its column; the step norms only the
+table's columns and one ``np.take`` expands them.  The parts fill one
+``(sum C, N*HW)`` matrix, so the shrink is one matmul.  Max pooling builds
+its gradient routing only in the backward pass, from the input and gather
+geometry its cache holds.  The forwards keep their input's
 dtype (float32 in ``detect``, float64 in training) and read gamma and the
 shrink in it; the backwards are float64.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -95,44 +99,56 @@ def sync_downsample_backward(dout: np.ndarray, cache) -> np.ndarray:
     return maxpool2d_backward(dout, cache)
 
 
-def concat_shrink(parts, names, norms, shrink: Params):
-    """The fusion step on channel-major (C_i, N, HW) parts, which it only
-    reads: norm each named part that has a norm in ``norms``, stack the parts
-    along channels in the given order, then apply the 1x1 shrink -> (outC, N, HW)."""
-    sizes = {m.shape[1:] for m in parts}
-    if len(sizes) != 1:
-        desc = ", ".join(f"{n}={m.shape[1:]}" for n, m in zip(names, parts))
+def concat_shrink(parts, names, norms, shrink: Params, index=None):
+    """The fusion step on channel-major parts, which it only reads: norm each
+    named part that has a norm in ``norms``, stack the parts along channels in
+    the given order, then apply the 1x1 shrink -> (outC, N, HW).  A part is a
+    (C_i, N, HW) map or, with ``index``, a (C_i, U_i) table of distinct
+    columns that its (N, HW) index expands: the norm then runs once per table
+    column, and one ``np.take`` fills the part's rows of the shrink input."""
+    index = index or [None] * len(parts)
+    shapes = [m.shape if ix is None else (len(m), *ix.shape) for m, ix in zip(parts, index)]
+    if len({sh[1:] for sh in shapes}) != 1:
+        desc = ", ".join(f"{n}={sh[1:]}" for n, sh in zip(names, shapes))
         raise ShapeError(f"concat_shrink: spatial sizes differ: {desc}")
     dtype = np.result_type(*parts)
     w = shrink.weight.data
     wmat = w.astype(dtype, copy=False).reshape(w.shape[0], -1)
-    shapes = [m.shape for m in parts]
-    z = np.empty((sum(sh[0] for sh in shapes), parts[0][0].size), dtype=dtype)  # (sum C, N*HW)
+    z = np.empty((sum(sh[0] for sh in shapes), math.prod(shapes[0][1:])), dtype=dtype)  # (sum C, N*HW)
     if wmat.shape[1] != z.shape[0]:
         raise ShapeError(f"concat_shrink: {z.shape[0]} channels for shrink weight {w.shape}")
     norm_caches = []
-    for name, x, rows in zip(names, parts, _row_blocks(z, shapes)):
+    for name, x, ix, rows in zip(names, parts, index, _row_blocks(z, shapes)):
         nc = None
         if name in norms:
-            _, nc = l2norm_scale(x, norms[name], out=rows)
-        else:
+            x, nc = l2norm_scale(x if ix is None else x[:, None], norms[name], out=rows if ix is None else None)
+        if ix is not None:  # mode="clip" writes straight into rows; "raise" would buffer the whole part
+            np.take(x.reshape(len(x), -1), ix, axis=1, out=rows, mode="clip")
+        elif nc is None:
             rows[...] = x
         norm_caches.append(nc)
     out = wmat @ z
     out += shrink.bias.data.astype(dtype, copy=False)[:, None]
-    return out.reshape(len(out), *shapes[0][1:]), (z, shapes, norm_caches, shrink)
+    return out.reshape(len(out), *shapes[0][1:]), (z, shapes, norm_caches, index, shrink)
 
 
 def concat_shrink_backward(dout: np.ndarray, cache):
     """Gradient of each (C_i, N, HW) part from a channel-major (outC, N, ...)
-    output gradient, through the shrink and the part's norm."""
-    z, shapes, norm_caches, shrink = cache
+    output gradient, through the shrink and the part's norm; an indexed part's
+    norm backward runs on its table columns expanded through the index."""
+    z, shapes, norm_caches, index, shrink = cache
     w = shrink.weight.data
     dmat = dout.reshape(w.shape[0], -1)
     shrink.bias.grad += dmat.sum(axis=1)
     shrink.weight.grad += (dmat @ z.T).reshape(w.shape)
     dz = w.reshape(w.shape[0], -1).T @ dmat
-    return [d if nc is None else l2norm_scale_backward(d, nc) for d, nc in zip(_row_blocks(dz, shapes), norm_caches)]
+    grads = []
+    for d, nc, ix in zip(_row_blocks(dz, shapes), norm_caches, index):
+        if nc is not None and ix is not None:  # np.take keeps x C-contiguous, so its sums add in the part's order
+            x, s, gamma = nc
+            nc = np.take(x[:, 0], ix, axis=1), np.take(s[0], ix), gamma
+        grads.append(d if nc is None else l2norm_scale_backward(d, nc))
+    return grads
 
 
 def _row_blocks(mat: np.ndarray, shapes):
@@ -157,21 +173,22 @@ def _bins(lo: np.ndarray, extent: np.ndarray, p: int):
 
 
 def roi_pool(fmap: np.ndarray, rois: np.ndarray, stride: int, p: int):
-    """Max-pool an (R, 4) stack of image-space ROIs into a (C, R, p*p) stack.
+    """Max-pool an (R, 4) stack of image-space ROIs at its distinct bin rectangles.
 
     Each ROI is projected onto the feature grid of one (C, H, W) map (at
     least one cell per side) and split into p x p bins by :func:`_bins`
-    along each axis.  ROIs are bucketed by their candidate count L, their
-    largest bin height times their largest bin width.  Candidate k of a bin
-    is its row k // width and column k % width; past a smaller bin's rows or
-    columns it is the bin's first cell again, a copy of an earlier
-    candidate, so neither the max nor its first position moves.  Per bucket,
-    one gather per candidate feeds one ``np.fmax``, which skips NaN, and a
-    NaN first candidate is put back: the values of a strict-greater scan
-    keeping the first max.  Returns (out, cache); the cache holds a
-    channels-last copy of the map, ``out`` itself, each bucket's (L, m, p*p)
-    candidate indices and the map shape.  The backward routes by matching
-    ``out``: nothing may write into it first.
+    along each axis.  A bin is a rectangle of cells (first cell, rows,
+    columns), and each distinct rectangle is pooled once, bucketed by exact
+    shape (ny, nx): candidate k of every member is its row k // nx and
+    column k % nx, with no padded candidates.  Per bucket, one gather per
+    candidate feeds one ``np.fmax``, which skips NaN, and a NaN first
+    candidate is put back: the values of a strict-greater scan keeping the
+    first max.  Returns ``(table, index), cache``: the (C, U) maxima of the U
+    distinct rectangles and the (R, p*p) column of each bin in ``table``, so
+    ``np.take(table, index, axis=1)`` is the (C, R, p*p) pooled stack.  The
+    cache holds the (C, H*W) map, ``table``, each bucket's columns and (L, m)
+    candidate cells, and ``index``.  The backward routes by matching
+    ``table``: nothing may write into it first.
     """
     c, h, w = fmap.shape
     x1, y1, x2, y2 = project_roi(rois, stride)
@@ -179,53 +196,49 @@ def roi_pool(fmap: np.ndarray, rois: np.ndarray, stride: int, p: int):
     lo = np.clip(np.stack([y1, x1]), 0, size - 1)  # (2, R): rows, then columns
     hi = np.maximum(np.minimum(np.stack([y2, x2]), size), lo + 1)
     (y0, x0), (ny, nx) = _bins(lo, hi - lo, p)
-    first = y0[:, :, None] * w + x0[:, None, :]  # (R, p, p): each bin's first cell
-    width = nx.max(axis=1)
-    lengths = ny.max(axis=1) * width
-    rows = np.ascontiguousarray(fmap.reshape(c, h * w).T)  # (h*w, c)
-    has_nan = np.isnan(rows).any()
-    out = np.empty((c, len(rois), p * p), dtype=fmap.dtype)
+    # key each (R, p, p) bin by shape, then first cell, so that a shape's rectangles are one run of sorted keys
+    key = (ny[:, :, None] * (w + 1) + nx[:, None, :]) * (h * w) + y0[:, :, None] * w + x0[:, None, :]
+    keys, index = np.unique(key, return_inverse=True)
+    shape, first = np.divmod(keys, h * w)
+    cells = fmap.reshape(c, h * w)
+    table = np.empty((c, len(keys)), dtype=fmap.dtype)
+    starts = np.flatnonzero(np.diff(shape, prepend=-1)).tolist()
     buckets = []
-    for length in np.unique(lengths).tolist():
-        members = np.flatnonzero(lengths == length)
-        r, q = np.divmod(np.arange(length)[:, None], width[members])  # (L, m): row and column of candidate k
-        off = (r * w + q)[..., None] * (r[..., None] < ny[members])  # (L, m, p), 0 past a bin's rows
-        off = off[..., None] * (q[..., None] < nx[members])[:, :, None]  # (L, m, p, p), 0 past its columns
-        idx = (first[members] + off).reshape(length, len(members), p * p)
-        best = np.take(rows, idx[0], axis=0)  # (m, p*p, c)
+    for a, b in zip(starts, starts[1:] + [len(keys)]):
+        rows, cols = divmod(int(shape[a]), w + 1)
+        k = np.arange(rows * cols)
+        idx = first[a:b] + ((k // cols) * w + k % cols)[:, None]  # (L, m): candidate k of each member
+        head = np.take(cells, idx[0], axis=1)  # (c, m)
+        best = head.copy()
         for cand in idx[1:]:
-            np.fmax(best, np.take(rows, cand, axis=0), out=best)
-        if has_nan:
-            head = np.take(rows, idx[0], axis=0)
-            np.copyto(best, head, where=np.isnan(head))
-        out[:, members] = best.transpose(2, 0, 1)
-        buckets.append((members, idx))
-    return out, (rows, out, buckets, fmap.shape)
+            np.fmax(best, np.take(cells, cand, axis=1), out=best)
+        np.copyto(best, head, where=np.isnan(head))
+        table[:, a:b] = best
+        buckets.append((slice(a, b), idx))
+    index = index.reshape(len(rois), p * p)
+    return (table, index), (cells, table, buckets, index, fmap.shape)
 
 
 def roi_pool_backward(dout: np.ndarray, cache) -> np.ndarray:
     """Gradient of the (C, H, W) map from a (C, R, p*p) pooled-gradient stack.
 
-    A reverse scan routes each cell to its first candidate equal to the
-    cached, unmodified ``out``, or to candidate 0 when none is (a NaN max):
-    the cell the strict-greater scan kept.  One ``np.bincount`` then
-    sums each position's contributions in (R, p*p) order per channel, as
-    ``np.add.at`` does on an (R, C, p*p) stack into a zero map, so the two
-    agree bit for bit.
+    Each distinct rectangle routes once: a reverse scan over its candidates
+    keeps the first cell in row-major order equal to the cached, unmodified
+    ``table`` column, or candidate 0 when none is (a NaN max): the cell the
+    strict-greater scan kept.  ``index`` expands the routing to every bin,
+    and one ``np.bincount`` sums each position's contributions in (R, p*p)
+    order per channel, as ``np.add.at`` does on an (R, C, p*p) stack into a
+    zero map, so the two agree bit for bit.
     """
-    rows, out, buckets, shape = cache
-    hw, c = rows.shape
-    src = np.empty(out.shape, dtype=np.int64)
-    for members, idx in buckets:
-        if len(idx) == 1:  # a single candidate per cell is the one the scan would pick
-            src[:, members] = idx[0]
-            continue
-        best = np.ascontiguousarray(out[:, members].transpose(1, 2, 0))  # (m, p*p, c)
-        arg = np.repeat(idx[0][..., None], c, axis=2)
+    cells, table, buckets, index, shape = cache
+    c, hw = cells.shape
+    src = np.empty(table.shape, dtype=np.int64)
+    for sl, idx in buckets:
+        arg, best = src[:, sl], table[:, sl]
+        arg[...] = idx[0]
         for cand in idx[::-1]:
-            np.copyto(arg, cand[..., None], where=np.take(rows, cand, axis=0) == best)
-        src[:, members] = arg.transpose(2, 0, 1)
-    lin = src + (np.arange(c) * hw)[:, None, None]
+            np.copyto(arg, cand, where=np.take(cells, cand, axis=1) == best)
+    lin = np.take(src, index, axis=1) + (np.arange(c) * hw)[:, None, None]
     return np.bincount(lin.ravel(), weights=dout.ravel(), minlength=c * hw).reshape(shape)
 
 
@@ -233,13 +246,15 @@ def ms_roi_pool_batch(taps: dict, rois: np.ndarray, norms, shrink: Params, p: in
     """Fixed-size fused descriptors (R, shrink_out, p, p) for an (R, 4) ROI stack.
 
     Each tap of the ``{name: (1, C, H, W) map}`` dict pools the whole stack
-    at its stride to (C_i, R, p*p), then the pooled taps go through the
-    fusion step in dict order, so the output shape does not depend on ROI size.
+    at its stride to a (C_i, U_i) table of distinct rectangles and an (R, p*p)
+    index into it, then the pooled taps go through the fusion step in dict
+    order, so the output shape does not depend on ROI size.
     """
     names = list(taps)
-    pools = [roi_pool(taps[name][0], rois, TAP_STRIDES[name], p) for name in names]
-    out, fuse_cache = concat_shrink([po for po, _ in pools], names, norms, shrink)
-    return out.reshape(len(out), len(rois), p, p).transpose(1, 0, 2, 3), (names, [pc for _, pc in pools], fuse_cache)
+    pooled, pool_caches = zip(*[roi_pool(taps[name][0], rois, TAP_STRIDES[name], p) for name in names])
+    tables, index = zip(*pooled)
+    out, fuse_cache = concat_shrink(tables, names, norms, shrink, index)
+    return out.reshape(len(out), len(rois), p, p).transpose(1, 0, 2, 3), (names, pool_caches, fuse_cache)
 
 
 def ms_roi_pool_batch_backward(dout: np.ndarray, cache) -> dict:

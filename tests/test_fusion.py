@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from msfacedet import fusion
 from msfacedet.fusion import (
     L2NORM_EPS,
     TAP_ORDER,
@@ -173,6 +174,17 @@ def reference_roi_pool_stack(fmap, rois, stride, p):
     return np.stack([o for o, _ in pooled]), np.stack([a for _, a in pooled])
 
 
+def reference_rectangles(shape, rois, stride, p):
+    """The distinct bin rectangles of an ROI stack as (first cell, rows, columns)."""
+    w = shape[2]
+    rects = set()
+    for roi in rois:
+        flat, valid = reference_cells(shape, roi, stride, p)
+        for cells in (f[v] for f, v in zip(flat, valid)):
+            rects.add((cells.min(), len(np.unique(cells // w)), len(np.unique(cells % w))))
+    return rects
+
+
 def reference_roi_pool_backward(dout, argmax, dmap):
     """np.add.at of an (R, C, p, p) gradient stack at the argmax sources."""
     r, c = dout.shape[:2]
@@ -197,22 +209,30 @@ def test_bins_match_reference_partition(p):
     assert count.tolist() == [[b[1] - b[0] for b in row] for row in bins]
 
 
+def pool_stack(fmap, rois, stride, p):
+    """The (C, R, p*p) stack of :func:`roi_pool`: its table of distinct bin
+    rectangles expanded through its bin index, and its cache."""
+    (table, index), cache = roi_pool(fmap, rois, stride, p)
+    assert table.flags.c_contiguous and index.shape == (len(rois), p * p)
+    return np.take(table, index, axis=1), cache
+
+
 class TestRoiPool:
     def test_quadrants(self):
         fmap = np.arange(16, dtype=float).reshape(1, 4, 4)
-        out, _ = roi_pool(fmap, np.array([[0.0, 0.0, 4.0, 4.0]]), 1, 2)
+        out, _ = pool_stack(fmap, np.array([[0.0, 0.0, 4.0, 4.0]]), 1, 2)
         assert out.reshape(-1).tolist() == [5.0, 7.0, 13.0, 15.0]
 
     def test_p1_is_global_max(self):
         rng = np.random.default_rng(6)
         fmap = rng.standard_normal((3, 6, 6))
-        out, _ = roi_pool(fmap, np.array([[0.0, 0.0, 96.0, 96.0]]), 16, 1)
+        out, _ = pool_stack(fmap, np.array([[0.0, 0.0, 96.0, 96.0]]), 16, 1)
         assert np.allclose(out.reshape(3), fmap.reshape(3, -1).max(axis=1))
 
     def test_tiny_roi_replicates_single_cell(self):
         rng = np.random.default_rng(7)
         fmap = rng.standard_normal((2, 8, 8))
-        out, cache = roi_pool(fmap, np.array([[50.0, 50.0, 60.0, 60.0]]), 16, 7)
+        out, cache = pool_stack(fmap, np.array([[50.0, 50.0, 60.0, 60.0]]), 16, 7)
         assert out.shape == (2, 1, 49)
         # one projected source cell, replicated everywhere
         assert np.allclose(out, fmap[:, 3, 3].reshape(2, 1, 1))
@@ -229,7 +249,7 @@ class TestRoiPool:
             y1 = rng.uniform(0, 110)
             side = rng.uniform(4, 15)
             rois.append([x1, y1, x1 + side, y1 + side])
-        out, cache = roi_pool(fmap, np.array(rois), 16, 7)
+        out, cache = pool_stack(fmap, np.array(rois), 16, 7)
         assert out.shape == (2, 1000, 49)
         assert np.all(np.isfinite(out))
         # every pooled value routes its gradient to one position of the map
@@ -238,14 +258,14 @@ class TestRoiPool:
     def test_later_nan_candidate_is_skipped(self):
         # as in a strict-greater scan, a NaN after the first candidate never wins
         fmap = np.array([[1.0, 5.0, 0.0, 0.0], [3.0, np.nan, 0.0, 0.0], [0.0] * 4, [0.0] * 4])[None]
-        out, cache = roi_pool(fmap, np.array([[0.0, 0.0, 4.0, 4.0]]), 1, 2)
+        out, cache = pool_stack(fmap, np.array([[0.0, 0.0, 4.0, 4.0]]), 1, 2)
         assert out.reshape(-1).tolist() == [5.0, 0.0, 0.0, 0.0]
         dout = np.array([1.0, 0.0, 0.0, 0.0]).reshape(out.shape)
         assert np.flatnonzero(roi_pool_backward(dout, cache)).tolist() == [1]
 
     def test_empty_stack(self):
         fmap = np.zeros((3, 4, 4))
-        out, cache = roi_pool(fmap, np.zeros((0, 4)), 4, 7)
+        out, cache = pool_stack(fmap, np.zeros((0, 4)), 4, 7)
         assert out.shape == (3, 0, 49)
         assert not roi_pool_backward(out, cache).any()
 
@@ -258,7 +278,7 @@ class TestRoiPoolMatchesPerRoiReference:
     def check(fmap, rois, p, rng):
         """Values byte-equal to the reference, and for a float64 map one random gradient
         over every cell scattered byte-equal to np.add.at at the reference argmax."""
-        out, cache = roi_pool(fmap, rois, 4, p)
+        out, cache = pool_stack(fmap, rois, 4, p)
         assert out.flags.c_contiguous and out.dtype == fmap.dtype
         ref_out, ref_arg = reference_roi_pool_stack(fmap, rois, 4, p)
         assert out.tobytes() == ref_out.reshape(len(rois), len(fmap), -1).transpose(1, 0, 2).tobytes()
@@ -308,7 +328,7 @@ class TestRoiPoolMatchesPerRoiReference:
     def test_constant_map_routes_to_first_candidate(self):
         fmap = np.zeros((2, 8, 8))
         rois = mixed_rois(np.random.default_rng(28), 50, 32.0)
-        out, cache = roi_pool(fmap, rois, 4, 3)
+        out, cache = pool_stack(fmap, rois, 4, 3)
         dout = np.random.default_rng(29).standard_normal(out.shape)
         first = np.stack([np.broadcast_to(reference_cells(fmap.shape, roi, 4, 3)[0][:, 0], (2, 9)) for roi in rois])
         ref = np.zeros_like(fmap)
@@ -441,6 +461,48 @@ class TestFusionMatchesNchwReference:
             reference_roi_pool_backward(dpart, arg, ref)
             assert np.array_equal(tap_grads[name][0], ref)
         self._assert_param_grads(model, taps, grads, shrink_grads)
+
+    @pytest.mark.parametrize("mode", ["multi", "tap5"])
+    def test_duplicated_stack_pools_each_rectangle_once(self, mode, monkeypatch):
+        # 300 ROIs from 20 boxes jittered by under one stride-16 cell, on ReLU
+        # maps (many exact-zero ties) with a NaN at tap5's corner cell (0, 0),
+        # the first cell of every rectangle that holds it
+        model, taps = self._model(mode)
+        taps = {name: fmap.copy() for name, fmap in taps.items()}
+        taps["tap5"][0, 1, 0, 0] = np.nan
+        rng = np.random.default_rng(19)
+        boxes = np.vstack([[-6.0, -5.0, 40.0, 60.0], mixed_rois(rng, 19, 128.0)])
+        rois = boxes[rng.integers(0, 20, 300)] + rng.uniform(-7.9, 7.9, (300, 4))
+        calls = []
+
+        def counted(fmap, *args):
+            pooled, cache = roi_pool(fmap, *args)
+            calls.append(pooled[0].shape[1])
+            return pooled, cache
+
+        monkeypatch.setattr(fusion, "roi_pool", counted)
+        out, cache = ms_roi_pool_batch(taps, rois, model.norms, model.shrink, 7)
+        dout = rng.standard_normal(out.shape)
+        tap_grads = ms_roi_pool_batch_backward(dout, cache)
+
+        rects = [reference_rectangles(fmap[0].shape, rois, TAP_STRIDES[name], 7) for name, fmap in taps.items()]
+        assert calls == [len(r) for r in rects]  # one call per tap, one column per distinct rectangle
+        assert sum(calls) < len(rois) * 49
+        if mode == "multi":  # the stride-4 tap has bins of transposed shapes, 2x3 next to 3x2 say
+            shapes = {(ny, nx) for _, ny, nx in rects[0]}
+            assert any(ny != nx and (nx, ny) in shapes for ny, nx in shapes)
+        pooled = [reference_roi_pool_stack(fmap[0], rois, TAP_STRIDES[name], 7) for name, fmap in taps.items()]
+        gammas = [model.norms[name].data if name in model.norms else None for name in taps]
+        ref_out, grads, shrink_grads = reference_fusion([o for o, _ in pooled], gammas, model.shrink, dout)
+        assert np.isnan(out).any() and out.tobytes() == ref_out.tobytes()
+        for (name, fmap), (_, arg), (dpart, dgamma) in zip(taps.items(), pooled, grads):
+            ref = np.zeros_like(fmap[0])
+            reference_roi_pool_backward(dpart, arg, ref)
+            assert tap_grads[name][0].tobytes() == ref.tobytes()
+            if name in model.norms:
+                assert model.norms[name].grad.tobytes() == dgamma.tobytes()
+        assert model.shrink.weight.grad.tobytes() == shrink_grads[0].tobytes()
+        assert model.shrink.bias.grad.tobytes() == shrink_grads[1].tobytes()
 
     @pytest.mark.parametrize("mode", ["multi", "tap5"])
     def test_fused_map_forward(self, mode):

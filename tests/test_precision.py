@@ -39,7 +39,7 @@ LAYERS = {
     "concat_shrink": lambda rng, x: concat_shrink(
         [x(2, 1, 6), x(3, 1, 6)], ["tap3", "tap4"], {"tap3": make_l2norm(2, 10.0)}, make_conv(rng, 4, 5, 1)
     )[0],
-    "roi_pool": lambda rng, x: roi_pool(x(3, 8, 8), ROIS, 4, 3)[0],
+    "roi_pool": lambda rng, x: roi_pool(x(3, 8, 8), ROIS, 4, 3)[0][0],
     "ms_roi_pool_batch": _ms_roi_pool_batch,
     "detection_forward": _detection_forward,
 }
