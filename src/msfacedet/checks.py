@@ -196,14 +196,15 @@ def check_l2norm_scale(seed: int) -> float:
 
 def check_concat_shrink(seed: int) -> float:
     rng = np.random.default_rng(seed)
-    maps = [rng.standard_normal((c, 1, 9)) for c in (2, 3, 4)]
+    tables = [rng.standard_normal((c, 9)) for c in (2, 3, 4)]
+    index = [np.arange(9)[None]] * 3
     shrink = make_conv(rng, 4, 9, 1)
     shrink.weight.data[...] = rng.standard_normal(shrink.weight.data.shape)
     return _projected_check(
         rng,
-        lambda: concat_shrink(maps, TAP_ORDER, {}, shrink),
-        lambda pr, c: concat_shrink_backward(pr[0], c),
-        maps,
+        lambda: concat_shrink(tables, TAP_ORDER, {}, shrink, index),
+        lambda pr, c: [g.reshape(len(g), -1) for g in concat_shrink_backward(pr[0], c)],
+        tables,
         [shrink.weight, shrink.bias],
     )
 

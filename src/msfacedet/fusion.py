@@ -5,22 +5,24 @@ declared once in :data:`TAP_STRIDES`, are made comparable in one fusion
 step, ``concat_shrink``: each tap is L2-normalized along the channel axis
 and scaled by a learnable per-channel gamma (a :class:`Tensor`, so its
 grad is always present), then the taps are concatenated in dict order and
-shrunk by a shared 1x1 convolution.  Both branches run that step after
-their own spatial synchronization: downsample pooling for the dense
-branch, ROI pooling for the per-region branch.  The single-tap ablation
-runs the same code over the stride-16 tap alone, without a norm.
+shrunk by a shared 1x1 convolution.  Both branches bring the taps to a
+common grid with one spatial synchronization, ROI max pooling
+(:func:`roi_pool`, Fast R-CNN's, arXiv 1504.08083): the per-region branch
+pools its proposals into p x p bins, and the dense branch pools the
+stride-16 grid cells, one bin each, which is a non-overlapping max pool
+by each tap's stride ratio.  The single-tap ablation runs the same code
+over the stride-16 tap alone, without a norm.
 
-The fusion step takes channel-major parts ``(C, N, HW)``: a dense
-``(1, C, H, W)`` tap reshapes to that for free.  Overlapping ROIs share most
-bin rectangles, so :func:`roi_pool` pools each distinct rectangle of the
-stack once, per bucket of equal shape, into a ``(C, U)`` table with an
-``(R, p*p)`` index from each bin to its column; the step norms only the
-table's columns and one ``np.take`` expands them.  The parts fill one
-``(sum C, N*HW)`` matrix, so the shrink is one matmul.  Max pooling builds
-its gradient routing only in the backward pass, from the input and gather
-geometry its cache holds.  The forwards keep their input's
-dtype (float32 in ``detect``, float64 in training) and read gamma and the
-shrink in it; the backwards are float64.
+Overlapping ROIs share most bin rectangles, so :func:`roi_pool` pools each
+distinct rectangle of the stack once, per bucket of equal shape, into a
+``(C, U)`` table with an ``(R, p*p)`` index from each bin to its column.
+The fusion step takes those tables and indices: it norms only the table
+columns, and one ``np.take`` per part fills one ``(sum C, R*p*p)``
+matrix, so the shrink is one matmul.  Max pooling builds its gradient
+routing only in the backward pass, from the input and gather geometry its
+cache holds.  The forwards keep their input's dtype (float32 in
+``detect``, float64 in training) and read gamma and the shrink in it; the
+backwards are float64.
 """
 
 from __future__ import annotations
@@ -31,17 +33,9 @@ import numpy as np
 
 from .boxes import project_roi
 
-# conv2d and conv2d_backward are not called here, but benchmark/tracer.py
-# wraps them at this module's names
-from .tensor import (  # noqa: F401
-    Params,
-    ShapeError,
-    Tensor,
-    conv2d,
-    conv2d_backward,
-    maxpool2d,
-    maxpool2d_backward,
-)
+# conv2d, conv2d_backward and maxpool2d are not called here, but
+# benchmark/tracer.py wraps them at this module's names
+from .tensor import Params, ShapeError, Tensor, conv2d, conv2d_backward, maxpool2d  # noqa: F401
 
 TAP_STRIDES = {"tap3": 4, "tap4": 8, "tap5": 16}
 TAP_ORDER = tuple(TAP_STRIDES)
@@ -53,9 +47,9 @@ def make_l2norm(channels: int, gamma_init: float) -> Tensor:
     return Tensor(np.full(channels, gamma_init))
 
 
-def l2norm_scale(x: np.ndarray, gamma: Tensor, out: np.ndarray | None = None):
+def l2norm_scale(x: np.ndarray, gamma: Tensor):
     """Normalize every channel vector of a (C, N, HW) part to unit L2 norm,
-    then scale by gamma, into ``out`` (also the scratch space) when given.
+    then scale by gamma.
 
     At each (n, hw) the C-vector v becomes gamma * v / sqrt(|v|^2 + eps^2),
     so activation magnitude differences between feature maps are removed
@@ -66,7 +60,7 @@ def l2norm_scale(x: np.ndarray, gamma: Tensor, out: np.ndarray | None = None):
     g = gamma.data.astype(x.dtype, copy=False)
     if g.shape != (c,):
         raise ShapeError(f"l2norm_scale: gamma {g.shape} for {c}-channel input {x.shape}")
-    y = np.multiply(x, x, out=out)
+    y = x * x
     s = np.sqrt(y.sum(axis=0) + L2NORM_EPS * L2NORM_EPS)
     np.divide(x, s, out=y)
     return np.multiply(y, g[:, None, None], out=y), (x, s, gamma)
@@ -82,50 +76,30 @@ def l2norm_scale_backward(dout: np.ndarray, cache) -> np.ndarray:
     return gd / s - x * (dot / (s * s * s))
 
 
-def sync_downsample(name: str, fmap: np.ndarray):
-    """Max-pool the (N, C, H, W) map of tap ``name`` down to the tap5 grid.
-
-    The pooling window equals the stride ratio; a ratio of 1 is the identity.
-    """
-    ratio = TAP_STRIDES["tap5"] // TAP_STRIDES[name]
-    if ratio == 1:
-        return fmap, None
-    return maxpool2d(fmap, ratio)
-
-
-def sync_downsample_backward(dout: np.ndarray, cache) -> np.ndarray:
-    if cache is None:
-        return dout
-    return maxpool2d_backward(dout, cache)
-
-
-def concat_shrink(parts, names, norms, shrink: Params, index=None):
-    """The fusion step on channel-major parts, which it only reads: norm each
-    named part that has a norm in ``norms``, stack the parts along channels in
-    the given order, then apply the 1x1 shrink -> (outC, N, HW).  A part is a
-    (C_i, N, HW) map or, with ``index``, a (C_i, U_i) table of distinct
-    columns that its (N, HW) index expands: the norm then runs once per table
-    column, and one ``np.take`` fills the part's rows of the shrink input."""
-    index = index or [None] * len(parts)
-    shapes = [m.shape if ix is None else (len(m), *ix.shape) for m, ix in zip(parts, index)]
+def concat_shrink(tables, names, norms, shrink: Params, index):
+    """The fusion step on pooled parts, which it only reads: norm each named
+    part that has a norm in ``norms``, stack the parts along channels in the
+    given order, then apply the 1x1 shrink -> (outC, N, HW).  A part is a
+    (C_i, U_i) table of distinct columns that its (N, HW) index expands: the
+    norm runs once per table column, and one ``np.take`` fills the part's
+    rows of the shrink input."""
+    shapes = [(len(t), *ix.shape) for t, ix in zip(tables, index)]
     if len({sh[1:] for sh in shapes}) != 1:
         desc = ", ".join(f"{n}={sh[1:]}" for n, sh in zip(names, shapes))
         raise ShapeError(f"concat_shrink: spatial sizes differ: {desc}")
-    dtype = np.result_type(*parts)
+    dtype = np.result_type(*tables)
     w = shrink.weight.data
     wmat = w.astype(dtype, copy=False).reshape(w.shape[0], -1)
     z = np.empty((sum(sh[0] for sh in shapes), math.prod(shapes[0][1:])), dtype=dtype)  # (sum C, N*HW)
     if wmat.shape[1] != z.shape[0]:
         raise ShapeError(f"concat_shrink: {z.shape[0]} channels for shrink weight {w.shape}")
     norm_caches = []
-    for name, x, ix, rows in zip(names, parts, index, _row_blocks(z, shapes)):
+    for name, x, ix, rows in zip(names, tables, index, _row_blocks(z, shapes)):
         nc = None
         if name in norms:
-            x, nc = l2norm_scale(x if ix is None else x[:, None], norms[name], out=rows if ix is None else None)
-        if ix is not None:  # mode="clip" writes straight into rows; "raise" would buffer the whole part
-            np.take(x.reshape(len(x), -1), ix, axis=1, out=rows, mode="clip")
-        elif nc is None:
-            rows[...] = x
+            x, nc = l2norm_scale(x[:, None], norms[name])
+        # mode="clip" writes straight into rows; "raise" would buffer the whole part
+        np.take(x.reshape(len(x), -1), ix, axis=1, out=rows, mode="clip")
         norm_caches.append(nc)
     out = wmat @ z
     out += shrink.bias.data.astype(dtype, copy=False)[:, None]
@@ -133,9 +107,9 @@ def concat_shrink(parts, names, norms, shrink: Params, index=None):
 
 
 def concat_shrink_backward(dout: np.ndarray, cache):
-    """Gradient of each (C_i, N, HW) part from a channel-major (outC, N, ...)
-    output gradient, through the shrink and the part's norm; an indexed part's
-    norm backward runs on its table columns expanded through the index."""
+    """Gradient of each part, expanded to (C_i, N, HW), from a channel-major
+    (outC, N, ...) output gradient, through the shrink and the part's norm;
+    the norm backward runs on its table columns expanded through the index."""
     z, shapes, norm_caches, index, shrink = cache
     w = shrink.weight.data
     dmat = dout.reshape(w.shape[0], -1)
@@ -144,7 +118,7 @@ def concat_shrink_backward(dout: np.ndarray, cache):
     dz = w.reshape(w.shape[0], -1).T @ dmat
     grads = []
     for d, nc, ix in zip(_row_blocks(dz, shapes), norm_caches, index):
-        if nc is not None and ix is not None:  # np.take keeps x C-contiguous, so its sums add in the part's order
+        if nc is not None:  # np.take keeps x C-contiguous, so its sums add in the part's order
             x, s, gamma = nc
             nc = np.take(x[:, 0], ix, axis=1), np.take(s[0], ix), gamma
         grads.append(d if nc is None else l2norm_scale_backward(d, nc))

@@ -17,8 +17,8 @@ from .fusion import (
     concat_shrink,
     concat_shrink_backward,
     make_l2norm,
-    sync_downsample,
-    sync_downsample_backward,
+    roi_pool,
+    roi_pool_backward,
 )
 from .rpn import DetectConfig, RpnHead, generate_anchors, propose, require_int, rpn_backward, rpn_forward
 from .tensor import (
@@ -164,10 +164,12 @@ class MultiScaleDetector:
     # backbone
 
     def backbone_forward(self, x: np.ndarray):
-        """The ``{name: (N, C, H, W) map}`` of the fused taps and the caches,
-        which hold a ``("tap", name)`` entry where each tap leaves its stage."""
-        if x.ndim != 4 or x.shape[2] % 16 or x.shape[3] % 16:
-            raise ShapeError(f"backbone input must be NCHW with extents divisible by 16, got {x.shape}")
+        """The ``{name: (1, C, H, W) map}`` of the fused taps and the caches,
+        which hold a ``("tap", name)`` entry where each tap leaves its stage.
+        The input is one (1, 1, H, W) image: both heads read image 0 only."""
+        s = TAP_STRIDES["tap5"]
+        if x.ndim != 4 or x.shape[0] != 1 or x.shape[2] % s or x.shape[3] % s:
+            raise ShapeError(f"backbone input must be one NCHW image with extents divisible by {s}, got {x.shape}")
         caches = []
         taps = {}
         h = x
@@ -202,20 +204,29 @@ class MultiScaleDetector:
     # dense fusion for the proposal branch
 
     def fused_map_forward(self, taps: dict):
-        synced = [sync_downsample(name, fmap) for name, fmap in taps.items()]
-        n, _, h, w = synced[0][0].shape
-        parts = [m.transpose(1, 0, 2, 3).reshape(m.shape[1], n, -1) for m, _ in synced]  # a view when n == 1
-        fused, fuse_cache = concat_shrink(parts, self.fused_taps, self.norms, self.shrink)
-        return fused.reshape(-1, n, h, w).transpose(1, 0, 2, 3), ([dc for _, dc in synced], fuse_cache)
+        """The (1, outC, H, W) fused map on the stride-16 grid of H x W cells.
+
+        Each tap is ROI max-pooled once with the grid cells as its ROIs and
+        one bin each, a non-overlapping max pool by the tap's stride ratio.
+        The cell index goes to the fusion step as (1, H*W), so the norm
+        backward sums the gamma gradient over the cells as one plane, as for
+        a dense map.  A NaN pools by :func:`roi_pool`'s NaN rule; finite taps
+        give a max pool's bits.
+        """
+        h, w = taps["tap5"].shape[2:]
+        cells = generate_anchors(h, w, (1.0,), (1.0,), TAP_STRIDES["tap5"])
+        pooled, pool_caches = zip(*[roi_pool(fmap[0], cells, TAP_STRIDES[name], 1) for name, fmap in taps.items()])
+        tables, index = zip(*[(table, ix.reshape(1, -1)) for table, ix in pooled])
+        fused, fuse_cache = concat_shrink(tables, self.fused_taps, self.norms, self.shrink, index)
+        return fused.reshape(1, -1, h, w), (pool_caches, fuse_cache)
 
     def fused_map_backward(self, dfused: np.ndarray, cache) -> dict:
-        """The ``{name: (N, C, H, W) grad}`` of each fused tap."""
-        caches, fuse_cache = cache
-        n, _, h, w = dfused.shape
+        """The ``{name: (1, C, H, W) grad}`` of each fused tap."""
+        pool_caches, fuse_cache = cache
         parts = concat_shrink_backward(dfused.transpose(1, 0, 2, 3), fuse_cache)
         return {
-            name: sync_downsample_backward(dpart.reshape(-1, n, h, w).transpose(1, 0, 2, 3), dc)
-            for name, dc, dpart in zip(self.fused_taps, caches, parts)
+            name: roi_pool_backward(dpart.reshape(len(dpart), -1, 1), pc)[None]
+            for name, pc, dpart in zip(self.fused_taps, pool_caches, parts)
         }
 
     # ------------------------------------------------------------------

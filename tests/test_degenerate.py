@@ -1,6 +1,6 @@
 """Degenerate inputs: flat images (the L2-norm eps path), a faceless scene,
-an image smaller than one stride-16 cell, proposal limits below one or not
-integers and other out-of-range detection settings."""
+an image smaller than one stride-16 cell, a batch of two images, proposal
+limits below one or not integers and other out-of-range detection settings."""
 
 import math
 
@@ -9,6 +9,7 @@ import pytest
 
 from msfacedet import ModelConfig, MultiScaleDetector, ToyScene, TrainConfig, train
 from msfacedet.imageio import load_image, write_pgm
+from msfacedet.tensor import ShapeError
 
 
 def _boxes_and_scores(dets):
@@ -32,6 +33,20 @@ def test_train_on_faceless_flat_scene_stays_finite():
     assert result.skipped == 0
     assert len(result.trace) == 3
     assert np.isfinite(np.array(result.trace)).all()
+
+
+def test_detect_rejects_a_batch_of_two_images():
+    # the heads read image 0 only, so a second image would be dropped silently
+    image = np.random.default_rng(0).uniform(size=(2, 1, 64, 64))
+    with pytest.raises(ShapeError, match="one NCHW image"):
+        MultiScaleDetector(ModelConfig(), seed=0).detect(image, 64, 64, score_thresh=0.0)
+
+
+def test_train_rejects_a_two_image_scene():
+    image = np.random.default_rng(0).uniform(size=(2, 1, 64, 64))
+    scene = ToyScene(name="pair", image=image, gt_boxes=np.array([[8.0, 8.0, 40.0, 40.0]]), width=64, height=64)
+    with pytest.raises(ShapeError, match="one NCHW image"):
+        train([scene], TrainConfig(iterations=1))
 
 
 def test_detect_without_proposals_returns_no_detections():

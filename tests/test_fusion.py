@@ -16,11 +16,9 @@ from msfacedet.fusion import (
     ms_roi_pool_batch_backward,
     roi_pool,
     roi_pool_backward,
-    sync_downsample,
-    sync_downsample_backward,
 )
 from msfacedet.model import ModelConfig, MultiScaleDetector
-from msfacedet.tensor import Params, ShapeError, Tensor, conv2d, conv2d_backward
+from msfacedet.tensor import Params, ShapeError, Tensor, conv2d, conv2d_backward, maxpool2d, maxpool2d_backward
 from msfacedet.toydata import generate_toy_dataset
 
 
@@ -63,61 +61,112 @@ class TestL2NormScale:
             l2norm_scale(np.zeros((3, 1, 4)), make_l2norm(4, 1.0))
 
 
+def reference_sync_downsample(name: str, fmap: np.ndarray):
+    """Max-pool the (N, C, H, W) map of tap ``name`` down to the tap5 grid
+    with a window of the stride ratio; a ratio of 1 is the identity."""
+    ratio = TAP_STRIDES["tap5"] // TAP_STRIDES[name]
+    if ratio == 1:
+        return fmap, None
+    return maxpool2d(fmap, ratio)
+
+
+def reference_sync_downsample_backward(dout: np.ndarray, cache) -> np.ndarray:
+    if cache is None:
+        return dout
+    return maxpool2d_backward(dout, cache)
+
+
+def tiny_detector(mode="multi"):
+    """A detector whose taps all have 3 channels, and the taps of a 32 px image for it."""
+    model = MultiScaleDetector(ModelConfig(fusion_mode=mode), seed=0, stage_channels=(2, 2, 3, 3, 3))
+    taps = make_taps(np.random.default_rng(2), channels=(3, 3, 3))
+    return model, {name: taps[name] for name in model.fused_taps}
+
+
 class TestSyncDownsample:
+    """The dense branch's synchronization: ``fused_map_forward`` pools every
+    tap to the stride-16 grid."""
+
     def test_stride_arithmetic(self):
-        rng = np.random.default_rng(2)
-        for name, fmap in make_taps(rng).items():
-            out, _ = sync_downsample(name, fmap)
-            assert out.shape[2:] == (2, 2)
+        for mode in ("multi", "tap5"):
+            model, taps = tiny_detector(mode)
+            fused, cache = model.fused_map_forward(taps)
+            assert fused.shape == (1, 3, 2, 2)
+            tap_grads = model.fused_map_backward(np.ones_like(fused), cache)
+            assert {name: g.shape for name, g in tap_grads.items()} == {name: m.shape for name, m in taps.items()}
 
     def test_identity_for_matching_stride(self):
-        fmap = np.random.default_rng(3).standard_normal((1, 2, 4, 4))
-        out, cache = sync_downsample("tap5", fmap)
-        assert out is fmap
-        assert cache is None
+        # the stride-16 cells pool the tap5 map to itself: no norm and a selection shrink give its bits
+        model, taps = tiny_detector("tap5")
+        model.shrink.weight.data[...] = np.eye(3)[:, :, None, None]
+        model.shrink.bias.data[...] = 0.0
+        fused, cache = model.fused_map_forward(taps)
+        assert fused.tobytes() == taps["tap5"].tobytes()
+        dfused = np.random.default_rng(3).standard_normal(fused.shape)
+        assert model.fused_map_backward(dfused, cache)["tap5"].tobytes() == dfused.tobytes()
 
     def test_constant_map_stays_constant(self):
-        out, _ = sync_downsample("tap3", np.full((1, 2, 8, 8), 1.5))
-        assert out.shape == (1, 2, 2, 2)
-        assert np.all(out == 1.5)
+        model, taps = tiny_detector()
+        fused, _ = model.fused_map_forward({name: np.full_like(fmap, 1.5) for name, fmap in taps.items()})
+        spread = fused.reshape(3, -1)
+        assert np.max(spread.max(axis=1) - spread.min(axis=1)) < 1e-12
+
+
+def dense_index(n, hw):
+    """The (N, HW) index of a table that holds every position once, in order."""
+    return np.arange(n * hw).reshape(n, hw)
 
 
 class TestConcatShrink:
     def test_channel_count(self):
         rng = np.random.default_rng(4)
-        maps = [rng.standard_normal((c, 1, 16)) for c in (32, 64, 64)]
+        tables = [rng.standard_normal((c, 16)) for c in (32, 64, 64)]
         shrink = make_shrink(rng.standard_normal((64, 160, 1, 1)))
-        out, _ = concat_shrink(maps, TAP_ORDER, {}, shrink)
+        out, _ = concat_shrink(tables, TAP_ORDER, {}, shrink, [dense_index(1, 16)] * 3)
         assert out.shape == (64, 1, 16)
 
     def test_selection_weights_pick_one_tap(self):
         rng = np.random.default_rng(5)
-        maps = [rng.standard_normal((c, 2, 9)) for c in (2, 3, 4)]
+        tables = [rng.standard_normal((c, 18)) for c in (2, 3, 4)]
         w = np.zeros((4, 9, 1, 1))
         w[np.arange(4), 5 + np.arange(4), 0, 0] = 1.0  # select the tap5 block
-        out, _ = concat_shrink(maps, TAP_ORDER, {}, make_shrink(w))
-        assert np.allclose(out, maps[2])
+        out, _ = concat_shrink(tables, TAP_ORDER, {}, make_shrink(w), [dense_index(2, 9)] * 3)
+        assert np.allclose(out, tables[2].reshape(4, 2, 9))
+
+    def test_index_expands_the_table_columns(self):
+        rng = np.random.default_rng(15)
+        tables = [rng.standard_normal((c, 4)) for c in (2, 3, 4)]
+        index = [rng.integers(0, 4, (3, 5)) for _ in TAP_ORDER]
+        shrink = make_shrink(rng.standard_normal((4, 9, 1, 1)))
+        norms = {"tap4": make_l2norm(3, 2.0)}
+        out, _ = concat_shrink(tables, TAP_ORDER, norms, shrink, index)
+        expanded = [np.take(t, ix, axis=1).reshape(len(t), -1) for t, ix in zip(tables, index)]
+        ref, _ = concat_shrink(expanded, TAP_ORDER, norms, shrink, [dense_index(3, 5)] * 3)
+        assert out.tobytes() == ref.tobytes()
 
     def test_norms_apply_to_the_named_parts_only(self):
         rng = np.random.default_rng(14)
-        maps = [rng.standard_normal((c, 1, 9)) for c in (2, 3, 4)]
+        tables = [rng.standard_normal((c, 9)) for c in (2, 3, 4)]
+        index = [dense_index(1, 9)] * 3
         shrink = make_shrink(rng.standard_normal((4, 9, 1, 1)))
         norms = {"tap3": make_l2norm(2, 2.0), "tap5": make_l2norm(4, 3.0)}
-        out, _ = concat_shrink(maps, TAP_ORDER, norms, shrink)
-        normed = [l2norm_scale(maps[0], norms["tap3"])[0], maps[1], l2norm_scale(maps[2], norms["tap5"])[0]]
-        ref, _ = concat_shrink(normed, TAP_ORDER, {}, shrink)
+        out, _ = concat_shrink(tables, TAP_ORDER, norms, shrink, index)
+        normed = [l2norm_scale(tables[0][:, None], norms["tap3"])[0][:, 0], tables[1]]
+        normed.append(l2norm_scale(tables[2][:, None], norms["tap5"])[0][:, 0])
+        ref, _ = concat_shrink(normed, TAP_ORDER, {}, shrink, index)
         assert np.array_equal(out, ref)
 
     def test_spatial_mismatch_names_taps(self):
-        maps = [np.zeros((2, 1, 16)), np.zeros((2, 1, 9)), np.zeros((2, 1, 16))]
+        tables = [np.zeros((2, 16)) for _ in TAP_ORDER]
+        index = [dense_index(1, 16), dense_index(1, 9), dense_index(1, 16)]
         with pytest.raises(ShapeError, match="tap4"):
-            concat_shrink(maps, TAP_ORDER, {}, make_shrink(np.zeros((2, 6, 1, 1))))
+            concat_shrink(tables, TAP_ORDER, {}, make_shrink(np.zeros((2, 6, 1, 1))), index)
 
     @pytest.mark.parametrize("weight_shape", [(2, 5, 1, 1), (2, 6, 3, 3)])
     def test_shrink_weight_mismatch_rejected(self, weight_shape):
-        maps = [np.zeros((2, 1, 16)) for _ in TAP_ORDER]
+        tables = [np.zeros((2, 16)) for _ in TAP_ORDER]
         with pytest.raises(ShapeError, match="6 channels"):
-            concat_shrink(maps, TAP_ORDER, {}, make_shrink(np.zeros(weight_shape)))
+            concat_shrink(tables, TAP_ORDER, {}, make_shrink(np.zeros(weight_shape)), [dense_index(1, 16)] * 3)
 
 
 def reference_partition(extent, p):
@@ -428,19 +477,19 @@ class TestFusionMatchesNchwReference:
     """Both branches give the bits of the NCHW fusion composition: outputs,
     tap gradients, gamma gradients and shrink gradients."""
 
-    def _model(self, mode):
+    def _model(self, mode, size=128):
         model = MultiScaleDetector(ModelConfig(fusion_mode=mode), seed=3)
         model.zero_grads()
-        scene = generate_toy_dataset(1, 128, (16, 64), seed=41)[0]
+        scene = generate_toy_dataset(1, size, (16, size // 2), seed=41)[0]
         taps, _ = model.backbone_forward(scene.image)
         return model, taps
 
     def _assert_param_grads(self, model, taps, grads, shrink_grads):
         for name, (_, dgamma) in zip(taps, grads):
             if name in model.norms:
-                assert np.array_equal(model.norms[name].grad, dgamma)
-        assert np.array_equal(model.shrink.weight.grad, shrink_grads[0])
-        assert np.array_equal(model.shrink.bias.grad, shrink_grads[1])
+                assert model.norms[name].grad.tobytes() == dgamma.tobytes()
+        assert model.shrink.weight.grad.tobytes() == shrink_grads[0].tobytes()
+        assert model.shrink.bias.grad.tobytes() == shrink_grads[1].tobytes()
 
     @pytest.mark.parametrize("n_rois", [1, 80, 300])
     @pytest.mark.parametrize("mode", ["multi", "tap5"])
@@ -506,18 +555,29 @@ class TestFusionMatchesNchwReference:
 
     @pytest.mark.parametrize("mode", ["multi", "tap5"])
     def test_fused_map_forward(self, mode):
-        model, taps = self._model(mode)
-        fused, cache = model.fused_map_forward(taps)
-        dfused = np.random.default_rng(5).standard_normal(fused.shape)
-        tap_grads = model.fused_map_backward(dfused, cache)
+        # ROI pooling of the stride-16 cells against the maxpool2d sync by the
+        # stride ratio: float64 with every gradient, then the float32 forward
+        for size in (32, 128, 256):
+            model, taps = self._model(mode, size)
+            fused, cache = model.fused_map_forward(taps)
+            dfused = np.random.default_rng(5).standard_normal(fused.shape)
+            tap_grads = model.fused_map_backward(dfused, cache)
 
-        synced = [sync_downsample(name, fmap) for name, fmap in taps.items()]
-        gammas = [model.norms[name].data if name in model.norms else None for name in taps]
-        ref_out, grads, shrink_grads = reference_fusion([m for m, _ in synced], gammas, model.shrink, dfused)
-        assert np.array_equal(fused, ref_out)
-        for name, (_, dc), (dpart, _) in zip(taps, synced, grads):
-            assert np.array_equal(tap_grads[name], sync_downsample_backward(dpart, dc))
-        self._assert_param_grads(model, taps, grads, shrink_grads)
+            synced = [reference_sync_downsample(name, fmap) for name, fmap in taps.items()]
+            gammas = [model.norms[name].data if name in model.norms else None for name in taps]
+            ref_out, grads, shrink_grads = reference_fusion([m for m, _ in synced], gammas, model.shrink, dfused)
+            assert fused.shape == (1, 64, size // 16, size // 16)
+            assert fused.tobytes() == ref_out.tobytes()
+            for name, (_, dc), (dpart, _) in zip(taps, synced, grads):
+                assert tap_grads[name].tobytes() == reference_sync_downsample_backward(dpart, dc).tobytes()
+            self._assert_param_grads(model, taps, grads, shrink_grads)
+
+            taps = {name: fmap.astype(np.float32) for name, fmap in taps.items()}
+            fused, _ = model.fused_map_forward(taps)
+            synced = [reference_sync_downsample(name, fmap)[0] for name, fmap in taps.items()]
+            gammas = [None if g is None else g.astype(np.float32) for g in gammas]
+            ref_out, _, _ = reference_fusion(synced, gammas, model.shrink, dfused.astype(np.float32))
+            assert fused.dtype == np.float32 and fused.tobytes() == ref_out.tobytes()
 
 
 class TestTapGradientsJoin:

@@ -37,7 +37,8 @@ LAYERS = {
     "softmax": lambda rng, x: softmax(x(4, 2)),
     "l2norm_scale": lambda rng, x: l2norm_scale(x(3, 1, 6), make_l2norm(3, 10.0))[0],
     "concat_shrink": lambda rng, x: concat_shrink(
-        [x(2, 1, 6), x(3, 1, 6)], ["tap3", "tap4"], {"tap3": make_l2norm(2, 10.0)}, make_conv(rng, 4, 5, 1)
+        [x(2, 4), x(3, 6)], ["tap3", "tap4"], {"tap3": make_l2norm(2, 10.0)}, make_conv(rng, 4, 5, 1),
+        [np.array([[0, 1, 2, 3, 3, 0]]), np.arange(6)[None]],
     )[0],
     "roi_pool": lambda rng, x: roi_pool(x(3, 8, 8), ROIS, 4, 3)[0][0],
     "ms_roi_pool_batch": _ms_roi_pool_batch,

@@ -15,8 +15,12 @@ from msfacedet.model import MultiScaleDetector
 TRACER = Path(__file__).resolve().parents[1] / "benchmark" / "tracer.py"
 
 # sites the tracer wraps although their module never calls them: fusion
-# imports conv2d and conv2d_backward only so that these sites resolve
-UNCALLED_SITES = {("msfacedet.fusion", "conv2d"), ("msfacedet.fusion", "conv2d_backward")}
+# imports conv2d, conv2d_backward and maxpool2d only so that these sites resolve
+UNCALLED_SITES = {
+    ("msfacedet.fusion", "conv2d"),
+    ("msfacedet.fusion", "conv2d_backward"),
+    ("msfacedet.fusion", "maxpool2d"),
+}
 
 
 def _tracer_constant(name: str):
