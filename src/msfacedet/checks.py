@@ -186,7 +186,7 @@ def check_smooth_l1(seed: int) -> float:
 
 def check_l2norm_scale(seed: int) -> float:
     rng = np.random.default_rng(seed)
-    x = _away_from_zero(rng, (4, 1, 9))
+    x = _away_from_zero(rng, (4, 9))
     gamma = make_l2norm(4, gamma_init=1.0)
     gamma.data[...] = rng.uniform(0.5, 3.0, size=4)
     return _projected_check(
@@ -197,15 +197,17 @@ def check_l2norm_scale(seed: int) -> float:
 def check_concat_shrink(seed: int) -> float:
     rng = np.random.default_rng(seed)
     tables = [rng.standard_normal((c, 9)) for c in (2, 3, 4)]
-    index = [np.arange(9)[None]] * 3
+    # 8 positions over columns 0-4: some columns repeat, and 5-8 are skipped
+    index = [rng.integers(0, 5, (2, 4)) for _ in TAP_ORDER]
+    norms = {"tap4": make_l2norm(3, gamma_init=2.0)}
     shrink = make_conv(rng, 4, 9, 1)
     shrink.weight.data[...] = rng.standard_normal(shrink.weight.data.shape)
     return _projected_check(
         rng,
-        lambda: concat_shrink(tables, TAP_ORDER, {}, shrink, index),
-        lambda pr, c: [g.reshape(len(g), -1) for g in concat_shrink_backward(pr[0], c)],
+        lambda: concat_shrink(tables, TAP_ORDER, norms, shrink, index),
+        lambda pr, c: concat_shrink_backward(pr[0], c),
         tables,
-        [shrink.weight, shrink.bias],
+        [norms["tap4"], shrink.weight, shrink.bias],
     )
 
 
@@ -215,11 +217,11 @@ def check_roi_pool(seed: int) -> float:
     # 8 x 7 cells; 2 cells wide, so a bin borrows its neighbour's; 4 x 4 cells, another candidate count
     rois = np.array([[3.0, 2.0, 29.0, 27.0], [13.0, 9.0, 19.0, 30.0], [16.0, 12.0, 32.0, 28.0]])
 
-    def pooled():  # the (C, R, p*p) stack the backward takes the gradient of
-        (table, index), cache = roi_pool(fmap, rois, 4, 3)
-        return np.take(table, index, axis=1), cache
+    def table():  # the (C, U) table of distinct rectangles, whose gradient the backward takes
+        (table, _), cache = roi_pool(fmap, rois, 4, 3)
+        return table, cache
 
-    return _projected_check(rng, pooled, lambda pr, c: [roi_pool_backward(pr[0], c)], [fmap])
+    return _projected_check(rng, table, lambda pr, c: [roi_pool_backward(pr[0], c)], [fmap])
 
 
 def _tiny_taps(rng):
@@ -280,7 +282,8 @@ def tiny_model_setup(seed: int, fusion_mode: str = "multi"):
     return model, image, rpn_t, sampled, det_t
 
 
-def check_multitask_loss(seed: int, fusion_mode: str = "multi") -> float:
+def _model_loss(seed: int, fusion_mode: str):
+    """The tiny model's loss closure and its parameters, holding that loss's gradient."""
     model, image, rpn_t, sampled, det_t = tiny_model_setup(seed, fusion_mode)
 
     def loss():
@@ -291,10 +294,32 @@ def check_multitask_loss(seed: int, fusion_mode: str = "multi") -> float:
     model.zero_grads()
     st = pipeline_forward(model, image)
     pipeline_loss(model, st, rpn_t, sampled, det_t.labels, det_t.target_deltas, 1.0, backward=True)
-    params = model.params()
-    arrays = [t.data for t in params.values()]
-    grads = [t.grad for t in params.values()]
-    return finite_difference_check(loss, arrays, grads)
+    return loss, list(model.params().values())
+
+
+def check_multitask_loss(seed: int, fusion_mode: str = "multi") -> float:
+    loss, params = _model_loss(seed, fusion_mode)
+    return finite_difference_check(loss, [t.data for t in params], [t.grad for t in params])
+
+
+def check_multitask_loss_directional(seed: int, fusion_mode: str = "multi") -> float:
+    """``grad . v`` against the central difference of L(theta +/- STEP v) for one
+    random unit direction v per parameter tensor, worst over the tensors."""
+    loss, params = _model_loss(seed, fusion_mode)
+    rng = np.random.default_rng(seed + 2)
+    worst = 0.0
+    for t in params:
+        v = rng.standard_normal(t.data.shape)
+        v /= np.linalg.norm(v)
+        orig, step = t.data.copy(), np.zeros(1)  # step: the distance moved along v
+
+        def moved():
+            np.add(orig, step[0] * v, out=t.data)
+            return loss()
+
+        worst = max(worst, finite_difference_check(moved, [step], [np.array([np.vdot(t.grad, v)])]))
+        t.data[...] = orig
+    return worst
 
 
 LAYER_CHECKS = [

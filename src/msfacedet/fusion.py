@@ -5,29 +5,28 @@ declared once in :data:`TAP_STRIDES`, are made comparable in one fusion
 step, ``concat_shrink``: each tap is L2-normalized along the channel axis
 and scaled by a learnable per-channel gamma (a :class:`Tensor`, so its
 grad is always present), then the taps are concatenated in dict order and
-shrunk by a shared 1x1 convolution.  Both branches bring the taps to a
-common grid with one spatial synchronization, ROI max pooling
-(:func:`roi_pool`, Fast R-CNN's, arXiv 1504.08083): the per-region branch
-pools its proposals into p x p bins, and the dense branch pools the
-stride-16 grid cells, one bin each, which is a non-overlapping max pool
-by each tap's stride ratio.  The single-tap ablation runs the same code
-over the stride-16 tap alone, without a norm.
+shrunk by a shared 1x1 convolution.  Both branches reach the fusion step
+through :func:`ms_roi_pool_batch`, whose one spatial synchronization is
+ROI max pooling (:func:`roi_pool`, Fast R-CNN's, arXiv 1504.08083): the
+per-region branch pools its proposals into p x p bins, and the dense
+branch pools the stride-16 grid cells, one bin each, which is a
+non-overlapping max pool by each tap's stride ratio.  The single-tap
+ablation runs the same code over the stride-16 tap alone, without a norm.
 
 Overlapping ROIs share most bin rectangles, so :func:`roi_pool` pools each
 distinct rectangle of the stack once, per bucket of equal shape, into a
 ``(C, U)`` table with an ``(R, p*p)`` index from each bin to its column.
-The fusion step takes those tables and indices: it norms only the table
-columns, and one ``np.take`` per part fills one ``(sum C, R*p*p)``
-matrix, so the shrink is one matmul.  Max pooling builds its gradient
-routing only in the backward pass, from the input and gather geometry its
-cache holds.  The forwards keep their input's dtype (float32 in
-``detect``, float64 in training) and read gamma and the shrink in it; the
-backwards are float64.
+The fusion step works on those columns: the shrink is linear, so each
+normed table goes through its block of the shrink before the index
+expands it, and the backward sums each column's gradient with one
+``np.bincount`` and hands :func:`roi_pool_backward` a ``(C, U)`` table
+gradient.  Max pooling builds its gradient routing only in the backward
+pass, from the input and gather geometry its cache holds.  The forwards
+keep their input's dtype (float32 in ``detect``, float64 in training) and
+read gamma and the shrink in it; the backwards are float64.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -48,13 +47,13 @@ def make_l2norm(channels: int, gamma_init: float) -> Tensor:
 
 
 def l2norm_scale(x: np.ndarray, gamma: Tensor):
-    """Normalize every channel vector of a (C, N, HW) part to unit L2 norm,
-    then scale by gamma.
+    """Normalize every column of a (C, U) table to unit L2 norm, then scale
+    by gamma.
 
-    At each (n, hw) the C-vector v becomes gamma * v / sqrt(|v|^2 + eps^2),
-    so activation magnitude differences between feature maps are removed
-    before fusion and gamma alone sets the contribution of each channel.
-    The channel sum runs over the outer axis, so it adds channels in order.
+    Each C-vector v becomes gamma * v / sqrt(|v|^2 + eps^2), so activation
+    magnitude differences between feature maps are removed before fusion
+    and gamma alone sets the contribution of each channel.  The channel sum
+    runs over the outer axis, so it adds channels in order.
     """
     c = x.shape[0]
     g = gamma.data.astype(x.dtype, copy=False)
@@ -63,71 +62,62 @@ def l2norm_scale(x: np.ndarray, gamma: Tensor):
     y = x * x
     s = np.sqrt(y.sum(axis=0) + L2NORM_EPS * L2NORM_EPS)
     np.divide(x, s, out=y)
-    return np.multiply(y, g[:, None, None], out=y), (x, s, gamma)
+    return np.multiply(y, g[:, None], out=y), (x, s, gamma)
 
 
 def l2norm_scale_backward(dout: np.ndarray, cache) -> np.ndarray:
     x, s, gamma = cache
-    # sum each (c, n) plane, then the planes in n order
-    planes = (dout * (x / s)).sum(axis=2)
-    gamma.grad += np.ascontiguousarray(planes.T).sum(axis=0)
-    gd = dout * gamma.data[:, None, None]
+    gamma.grad += (dout * (x / s)).sum(axis=1)
+    gd = dout * gamma.data[:, None]
     dot = (gd * x).sum(axis=0)
     return gd / s - x * (dot / (s * s * s))
 
 
 def concat_shrink(tables, names, norms, shrink: Params, index):
-    """The fusion step on pooled parts, which it only reads: norm each named
-    part that has a norm in ``norms``, stack the parts along channels in the
-    given order, then apply the 1x1 shrink -> (outC, N, HW).  A part is a
-    (C_i, U_i) table of distinct columns that its (N, HW) index expands: the
-    norm runs once per table column, and one ``np.take`` fills the part's
-    rows of the shrink input."""
-    shapes = [(len(t), *ix.shape) for t, ix in zip(tables, index)]
-    if len({sh[1:] for sh in shapes}) != 1:
-        desc = ", ".join(f"{n}={sh[1:]}" for n, sh in zip(names, shapes))
+    """The fusion step on pooled parts, which it only reads -> (outC, N, HW):
+    norm each named part that has a norm in ``norms``, stack the parts along
+    channels in the given order, then apply the 1x1 shrink.  A part is a
+    (C_t, U_t) table of distinct columns and an (N, HW) index into it.  The
+    shrink is linear, so it projects each normed table by its column block
+    W_t first and adds ``np.take(W_t @ n_t, index_t, axis=1)`` to the bias."""
+    if len({ix.shape for ix in index}) != 1:
+        desc = ", ".join(f"{n}={ix.shape}" for n, ix in zip(names, index))
         raise ShapeError(f"concat_shrink: spatial sizes differ: {desc}")
     dtype = np.result_type(*tables)
     w = shrink.weight.data
     wmat = w.astype(dtype, copy=False).reshape(w.shape[0], -1)
-    z = np.empty((sum(sh[0] for sh in shapes), math.prod(shapes[0][1:])), dtype=dtype)  # (sum C, N*HW)
-    if wmat.shape[1] != z.shape[0]:
-        raise ShapeError(f"concat_shrink: {z.shape[0]} channels for shrink weight {w.shape}")
-    norm_caches = []
-    for name, x, ix, rows in zip(names, tables, index, _row_blocks(z, shapes)):
-        nc = None
-        if name in norms:
-            x, nc = l2norm_scale(x[:, None], norms[name])
-        # mode="clip" writes straight into rows; "raise" would buffer the whole part
-        np.take(x.reshape(len(x), -1), ix, axis=1, out=rows, mode="clip")
-        norm_caches.append(nc)
-    out = wmat @ z
-    out += shrink.bias.data.astype(dtype, copy=False)[:, None]
-    return out.reshape(len(out), *shapes[0][1:]), (z, shapes, norm_caches, index, shrink)
+    channels = np.cumsum([len(t) for t in tables])
+    if wmat.shape[1] != channels[-1]:
+        raise ShapeError(f"concat_shrink: {channels[-1]} channels for shrink weight {w.shape}")
+    out = np.repeat(shrink.bias.data.astype(dtype, copy=False)[:, None], index[0].size, axis=1)
+    gathered = np.empty_like(out)
+    parts = []
+    for name, x, ix, wt in zip(names, tables, index, np.split(wmat, channels[:-1], axis=1)):
+        x, nc = l2norm_scale(x, norms[name]) if name in norms else (x, None)
+        # mode="clip" writes straight into gathered; "raise" would buffer the whole part
+        np.take(wt @ x, ix.ravel(), axis=1, out=gathered, mode="clip")
+        out += gathered
+        parts.append((x, nc, ix, wt))
+    return out.reshape(len(out), *index[0].shape), (parts, shrink)
 
 
 def concat_shrink_backward(dout: np.ndarray, cache):
-    """Gradient of each part, expanded to (C_i, N, HW), from a channel-major
-    (outC, N, ...) output gradient, through the shrink and the part's norm;
-    the norm backward runs on its table columns expanded through the index."""
-    z, shapes, norm_caches, index, shrink = cache
-    w = shrink.weight.data
-    dmat = dout.reshape(w.shape[0], -1)
+    """The (C_t, U_t) table gradient of each part from a channel-major
+    (outC, N, ...) output gradient: one ``np.bincount`` sums each table
+    column's positions, then the part's shrink block and norm run per column."""
+    parts, shrink = cache
+    dmat = dout.reshape(len(shrink.bias.data), -1)
     shrink.bias.grad += dmat.sum(axis=1)
-    shrink.weight.grad += (dmat @ z.T).reshape(w.shape)
-    dz = w.reshape(w.shape[0], -1).T @ dmat
-    grads = []
-    for d, nc, ix in zip(_row_blocks(dz, shapes), norm_caches, index):
-        if nc is not None:  # np.take keeps x C-contiguous, so its sums add in the part's order
-            x, s, gamma = nc
-            nc = np.take(x[:, 0], ix, axis=1), np.take(s[0], ix), gamma
-        grads.append(d if nc is None else l2norm_scale_backward(d, nc))
+    rows = np.arange(len(dmat))[:, None]
+    grads, dws = [], []
+    for x, nc, ix, wt in parts:
+        u = x.shape[1]
+        dp = np.bincount((rows * u + ix.ravel()).ravel(), dmat.ravel(), len(dmat) * u).reshape(len(dmat), u)
+        dws.append(dp @ x.T)
+        dn = wt.T @ dp
+        grads.append(dn if nc is None else l2norm_scale_backward(dn, nc))
+    shrink.weight.grad += np.concatenate(dws, axis=1).reshape(shrink.weight.grad.shape)
     return grads
-
-
-def _row_blocks(mat: np.ndarray, shapes):
-    """Consecutive row blocks of a (sum C, N*HW) matrix as (C, N, HW) views."""
-    return [b.reshape(sh) for b, sh in zip(np.split(mat, np.cumsum([sh[0] for sh in shapes])[:-1]), shapes)]
 
 
 def _bins(lo: np.ndarray, extent: np.ndarray, p: int):
@@ -160,9 +150,9 @@ def roi_pool(fmap: np.ndarray, rois: np.ndarray, stride: int, p: int):
     first max.  Returns ``(table, index), cache``: the (C, U) maxima of the U
     distinct rectangles and the (R, p*p) column of each bin in ``table``, so
     ``np.take(table, index, axis=1)`` is the (C, R, p*p) pooled stack.  The
-    cache holds the (C, H*W) map, ``table``, each bucket's columns and (L, m)
-    candidate cells, and ``index``.  The backward routes by matching
-    ``table``: nothing may write into it first.
+    cache holds the (C, H*W) map, ``table`` and each bucket's columns and
+    (L, m) candidate cells.  The backward routes by matching ``table``:
+    nothing may write into it first.
     """
     c, h, w = fmap.shape
     x1, y1, x2, y2 = project_roi(rois, stride)
@@ -190,21 +180,19 @@ def roi_pool(fmap: np.ndarray, rois: np.ndarray, stride: int, p: int):
         table[:, a:b] = best
         buckets.append((slice(a, b), idx))
     index = index.reshape(len(rois), p * p)
-    return (table, index), (cells, table, buckets, index, fmap.shape)
+    return (table, index), (cells, table, buckets, fmap.shape)
 
 
-def roi_pool_backward(dout: np.ndarray, cache) -> np.ndarray:
-    """Gradient of the (C, H, W) map from a (C, R, p*p) pooled-gradient stack.
+def roi_pool_backward(dtable: np.ndarray, cache) -> np.ndarray:
+    """Gradient of the (C, H, W) map from the (C, U) gradient of ``table``.
 
     Each distinct rectangle routes once: a reverse scan over its candidates
     keeps the first cell in row-major order equal to the cached, unmodified
     ``table`` column, or candidate 0 when none is (a NaN max): the cell the
-    strict-greater scan kept.  ``index`` expands the routing to every bin,
-    and one ``np.bincount`` sums each position's contributions in (R, p*p)
-    order per channel, as ``np.add.at`` does on an (R, C, p*p) stack into a
-    zero map, so the two agree bit for bit.
+    strict-greater scan kept.  One ``np.bincount`` sums each position's
+    contributions in column order per channel.
     """
-    cells, table, buckets, index, shape = cache
+    cells, table, buckets, shape = cache
     c, hw = cells.shape
     src = np.empty(table.shape, dtype=np.int64)
     for sl, idx in buckets:
@@ -212,8 +200,8 @@ def roi_pool_backward(dout: np.ndarray, cache) -> np.ndarray:
         arg[...] = idx[0]
         for cand in idx[::-1]:
             np.copyto(arg, cand, where=np.take(cells, cand, axis=1) == best)
-    lin = np.take(src, index, axis=1) + (np.arange(c) * hw)[:, None, None]
-    return np.bincount(lin.ravel(), weights=dout.ravel(), minlength=c * hw).reshape(shape)
+    lin = src + (np.arange(c) * hw)[:, None]
+    return np.bincount(lin.ravel(), weights=dtable.ravel(), minlength=c * hw).reshape(shape)
 
 
 def ms_roi_pool_batch(taps: dict, rois: np.ndarray, norms, shrink: Params, p: int):
@@ -235,5 +223,5 @@ def ms_roi_pool_batch_backward(dout: np.ndarray, cache) -> dict:
     """Backprop through the fusion step and pooling: the ``{name: (1, C, H, W)
     grad}`` of each pooled tap, in the forward's tap order."""
     names, pool_caches, fuse_cache = cache
-    dparts = concat_shrink_backward(dout.transpose(1, 0, 2, 3), fuse_cache)
-    return {name: roi_pool_backward(dpart, pc)[None] for name, pc, dpart in zip(names, pool_caches, dparts)}
+    dtables = concat_shrink_backward(dout.transpose(1, 0, 2, 3), fuse_cache)
+    return {name: roi_pool_backward(dtable, pc)[None] for name, pc, dtable in zip(names, pool_caches, dtables)}

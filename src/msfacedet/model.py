@@ -11,15 +11,7 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from .detector import DetHead, Detection, detection_backward, detection_forward, postprocess_detections
-from .fusion import (
-    TAP_ORDER,
-    TAP_STRIDES,
-    concat_shrink,
-    concat_shrink_backward,
-    make_l2norm,
-    roi_pool,
-    roi_pool_backward,
-)
+from .fusion import TAP_ORDER, TAP_STRIDES, make_l2norm, ms_roi_pool_batch, ms_roi_pool_batch_backward
 from .rpn import DetectConfig, RpnHead, generate_anchors, propose, require_int, rpn_backward, rpn_forward
 from .tensor import (
     ShapeError,
@@ -204,30 +196,18 @@ class MultiScaleDetector:
     # dense fusion for the proposal branch
 
     def fused_map_forward(self, taps: dict):
-        """The (1, outC, H, W) fused map on the stride-16 grid of H x W cells.
-
-        Each tap is ROI max-pooled once with the grid cells as its ROIs and
-        one bin each, a non-overlapping max pool by the tap's stride ratio.
-        The cell index goes to the fusion step as (1, H*W), so the norm
-        backward sums the gamma gradient over the cells as one plane, as for
-        a dense map.  A NaN pools by :func:`roi_pool`'s NaN rule; finite taps
-        give a max pool's bits.
-        """
+        """The (1, outC, H, W) fused map on the stride-16 grid of H x W cells:
+        the ROI branch's pooling and fusion with the cells as ROIs at one bin
+        each, which max-pools each tap by its stride ratio (NaN as in
+        :func:`roi_pool`)."""
         h, w = taps["tap5"].shape[2:]
         cells = generate_anchors(h, w, (1.0,), (1.0,), TAP_STRIDES["tap5"])
-        pooled, pool_caches = zip(*[roi_pool(fmap[0], cells, TAP_STRIDES[name], 1) for name, fmap in taps.items()])
-        tables, index = zip(*[(table, ix.reshape(1, -1)) for table, ix in pooled])
-        fused, fuse_cache = concat_shrink(tables, self.fused_taps, self.norms, self.shrink, index)
-        return fused.reshape(1, -1, h, w), (pool_caches, fuse_cache)
+        fused, cache = ms_roi_pool_batch(taps, cells, self.norms, self.shrink, 1)
+        return fused.transpose(1, 0, 2, 3).reshape(1, -1, h, w), cache
 
     def fused_map_backward(self, dfused: np.ndarray, cache) -> dict:
         """The ``{name: (1, C, H, W) grad}`` of each fused tap."""
-        pool_caches, fuse_cache = cache
-        parts = concat_shrink_backward(dfused.transpose(1, 0, 2, 3), fuse_cache)
-        return {
-            name: roi_pool_backward(dpart.reshape(len(dpart), -1, 1), pc)[None]
-            for name, pc, dpart in zip(self.fused_taps, pool_caches, parts)
-        }
+        return ms_roi_pool_batch_backward(dfused.reshape(dfused.shape[1], -1, 1, 1).transpose(1, 0, 2, 3), cache)
 
     # ------------------------------------------------------------------
     # per-region branch

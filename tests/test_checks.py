@@ -6,12 +6,19 @@ from msfacedet.checks import (
     MODEL_CHECK_SEEDS,
     TOLERANCE,
     check_multitask_loss,
+    check_multitask_loss_directional,
 )
 
 
 @pytest.mark.parametrize("mode", ["multi", "tap5"])
 def test_end_to_end_loss_gradient(mode):
     assert check_multitask_loss(MODEL_CHECK_SEEDS[0], mode) <= TOLERANCE
+
+
+@pytest.mark.parametrize("seed", MODEL_CHECK_SEEDS)
+@pytest.mark.parametrize("mode", ["multi", "tap5"])
+def test_end_to_end_directional_gradient(mode, seed):
+    assert check_multitask_loss_directional(seed, mode) <= TOLERANCE
 
 
 @pytest.mark.parametrize("seed", DEFAULT_SEEDS)

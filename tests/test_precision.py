@@ -35,7 +35,7 @@ LAYERS = {
     "relu": lambda rng, x: relu(x(4, 5))[0],
     "fully_connected": lambda rng, x: fully_connected(x(4, 5), make_linear(rng, 5, 3))[0],
     "softmax": lambda rng, x: softmax(x(4, 2)),
-    "l2norm_scale": lambda rng, x: l2norm_scale(x(3, 1, 6), make_l2norm(3, 10.0))[0],
+    "l2norm_scale": lambda rng, x: l2norm_scale(x(3, 6), make_l2norm(3, 10.0))[0],
     "concat_shrink": lambda rng, x: concat_shrink(
         [x(2, 4), x(3, 6)], ["tap3", "tap4"], {"tap3": make_l2norm(2, 10.0)}, make_conv(rng, 4, 5, 1),
         [np.array([[0, 1, 2, 3, 3, 0]]), np.arange(6)[None]],
