@@ -44,7 +44,7 @@ from .tensor import (
     softmax_cross_entropy,
     softmax_cross_entropy_backward,
 )
-from .training import pipeline_forward, pipeline_loss
+from .training import pipeline_loss
 
 DEFAULT_SEEDS = (0, 1, 2, 3, 4)
 # end-to-end seeds verified to keep ReLU/argmax margins >= 10*STEP, as the
@@ -287,13 +287,11 @@ def _model_loss(seed: int, fusion_mode: str):
     model, image, rpn_t, sampled, det_t = tiny_model_setup(seed, fusion_mode)
 
     def loss():
-        st = pipeline_forward(model, image)
-        total, _ = pipeline_loss(model, st, rpn_t, sampled, det_t.labels, det_t.target_deltas, 1.0)
+        total, _ = pipeline_loss(model, model.forward(image), rpn_t, sampled, det_t.labels, det_t.target_deltas, 1.0)
         return total
 
     model.zero_grads()
-    st = pipeline_forward(model, image)
-    pipeline_loss(model, st, rpn_t, sampled, det_t.labels, det_t.target_deltas, 1.0, backward=True)
+    pipeline_loss(model, model.forward(image), rpn_t, sampled, det_t.labels, det_t.target_deltas, 1.0, backward=True)
     return loss, list(model.params().values())
 
 

@@ -11,7 +11,6 @@ import numpy as np
 
 from .boxes import iou_matrix
 from .rpn import DetectConfig, propose
-from .training import pipeline_forward
 
 
 @dataclass
@@ -171,11 +170,13 @@ def evaluate_detector(model, scenes, cfg: EvalConfig = None, detect_cfg: DetectC
 
 def proposal_recall(model, scenes, detect_cfg: DetectConfig) -> float:
     """Share of ground-truth faces overlapped at IoU > 0.5 by one of the
-    proposals that ``detect_cfg`` selects (its ``post_nms_top_n`` best)."""
+    proposals that ``detect_cfg`` selects (its ``post_nms_top_n`` best), run
+    through the float64 ``model.forward`` as in training: the recall can differ
+    by roundoff from that of the float32 proposals ``model.detect`` uses."""
     hits = total = 0
     for s in scenes:
-        st = pipeline_forward(model, s.image)
-        props = propose(st.rpn_logits, st.rpn_deltas, st.anchors, s.width, s.height, detect_cfg)
+        _, logits, deltas, anchors = model.forward(np.asarray(s.image, dtype=np.float64))[0]
+        props = propose(logits, deltas, anchors, s.width, s.height, detect_cfg)
         boxes = np.array([p.box for p in props]).reshape(-1, 4)
         gts = np.asarray(s.gt_boxes, dtype=np.float64).reshape(-1, 4)
         total += gts.shape[0]

@@ -11,7 +11,9 @@ from pathlib import Path
 
 import numpy as np
 
-PAD_MULTIPLE = 16  # the largest backbone stride, fusion.TAP_STRIDES["tap5"]
+from .fusion import TAP_STRIDES
+
+PAD_MULTIPLE = TAP_STRIDES["tap5"]  # the largest backbone stride
 OVERLAY_COLOR = (255, 32, 32)
 
 

@@ -225,15 +225,27 @@ class MultiScaleDetector:
     def anchors_for(self, feat_h: int, feat_w: int) -> np.ndarray:
         return generate_anchors(feat_h, feat_w, self.cfg.anchor_scales, self.cfg.anchor_ratios, TAP_STRIDES["tap5"])
 
+    def forward(self, image: np.ndarray):
+        """Backbone, dense fusion, proposal head and anchors on one (1, 1, H, W)
+        image, in its dtype: ``(taps, logits, deltas, anchors), (bb_cache,
+        fus_cache, rpn_cache)``, with (A, 2) logits and (A, 4) deltas in the
+        order of the (A, 4) anchors."""
+        taps, bb_cache = self.backbone_forward(image)
+        fused, fus_cache = self.fused_map_forward(taps)
+        (logits, deltas), rpn_cache = rpn_forward(fused, self.rpn_head)
+        anchors = self.anchors_for(fused.shape[2], fused.shape[3])
+        return (taps, logits, deltas, anchors), (bb_cache, fus_cache, rpn_cache)
+
     def detect(
         self, image: np.ndarray, orig_w: int, orig_h: int, cfg: DetectConfig | None = None, **overrides
     ) -> list[Detection]:
         """Run the full pipeline on one padded image tensor under ``cfg`` (a
         :class:`DetectConfig`, defaults when None) with any fields replaced by ``overrides``.
 
-        The layers (backbone, dense fusion, proposal head, ROI pooling, fusion
-        and the region head) run in float32; their per-anchor and per-ROI
-        outputs are cast to float64 before :func:`propose` and
+        The layers (the front end of :meth:`forward`, whose caches are
+        dropped before the region branch runs, then ROI pooling, fusion and
+        the region head) run in float32; their per-anchor and per-ROI outputs
+        are cast to float64 before :func:`propose` and
         :func:`postprocess_detections`, so softmax, decoding, thresholds and
         NMS, and the returned boxes and scores, are float64.  Raises
         ``ValueError`` when the image is not finite in float32.
@@ -244,10 +256,7 @@ class MultiScaleDetector:
         bad = image.size - np.count_nonzero(np.isfinite(image))
         if bad:
             raise ValueError(f"detect: image {image.shape} has {bad} values that are not finite in float32")
-        taps, _ = self.backbone_forward(image)
-        fused, _ = self.fused_map_forward(taps)
-        (logits, deltas), _ = rpn_forward(fused, self.rpn_head)
-        anchors = self.anchors_for(fused.shape[2], fused.shape[3])
+        taps, logits, deltas, anchors = self.forward(image)[0]  # frees the front-end caches before roi_forward
         proposals = propose(logits.astype(np.float64), deltas.astype(np.float64), anchors, orig_w, orig_h, cfg)
         rois = np.array([p.box for p in proposals]).reshape(-1, 4)
         (cls_logits, box_deltas), _ = self.roi_forward(taps, rois)

@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .detector import assign_detection_targets
+from .fusion import TAP_STRIDES
 from .model import MultiScaleDetector, ModelConfig
 from .rpn import (
     DetectConfig,
@@ -18,9 +19,13 @@ from .rpn import (
     propose,
     require_int,
     rpn_backward,
-    rpn_forward,
 )
+
+# rpn_forward is not called here (MultiScaleDetector.forward runs the proposal
+# head), but benchmark/tracer.py wraps it at this module's name
+from .rpn import rpn_forward  # noqa: F401
 from .tensor import (
+    ShapeError,
     smooth_l1,
     softmax_cross_entropy,
     softmax_cross_entropy_backward,
@@ -117,28 +122,9 @@ def sgd_momentum_step(params, velocity: dict, lr: float, momentum: float, weight
         t.data += v
 
 
-@dataclass
-class PipelineState:
-    taps: dict  # {name: (N, C, H, W) map} of the fused taps
-    bb_cache: object
-    fus_cache: object
-    rpn_cache: object
-    anchors: np.ndarray  # (A, 4)
-    rpn_logits: np.ndarray  # (A, 2) rows in anchor order
-    rpn_deltas: np.ndarray  # (A, 4)
-
-
-def pipeline_forward(model: MultiScaleDetector, image: np.ndarray) -> PipelineState:
-    taps, bb_cache = model.backbone_forward(image)
-    fused, fus_cache = model.fused_map_forward(taps)
-    (lg, dl), rpn_cache = rpn_forward(fused, model.rpn_head)
-    anchors = model.anchors_for(fused.shape[2], fused.shape[3])
-    return PipelineState(taps, bb_cache, fus_cache, rpn_cache, anchors, lg, dl)
-
-
 def pipeline_loss(
     model: MultiScaleDetector,
-    st: PipelineState,
+    forward,
     rpn_targets: RpnTargets,
     rois: np.ndarray,
     det_labels: np.ndarray,
@@ -146,20 +132,23 @@ def pipeline_loss(
     lam: float,
     backward: bool = False,
 ):
-    """Loss of the current state against frozen targets; optional backward.
+    """Loss of one image against frozen targets; optional backward.
 
-    The backward pass adds each tap's gradients from the per-region branch
+    ``forward`` is the ``(out, cache)`` pair that ``model.forward`` returned
+    for the image; the region head runs on its taps at ``rois``.  The
+    backward pass adds each tap's gradients from the per-region branch
     and the proposal branch (run in that order, which fixes the order of the
     shared shrink and norm gradients), then sweeps the backbone exactly once.
     """
-    (det_lg, det_dl), det_cache = model.roi_forward(st.taps, rois)
+    (taps, logits, deltas, _), (bb_cache, fus_cache, rpn_cache) = forward
+    (det_lg, det_dl), det_cache = model.roi_forward(taps, rois)
     total, comps, (dlg, ddl, ddet_lg, ddet_dl) = multitask_loss(
-        st.rpn_logits, st.rpn_deltas, rpn_targets, det_lg, det_dl, det_labels, det_target_deltas, lam
+        logits, deltas, rpn_targets, det_lg, det_dl, det_labels, det_target_deltas, lam
     )
     if backward:
         roi = model.roi_backward(ddet_lg, ddet_dl, det_cache)
-        dense = model.fused_map_backward(rpn_backward(dlg, ddl, st.rpn_cache), st.fus_cache)
-        model.backbone_backward({name: roi[name] + dense[name] for name in roi}, st.bb_cache)
+        dense = model.fused_map_backward(rpn_backward(dlg, ddl, rpn_cache), fus_cache)
+        model.backbone_backward({name: roi[name] + dense[name] for name in roi}, bb_cache)
     return total, comps
 
 
@@ -193,15 +182,24 @@ def train(
     one momentum-SGD step on all parameters.  Proposals for the region head
     are selected by ``detect_cfg`` (a :class:`DetectConfig`, default settings
     when None), as at test time.  Identical config and seed give a
-    bit-identical trace and checkpoint.
+    bit-identical trace and checkpoint.  Every scene image must be one finite
+    (1, 1, H, W) array with H and W multiples of the largest backbone stride;
+    the layers run in float64 whatever the image's dtype.
     """
     cfg.validate()
     detect_cfg = detect_cfg or DetectConfig()
     if not scenes:
         raise ValueError("training requires a non-empty dataset")
+    stride = TAP_STRIDES["tap5"]
     for s in scenes:
-        if s.image.shape[2] % 16 or s.image.shape[3] % 16:
-            raise ValueError(f"scene {s.name} extent {s.image.shape} not a multiple of 16")
+        shape = np.shape(s.image)
+        if len(shape) != 4 or shape[:2] != (1, 1) or min(shape[2:]) < 1 or shape[2] % stride or shape[3] % stride:
+            raise ShapeError(
+                f"scene {s.name}: image must be one NCHW image of shape (1, 1, H, W) "
+                f"with H and W positive multiples of {stride}, got {shape}"
+            )
+        if not np.isfinite(s.image).all():
+            raise ValueError(f"scene {s.name}: image has values that are not finite")
     model = MultiScaleDetector(model_cfg or ModelConfig(), seed=cfg.seed)
     rng = np.random.default_rng([cfg.seed, 1])
     params = model.params()
@@ -215,18 +213,19 @@ def train(
         if t % n == 0:
             order = rng.permutation(n)
         scene = scenes[order[t % n]]
-        st = pipeline_forward(model, scene.image)
+        forward = model.forward(np.asarray(scene.image, dtype=np.float64))
+        _, logits, deltas, anchors = forward[0]
         try:
-            rpn_t = assign_rpn_targets(st.anchors, scene.gt_boxes, rng, scene.width, scene.height)
+            rpn_t = assign_rpn_targets(anchors, scene.gt_boxes, rng, scene.width, scene.height)
         except TargetAssignmentError:
             skipped += 1
             continue
-        proposals = propose(st.rpn_logits, st.rpn_deltas, st.anchors, scene.width, scene.height, detect_cfg)
+        proposals = propose(logits, deltas, anchors, scene.width, scene.height, detect_cfg)
         rois = np.array([p.box for p in proposals] + list(scene.gt_boxes)).reshape(-1, 4)
         det_t = assign_detection_targets(rois, scene.gt_boxes, rng)
         sampled = rois[det_t.roi_indices]
         total, comps = pipeline_loss(
-            model, st, rpn_t, sampled, det_t.labels, det_t.target_deltas, cfg.loss_lambda, backward=True
+            model, forward, rpn_t, sampled, det_t.labels, det_t.target_deltas, cfg.loss_lambda, backward=True
         )
         if not np.isfinite(total):
             raise RuntimeError(

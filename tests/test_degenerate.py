@@ -1,6 +1,7 @@
 """Degenerate inputs: flat images (the L2-norm eps path), a faceless scene,
 an image smaller than one stride-16 cell, a batch of two images, proposal
-limits below one or not integers and other out-of-range detection settings."""
+limits below one or not integers and other out-of-range detection settings,
+malformed training scenes and float32 training images."""
 
 import math
 
@@ -115,3 +116,41 @@ def test_detect_rejects_image_not_finite_in_float32(value):
     image[0, 0, 5, 7:10] = value
     with pytest.raises(ValueError, match=r"\(1, 1, 64, 64\) has 3 values that are not finite"):
         MultiScaleDetector(ModelConfig(), seed=0).detect(image, 64, 64)
+
+
+def _scene(name, image):
+    return ToyScene(name=name, image=image, gt_boxes=np.array([[8.0, 8.0, 40.0, 40.0]]), width=64, height=64)
+
+
+@pytest.mark.parametrize("shape", [(1, 64, 64), (1, 1, 40, 64), (1, 3, 64, 64), (1, 1, 0, 0)])
+def test_train_rejects_an_image_that_is_not_one_strided_gray_image(shape):
+    scene = _scene("odd", np.zeros(shape))
+    with pytest.raises(ShapeError, match=r"scene odd: image must be one NCHW image of shape \(1, 1, H, W\)"):
+        train([scene], TrainConfig(iterations=1))
+
+
+def test_train_rejects_a_non_finite_pixel_before_training():
+    image = np.random.default_rng(0).uniform(size=(1, 1, 64, 64))
+    image[0, 0, 3, 4] = np.nan
+    with pytest.raises(ValueError, match="scene nan: image has values that are not finite"):
+        train([_scene("nan", image)], TrainConfig(iterations=5))
+
+
+def test_train_checks_every_scene_before_the_first_iteration():
+    # one iteration draws one scene; the malformed one must be rejected all the same
+    rng = np.random.default_rng(0)
+    scenes = [_scene("good", rng.uniform(size=(1, 1, 64, 64))), _scene("pair", rng.uniform(size=(2, 1, 64, 64)))]
+    with pytest.raises(ShapeError, match="scene pair"):
+        train(scenes, TrainConfig(iterations=1))
+
+
+def test_train_on_float32_images_runs_in_float64():
+    rng = np.random.default_rng(0)
+    images = [rng.uniform(size=(1, 1, 64, 64)).astype(np.float32) for _ in range(2)]
+    runs = [
+        train([_scene(f"s{i}", cast(x)) for i, x in enumerate(images)], TrainConfig(iterations=4), trace_every=1)
+        for cast in (lambda x: x, lambda x: x.astype(np.float64))
+    ]
+    assert runs[0].trace == runs[1].trace
+    for a, b in zip(runs[0].model.params().values(), runs[1].model.params().values()):
+        assert a.data.tobytes() == b.data.tobytes()

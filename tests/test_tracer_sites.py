@@ -15,11 +15,13 @@ from msfacedet.model import MultiScaleDetector
 TRACER = Path(__file__).resolve().parents[1] / "benchmark" / "tracer.py"
 
 # sites the tracer wraps although their module never calls them: fusion
-# imports conv2d, conv2d_backward and maxpool2d only so that these sites resolve
+# imports conv2d, conv2d_backward and maxpool2d, and training imports
+# rpn_forward (MultiScaleDetector.forward calls it), only so that these sites resolve
 UNCALLED_SITES = {
     ("msfacedet.fusion", "conv2d"),
     ("msfacedet.fusion", "conv2d_backward"),
     ("msfacedet.fusion", "maxpool2d"),
+    ("msfacedet.training", "rpn_forward"),
 }
 
 

@@ -4,7 +4,7 @@ import pytest
 from msfacedet import ModelConfig, TrainConfig, generate_toy_dataset, train
 from msfacedet.checks import tiny_model_setup
 from msfacedet.rpn import RpnTargets
-from msfacedet.training import multitask_loss, pipeline_forward, pipeline_loss
+from msfacedet.training import multitask_loss, pipeline_loss
 
 
 @pytest.mark.parametrize("mode", ["multi", "tap5"])
@@ -74,7 +74,7 @@ def test_pipeline_loss_without_sampled_rois_trains_only_the_proposal_branch(mode
     model, image, rpn_t, _, _ = tiny_model_setup(0, mode)
     model.zero_grads()
     _, comps = pipeline_loss(
-        model, pipeline_forward(model, image), rpn_t,
+        model, model.forward(image), rpn_t,
         np.zeros((0, 4)), np.zeros(0, dtype=np.int64), np.zeros((0, 4)), 1.0, backward=True,
     )
     grads = {name: t.grad for name, t in model.params().items()}
