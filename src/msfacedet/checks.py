@@ -336,7 +336,9 @@ LAYER_CHECKS = [
 
 
 def run_suite(seeds=DEFAULT_SEEDS, model_seeds=MODEL_CHECK_SEEDS, include_model: bool = True):
-    """Worst finite-difference error per check across the given seeds."""
+    """Worst finite-difference error per check across the given seeds.  The
+    model rows are the per-element end-to-end check in multi mode and the
+    directional one in both fusion modes."""
     results = []
     for name, fn in LAYER_CHECKS:
         results.append((name, max(fn(seed) for seed in seeds)))
@@ -344,4 +346,7 @@ def run_suite(seeds=DEFAULT_SEEDS, model_seeds=MODEL_CHECK_SEEDS, include_model:
         results.append(
             ("multitask_loss_end_to_end", max(check_multitask_loss(s) for s in model_seeds))
         )
+        for mode in ("multi", "tap5"):
+            worst = max(check_multitask_loss_directional(s, mode) for s in model_seeds)
+            results.append((f"multitask_loss_directional_{mode}", worst))
     return results

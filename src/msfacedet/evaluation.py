@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boxes import iou_matrix
+from .model import check_extents
 from .rpn import DetectConfig, propose
 
 
@@ -175,7 +176,9 @@ def proposal_recall(model, scenes, detect_cfg: DetectConfig) -> float:
     by roundoff from that of the float32 proposals ``model.detect`` uses."""
     hits = total = 0
     for s in scenes:
-        _, logits, deltas, anchors = model.forward(np.asarray(s.image, dtype=np.float64))[0]
+        image = np.asarray(s.image, dtype=np.float64)
+        _, logits, deltas, anchors = model.forward(image)[0]
+        check_extents(image, s.width, s.height, f"scene {s.name}")
         props = propose(logits, deltas, anchors, s.width, s.height, detect_cfg)
         boxes = np.array([p.box for p in props]).reshape(-1, 4)
         gts = np.asarray(s.gt_boxes, dtype=np.float64).reshape(-1, 4)

@@ -59,6 +59,28 @@ class ModelConfig:
             raise ValueError(f"unknown fusion_mode {self.fusion_mode!r}")
 
 
+def check_image(image: np.ndarray, what: str = "image"):
+    """Raise ``ShapeError`` unless ``image`` is one (1, 1, H, W) image (both heads
+    read image 0 only) with H and W positive multiples of the largest backbone
+    stride, and ``ValueError`` unless it is finite in its dtype."""
+    shape, s = image.shape, TAP_STRIDES["tap5"]
+    if len(shape) != 4 or shape[:2] != (1, 1) or min(shape[2:]) < 1 or shape[2] % s or shape[3] % s:
+        raise ShapeError(
+            f"{what} must be one NCHW image of shape (1, 1, H, W) with H and W positive multiples of {s}, got {shape}"
+        )
+    bad = image.size - np.count_nonzero(np.isfinite(image))
+    if bad:
+        raise ValueError(f"{what} {shape} has {bad} values that are not finite in {image.dtype}")
+
+
+def check_extents(image: np.ndarray, width, height, what: str):
+    """Raise ``ValueError`` unless the original ``width`` x ``height`` of the
+    padded (1, 1, H, W) ``image`` lies in (0, W] x (0, H] (written so that NaN fails)."""
+    h, w = image.shape[2:]
+    if not (0 < width <= w and 0 < height <= h):
+        raise ValueError(f"{what}: original extents {width} x {height} must lie in (0, {w}] x (0, {h}]")
+
+
 class MultiScaleDetector:
     """Two-stage face detector over fused multi-scale features.
 
@@ -158,10 +180,8 @@ class MultiScaleDetector:
     def backbone_forward(self, x: np.ndarray):
         """The ``{name: (1, C, H, W) map}`` of the fused taps and the caches,
         which hold a ``("tap", name)`` entry where each tap leaves its stage.
-        The input is one (1, 1, H, W) image: both heads read image 0 only."""
-        s = TAP_STRIDES["tap5"]
-        if x.ndim != 4 or x.shape[0] != 1 or x.shape[2] % s or x.shape[3] % s:
-            raise ShapeError(f"backbone input must be one NCHW image with extents divisible by {s}, got {x.shape}")
+        The input must pass :func:`check_image`."""
+        check_image(x)
         caches = []
         taps = {}
         h = x
@@ -247,16 +267,15 @@ class MultiScaleDetector:
         the region head) run in float32; their per-anchor and per-ROI outputs
         are cast to float64 before :func:`propose` and
         :func:`postprocess_detections`, so softmax, decoding, thresholds and
-        NMS, and the returned boxes and scores, are float64.  Raises
-        ``ValueError`` when the image is not finite in float32.
+        NMS, and the returned boxes and scores, are float64.  The float32
+        image must pass :func:`check_image`, and ``orig_w``/``orig_h``
+        :func:`check_extents`.
         """
         cfg = replace(cfg or DetectConfig(), **overrides)
         with np.errstate(over="ignore"):  # values beyond the float32 range become inf and are rejected
             image = np.asarray(image, dtype=np.float32)
-        bad = image.size - np.count_nonzero(np.isfinite(image))
-        if bad:
-            raise ValueError(f"detect: image {image.shape} has {bad} values that are not finite in float32")
         taps, logits, deltas, anchors = self.forward(image)[0]  # frees the front-end caches before roi_forward
+        check_extents(image, orig_w, orig_h, "detect")
         proposals = propose(logits.astype(np.float64), deltas.astype(np.float64), anchors, orig_w, orig_h, cfg)
         rois = np.array([p.box for p in proposals]).reshape(-1, 4)
         (cls_logits, box_deltas), _ = self.roi_forward(taps, rois)

@@ -9,8 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .detector import assign_detection_targets
-from .fusion import TAP_STRIDES
-from .model import MultiScaleDetector, ModelConfig
+from .model import MultiScaleDetector, ModelConfig, check_extents, check_image
 from .rpn import (
     DetectConfig,
     RpnTargets,
@@ -25,7 +24,6 @@ from .rpn import (
 # head), but benchmark/tracer.py wraps it at this module's name
 from .rpn import rpn_forward  # noqa: F401
 from .tensor import (
-    ShapeError,
     smooth_l1,
     softmax_cross_entropy,
     softmax_cross_entropy_backward,
@@ -182,24 +180,18 @@ def train(
     one momentum-SGD step on all parameters.  Proposals for the region head
     are selected by ``detect_cfg`` (a :class:`DetectConfig`, default settings
     when None), as at test time.  Identical config and seed give a
-    bit-identical trace and checkpoint.  Every scene image must be one finite
-    (1, 1, H, W) array with H and W multiples of the largest backbone stride;
-    the layers run in float64 whatever the image's dtype.
+    bit-identical trace and checkpoint.  Every scene image must pass
+    :func:`check_image` in its own dtype, and its width and height
+    :func:`check_extents`; the layers run in float64.
     """
     cfg.validate()
     detect_cfg = detect_cfg or DetectConfig()
     if not scenes:
         raise ValueError("training requires a non-empty dataset")
-    stride = TAP_STRIDES["tap5"]
     for s in scenes:
-        shape = np.shape(s.image)
-        if len(shape) != 4 or shape[:2] != (1, 1) or min(shape[2:]) < 1 or shape[2] % stride or shape[3] % stride:
-            raise ShapeError(
-                f"scene {s.name}: image must be one NCHW image of shape (1, 1, H, W) "
-                f"with H and W positive multiples of {stride}, got {shape}"
-            )
-        if not np.isfinite(s.image).all():
-            raise ValueError(f"scene {s.name}: image has values that are not finite")
+        image = np.asarray(s.image)
+        check_image(image, f"scene {s.name}: image")
+        check_extents(image, s.width, s.height, f"scene {s.name}")
     model = MultiScaleDetector(model_cfg or ModelConfig(), seed=cfg.seed)
     rng = np.random.default_rng([cfg.seed, 1])
     params = model.params()

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import msfacedet
+import msfacedet.checks
 from msfacedet import DetectConfig, ModelConfig, MultiScaleDetector, TrainConfig, train
 from msfacedet.annotations import AnnotationRecord, format_annotations
 from msfacedet.checkpoint import CheckpointError
@@ -140,6 +141,17 @@ def test_module_entry_point_runs_the_command():
     lines = proc.stdout.splitlines()
     assert [line.split()[0] for line in lines] == [name for name, _ in LAYER_CHECKS]
     assert all(line.split()[-1] == "ok" for line in lines)
+
+
+def test_gradcheck_reports_the_end_to_end_rows_in_both_fusion_modes(monkeypatch, capsys):
+    # the per-element end-to-end value is pinned at seed 0 by tests/test_checks.py;
+    # stubbing it here spares 7 s, and both directional checks run for real
+    monkeypatch.setattr(msfacedet.checks, "check_multitask_loss", lambda seed: 0.0)
+    assert run_cli(["gradcheck", "--seeds", "1"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    model_rows = ["multitask_loss_end_to_end", "multitask_loss_directional_multi", "multitask_loss_directional_tap5"]
+    assert [row[0] for row in rows] == [name for name, _ in LAYER_CHECKS] + model_rows
+    assert all(row[-1] == "ok" for row in rows)
 
 
 @pytest.mark.parametrize("count", ["0", "-1"])

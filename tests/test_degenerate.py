@@ -1,14 +1,16 @@
 """Degenerate inputs: flat images (the L2-norm eps path), a faceless scene,
 an image smaller than one stride-16 cell, a batch of two images, proposal
 limits below one or not integers and other out-of-range detection settings,
-malformed training scenes and float32 training images."""
+malformed images at every entry point, original extents outside the padded
+image, malformed training scenes and float32 training images."""
 
 import math
 
 import numpy as np
 import pytest
 
-from msfacedet import ModelConfig, MultiScaleDetector, ToyScene, TrainConfig, train
+from msfacedet import DetectConfig, ModelConfig, MultiScaleDetector, ToyScene, TrainConfig, train
+from msfacedet.evaluation import proposal_recall
 from msfacedet.imageio import load_image, write_pgm
 from msfacedet.tensor import ShapeError
 
@@ -132,7 +134,7 @@ def test_train_rejects_an_image_that_is_not_one_strided_gray_image(shape):
 def test_train_rejects_a_non_finite_pixel_before_training():
     image = np.random.default_rng(0).uniform(size=(1, 1, 64, 64))
     image[0, 0, 3, 4] = np.nan
-    with pytest.raises(ValueError, match="scene nan: image has values that are not finite"):
+    with pytest.raises(ValueError, match=r"scene nan: image \(1, 1, 64, 64\) has 1 values that are not finite"):
         train([_scene("nan", image)], TrainConfig(iterations=5))
 
 
@@ -154,3 +156,73 @@ def test_train_on_float32_images_runs_in_float64():
     assert runs[0].trace == runs[1].trace
     for a, b in zip(runs[0].model.params().values(), runs[1].model.params().values()):
         assert a.data.tobytes() == b.data.tobytes()
+
+
+def _bad_image(kind):
+    if isinstance(kind, tuple):
+        return np.zeros(kind)
+    image = np.random.default_rng(0).uniform(size=(1, 1, 64, 64))
+    image[0, 0, 3, 4] = kind
+    return image
+
+
+ENTRY_POINTS = {
+    "forward": lambda image: MultiScaleDetector(ModelConfig(), seed=0).forward(image),
+    "detect": lambda image: MultiScaleDetector(ModelConfig(), seed=0).detect(image, 64, 64),
+    "train": lambda image: train([_scene("bad", image)], TrainConfig(iterations=1)),
+    "proposal_recall": lambda image: proposal_recall(
+        MultiScaleDetector(ModelConfig(), seed=0), [_scene("bad", image)], DetectConfig()
+    ),
+}
+
+
+SHAPE_STEM = r"must be one NCHW image of shape \(1, 1, H, W\) with H and W positive multiples of 16"
+FINITE_STEM = r"image \(1, 1, 64, 64\) has 1 values that are not finite in float"
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize(
+    "kind,error,stem",
+    [
+        pytest.param((2, 1, 64, 64), ShapeError, SHAPE_STEM, id="batch"),
+        pytest.param((1, 3, 64, 64), ShapeError, SHAPE_STEM, id="channels"),
+        pytest.param((1, 1, 40, 64), ShapeError, SHAPE_STEM, id="stride"),
+        pytest.param((1, 1, 0, 0), ShapeError, SHAPE_STEM, id="empty"),
+        pytest.param(np.nan, ValueError, FINITE_STEM, id="nan"),
+        pytest.param(np.inf, ValueError, FINITE_STEM, id="inf"),
+    ],
+)
+def test_every_entry_point_rejects_the_same_bad_images(entry, kind, error, stem):
+    # one input contract: the same bad image fails the same way wherever it enters
+    with pytest.raises(error, match=stem):
+        ENTRY_POINTS[entry](_bad_image(kind))
+
+
+@pytest.mark.parametrize("extents", [(0, 0), (-5, 64), (math.nan, 64), (64, math.nan), (500, 500), (65, 64), (64, 80)])
+def test_detect_rejects_original_extents_outside_the_padded_image(extents):
+    image = np.random.default_rng(0).uniform(size=(1, 1, 64, 64))
+    with pytest.raises(ValueError, match=r"detect: original extents .* must lie in \(0, 64\] x \(0, 64\]"):
+        MultiScaleDetector(ModelConfig(), seed=0).detect(image, *extents, score_thresh=0.0)
+
+
+@pytest.mark.parametrize("entry", ["train", "proposal_recall"])
+@pytest.mark.parametrize("extents", [(0, 0), (-5, 64), (math.nan, 64), (500, 500), (64, 65)])
+def test_scene_extents_outside_the_padded_image_are_rejected(entry, extents):
+    rng = np.random.default_rng(0)
+    good = _scene("good", rng.uniform(size=(1, 1, 64, 64)))
+    wide = ToyScene(name="wide", image=rng.uniform(size=(1, 1, 64, 64)), gt_boxes=good.gt_boxes,
+                    width=extents[0], height=extents[1])
+    with pytest.raises(ValueError, match=r"scene wide: original extents .* must lie in \(0, 64\] x \(0, 64\]"):
+        if entry == "train":  # every scene is checked before the first iteration draws one
+            train([good, wide], TrainConfig(iterations=1))
+        else:
+            proposal_recall(MultiScaleDetector(ModelConfig(), seed=0), [good, wide], DetectConfig())
+
+
+def test_detect_accepts_extents_at_the_padded_edge_and_below():
+    model = MultiScaleDetector(ModelConfig(), seed=0)
+    image = np.random.default_rng(0).uniform(size=(1, 1, 64, 48))
+    boxes, _ = _boxes_and_scores(model.detect(image, 48, 64, score_thresh=0.0))
+    assert len(boxes) and np.all((boxes >= 0) & (boxes <= [48, 64, 48, 64]))
+    boxes, _ = _boxes_and_scores(model.detect(image, 1, 1, score_thresh=0.0))
+    assert np.all((boxes >= 0) & (boxes <= 1))
