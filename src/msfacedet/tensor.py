@@ -13,6 +13,12 @@ padded copy), so a caller must not write into an input before its backward.
 ``<op>_backward(dout, cache, ...)`` returns the gradient w.r.t. the input
 while accumulating parameter gradients in place (``param.grad += ...``), so
 parameters shared between branches pick up contributions from every use.
+
+``conv2d`` is an im2col GEMM that never builds its columns at full size: it
+gathers and multiplies them in bands of output rows of about 1 MiB
+(``_BAND_BYTES``), so each band is still in L2 when the GEMM reads it, with
+the bits of the full-column product.  ``conv2d_backward`` gathers the whole
+columns once, because dW needs all of them to keep its summation order.
 """
 
 from __future__ import annotations
@@ -71,20 +77,46 @@ def make_linear(rng, d, m) -> Params:
 # convolution
 
 
+# Bytes of im2col columns that conv2d gathers per GEMM band, so that a band
+# is still in L2 (2 MiB per core on the machine measured) when the GEMM reads
+# it.  A 256 px float32 detect timed in-process (2-core VM, OpenBLAS 0.3.31 on
+# one thread, 25 alternating rounds) read a median of 28.4 ms per image with
+# full-size columns and 23.7 / 24.7 / 23.6 / 26.3 ms with 256 KiB / 512 KiB /
+# 1 MiB / 2 MiB bands.  Narrow bands would change bits: a GEMM of 16 or fewer
+# columns takes OpenBLAS's small-matrix kernel, which sums in another order.
+# At 1 MiB every band of a split layer with C*k*k <= 576 spans over 100 columns.
+_BAND_BYTES = 1 << 20
+
+
+def _windows(xp: np.ndarray, k: int) -> np.ndarray:
+    """Channel-major ``(C, k, k, N, H, W)`` view of the k x k windows of the
+    padded input: a copy of any run of its output rows, flattened to
+    ``(C*k*k, N*rows*W)``, is those rows' im2col columns."""
+    return sliding_window_view(xp, (k, k), axis=(2, 3)).transpose(1, 4, 5, 0, 2, 3)
+
+
 def _columns(xp: np.ndarray, k: int) -> np.ndarray:
-    """Fresh, writable channel-major im2col columns (C*k*k, N*Ho*Wo): each run is an output row."""
-    win = sliding_window_view(xp, (k, k), axis=(2, 3)).transpose(1, 4, 5, 0, 2, 3)
-    return win.copy().reshape(xp.shape[1] * k * k, -1)
+    """Fresh, writable im2col columns (C*k*k, N*H*W) of the whole input: each run is an output row."""
+    return _windows(xp, k).copy().reshape(xp.shape[1] * k * k, -1)
 
 
 def conv2d(x: np.ndarray, p: Params):
     """Stride-1 2-D convolution of NCHW input with a square k x k kernel of
-    odd k: ``W @ _columns(xp) + b``.
+    odd k: ``W @ _columns(xp) + b``, computed in bands of output rows.
 
     The input is zero-padded by (k - 1) // 2 on every side, so the output
     keeps its size.  The output is laid out ``(outC, N, H, W)`` and returned
     as an NCHW view, C-contiguous for N == 1.  The cache holds the zero-padded
     copy ``xp`` of the input, from which the backward rebuilds the columns.
+
+    The full columns never exist.  The output rows are cut into
+    ``C*k*k*H*W*itemsize // _BAND_BYTES`` bands (at least 1, at most H) whose
+    heights differ by at most one row; one reused buffer takes each band's
+    columns in turn, and the GEMM and the bias write that band's rows of the
+    output while its columns are still in cache.  Each output element is the
+    same dot product in the same order as on the full columns, so the bits
+    are those of ``W @ _columns(xp) + b``.  A band's output rows are
+    contiguous per channel only for one image, so a batch is one band.
     """
     n, c, h, w = x.shape
     out_c, in_c, k, kw = p.weight.data.shape
@@ -97,9 +129,21 @@ def conv2d(x: np.ndarray, p: Params):
         raise ShapeError(f"conv2d: padded input {x.shape} smaller than kernel {p.weight.data.shape}")
     xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), x.dtype)  # np.pad builds the same at 7x the call time
     xp[:, :, pad : pad + h, pad : pad + w] = x
-    out = p.weight.data.astype(x.dtype, copy=False).reshape(out_c, -1) @ _columns(xp, k)
-    out += p.bias.data.astype(x.dtype, copy=False)[:, None]
-    return out.reshape(out_c, n, h, w).transpose(1, 0, 2, 3), (xp, p)
+    win = _windows(xp, k)
+    ckk = c * k * k
+    bands = min(h, max(1, ckk * h * w * x.itemsize // _BAND_BYTES)) if n == 1 else 1
+    edges = [i * h // bands for i in range(bands + 1)]
+    buf = np.empty(ckk * n * -(-h // bands) * w, x.dtype)
+    wmat = p.weight.data.astype(x.dtype, copy=False).reshape(out_c, ckk)
+    bias = p.bias.data.astype(x.dtype, copy=False)[:, None]
+    out = np.empty((out_c, n, h, w), x.dtype)
+    for y0, y1 in zip(edges, edges[1:]):
+        band = buf[: ckk * n * (y1 - y0) * w].reshape(c, k, k, n, y1 - y0, w)
+        np.copyto(band, win[..., y0:y1, :])
+        o = out[:, :, y0:y1].reshape(out_c, -1)
+        np.matmul(wmat, band.reshape(ckk, -1), out=o)
+        o += bias
+    return out.transpose(1, 0, 2, 3), (xp, p)
 
 
 def conv2d_backward(dout: np.ndarray, cache) -> np.ndarray:

@@ -107,14 +107,17 @@ def multitask_loss(
 
 def sgd_momentum_step(params, velocity: dict, lr: float, momentum: float, weight_decay: float):
     """v <- momentum*v - lr*(g + weight_decay*p); p <- p + v, where ``velocity``
-    holds one zero-initialised buffer per parameter name, updated in place."""
+    holds one zero-initialised buffer per parameter name, updated in place.
+
+    Every gradient is checked before any parameter moves, so a non-finite one
+    raises with every ``data`` and velocity as they were."""
     for name, t in params.items():
-        g = t.grad
-        if not np.all(np.isfinite(g)):
+        if not np.all(np.isfinite(t.grad)):
             raise RuntimeError(f"non-finite gradient in parameter {name}")
+    for name, t in params.items():
         v = velocity[name]
         v *= momentum
-        v -= lr * g
+        v -= lr * t.grad
         if weight_decay:
             v -= (lr * weight_decay) * t.data
         t.data += v

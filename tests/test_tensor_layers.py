@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from msfacedet.checkpoint import CheckpointError, load_checkpoint, save_checkpoi
 from msfacedet.checks import finite_difference_check
 from msfacedet.model import ModelConfig, MultiScaleDetector
 from msfacedet.tensor import (
+    _BAND_BYTES,
     Params,
     ShapeError,
     Tensor,
@@ -233,6 +236,59 @@ class TestConv2d:
         out, _ = conv2d(rng.standard_normal((1, 4, 6, 7)), _random_conv(rng, 5, 4, 3))
         assert out.shape == (1, 5, 6, 7)
         assert out.flags.c_contiguous
+
+    @pytest.mark.parametrize("px,dtype", [(128, np.float64), (256, np.float32)])
+    def test_bands_match_full_columns_bit_for_bit_on_every_model_layer(self, px, dtype):
+        rng = np.random.default_rng(8)
+        cases = _model_conv_cases(px)
+        assert any(_column_bytes(x_shape, k, dtype) >= 2 * _BAND_BYTES for x_shape, _, k in cases)
+        for x_shape, out_c, k in cases:
+            x = rng.standard_normal(x_shape).astype(dtype)
+            p = _random_conv(rng, out_c, x_shape[1], k)
+            out, ref = conv2d(x, p)[0], column_cache_conv2d(x, p)[0]
+            assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes(), x_shape
+
+    # per image, 100 rows in 7 bands of 14 or 15 rows; 256 rows of 16 columns
+    # in 18 bands, where 15-row bands (ceil(256 / 18)) would leave a last band
+    # of 16 columns, which OpenBLAS's small-matrix kernel sums in another
+    # order; and a batch, which stays one band because its output rows are
+    # not contiguous per channel
+    @pytest.mark.parametrize("x_shape", [(1, 8, 100, 128), (1, 64, 256, 16), (2, 8, 128, 128)])
+    def test_unequal_and_batched_bands_match_full_columns_bit_for_bit(self, x_shape):
+        assert x_shape[2] % (_column_bytes((1, *x_shape[1:]), 3, np.float64) // _BAND_BYTES)
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal(x_shape)
+        p = _random_conv(rng, x_shape[1], x_shape[1], 3)
+        assert conv2d(x, p)[0].tobytes() == column_cache_conv2d(x, p)[0].tobytes()
+
+    def test_forward_never_holds_full_size_columns(self):
+        # 22.0 MiB with full-size columns (18.9 MB of them); about 5.1 MiB in bands
+        rng = np.random.default_rng(10)
+        x = rng.standard_normal((1, 8, 256, 256)).astype(np.float32)
+        p = _random_conv(rng, 8, 8, 3)
+        tracemalloc.start()
+        try:
+            conv2d(x, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        padded, output = 8 * 258 * 258 * 4, 8 * 256 * 256 * 4
+        assert peak < padded + output + 2 * _BAND_BYTES
+
+
+def _column_bytes(x_shape, k, dtype):
+    n, c, h, w = x_shape
+    return c * k * k * n * h * w * np.dtype(dtype).itemsize
+
+
+def _model_conv_cases(px):
+    """(x shape, out channels, kernel) of every backbone and proposal-head
+    convolution of the default model on a px x px image."""
+    model = MultiScaleDetector(ModelConfig(), seed=0)
+    head = model.rpn_head
+    sides = [(conv, px >> i) for i, stage in enumerate(model.stages) for conv in stage]
+    sides += [(conv, px // 16) for conv in (head.conv, head.cls, head.bbox)]
+    return [((1, conv.weight.data.shape[1], side, side), *conv.weight.data.shape[::2]) for conv, side in sides]
 
 
 def _cache_arrays(obj):

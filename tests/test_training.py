@@ -4,7 +4,8 @@ import pytest
 from msfacedet import ModelConfig, TrainConfig, generate_toy_dataset, train
 from msfacedet.checks import tiny_model_setup
 from msfacedet.rpn import RpnTargets
-from msfacedet.training import multitask_loss, pipeline_loss
+from msfacedet.tensor import Tensor
+from msfacedet.training import multitask_loss, pipeline_loss, sgd_momentum_step
 
 
 @pytest.mark.parametrize("mode", ["multi", "tap5"])
@@ -95,3 +96,35 @@ def test_multitask_loss_head_without_positives_has_no_regression():
     assert comps["rpn_reg"] == 0.0 and comps["det_reg"] == 0.0
     assert not ddl.any() and not ddet_dl.any()
     assert comps["rpn_cls"] > 0.0 and comps["det_cls"] > 0.0
+
+
+def _step_inputs():
+    # dyadic values, so the closed form below is exact in float64
+    params = {"w": Tensor([1.0, -2.0]), "b": Tensor([0.5])}
+    params["w"].grad[...] = [4.0, -2.0]
+    params["b"].grad[...] = [0.25]
+    velocity = {"w": np.array([1.0, 0.0]), "b": np.array([-0.5])}
+    return params, velocity
+
+
+def test_sgd_momentum_step_follows_the_closed_form():
+    params, velocity = _step_inputs()
+    lr, momentum, decay = 0.5, 0.5, 0.25
+    want = {}
+    for name, t in params.items():
+        v = momentum * velocity[name] - lr * (t.grad + decay * t.data)
+        want[name] = (t.data + v, v)
+    sgd_momentum_step(params, velocity, lr, momentum, decay)
+    for name, (data, v) in want.items():
+        assert params[name].data.tobytes() == data.tobytes(), name
+        assert velocity[name].tobytes() == v.tobytes(), name
+    assert params["w"].data.tolist() == [-0.625, -0.75]
+
+
+def test_sgd_momentum_step_with_a_nan_in_the_last_gradient_moves_nothing():
+    params, velocity = _step_inputs()
+    params["b"].grad[0] = np.nan
+    before = {name: (t.data.tobytes(), velocity[name].tobytes()) for name, t in params.items()}
+    with pytest.raises(RuntimeError, match="non-finite gradient in parameter b"):
+        sgd_momentum_step(params, velocity, 0.5, 0.5, 0.25)
+    assert {name: (t.data.tobytes(), velocity[name].tobytes()) for name, t in params.items()} == before
