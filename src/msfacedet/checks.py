@@ -160,7 +160,7 @@ def check_softmax_cross_entropy(seed: int) -> float:
     rng = np.random.default_rng(seed)
     logits = rng.standard_normal((3, 4))
     labels = rng.integers(0, 4, size=3)
-    _, _, cache = softmax_cross_entropy(logits, labels)
+    _, cache = softmax_cross_entropy(logits, labels)
     dlogits = softmax_cross_entropy_backward(cache)
 
     def loss():
@@ -274,24 +274,19 @@ def tiny_model_setup(seed: int, fusion_mode: str = "multi"):
     gt = np.array([[7.0, 6.0, 23.0, 26.0]])
     anchors = model.anchors_for(2, 2)
     rpn_t = assign_rpn_targets(anchors, gt, rng, 32, 32)
-    rois = np.array(
-        [[6.0, 7.0, 25.0, 26.0], [2.0, 2.0, 20.0, 28.0], [10.0, 4.0, 30.0, 30.0]]
-    )
-    det_t = assign_detection_targets(np.vstack([rois, gt]), gt, rng)
-    sampled = np.vstack([rois, gt])[det_t.roi_indices]
-    return model, image, rpn_t, sampled, det_t
+    proposals = np.array([[6.0, 7.0, 25.0, 26.0], [2.0, 2.0, 20.0, 28.0], [10.0, 4.0, 30.0, 30.0]])
+    return model, image, rpn_t, assign_detection_targets(proposals, gt, rng)
 
 
 def _model_loss(seed: int, fusion_mode: str):
     """The tiny model's loss closure and its parameters, holding that loss's gradient."""
-    model, image, rpn_t, sampled, det_t = tiny_model_setup(seed, fusion_mode)
+    model, image, rpn_t, det_t = tiny_model_setup(seed, fusion_mode)
 
     def loss():
-        total, _ = pipeline_loss(model, model.forward(image), rpn_t, sampled, det_t.labels, det_t.target_deltas, 1.0)
-        return total
+        return pipeline_loss(model, model.forward(image), rpn_t, det_t, 1.0)[0]
 
     model.zero_grads()
-    pipeline_loss(model, model.forward(image), rpn_t, sampled, det_t.labels, det_t.target_deltas, 1.0, backward=True)
+    pipeline_loss(model, model.forward(image), rpn_t, det_t, 1.0, backward=True)
     return loss, list(model.params().values())
 
 

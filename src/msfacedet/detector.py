@@ -68,7 +68,7 @@ def detection_backward(dlogits: np.ndarray, ddeltas: np.ndarray, cache) -> dict:
 
 @dataclass
 class DetTargets:
-    roi_indices: np.ndarray  # indices into the augmented ROI list
+    rois: np.ndarray  # (S, 4) sampled boxes, proposals and ground truth
     labels: np.ndarray  # 1 face / 0 background per sampled ROI
     target_deltas: np.ndarray  # (S, 4), rows meaningful where labels == 1
     n_pos: int = 0
@@ -81,20 +81,20 @@ DET_MAX_POS = 32  # quarter of the minibatch
 
 
 def assign_detection_targets(
-    rois: np.ndarray,
+    proposals: np.ndarray,
     gt_boxes: np.ndarray,
     rng: np.random.Generator,
 ) -> DetTargets:
-    """Sample training ROIs from a proposal list already augmented with the
-    ground-truth boxes.
+    """Sample training ROIs from the proposals with the ground-truth boxes
+    appended after them, as in Fast R-CNN.
 
     A ROI is a face when its best IoU reaches ``DET_FG_IOU``, background
     when the best IoU falls in [DET_BG_IOU_LO, DET_FG_IOU), and discarded
     otherwise; when no background candidates exist the discarded pool fills
     in so the minibatch never ends up positive-only by accident.
     """
-    rois = np.asarray(rois, dtype=np.float64).reshape(-1, 4)
     gt_boxes = np.asarray(gt_boxes, dtype=np.float64).reshape(-1, 4)
+    rois = np.vstack([np.asarray(proposals, dtype=np.float64).reshape(-1, 4), gt_boxes])
     n = rois.shape[0]
     if gt_boxes.shape[0] == 0:
         max_iou = np.zeros(n)
@@ -118,7 +118,7 @@ def assign_detection_targets(
     labels = np.concatenate([np.ones(pos.size, dtype=np.int64), np.zeros(neg.size, dtype=np.int64)])
     deltas = np.zeros((idx.size, 4))
     deltas[: pos.size] = encode_deltas(gt_boxes[best_gt[pos]], rois[pos])
-    return DetTargets(roi_indices=idx, labels=labels, target_deltas=deltas, n_pos=int(pos.size))
+    return DetTargets(rois=rois[idx], labels=labels, target_deltas=deltas, n_pos=int(pos.size))
 
 
 def postprocess_detections(

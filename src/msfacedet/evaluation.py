@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boxes import iou_matrix
-from .model import check_extents
+from .model import check_extents, check_gt_boxes
 from .rpn import DetectConfig, propose
 
 
@@ -130,9 +130,7 @@ def evaluate_dataset(dets_by_image: dict, gts_by_image: dict, cfg: EvalConfig = 
     gt_counts = np.zeros(len(SPLIT_NAMES), dtype=np.int64)
     scores, det_split = [np.zeros(0)], [np.zeros(0, dtype=np.int64)]  # per image, in its score order
     for image_id in sorted(gts_by_image):
-        gts = np.asarray(gts_by_image[image_id], dtype=np.float64)
-        if gts.ndim != 2 or gts.shape[1] != 4 or not np.isfinite(gts).all():
-            raise ValueError(f"image {image_id!r}: ground truth must be finite (G, 4) boxes; got {gts.shape}")
+        gts = check_gt_boxes(gts_by_image[image_id], f"image {image_id!r}")
         gt_split = np.searchsorted(bounds, gts[:, 3] - gts[:, 1], side="right")
         gt_counts += np.bincount(gt_split, minlength=len(SPLIT_NAMES))
         boxes, image_scores = dets_by_image.get(image_id, (np.zeros((0, 4)), np.zeros(0)))
@@ -179,9 +177,9 @@ def proposal_recall(model, scenes, detect_cfg: DetectConfig) -> float:
         image = np.asarray(s.image, dtype=np.float64)
         _, logits, deltas, anchors = model.forward(image)[0]
         check_extents(image, s.width, s.height, f"scene {s.name}")
+        gts = check_gt_boxes(s.gt_boxes, f"scene {s.name}")
         props = propose(logits, deltas, anchors, s.width, s.height, detect_cfg)
         boxes = np.array([p.box for p in props]).reshape(-1, 4)
-        gts = np.asarray(s.gt_boxes, dtype=np.float64).reshape(-1, 4)
         total += gts.shape[0]
         hits += int((iou_matrix(gts, boxes).max(axis=1, initial=0.0) > 0.5).sum())
     return hits / max(total, 1)

@@ -81,6 +81,14 @@ def check_extents(image: np.ndarray, width, height, what: str):
         raise ValueError(f"{what}: original extents {width} x {height} must lie in (0, {w}] x (0, {h}]")
 
 
+def check_gt_boxes(gt_boxes, what: str) -> np.ndarray:
+    """``gt_boxes`` as a float64 array; raise ``ValueError`` unless it is finite (G, 4) boxes."""
+    gts = np.asarray(gt_boxes, dtype=np.float64)
+    if gts.ndim != 2 or gts.shape[1] != 4 or not np.isfinite(gts).all():
+        raise ValueError(f"{what}: ground truth must be finite (G, 4) boxes; got {gts.shape}")
+    return gts
+
+
 class MultiScaleDetector:
     """Two-stage face detector over fused multi-scale features.
 

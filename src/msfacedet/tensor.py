@@ -16,9 +16,11 @@ parameters shared between branches pick up contributions from every use.
 
 ``conv2d`` is an im2col GEMM that never builds its columns at full size: it
 gathers and multiplies them in bands of output rows of about 1 MiB
-(``_BAND_BYTES``), so each band is still in L2 when the GEMM reads it, with
-the bits of the full-column product.  ``conv2d_backward`` gathers the whole
-columns once, because dW needs all of them to keep its summation order.
+(``_BAND_BYTES``), so each band is still in L2 when the GEMM reads it.  On
+the BLAS kernels that ``conv2d``'s docstring lists, the bands give the bits
+of the full-column product; on others they may differ from it by roundoff.
+``conv2d_backward`` gathers the whole columns once, because dW needs all of
+them to keep its summation order.
 """
 
 from __future__ import annotations
@@ -82,9 +84,11 @@ def make_linear(rng, d, m) -> Params:
 # it.  A 256 px float32 detect timed in-process (2-core VM, OpenBLAS 0.3.31 on
 # one thread, 25 alternating rounds) read a median of 28.4 ms per image with
 # full-size columns and 23.7 / 24.7 / 23.6 / 26.3 ms with 256 KiB / 512 KiB /
-# 1 MiB / 2 MiB bands.  Narrow bands would change bits: a GEMM of 16 or fewer
-# columns takes OpenBLAS's small-matrix kernel, which sums in another order.
-# At 1 MiB every band of a split layer with C*k*k <= 576 spans over 100 columns.
+# 1 MiB / 2 MiB bands.  With OpenBLAS's SkylakeX kernels, narrow bands would
+# change bits: a GEMM of 16 or fewer columns takes the small-matrix kernel,
+# which sums in another order.  At 1 MiB every band of a split layer with
+# C*k*k <= 576 spans over 100 columns.  The Haswell float32 GEMM changes bits
+# at any split (see conv2d).
 _BAND_BYTES = 1 << 20
 
 
@@ -114,9 +118,14 @@ def conv2d(x: np.ndarray, p: Params):
     heights differ by at most one row; one reused buffer takes each band's
     columns in turn, and the GEMM and the bias write that band's rows of the
     output while its columns are still in cache.  Each output element is the
-    same dot product in the same order as on the full columns, so the bits
-    are those of ``W @ _columns(xp) + b``.  A band's output rows are
-    contiguous per channel only for one image, so a batch is one band.
+    same dot product as on the full columns; whether the GEMM sums it in the
+    same order depends on the BLAS kernel.  On OpenBLAS 0.3.31 the bits are
+    those of ``W @ _columns(xp) + b`` on every backbone and proposal-head
+    layer at 128 px float64 and 256 px float32 with the SkylakeX and
+    Sandybridge kernels, and in float64 with Haswell.  Haswell's float32 GEMM
+    differs on every split layer at 256 px, by up to 6e-7 of the largest
+    output.  A band's output rows are contiguous per channel only for one
+    image, so a batch is one band.
     """
     n, c, h, w = x.shape
     out_c, in_c, k, kw = p.weight.data.shape
@@ -244,8 +253,8 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     """Mean negative log-likelihood over rows; max-subtraction stabilized.
 
-    Returns (loss, probs, cache); the gradient w.r.t. logits is
-    (probs - onehot) / N.
+    Returns (loss, cache); the gradient w.r.t. logits is (probs - onehot) / N,
+    with ``probs`` the softmax of the logits, which the cache holds.
     """
     n, k = logits.shape
     labels = np.asarray(labels)
@@ -255,7 +264,7 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
         raise ValueError(f"softmax_cross_entropy: label out of range [0, {k})")
     probs = softmax(logits)
     loss = float(-np.log(np.maximum(probs[np.arange(n), labels], 1e-300)).mean()) if n else 0.0
-    return loss, probs, (probs, labels)
+    return loss, (probs, labels)
 
 
 def softmax_cross_entropy_backward(cache) -> np.ndarray:

@@ -8,8 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detector import assign_detection_targets
-from .model import MultiScaleDetector, ModelConfig, check_extents, check_image
+from .detector import DetTargets, assign_detection_targets
+from .model import MultiScaleDetector, ModelConfig, check_extents, check_gt_boxes, check_image
 from .rpn import (
     DetectConfig,
     RpnTargets,
@@ -54,46 +54,36 @@ class TrainConfig:
             raise ValueError("loss_lambda must be non-negative and finite")
 
 
-def _head_loss(logits, deltas, labels, target_deltas, lam):
-    """One head's term: mean cross-entropy over the rows labelled >= 0 (rows
-    labelled -1 get zero gradient) and the masked quadratic-linear penalty
-    summed over the positives and divided by their count (at least 1).
+def _head_loss(logits, deltas, targets, lam):
+    """One head's term against its ``targets`` (``labels``, ``target_deltas``):
+    mean cross-entropy over the rows labelled >= 0 (rows labelled -1 get zero
+    gradient) and the masked quadratic-linear penalty summed over the
+    positives and divided by their count (at least 1).
 
     Returns (cls, reg, dlogits, ddeltas), with ddeltas already scaled by lam.
     """
+    labels = targets.labels
     sel = np.flatnonzero(labels >= 0)
-    cls, _, cache = softmax_cross_entropy(logits[sel], labels[sel])
+    cls, cache = softmax_cross_entropy(logits[sel], labels[sel])
     dlogits = np.zeros_like(logits)
     dlogits[sel] = softmax_cross_entropy_backward(cache)
     pos = labels == 1
     n_pos = max(int(pos.sum()), 1)
     mask = np.repeat(pos[:, None], 4, axis=1).astype(np.float64)
-    reg_sum, reg_grad = smooth_l1(deltas, target_deltas, mask)
+    reg_sum, reg_grad = smooth_l1(deltas, targets.target_deltas, mask)
     return cls, reg_sum / n_pos, dlogits, (lam / n_pos) * reg_grad
 
 
-def multitask_loss(
-    rpn_logits: np.ndarray,
-    rpn_deltas: np.ndarray,
-    rpn_targets: RpnTargets,
-    det_logits: np.ndarray,
-    det_deltas: np.ndarray,
-    det_labels: np.ndarray,
-    det_target_deltas: np.ndarray,
-    lam: float,
-):
+def multitask_loss(rpn_out, rpn_targets: RpnTargets, det_out, det_targets: DetTargets, lam: float):
     """Combined objective and its gradients w.r.t. the four head outputs.
 
+    ``rpn_out`` and ``det_out`` are each head's ``(logits, deltas)`` pair.
     total = rpn_cls + lam * rpn_reg + det_cls + lam * det_reg, one
     :func:`_head_loss` term per head.  An empty detection batch gives zero
     terms and zero-size gradients.
     """
-    rpn_cls, rpn_reg, d_rpn_logits, d_rpn_deltas = _head_loss(
-        rpn_logits, rpn_deltas, rpn_targets.labels, rpn_targets.target_deltas, lam
-    )
-    det_cls, det_reg, d_det_logits, d_det_deltas = _head_loss(
-        det_logits, det_deltas, det_labels, det_target_deltas, lam
-    )
+    rpn_cls, rpn_reg, d_rpn_logits, d_rpn_deltas = _head_loss(*rpn_out, rpn_targets, lam)
+    det_cls, det_reg, d_det_logits, d_det_deltas = _head_loss(*det_out, det_targets, lam)
     total = rpn_cls + lam * rpn_reg + det_cls + lam * det_reg
     comps = {
         "total": total,
@@ -127,25 +117,22 @@ def pipeline_loss(
     model: MultiScaleDetector,
     forward,
     rpn_targets: RpnTargets,
-    rois: np.ndarray,
-    det_labels: np.ndarray,
-    det_target_deltas: np.ndarray,
+    det_targets: DetTargets,
     lam: float,
     backward: bool = False,
 ):
     """Loss of one image against frozen targets; optional backward.
 
     ``forward`` is the ``(out, cache)`` pair that ``model.forward`` returned
-    for the image; the region head runs on its taps at ``rois``.  The
-    backward pass adds each tap's gradients from the per-region branch
+    for the image; the region head runs on its taps at ``det_targets.rois``.
+    The backward pass adds each tap's gradients from the per-region branch
     and the proposal branch (run in that order, which fixes the order of the
     shared shrink and norm gradients), then sweeps the backbone exactly once.
     """
     (taps, logits, deltas, _), (bb_cache, fus_cache, rpn_cache) = forward
-    (det_lg, det_dl), det_cache = model.roi_forward(taps, rois)
-    total, comps, (dlg, ddl, ddet_lg, ddet_dl) = multitask_loss(
-        logits, deltas, rpn_targets, det_lg, det_dl, det_labels, det_target_deltas, lam
-    )
+    det_out, det_cache = model.roi_forward(taps, det_targets.rois)
+    total, comps, grads = multitask_loss((logits, deltas), rpn_targets, det_out, det_targets, lam)
+    dlg, ddl, ddet_lg, ddet_dl = grads
     if backward:
         roi = model.roi_backward(ddet_lg, ddet_dl, det_cache)
         dense = model.fused_map_backward(rpn_backward(dlg, ddl, rpn_cache), fus_cache)
@@ -184,10 +171,13 @@ def train(
     are selected by ``detect_cfg`` (a :class:`DetectConfig`, default settings
     when None), as at test time.  Identical config and seed give a
     bit-identical trace and checkpoint.  Every scene image must pass
-    :func:`check_image` in its own dtype, and its width and height
-    :func:`check_extents`; the layers run in float64.
+    :func:`check_image` in its own dtype, its width and height
+    :func:`check_extents` and its ground truth :func:`check_gt_boxes`; the
+    layers run in float64.  A trace row is kept every ``trace_every``
+    iterations (an integer >= 1) and after the last.
     """
     cfg.validate()
+    require_int("trace_every", trace_every, 1)
     detect_cfg = detect_cfg or DetectConfig()
     if not scenes:
         raise ValueError("training requires a non-empty dataset")
@@ -195,6 +185,7 @@ def train(
         image = np.asarray(s.image)
         check_image(image, f"scene {s.name}: image")
         check_extents(image, s.width, s.height, f"scene {s.name}")
+        check_gt_boxes(s.gt_boxes, f"scene {s.name}")
     model = MultiScaleDetector(model_cfg or ModelConfig(), seed=cfg.seed)
     rng = np.random.default_rng([cfg.seed, 1])
     params = model.params()
@@ -216,12 +207,8 @@ def train(
             skipped += 1
             continue
         proposals = propose(logits, deltas, anchors, scene.width, scene.height, detect_cfg)
-        rois = np.array([p.box for p in proposals] + list(scene.gt_boxes)).reshape(-1, 4)
-        det_t = assign_detection_targets(rois, scene.gt_boxes, rng)
-        sampled = rois[det_t.roi_indices]
-        total, comps = pipeline_loss(
-            model, forward, rpn_t, sampled, det_t.labels, det_t.target_deltas, cfg.loss_lambda, backward=True
-        )
+        det_t = assign_detection_targets(np.array([p.box for p in proposals]), scene.gt_boxes, rng)
+        total, comps = pipeline_loss(model, forward, rpn_t, det_t, cfg.loss_lambda, backward=True)
         if not np.isfinite(total):
             raise RuntimeError(
                 f"training diverged at iteration {t + 1}: total loss {total}; trace so far:\n"

@@ -2,7 +2,8 @@
 an image smaller than one stride-16 cell, a batch of two images, proposal
 limits below one or not integers and other out-of-range detection settings,
 malformed images at every entry point, original extents outside the padded
-image, malformed training scenes and float32 training images."""
+image, malformed training scenes and ground truth, trace intervals that are
+not positive integers and float32 training images."""
 
 import math
 
@@ -226,3 +227,33 @@ def test_detect_accepts_extents_at_the_padded_edge_and_below():
     assert len(boxes) and np.all((boxes >= 0) & (boxes <= [48, 64, 48, 64]))
     boxes, _ = _boxes_and_scores(model.detect(image, 1, 1, score_thresh=0.0))
     assert np.all((boxes >= 0) & (boxes <= 1))
+
+
+@pytest.mark.parametrize("entry", ["train", "proposal_recall"])
+@pytest.mark.parametrize(
+    "gt,shape",
+    [
+        pytest.param([[8.0, 8.0, 40.0, 40.0], [10.0, 10.0, 20.0, np.nan]], r"\(2, 4\)", id="nan"),
+        pytest.param([[8.0, 8.0, np.inf, 40.0]], r"\(1, 4\)", id="inf"),
+        pytest.param([8.0, 8.0, 40.0, 40.0], r"\(4,\)", id="flat"),
+    ],
+)
+def test_scene_ground_truth_that_is_not_finite_boxes_is_rejected(entry, gt, shape):
+    # one ground-truth contract, the one evaluate_dataset applies, with its message
+    rng = np.random.default_rng(0)
+    good = _scene("good", rng.uniform(size=(1, 1, 64, 64)))
+    bad = ToyScene(name="bad", image=rng.uniform(size=(1, 1, 64, 64)), gt_boxes=np.array(gt), width=64, height=64)
+    with pytest.raises(ValueError, match=r"scene bad: ground truth must be finite \(G, 4\) boxes; got " + shape):
+        if entry == "train":  # every scene is checked before the first iteration draws one
+            train([good, bad], TrainConfig(iterations=1))
+        else:
+            proposal_recall(MultiScaleDetector(ModelConfig(), seed=0), [good, bad], DetectConfig())
+
+
+@pytest.mark.parametrize("value", [0, -3, 2.0])
+def test_train_rejects_a_trace_interval_that_is_not_a_positive_integer(value):
+    steps = []
+    scene = _scene("good", np.random.default_rng(0).uniform(size=(1, 1, 64, 64)))
+    with pytest.raises(ValueError, match=f"trace_every {value!r}: only integers of at least 1 are allowed"):
+        train([scene], TrainConfig(iterations=3), trace_every=value, progress=lambda it, comps: steps.append(it))
+    assert steps == []

@@ -72,9 +72,8 @@ class TestAssignDetectionTargets:
 
     def test_gt_proposal_is_face_with_zero_deltas(self):
         gt = self._gt()
-        rois = np.vstack([np.array([[60.0, 60.0, 90.0, 90.0]]), gt])
-        t = assign_detection_targets(rois, gt, np.random.default_rng(0))
-        gt_pos = np.flatnonzero(t.roi_indices == 1)
+        t = assign_detection_targets(np.array([[60.0, 60.0, 90.0, 90.0]]), gt, np.random.default_rng(0))
+        gt_pos = np.flatnonzero((t.rois == gt[0]).all(axis=1))
         assert t.labels[gt_pos] == 1
         assert np.allclose(t.target_deltas[gt_pos], 0.0)
 
@@ -83,30 +82,41 @@ class TestAssignDetectionTargets:
         near = np.array([12.0, 12.0, 40.0, 40.0])  # IoU ~0.87 -> face
         mid = np.array([25.0, 25.0, 55.0, 55.0])  # IoU ~0.14 -> background
         far = np.array([80.0, 80.0, 110.0, 110.0])  # IoU 0 -> discarded
-        rois = np.vstack([near, mid, far, gt[0]])
         assert iou_matrix(near, gt)[0, 0] >= 0.5
         assert 0.1 <= iou_matrix(mid, gt)[0, 0] < 0.5
-        t = assign_detection_targets(rois, gt, np.random.default_rng(1))
-        picked = dict(zip(t.roi_indices.tolist(), t.labels.tolist()))
-        assert picked[0] == 1
-        assert picked[1] == 0
-        assert 2 not in picked
-        assert picked[3] == 1
+        t = assign_detection_targets(np.vstack([near, mid, far]), gt, np.random.default_rng(1))
+        picked = dict(zip(map(tuple, t.rois.tolist()), t.labels.tolist()))
+        assert picked[tuple(near)] == 1
+        assert picked[tuple(mid)] == 0
+        assert tuple(far) not in picked
+        assert picked[tuple(gt[0])] == 1
 
     def test_background_fallback_from_discarded(self):
         gt = self._gt()
-        rois = np.vstack([np.array([[100.0, 100.0, 120.0, 120.0]]), gt])  # IoU 0 only
-        t = assign_detection_targets(rois, gt, np.random.default_rng(2))
+        proposals = np.array([[100.0, 100.0, 120.0, 120.0]])  # IoU 0 only
+        t = assign_detection_targets(proposals, gt, np.random.default_rng(2))
         assert (t.labels == 0).sum() >= 1  # filled from the discarded pool
 
     def test_caps(self):
         rng = np.random.default_rng(3)
-        gt = self._gt()
         xy = rng.uniform(0, 90, size=(400, 2))
-        rois = np.vstack([np.hstack([xy, xy + 30]), gt])
-        t = assign_detection_targets(rois, gt, rng)
-        assert t.roi_indices.size <= DET_BATCH_SIZE
+        t = assign_detection_targets(np.hstack([xy, xy + 30]), self._gt(), rng)
+        assert t.rois.shape == (t.labels.size, 4) and t.labels.size <= DET_BATCH_SIZE
         assert t.n_pos <= DET_MAX_POS
+
+    def test_every_gt_box_is_appended_as_a_face_with_zero_deltas(self):
+        # three faces and no proposal near any of them: each face is sampled
+        # only because it is appended, once, after the proposals
+        gt = np.array([[10.0, 10.0, 40.0, 40.0], [50.0, 10.0, 70.0, 30.0], [20.0, 60.0, 60.0, 100.0]])
+        proposals = np.array([[100.0, 100.0, 120.0, 120.0], [0.0, 0.0, 9.0, 9.0]])
+        t = assign_detection_targets(proposals, gt, np.random.default_rng(4))
+        assert t.n_pos == len(gt) <= DET_MAX_POS
+        for box in gt:
+            rows = np.flatnonzero((t.rois == box).all(axis=1))
+            assert rows.size == 1, box
+            assert t.labels[rows[0]] == 1
+            assert not t.target_deltas[rows[0]].any()
+        assert {tuple(r) for r in t.rois[t.labels == 0].tolist()} == {tuple(r) for r in proposals.tolist()}
 
 
 class TestPostprocess:

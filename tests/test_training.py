@@ -3,6 +3,7 @@ import pytest
 
 from msfacedet import ModelConfig, TrainConfig, generate_toy_dataset, train
 from msfacedet.checks import tiny_model_setup
+from msfacedet.detector import DetTargets
 from msfacedet.rpn import RpnTargets
 from msfacedet.tensor import Tensor
 from msfacedet.training import multitask_loss, pipeline_loss, sgd_momentum_step
@@ -43,13 +44,18 @@ def _rpn_targets(labels, rng):
     return RpnTargets(labels=labels, target_deltas=rng.standard_normal((labels.size, 4)))
 
 
+def _det_targets(labels, target_deltas):
+    labels = np.asarray(labels, dtype=np.int64)
+    return DetTargets(rois=np.zeros((labels.size, 4)), labels=labels, target_deltas=target_deltas)
+
+
 def test_multitask_loss_ignores_rows_labelled_minus_one():
     rng = np.random.default_rng(0)
     rpn_t = _rpn_targets([1, -1, 0, -1, 1], rng)
-    det_labels = np.array([1, 0, 0])
     _, comps, (dlg, ddl, ddet_lg, ddet_dl) = multitask_loss(
-        rng.standard_normal((5, 2)), rng.standard_normal((5, 4)), rpn_t,
-        rng.standard_normal((3, 2)), rng.standard_normal((3, 4)), det_labels, rng.standard_normal((3, 4)), 1.0,
+        (rng.standard_normal((5, 2)), rng.standard_normal((5, 4))), rpn_t,
+        (rng.standard_normal((3, 2)), rng.standard_normal((3, 4))), _det_targets([1, 0, 0], rng.standard_normal((3, 4))),
+        1.0,
     )
     ignored = rpn_t.labels == -1
     assert np.all(dlg[ignored] == 0.0)
@@ -62,8 +68,8 @@ def test_multitask_loss_with_empty_detection_batch():
     rng = np.random.default_rng(1)
     rpn_t = _rpn_targets([1, 0, 0], rng)
     total, comps, (_, _, ddet_lg, ddet_dl) = multitask_loss(
-        rng.standard_normal((3, 2)), rng.standard_normal((3, 4)), rpn_t,
-        np.zeros((0, 2)), np.zeros((0, 4)), np.zeros(0, dtype=np.int64), np.zeros((0, 4)), 1.0,
+        (rng.standard_normal((3, 2)), rng.standard_normal((3, 4))), rpn_t,
+        (np.zeros((0, 2)), np.zeros((0, 4))), _det_targets([], np.zeros((0, 4))), 1.0,
     )
     assert comps["det_cls"] == comps["det_reg"] == 0.0
     assert ddet_lg.shape == (0, 2) and ddet_dl.shape == (0, 4)
@@ -72,12 +78,9 @@ def test_multitask_loss_with_empty_detection_batch():
 
 @pytest.mark.parametrize("mode", ["multi", "tap5"])
 def test_pipeline_loss_without_sampled_rois_trains_only_the_proposal_branch(mode):
-    model, image, rpn_t, _, _ = tiny_model_setup(0, mode)
+    model, image, rpn_t, _ = tiny_model_setup(0, mode)
     model.zero_grads()
-    _, comps = pipeline_loss(
-        model, model.forward(image), rpn_t,
-        np.zeros((0, 4)), np.zeros(0, dtype=np.int64), np.zeros((0, 4)), 1.0, backward=True,
-    )
+    _, comps = pipeline_loss(model, model.forward(image), rpn_t, _det_targets([], np.zeros((0, 4))), 1.0, backward=True)
     grads = {name: t.grad for name, t in model.params().items()}
     assert comps["det_cls"] == comps["det_reg"] == 0.0
     assert all(np.isfinite(g).all() for g in grads.values())
@@ -89,9 +92,9 @@ def test_multitask_loss_head_without_positives_has_no_regression():
     rng = np.random.default_rng(2)
     rpn_t = _rpn_targets([0, -1, 0, 0], rng)
     _, comps, (_, ddl, _, ddet_dl) = multitask_loss(
-        rng.standard_normal((4, 2)), rng.standard_normal((4, 4)), rpn_t,
-        rng.standard_normal((2, 2)), rng.standard_normal((2, 4)), np.zeros(2, dtype=np.int64),
-        rng.standard_normal((2, 4)), 1.0,
+        (rng.standard_normal((4, 2)), rng.standard_normal((4, 4))), rpn_t,
+        (rng.standard_normal((2, 2)), rng.standard_normal((2, 4))), _det_targets([0, 0], rng.standard_normal((2, 4))),
+        1.0,
     )
     assert comps["rpn_reg"] == 0.0 and comps["det_reg"] == 0.0
     assert not ddl.any() and not ddet_dl.any()
