@@ -56,20 +56,33 @@ class _OutputTracker:
                 pass
 
 
+def _image_ids(paths, source) -> list:
+    """The image id (file stem) of each path, in order; raise ``ValueError``
+    naming both paths when two share an id."""
+    seen = {}
+    for path in paths:
+        stem = Path(path).stem
+        if stem in seen:
+            raise ValueError(f"{source}: images {seen[stem]} and {path} share the image id {stem!r}")
+        seen[stem] = path
+    return list(seen)
+
+
 def _load_scenes(data_dir: Path):
     """Scenes from a directory holding images plus annotations.txt."""
     ann_path = data_dir / "annotations.txt"
     if not ann_path.is_file():
         raise FileNotFoundError(f"{ann_path} not found")
+    records = load_annotations(ann_path)
     scenes = []
-    for rec in load_annotations(ann_path):
+    for image_id, rec in zip(_image_ids([rec.image_path for rec in records], ann_path), records):
         img_path = data_dir / rec.image_path
         if not img_path.is_file():
             raise FileNotFoundError(f"annotated image {img_path} not found")
         tensor, orig_w, orig_h = load_image(img_path)
         scenes.append(
             ToyScene(
-                name=Path(rec.image_path).stem,
+                name=image_id,
                 image=tensor,
                 gt_boxes=rec.boxes,
                 width=orig_w,
@@ -156,17 +169,18 @@ def cmd_detect(args, tracker) -> int:
     images = sorted(p for p in data_dir.iterdir() if p.suffix in (".pgm", ".ppm"))
     if not images:
         raise FileNotFoundError(f"no .pgm/.ppm images in {data_dir}")
+    image_ids = _image_ids(images, data_dir)
     model = MultiScaleDetector(cfg.component(ModelConfig), seed=0)
     model.load(ckpt)
     detect_cfg = cfg.component(DetectConfig)
     tracker.mkdir(out_dir)
-    for img_path in images:
+    for image_id, img_path in zip(image_ids, images):
         tensor, orig_w, orig_h = load_image(img_path)
         dets = model.detect(tensor, orig_w, orig_h, detect_cfg)
-        tracker.write_text(out_dir / f"{img_path.stem}.txt", _detections_to_text(dets))
+        tracker.write_text(out_dir / f"{image_id}.txt", _detections_to_text(dets))
         if args.overlay:
             rgb = overlay_boxes(tensor[0, 0, :orig_h, :orig_w], [d.box for d in dets])
-            write_ppm(tracker.note(out_dir / f"{img_path.stem}_overlay.ppm"), rgb)
+            write_ppm(tracker.note(out_dir / f"{image_id}_overlay.ppm"), rgb)
     print(f"detections for {len(images)} images written to {out_dir}")
     return 0
 
@@ -196,7 +210,8 @@ def cmd_eval(args, tracker) -> int:
         raise FileNotFoundError(f"annotation file {ann_path} not found")
     if not det_dir.is_dir():
         raise FileNotFoundError(f"detection directory {det_dir} not found")
-    gts = {Path(rec.image_path).stem: rec.boxes for rec in load_annotations(ann_path)}
+    records = load_annotations(ann_path)
+    gts = dict(zip(_image_ids([rec.image_path for rec in records], ann_path), [rec.boxes for rec in records]))
     dets = {p.stem: _parse_detection_file(p) for p in sorted(det_dir.glob("*.txt"))}
     report = evaluate_dataset(dets, gts, cfg.component(EvalConfig))
     text = format_report(report)

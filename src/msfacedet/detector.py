@@ -27,6 +27,25 @@ class Detection:
 
 
 @dataclass
+class Targets:
+    """One head's training targets, one row per reference box (the anchors or
+    the sampled ROIs): a label (1 face, 0 background, -1 ignored) and the
+    deltas to its ground truth, meaningful where the label is 1."""
+
+    rois: np.ndarray  # (R, 4)
+    labels: np.ndarray  # (R,)
+    target_deltas: np.ndarray  # (R, 4)
+
+    @property
+    def n_pos(self) -> int:
+        return int((self.labels == 1).sum())
+
+    @property
+    def n_neg(self) -> int:
+        return int((self.labels == 0).sum())
+
+
+@dataclass
 class DetHead:
     fc1: Params
     fc2: Params
@@ -66,14 +85,6 @@ def detection_backward(dlogits: np.ndarray, ddeltas: np.ndarray, cache) -> dict:
     return ms_roi_pool_batch_backward(dflat.reshape(fused_shape), pool_cache)
 
 
-@dataclass
-class DetTargets:
-    rois: np.ndarray  # (S, 4) sampled boxes, proposals and ground truth
-    labels: np.ndarray  # 1 face / 0 background per sampled ROI
-    target_deltas: np.ndarray  # (S, 4), rows meaningful where labels == 1
-    n_pos: int = 0
-
-
 DET_FG_IOU = 0.5
 DET_BG_IOU_LO = 0.1
 DET_BATCH_SIZE = 128
@@ -84,7 +95,7 @@ def assign_detection_targets(
     proposals: np.ndarray,
     gt_boxes: np.ndarray,
     rng: np.random.Generator,
-) -> DetTargets:
+) -> Targets:
     """Sample training ROIs from the proposals with the ground-truth boxes
     appended after them, as in Fast R-CNN.
 
@@ -118,7 +129,7 @@ def assign_detection_targets(
     labels = np.concatenate([np.ones(pos.size, dtype=np.int64), np.zeros(neg.size, dtype=np.int64)])
     deltas = np.zeros((idx.size, 4))
     deltas[: pos.size] = encode_deltas(gt_boxes[best_gt[pos]], rois[pos])
-    return DetTargets(rois=rois[idx], labels=labels, target_deltas=deltas, n_pos=int(pos.size))
+    return Targets(rois[idx], labels, deltas)
 
 
 def postprocess_detections(

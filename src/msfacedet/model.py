@@ -82,10 +82,14 @@ def check_extents(image: np.ndarray, width, height, what: str):
 
 
 def check_gt_boxes(gt_boxes, what: str) -> np.ndarray:
-    """``gt_boxes`` as a float64 array; raise ``ValueError`` unless it is finite (G, 4) boxes."""
+    """``gt_boxes`` as a float64 array; raise ``ValueError`` unless it is finite
+    (G, 4) boxes with x2 > x1 and y2 > y1."""
     gts = np.asarray(gt_boxes, dtype=np.float64)
     if gts.ndim != 2 or gts.shape[1] != 4 or not np.isfinite(gts).all():
         raise ValueError(f"{what}: ground truth must be finite (G, 4) boxes; got {gts.shape}")
+    bad = (gts[:, 2] <= gts[:, 0]) | (gts[:, 3] <= gts[:, 1])
+    if bad.any():
+        raise ValueError(f"{what}: ground-truth box {gts[bad.argmax()].tolist()} must have x2 > x1 and y2 > y1")
     return gts
 
 
@@ -169,6 +173,8 @@ class MultiScaleDetector:
         ckpt.save_checkpoint(path, OrderedDict((k, v.data) for k, v in self.params().items()))
 
     def load(self, path):
+        """Overwrite every parameter from the checkpoint at ``path``; every
+        stored name and shape is checked before any parameter is written."""
         stored = ckpt.load_checkpoint(path)
         reg = self.params()
         if set(stored) != set(reg):
@@ -180,6 +186,7 @@ class MultiScaleDetector:
                 raise ckpt.CheckpointError(
                     f"{name}: stored shape {stored[name].shape} != model shape {tensor.data.shape}"
                 )
+        for name, tensor in reg.items():
             tensor.data[...] = stored[name]
 
     # ------------------------------------------------------------------

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boxes import clip_boxes, decode_deltas, encode_deltas, iou_matrix, nms
-from .detector import Detection
+from .detector import Detection, Targets
 from .tensor import Params, conv2d, conv2d_backward, relu, relu_backward, softmax
 
 
@@ -142,16 +142,6 @@ def propose(
     return [Detection(box=boxes[order[i]].copy(), score=float(scores[order[i]])) for i in kept]
 
 
-@dataclass
-class RpnTargets:
-    """Per-anchor labels (1 positive / 0 negative / -1 ignore) and positive deltas."""
-
-    labels: np.ndarray  # (A,)
-    target_deltas: np.ndarray  # (A, 4), rows meaningful where labels == 1
-    n_pos: int = 0
-    n_neg: int = 0
-
-
 class TargetAssignmentError(RuntimeError):
     pass
 
@@ -168,8 +158,8 @@ def assign_rpn_targets(
     rng: np.random.Generator,
     img_w: float,
     img_h: float,
-) -> RpnTargets:
-    """Label anchors for training.
+) -> Targets:
+    """Label anchors for training, as ``Targets(anchors, labels, target_deltas)``.
 
     Anchors crossing the image boundary are ignored.  An inside anchor is
     positive when its best IoU reaches ``RPN_POS_IOU`` or when it is the
@@ -206,16 +196,12 @@ def assign_rpn_targets(
         target_deltas[pos] = encode_deltas(gt_boxes[match], anchors[pos])
 
     pos = np.flatnonzero(labels == 1)
-    if pos.size > RPN_MAX_POS:
-        drop = rng.choice(pos, size=pos.size - RPN_MAX_POS, replace=False)
-        labels[drop] = -1
-        pos = np.flatnonzero(labels == 1)
     neg = np.flatnonzero(labels == 0)
-    room = RPN_BATCH_SIZE - pos.size
-    if neg.size > room:
-        drop = rng.choice(neg, size=neg.size - room, replace=False)
-        labels[drop] = -1
-        neg = np.flatnonzero(labels == 0)
     if pos.size == 0 and neg.size == 0:
         raise TargetAssignmentError("no positive or negative anchors could be sampled")
-    return RpnTargets(labels=labels, target_deltas=target_deltas, n_pos=int(pos.size), n_neg=int(neg.size))
+    if pos.size > RPN_MAX_POS:
+        labels[rng.choice(pos, size=pos.size - RPN_MAX_POS, replace=False)] = -1
+    room = RPN_BATCH_SIZE - min(pos.size, RPN_MAX_POS)
+    if neg.size > room:
+        labels[rng.choice(neg, size=neg.size - room, replace=False)] = -1
+    return Targets(anchors, labels, target_deltas)

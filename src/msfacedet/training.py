@@ -8,11 +8,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detector import DetTargets, assign_detection_targets
+from .detector import Targets, assign_detection_targets
 from .model import MultiScaleDetector, ModelConfig, check_extents, check_gt_boxes, check_image
 from .rpn import (
     DetectConfig,
-    RpnTargets,
     TargetAssignmentError,
     assign_rpn_targets,
     propose,
@@ -54,11 +53,11 @@ class TrainConfig:
             raise ValueError("loss_lambda must be non-negative and finite")
 
 
-def _head_loss(logits, deltas, targets, lam):
-    """One head's term against its ``targets`` (``labels``, ``target_deltas``):
-    mean cross-entropy over the rows labelled >= 0 (rows labelled -1 get zero
+def _head_loss(logits, deltas, targets: Targets, lam):
+    """One head's term against its :class:`Targets`, row for row: mean
+    cross-entropy over the rows labelled >= 0 (rows labelled -1 get zero
     gradient) and the masked quadratic-linear penalty summed over the
-    positives and divided by their count (at least 1).
+    positives and divided by ``targets.n_pos`` (at least 1).
 
     Returns (cls, reg, dlogits, ddeltas), with ddeltas already scaled by lam.
     """
@@ -67,17 +66,17 @@ def _head_loss(logits, deltas, targets, lam):
     cls, cache = softmax_cross_entropy(logits[sel], labels[sel])
     dlogits = np.zeros_like(logits)
     dlogits[sel] = softmax_cross_entropy_backward(cache)
-    pos = labels == 1
-    n_pos = max(int(pos.sum()), 1)
-    mask = np.repeat(pos[:, None], 4, axis=1).astype(np.float64)
+    n_pos = max(targets.n_pos, 1)
+    mask = np.repeat((labels == 1)[:, None], 4, axis=1).astype(np.float64)
     reg_sum, reg_grad = smooth_l1(deltas, targets.target_deltas, mask)
     return cls, reg_sum / n_pos, dlogits, (lam / n_pos) * reg_grad
 
 
-def multitask_loss(rpn_out, rpn_targets: RpnTargets, det_out, det_targets: DetTargets, lam: float):
+def multitask_loss(rpn_out, rpn_targets: Targets, det_out, det_targets: Targets, lam: float):
     """Combined objective and its gradients w.r.t. the four head outputs.
 
-    ``rpn_out`` and ``det_out`` are each head's ``(logits, deltas)`` pair.
+    ``rpn_out`` and ``det_out`` are each head's ``(logits, deltas)`` pair, row
+    for row with the rows of its :class:`Targets` (anchors, then sampled ROIs).
     total = rpn_cls + lam * rpn_reg + det_cls + lam * det_reg, one
     :func:`_head_loss` term per head.  An empty detection batch gives zero
     terms and zero-size gradients.
@@ -116,15 +115,16 @@ def sgd_momentum_step(params, velocity: dict, lr: float, momentum: float, weight
 def pipeline_loss(
     model: MultiScaleDetector,
     forward,
-    rpn_targets: RpnTargets,
-    det_targets: DetTargets,
+    rpn_targets: Targets,
+    det_targets: Targets,
     lam: float,
     backward: bool = False,
 ):
     """Loss of one image against frozen targets; optional backward.
 
     ``forward`` is the ``(out, cache)`` pair that ``model.forward`` returned
-    for the image; the region head runs on its taps at ``det_targets.rois``.
+    for the image, whose anchors are ``rpn_targets.rois``; the region head
+    runs on its taps at ``det_targets.rois``.
     The backward pass adds each tap's gradients from the per-region branch
     and the proposal branch (run in that order, which fixes the order of the
     shared shrink and norm gradients), then sweeps the backbone exactly once.

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import msfacedet
 import msfacedet.checks
 from msfacedet import DetectConfig, ModelConfig, MultiScaleDetector, TrainConfig, train
 from msfacedet.annotations import AnnotationRecord, format_annotations
-from msfacedet.checkpoint import CheckpointError
+from msfacedet.checkpoint import CheckpointError, save_checkpoint
 from msfacedet.checks import LAYER_CHECKS
 from msfacedet.cli import run_cli
 from msfacedet.evaluation import evaluate_detector, proposal_recall
@@ -119,6 +120,19 @@ def test_load_rejects_non_finite_checkpoint(tmp_path):
         MultiScaleDetector(ModelConfig(), seed=0).load(path)
 
 
+def test_load_checks_every_shape_before_it_writes_any_parameter(tmp_path):
+    stored = OrderedDict((name, t.data) for name, t in MultiScaleDetector(ModelConfig(), seed=1).params().items())
+    assert list(stored)[-1] == "det.bbox.bias"
+    stored["det.bbox.bias"] = np.zeros(3)
+    path = tmp_path / "short.msfr"
+    save_checkpoint(path, stored)
+    model = MultiScaleDetector(ModelConfig(), seed=0)
+    before = {name: t.data.tobytes() for name, t in model.params().items()}
+    with pytest.raises(CheckpointError, match=r"det.bbox.bias: stored shape \(3,\) != model shape \(4,\)"):
+        model.load(path)
+    assert {name: t.data.tobytes() for name, t in model.params().items()} == before
+
+
 def test_detect_with_non_finite_checkpoint_leaves_no_output(tmp_path):
     ckpt = _nan_checkpoint(tmp_path)
     data = tmp_path / "data"
@@ -171,6 +185,54 @@ def test_round_trip_gen_data_train_detect_eval(tmp_path, capsys):
     key, value = capsys.readouterr().out.splitlines()[0].split()
     assert key == "ap_overall"
     assert 0.0 <= float(value) <= 1.0
+
+
+SHARED_STEMS = [pytest.param(("x.pgm", "x.pgm"), id="same-path"), pytest.param(("a/x.pgm", "b/x.pgm"), id="two-dirs")]
+
+
+def _annotate(data, paths):
+    """annotations.txt under ``data`` listing ``paths`` in order, one face each
+    (``0 0 10 10``, then ``20 20 10 10``), and each image written once."""
+    data.mkdir()
+    faces = [[0.0, 0.0, 10.0, 10.0], [20.0, 20.0, 30.0, 30.0]]
+    records = [AnnotationRecord(image_path=p, boxes=np.array([f])) for p, f in zip(paths, faces)]
+    (data / "annotations.txt").write_text(format_annotations(records))
+    for p in set(paths):
+        (data / p).parent.mkdir(parents=True, exist_ok=True)
+        write_pgm(data / p, _gray(6))
+
+
+@pytest.mark.parametrize("paths", SHARED_STEMS)
+def test_eval_rejects_two_annotated_images_with_one_id(paths, tmp_path, capsys):
+    # before, the last of the two won: n_gt 1 and ap_overall 0 for a detection of the first face
+    data, dets, report = tmp_path / "data", tmp_path / "dets", tmp_path / "report.txt"
+    _annotate(data, paths)
+    dets.mkdir()
+    (dets / "x.txt").write_text("0 0 10 10 0.9\n")
+    args = ["eval", "--detections", str(dets), "--annotations", str(data / "annotations.txt")]
+    assert run_cli(args + ["--out", str(report)]) == 1
+    out = capsys.readouterr()
+    assert f"images {paths[0]} and {paths[1]} share the image id 'x'" in out.err
+    assert out.out == "" and not report.exists()
+
+
+@pytest.mark.parametrize("paths", SHARED_STEMS)
+def test_train_data_with_two_images_of_one_id_leaves_no_output(paths, tmp_path, capsys):
+    data, out = tmp_path / "data", tmp_path / "out" / "run"
+    _annotate(data, paths)
+    assert run_cli(["train", "--data", str(data), "--out", str(out), "--iterations", "1"]) == 1
+    assert f"images {paths[0]} and {paths[1]} share the image id 'x'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_detect_rejects_two_images_with_one_id(tmp_path, capsys):
+    data, out = tmp_path / "data", tmp_path / "out" / "dets"
+    data.mkdir()
+    write_pgm(data / "face.pgm", _gray(7))
+    write_ppm(data / "face.ppm", np.zeros((64, 64, 3), dtype=np.uint8))
+    assert _detect(_checkpoint(tmp_path), data, out) == 1
+    assert f"images {data / 'face.pgm'} and {data / 'face.ppm'} share the image id 'face'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_train_on_missing_image_leaves_no_output(tmp_path):

@@ -2,8 +2,9 @@
 an image smaller than one stride-16 cell, a batch of two images, proposal
 limits below one or not integers and other out-of-range detection settings,
 malformed images at every entry point, original extents outside the padded
-image, malformed training scenes and ground truth, trace intervals that are
-not positive integers and float32 training images."""
+image, malformed training scenes and ground truth (boxes that are not finite
+or lack x2 > x1 and y2 > y1), trace intervals that are not positive integers
+and float32 training images."""
 
 import math
 
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from msfacedet import DetectConfig, ModelConfig, MultiScaleDetector, ToyScene, TrainConfig, train
-from msfacedet.evaluation import proposal_recall
+from msfacedet.evaluation import evaluate_dataset, proposal_recall
 from msfacedet.imageio import load_image, write_pgm
 from msfacedet.tensor import ShapeError
 
@@ -248,6 +249,33 @@ def test_scene_ground_truth_that_is_not_finite_boxes_is_rejected(entry, gt, shap
             train([good, bad], TrainConfig(iterations=1))
         else:
             proposal_recall(MultiScaleDetector(ModelConfig(), seed=0), [good, bad], DetectConfig())
+
+
+@pytest.mark.parametrize("entry", ["train", "proposal_recall", "evaluate_dataset"])
+@pytest.mark.parametrize(
+    "box",
+    [
+        pytest.param([40.0, 8.0, 8.0, 40.0], id="x-swapped"),
+        pytest.param([8.0, 40.0, 40.0, 8.0], id="y-swapped"),
+        pytest.param([40.0, 40.0, 8.0, 8.0], id="both-swapped"),
+        pytest.param([8.0, 8.0, 8.0, 40.0], id="zero-width"),
+        pytest.param([8.0, 8.0, 40.0, 8.0], id="zero-height"),
+    ],
+)
+def test_scene_ground_truth_boxes_without_positive_extent_are_rejected(entry, box):
+    # an inverted box has a NaN or negative IoU, which would otherwise win matching
+    rng = np.random.default_rng(0)
+    good = _scene("good", rng.uniform(size=(1, 1, 64, 64)))
+    gt = np.array([[8.0, 8.0, 40.0, 40.0], box])
+    bad = ToyScene(name="bad", image=rng.uniform(size=(1, 1, 64, 64)), gt_boxes=gt, width=64, height=64)
+    stem = r"(scene bad|image 'bad'): ground-truth box \[.*\] must have x2 > x1 and y2 > y1"
+    with pytest.raises(ValueError, match=stem):
+        if entry == "train":  # every scene is checked before the first iteration draws one
+            train([good, bad], TrainConfig(iterations=1))
+        elif entry == "proposal_recall":
+            proposal_recall(MultiScaleDetector(ModelConfig(), seed=0), [good, bad], DetectConfig())
+        else:
+            evaluate_dataset({"bad": (gt[:1], np.array([0.9]))}, {s.name: s.gt_boxes for s in (good, bad)})
 
 
 @pytest.mark.parametrize("value", [0, -3, 2.0])

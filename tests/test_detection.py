@@ -5,6 +5,7 @@ from msfacedet.boxes import clip_boxes, decode_deltas, iou_matrix, nms
 from msfacedet.detector import (
     DET_BATCH_SIZE,
     DET_MAX_POS,
+    Targets,
     assign_detection_targets,
     postprocess_detections,
 )
@@ -117,6 +118,27 @@ class TestAssignDetectionTargets:
             assert t.labels[rows[0]] == 1
             assert not t.target_deltas[rows[0]].any()
         assert {tuple(r) for r in t.rois[t.labels == 0].tolist()} == {tuple(r) for r in proposals.tolist()}
+
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_counts_are_read_from_the_labels(self, seed):
+        rng = np.random.default_rng(seed)
+        gt = np.array([[10.0, 10.0, 40.0, 40.0], [50.0, 50.0, 90.0, 96.0]])
+        xy = rng.uniform(0, 90, size=(50 + 100 * seed, 2))
+        t = assign_detection_targets(np.hstack([xy, xy + rng.uniform(10, 50, size=xy.shape)]), gt, rng)
+        assert t.rois.shape == t.target_deltas.shape == (t.labels.size, 4)
+        assert t.n_pos == (t.labels == 1).sum() > 0
+        assert t.n_neg == (t.labels == 0).sum() > 0
+        assert t.n_pos + t.n_neg == t.labels.size <= DET_BATCH_SIZE
+
+
+def test_targets_store_no_count():
+    t = Targets(np.zeros((4, 4)), np.array([1, -1, 0, 0]), np.zeros((4, 4)))
+    assert (t.n_pos, t.n_neg) == (1, 2)
+    t.labels[1] = 1
+    assert (t.n_pos, t.n_neg) == (2, 2)
+    with pytest.raises(AttributeError):
+        t.n_pos = 5
 
 
 class TestPostprocess:

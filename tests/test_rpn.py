@@ -260,6 +260,19 @@ class TestAssignRpnTargets:
         assert not np.array_equal(t.labels == 1, other.labels == 1)
         assert not np.array_equal(t.labels == 0, other.labels == 0)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_counts_are_read_from_the_labels_and_rois_are_the_anchors(self, seed):
+        anchors = generate_anchors(16, 16, (1.0, 2.0, 4.0), (1.0, 1.3), 16)
+        rng = np.random.default_rng(seed)
+        xy = rng.uniform(0.0, 190.0, size=(1 + seed, 2))
+        gt = np.hstack([xy, xy + rng.uniform(16.0, 64.0, size=(1 + seed, 2))])
+        t = assign_rpn_targets(anchors, gt, rng, 256, 256)
+        assert t.rois is anchors
+        assert t.labels.shape == (len(anchors),) and t.target_deltas.shape == (len(anchors), 4)
+        assert t.n_pos == (t.labels == 1).sum() > 0
+        assert t.n_neg == (t.labels == 0).sum() > 0
+        assert t.n_pos + t.n_neg <= RPN_BATCH_SIZE
+
     def test_no_anchors_inside_rejected(self):
         anchors = generate_anchors(2, 2, (16.0,), (1.0,), 16)
         with pytest.raises(TargetAssignmentError):

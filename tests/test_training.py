@@ -3,8 +3,7 @@ import pytest
 
 from msfacedet import ModelConfig, TrainConfig, generate_toy_dataset, train
 from msfacedet.checks import tiny_model_setup
-from msfacedet.detector import DetTargets
-from msfacedet.rpn import RpnTargets
+from msfacedet.detector import Targets
 from msfacedet.tensor import Tensor
 from msfacedet.training import multitask_loss, pipeline_loss, sgd_momentum_step
 
@@ -41,12 +40,12 @@ def test_lr_drop_slows_only_the_last_quarter_of_steps():
 
 def _rpn_targets(labels, rng):
     labels = np.asarray(labels)
-    return RpnTargets(labels=labels, target_deltas=rng.standard_normal((labels.size, 4)))
+    return Targets(np.zeros((labels.size, 4)), labels, rng.standard_normal((labels.size, 4)))
 
 
 def _det_targets(labels, target_deltas):
     labels = np.asarray(labels, dtype=np.int64)
-    return DetTargets(rois=np.zeros((labels.size, 4)), labels=labels, target_deltas=target_deltas)
+    return Targets(np.zeros((labels.size, 4)), labels, target_deltas)
 
 
 def test_multitask_loss_ignores_rows_labelled_minus_one():
