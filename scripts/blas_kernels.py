@@ -2,10 +2,13 @@
 
     python scripts/blas_kernels.py
 
-Runs ``python -m pytest -q tests`` from the repository root once per kernel,
-forced with ``OPENBLAS_CORETYPE`` (SkylakeX, Haswell, Sandybridge), with one
-BLAS thread, and prints each kernel's pass and fail counts and failed test
-ids.  Exits 1 when any kernel has a failure or error.
+Runs the tier-1 command of ROADMAP.md,
+``PYTHONPATH=src python -m pytest -q --continue-on-collection-errors``
+(``tests`` and ``benchmark``, the ``testpaths`` of pyproject.toml), from the
+repository root once per kernel, forced with ``OPENBLAS_CORETYPE`` (SkylakeX,
+Haswell, Sandybridge), with one BLAS thread, and prints each kernel's pass
+and fail counts and failed test ids.  Exits 1 when any kernel has a failure
+or error.
 """
 
 import os
@@ -21,9 +24,10 @@ KERNELS = ("SkylakeX", "Haswell", "Sandybridge")
 def main():
     bad = False
     for kernel in KERNELS:
-        env = dict(os.environ, OPENBLAS_CORETYPE=kernel, OPENBLAS_NUM_THREADS="1")
+        pythonpath = os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, OPENBLAS_CORETYPE=kernel, OPENBLAS_NUM_THREADS="1", PYTHONPATH=pythonpath)
         proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "tests"],
+            [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
             cwd=ROOT, env=env, capture_output=True, text=True,
         )
         lines = proc.stdout.splitlines()

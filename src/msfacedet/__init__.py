@@ -9,7 +9,7 @@ runs the same layers in single precision.
 """
 
 from .boxes import decode_deltas, encode_deltas, iou_matrix, nms, project_roi
-from .evaluation import EvalConfig, evaluate_dataset, match_detections, pr_curve_ap, roc_curve
+from .evaluation import EvalConfig, evaluate_dataset
 from .model import ModelConfig, MultiScaleDetector
 from .rpn import DetectConfig, generate_anchors, propose
 from .tensor import Tensor
@@ -30,11 +30,8 @@ __all__ = [
     "generate_anchors",
     "generate_toy_dataset",
     "iou_matrix",
-    "match_detections",
     "nms",
-    "pr_curve_ap",
     "project_roi",
     "propose",
-    "roc_curve",
     "train",
 ]

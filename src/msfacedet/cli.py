@@ -170,6 +170,12 @@ def cmd_detect(args, tracker) -> int:
     if not images:
         raise FileNotFoundError(f"no .pgm/.ppm images in {data_dir}")
     image_ids = _image_ids(images, data_dir)
+    if args.overlay:
+        inputs = {p.resolve(): p for p in images}
+        for image_id, img_path in zip(image_ids, images):
+            overlay = (out_dir / f"{image_id}_overlay.ppm").resolve()
+            if overlay in inputs:
+                raise ValueError(f"the overlay of {img_path} would overwrite the input image {inputs[overlay]}")
     model = MultiScaleDetector(cfg.component(ModelConfig), seed=0)
     model.load(ckpt)
     detect_cfg = cfg.component(DetectConfig)
@@ -186,7 +192,9 @@ def cmd_detect(args, tracker) -> int:
 
 
 def _parse_detection_file(path: Path):
-    """Boxes (N, 4) and scores (N,) from lines of five finite numbers."""
+    """Boxes (N, 4) and scores (N,) from lines ``x1 y1 x2 y2 score`` of five
+    finite numbers; :func:`evaluate_dataset` rejects a box without x2 > x1
+    and y2 > y1."""
     rows = []
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         if not line.strip():
@@ -296,7 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_detect)
 
     p = sub.add_parser("eval", help="score detection files against annotations")
-    p.add_argument("--detections", help="directory of per-image detection files")
+    p.add_argument(
+        "--detections", help="directory of <image id>.txt files of 'x1 y1 x2 y2 score' lines, x2 > x1 and y2 > y1"
+    )
     p.add_argument("--annotations", help="annotation file")
     p.add_argument("--out", help="report file (also printed)")
     p.add_argument("--config")

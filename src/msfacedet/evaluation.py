@@ -1,7 +1,13 @@
-"""Benchmark-protocol scoring: greedy IoU matching with a strict overlap
-criterion, precision-recall curves with all-points-interpolated AP, and
-cumulative-false-positive ROC curves, with difficulty splits by box height;
-plus held-out AP and proposal recall of a model over toy scenes."""
+"""Benchmark-protocol scoring, with difficulty splits by box height, plus
+held-out AP and proposal recall of a model over toy scenes.
+
+:func:`evaluate_dataset` scores detections in two steps.  ``_match`` greedily
+matches each image's score-sorted detections to its ground truth under a
+strict IoU criterion.  ``_report`` sweeps the globally score-sorted hits once
+and reads both curves from the same cumulative TP/FP counts: precision-recall
+points with all-points-interpolated AP, and cumulative-false-positive ROC
+points.  Detections, like ground truth, are finite boxes ``[x1, y1, x2, y2]``
+with x2 > x1 and y2 > y1, each with a finite score."""
 
 from __future__ import annotations
 
@@ -10,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boxes import iou_matrix
-from .model import check_extents, check_gt_boxes
+from .model import check_box_extent, check_extents, check_gt_boxes
 from .rpn import DetectConfig, propose
 
 
@@ -36,70 +42,6 @@ class EvalReport:
     n_det: int
 
 
-def match_detections(det_boxes: np.ndarray, gt_boxes: np.ndarray, iou_threshold: float):
-    """Greedily match score-sorted detections to ground truth.
-
-    Each detection claims the unmatched ground-truth box of highest IoU,
-    provided the overlap strictly exceeds the threshold (IoU exactly at the
-    threshold is a false positive); each box is claimed at most once.
-    Returns (tp_flags, matched_gt_index) with -1 for unmatched detections.
-    """
-    det_boxes = np.asarray(det_boxes, dtype=np.float64).reshape(-1, 4)
-    gt_boxes = np.asarray(gt_boxes, dtype=np.float64).reshape(-1, 4)
-    n, g = det_boxes.shape[0], gt_boxes.shape[0]
-    flags = np.zeros(n, dtype=bool)
-    matched = np.full(n, -1, dtype=np.int64)
-    if g == 0 or n == 0:
-        return flags, matched
-    ious = iou_matrix(det_boxes, gt_boxes)
-    taken = np.zeros(g, dtype=bool)
-    for i in range(n):
-        row = np.where(taken, -1.0, ious[i])
-        j = int(row.argmax())
-        if row[j] > iou_threshold:
-            flags[i] = True
-            matched[i] = j
-            taken[j] = True
-    return flags, matched
-
-
-def pr_curve_ap(flags: np.ndarray, n_gt: int):
-    """Prefix precision/recall points and all-points-interpolated AP.
-
-    AP replaces the precision at each recall level by the maximum precision
-    at any recall >= it, then sums over recall increments.  Undefined (None)
-    when there is no ground truth; 0 when there are no detections.
-    """
-    flags = np.asarray(flags, dtype=bool)
-    if n_gt == 0:
-        return [], None
-    tp = np.cumsum(flags)
-    fp = np.cumsum(~flags)
-    recall = tp / n_gt
-    precision = tp / (tp + fp)
-    points = list(zip(recall.tolist(), precision.tolist()))
-    mrec = np.concatenate([[0.0], recall])
-    mpre = np.maximum.accumulate(np.concatenate([[1.0], precision])[::-1])[::-1]
-    steps = np.flatnonzero(mrec[1:] != mrec[:-1]) + 1
-    ap = float(np.sum((mrec[steps] - mrec[steps - 1]) * mpre[steps]))
-    return points, ap
-
-
-def roc_curve(flags: np.ndarray, n_gt: int):
-    """Cumulative (false-positive count, true-positive rate) per detection."""
-    flags = np.asarray(flags, dtype=bool)
-    if n_gt == 0:
-        return []
-    tp = np.cumsum(flags)
-    fp = np.cumsum(~flags)
-    return [(int(f), t / n_gt) for f, t in zip(fp.tolist(), tp.tolist())]
-
-
-def _report(flags: np.ndarray, n_gt: int) -> EvalReport:
-    pr, ap = pr_curve_ap(flags, n_gt)
-    return EvalReport(pr_points=pr, ap=ap, roc_points=roc_curve(flags, n_gt), n_gt=n_gt, n_det=flags.size)
-
-
 @dataclass
 class DatasetReport:
     overall: EvalReport
@@ -113,8 +55,9 @@ def evaluate_dataset(dets_by_image: dict, gts_by_image: dict, cfg: EvalConfig = 
     """Score a detection set against annotations.
 
     ``dets_by_image`` maps image id -> finite (boxes (N, 4), scores (N,));
-    ``gts_by_image`` maps image id -> finite boxes (G, 4).  Detections are matched
-    per image, then swept globally in descending score order; equal scores
+    ``gts_by_image`` maps image id -> finite boxes (G, 4); every box has
+    x2 > x1 and y2 > y1.  Detections are matched per image by ``_match``,
+    then swept globally in descending score order by ``_report``; equal scores
     fall to the image that sorts first by id, then to the detection that
     comes first in its image's input.  Per-split reports reuse the overall
     matching: a detection matched to an out-of-split box is ignored there,
@@ -142,8 +85,9 @@ def evaluate_dataset(dets_by_image: dict, gts_by_image: dict, cfg: EvalConfig = 
                 f"image {image_id!r}: detections must be (N, 4) boxes and (N,) scores, all finite; "
                 f"got {boxes.shape} and {image_scores.shape}"
             )
+        check_box_extent(boxes, f"image {image_id!r}", "detection")
         order = np.argsort(-image_scores, kind="stable")
-        _, matched = match_detections(boxes[order], gts, cfg.iou_threshold)
+        matched = _match(boxes[order], gts, cfg.iou_threshold)
         scores.append(image_scores[order])
         det_split.append(np.append(gt_split, -1)[matched])  # matched box's split; unmatched (-1) picks the -1
 
@@ -154,6 +98,50 @@ def evaluate_dataset(dets_by_image: dict, gts_by_image: dict, cfg: EvalConfig = 
         for k, name in enumerate(SPLIT_NAMES)
     }
     return DatasetReport(overall=overall, splits=splits)
+
+
+def _match(det_boxes: np.ndarray, gt_boxes: np.ndarray, iou_threshold: float) -> np.ndarray:
+    """Each score-sorted detection's matched ground-truth index, -1 for none.
+
+    Each detection claims the unclaimed box of highest IoU, provided the
+    overlap strictly exceeds the threshold (IoU exactly at the threshold is a
+    false positive); each box is claimed at most once.
+    """
+    matched = np.full(det_boxes.shape[0], -1, dtype=np.int64)
+    taken = np.zeros(gt_boxes.shape[0], dtype=bool)
+    if not taken.size:
+        return matched
+    for i, row in enumerate(iou_matrix(det_boxes, gt_boxes)):
+        row = np.where(taken, -1.0, row)
+        j = int(row.argmax())
+        if row[j] > iou_threshold:
+            matched[i], taken[j] = j, True
+    return matched
+
+
+def _report(hits: np.ndarray, n_gt: int) -> EvalReport:
+    """PR points, AP and ROC points of a score-sorted hit sequence, all read
+    from one pair of cumulative TP/FP counts.
+
+    AP replaces the precision at each recall level by the maximum precision
+    at any recall >= it, then sums over recall increments.  Without ground
+    truth both curves are empty and AP is undefined (None); without
+    detections AP is 0.
+    """
+    if n_gt == 0:
+        return EvalReport(pr_points=[], ap=None, roc_points=[], n_gt=0, n_det=hits.size)
+    tp, fp = np.cumsum(hits), np.cumsum(~hits)
+    recall, precision = tp / n_gt, tp / (tp + fp)
+    mrec = np.concatenate([[0.0], recall])
+    mpre = np.maximum.accumulate(np.concatenate([[1.0], precision])[::-1])[::-1]
+    steps = np.flatnonzero(mrec[1:] != mrec[:-1]) + 1
+    return EvalReport(
+        pr_points=list(zip(recall.tolist(), precision.tolist())),
+        ap=float(np.sum((mrec[steps] - mrec[steps - 1]) * mpre[steps])),
+        roc_points=list(zip(fp.tolist(), recall.tolist())),
+        n_gt=n_gt,
+        n_det=hits.size,
+    )
 
 
 def evaluate_detector(model, scenes, cfg: EvalConfig = None, detect_cfg: DetectConfig = None) -> DatasetReport:

@@ -87,10 +87,16 @@ def check_gt_boxes(gt_boxes, what: str) -> np.ndarray:
     gts = np.asarray(gt_boxes, dtype=np.float64)
     if gts.ndim != 2 or gts.shape[1] != 4 or not np.isfinite(gts).all():
         raise ValueError(f"{what}: ground truth must be finite (G, 4) boxes; got {gts.shape}")
-    bad = (gts[:, 2] <= gts[:, 0]) | (gts[:, 3] <= gts[:, 1])
+    return check_box_extent(gts, what, "ground-truth")
+
+
+def check_box_extent(boxes: np.ndarray, what: str, kind: str) -> np.ndarray:
+    """``boxes`` (N, 4); raise ``ValueError`` naming the first ``kind`` box
+    without x2 > x1 and y2 > y1."""
+    bad = (boxes[:, 2] <= boxes[:, 0]) | (boxes[:, 3] <= boxes[:, 1])
     if bad.any():
-        raise ValueError(f"{what}: ground-truth box {gts[bad.argmax()].tolist()} must have x2 > x1 and y2 > y1")
-    return gts
+        raise ValueError(f"{what}: {kind} box {boxes[bad.argmax()].tolist()} must have x2 > x1 and y2 > y1")
+    return boxes
 
 
 class MultiScaleDetector:

@@ -142,6 +142,10 @@ def test_detect_with_non_finite_checkpoint_leaves_no_output(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_every_public_name_resolves():
+    assert [name for name in msfacedet.__all__ if not hasattr(msfacedet, name)] == []
+
+
 def test_module_entry_point_runs_the_command():
     env = dict(os.environ, PYTHONPATH=str(Path(msfacedet.__file__).parent.parent))
     proc = subprocess.run(
@@ -233,6 +237,22 @@ def test_detect_rejects_two_images_with_one_id(tmp_path, capsys):
     assert _detect(_checkpoint(tmp_path), data, out) == 1
     assert f"images {data / 'face.pgm'} and {data / 'face.ppm'} share the image id 'face'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("spelling", ["same", "through-parent"])
+def test_detect_overlay_rejects_overwriting_an_input_image(spelling, tmp_path, capsys):
+    ckpt = _checkpoint(tmp_path)
+    data = tmp_path / "data"
+    data.mkdir()
+    write_pgm(data / "x.pgm", _gray(3))
+    write_ppm(data / "x_overlay.ppm", np.random.default_rng(4).integers(0, 256, (64, 64, 3), dtype=np.uint8))
+    before = {p.name: p.read_bytes() for p in data.iterdir()}
+    out = data if spelling == "same" else data / ".." / "data"
+    args = ["detect", "--checkpoint", str(ckpt), "--data", str(data), "--out", str(out), "--overlay"]
+    assert run_cli(args) == 1
+    err = capsys.readouterr().err
+    assert f"the overlay of {data / 'x.pgm'} would overwrite the input image {data / 'x_overlay.ppm'}" in err
+    assert {p.name: p.read_bytes() for p in data.iterdir()} == before
 
 
 def test_train_on_missing_image_leaves_no_output(tmp_path):

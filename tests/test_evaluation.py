@@ -40,8 +40,9 @@ def _random_dataset(rng):
 
 
 def _reference(dets, gts):
-    """Overall AP, per-split AP and n_det from the independent plain-Python
-    scorer: ties in score fall to image id, then to input order."""
+    """Overall AP, per-split AP and the overall hit sequence from the
+    independent plain-Python scorer: ties in score fall to image id, then to
+    input order."""
     entries, gt_counts = [], dict.fromkeys(SPLIT_NAMES, 0)
     for rank, name in enumerate(sorted(gts)):
         for g in gts[name]:
@@ -56,32 +57,63 @@ def _reference(dets, gts):
         name: make_golden.ref_ap([e[3] for e in entries if not e[3] or make_golden.split_of(e[4]) == name], n)
         for name, n in gt_counts.items()
     }
-    return overall, splits, len(entries)
+    return overall, splits, [e[3] for e in entries]
+
+
+def _prefix_curves(hits, n_gt):
+    """(recall, precision) and (FP count, TP rate) after each prefix of
+    ``hits``, counted in plain Python; both empty without ground truth."""
+    if n_gt == 0:
+        return [], []
+    pr, roc, tp = [], [], 0
+    for k, hit in enumerate(hits, start=1):
+        tp += hit
+        pr.append((tp / n_gt, tp / k))
+        roc.append((k - tp, tp / n_gt))
+    return pr, roc
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_evaluate_dataset_matches_the_reference_scorer(seed):
     dets, gts = _random_dataset(np.random.default_rng(seed))
-    overall, splits, n_det = _reference(dets, gts)
+    overall, splits, hits = _reference(dets, gts)
     report = evaluate_dataset(dets, gts)
     assert report.overall.ap == pytest.approx(overall, rel=1e-12, abs=1e-12)
     assert {k: r.ap for k, r in report.splits.items()} == pytest.approx(splits, rel=1e-12, abs=1e-12)
-    assert report.overall.n_det == n_det
+    assert report.overall.n_det == len(hits)
+    pr, roc = _prefix_curves(hits, sum(len(g) for g in gts.values()))
+    assert report.overall.pr_points == pr
+    assert report.overall.roc_points == roc
+
+
+def _no_extent(box):
+    return rf"image 'a': detection box \[{', '.join(f'{v:.1f}' for v in box)}\] must have x2 > x1 and y2 > y1"
 
 
 @pytest.mark.parametrize(
-    "boxes, scores",
+    "boxes, scores, message",
     [
-        ([[0, 0, 10, 10], [20, 20, 30, 30]], [np.nan, 0.5]),
-        ([[0, 0, 10, 10], [20, 20, np.nan, 30]], [0.9, 0.5]),
-        ([[0, 0, 10, 10], [20, 20, 30, 30], [40, 40, 50, 50]], [0.9, 0.5]),
-        ([[0, 0, 10, 10]], [0.9, 0.5]),
+        ([[0, 0, 10, 10], [20, 20, 30, 30]], [np.nan, 0.5], "image 'a'"),
+        ([[0, 0, 10, 10], [20, 20, np.nan, 30]], [0.9, 0.5], "image 'a'"),
+        ([[0, 0, 10, 10], [20, 20, 30, 30], [40, 40, 50, 50]], [0.9, 0.5], "image 'a'"),
+        ([[0, 0, 10, 10]], [0.9, 0.5], "image 'a'"),
+        ([[0, 0, 10, 10], [10, 0, 0, 10]], [0.5, 0.9], _no_extent([10, 0, 0, 10])),
+        ([[0, 0, 10, 10], [20, 30, 30, 20]], [0.5, 0.9], _no_extent([20, 30, 30, 20])),
+        ([[0, 0, 10, 10], [20, 20, 20, 30]], [0.5, 0.9], _no_extent([20, 20, 20, 30])),
     ],
-    ids=["nan-score", "nan-box-corner", "more-boxes-than-scores", "more-scores-than-boxes"],
+    ids=[
+        "nan-score",
+        "nan-box-corner",
+        "more-boxes-than-scores",
+        "more-scores-than-boxes",
+        "x-inverted-box",
+        "y-inverted-box",
+        "zero-width-box",
+    ],
 )
-def test_evaluate_dataset_rejects_malformed_detections(boxes, scores):
+def test_evaluate_dataset_rejects_malformed_detections(boxes, scores, message):
     gts = {"a": np.array([[0.0, 0.0, 10.0, 10.0], [20.0, 20.0, 30.0, 30.0]])}
-    with pytest.raises(ValueError, match="image 'a'"):
+    with pytest.raises(ValueError, match=message):
         evaluate_dataset({"a": (np.array(boxes, dtype=np.float64), np.array(scores))}, gts)
 
 
