@@ -2,7 +2,9 @@
 
 Layout: magic ``MSFR1``, then for each parameter in order: name length
 (u32 LE), name bytes (utf-8), rank (u32 LE), dims (u32 LE each), values
-(f64 LE, row-major).  Save/load round-trips bit-exactly.
+(f64 LE, row-major).  Save/load round-trips bit-exactly.  Each name is
+stored once: a load that meets a name again raises, rather than letting the
+later record win.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ def load_checkpoint(path) -> "OrderedDict[str, np.ndarray]":
         raise CheckpointError(f"{path}: bad magic, not a checkpoint file")
     pos = len(MAGIC)
     out: "OrderedDict[str, np.ndarray]" = OrderedDict()
+    starts: dict[str, int] = {}
 
     def take(n):
         nonlocal pos
@@ -50,11 +53,16 @@ def load_checkpoint(path) -> "OrderedDict[str, np.ndarray]":
         return chunk
 
     while pos < len(data):
+        start = pos
         (name_len,) = struct.unpack("<I", take(4))
         try:
             name = take(name_len).decode("utf-8")
         except UnicodeDecodeError:
             raise CheckpointError(f"{path}: parameter name at byte {pos - name_len} is not utf-8") from None
+        if name in starts:
+            first = starts[name]
+            raise CheckpointError(f"{path}: parameter {name} at byte {start} is stored already at byte {first}")
+        starts[name] = start
         (rank,) = struct.unpack("<I", take(4))
         dims = struct.unpack(f"<{rank}I", take(4 * rank))
         count = math.prod(dims)

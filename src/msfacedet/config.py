@@ -1,7 +1,7 @@
 """Flat key=value run configuration with '#' comments.
 
-Unknown keys and out-of-range values are rejected up front, before any
-output file is written.
+Unknown keys, keys set twice and out-of-range values are rejected up front,
+before any output file is written.
 """
 
 from __future__ import annotations
@@ -71,6 +71,7 @@ def _parse_value(key: str, raw: str, kind):
 def parse_run_config(text: str, source: str = "<config>") -> RunConfig:
     cfg = RunConfig()
     kinds = {f.name: type(getattr(cfg, f.name)) for f in fields(RunConfig)}
+    set_at: dict[str, int] = {}
     for lineno, line in enumerate(text.split("\n"), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -80,6 +81,9 @@ def parse_run_config(text: str, source: str = "<config>") -> RunConfig:
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key not in kinds:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
+        if key in set_at:
+            raise ConfigError(f"{source}:{lineno}: key {key!r} is set again, first at line {set_at[key]}")
+        set_at[key] = lineno
         setattr(cfg, key, _parse_value(key, raw, kinds[key]))
     cfg.validate()
     return cfg

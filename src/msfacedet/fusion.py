@@ -18,12 +18,17 @@ distinct rectangle of the stack once, per bucket of equal shape, into a
 ``(C, U)`` table with an ``(R, p*p)`` index from each bin to its column.
 The fusion step works on those columns: the shrink is linear, so each
 normed table goes through its block of the shrink before the index
-expands it, and the backward sums each column's gradient with one
-``np.bincount`` and hands :func:`roi_pool_backward` a ``(C, U)`` table
-gradient.  Max pooling builds its gradient routing only in the backward
-pass, from the input and gather geometry its cache holds.  The forwards
-keep their input's dtype (float32 in ``detect``, float64 in training) and
-read gamma and the shrink in it; the backwards are float64.
+expands it.  The expansion gathers whole rows of the transposed
+``(U, outC)`` projection, one per position, into a ``(positions, outC)``
+sum, and the shrink bias is added once per column of the first table
+rather than once per position.  Neither changes a bit of the sum: a
+gather copies values, and IEEE addition commutes.  The backward sums each
+column's gradient with one ``np.bincount`` and hands
+:func:`roi_pool_backward` a ``(C, U)`` table gradient.  Max pooling
+builds its gradient routing only in the backward pass, from the input and
+gather geometry its cache holds.  The forwards keep their input's dtype
+(float32 in ``detect``, float64 in training) and read gamma and the
+shrink in it; the backwards are float64.
 """
 
 from __future__ import annotations
@@ -79,7 +84,13 @@ def concat_shrink(tables, names, norms, shrink: Params, index):
     channels in the given order, then apply the 1x1 shrink.  A part is a
     (C_t, U_t) table of distinct columns and an (N, HW) index into it.  The
     shrink is linear, so it projects each normed table by its column block
-    W_t first and adds ``np.take(W_t @ n_t, index_t, axis=1)`` to the bias."""
+    W_t first, then gathers one outC-row of ``(W_t @ n_t).T`` per position
+    into an (N*HW, outC) sum in tap order, returned transposed.  The bias
+    is added to the first part's (U_t, outC) projection before its gather,
+    once per table column.  Both keep the bits of adding each part's
+    element gather ``np.take(W_t @ n_t, index_t, axis=1)`` to the bias in
+    tap order: a gather copies values exactly, and IEEE addition commutes,
+    so ``g + b`` has the bits of ``b + g``."""
     if len({ix.shape for ix in index}) != 1:
         desc = ", ".join(f"{n}={ix.shape}" for n, ix in zip(names, index))
         raise ShapeError(f"concat_shrink: spatial sizes differ: {desc}")
@@ -89,16 +100,19 @@ def concat_shrink(tables, names, norms, shrink: Params, index):
     channels = np.cumsum([len(t) for t in tables])
     if wmat.shape[1] != channels[-1]:
         raise ShapeError(f"concat_shrink: {channels[-1]} channels for shrink weight {w.shape}")
-    out = np.repeat(shrink.bias.data.astype(dtype, copy=False)[:, None], index[0].size, axis=1)
+    bias = shrink.bias.data.astype(dtype, copy=False)
+    out = np.empty((index[0].size, len(wmat)), dtype=dtype)
     gathered = np.empty_like(out)
     parts = []
     for name, x, ix, wt in zip(names, tables, index, np.split(wmat, channels[:-1], axis=1)):
         x, nc = l2norm_scale(x, norms[name]) if name in norms else (x, None)
-        # mode="clip" writes straight into gathered; "raise" would buffer the whole part
-        np.take(wt @ x, ix.ravel(), axis=1, out=gathered, mode="clip")
-        out += gathered
+        proj = (wt @ x).T if parts else (wt @ x).T + bias
+        # mode="clip" writes straight into the target; "raise" would buffer the whole part
+        np.take(proj, ix.ravel(), axis=0, out=gathered if parts else out, mode="clip")
+        if parts:
+            out += gathered
         parts.append((x, nc, ix, wt))
-    return out.reshape(len(out), *index[0].shape), (parts, shrink)
+    return out.T.reshape(len(wmat), *index[0].shape), (parts, shrink)
 
 
 def concat_shrink_backward(dout: np.ndarray, cache):

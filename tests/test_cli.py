@@ -11,7 +11,7 @@ import msfacedet
 import msfacedet.checks
 from msfacedet import DetectConfig, ModelConfig, MultiScaleDetector, TrainConfig, train
 from msfacedet.annotations import AnnotationRecord, format_annotations
-from msfacedet.checkpoint import CheckpointError, save_checkpoint
+from msfacedet.checkpoint import MAGIC, CheckpointError, save_checkpoint
 from msfacedet.checks import LAYER_CHECKS
 from msfacedet.cli import run_cli
 from msfacedet.evaluation import evaluate_detector, proposal_recall
@@ -129,6 +129,20 @@ def test_load_checks_every_shape_before_it_writes_any_parameter(tmp_path):
     model = MultiScaleDetector(ModelConfig(), seed=0)
     before = {name: t.data.tobytes() for name, t in model.params().items()}
     with pytest.raises(CheckpointError, match=r"det.bbox.bias: stored shape \(3,\) != model shape \(4,\)"):
+        model.load(path)
+    assert {name: t.data.tobytes() for name, t in model.params().items()} == before
+
+
+def test_load_rejects_a_parameter_stored_twice(tmp_path):
+    stored = OrderedDict((name, t.data) for name, t in MultiScaleDetector(ModelConfig(), seed=1).params().items())
+    path, extra = tmp_path / "twice.msfr", tmp_path / "extra.msfr"
+    save_checkpoint(path, stored)
+    save_checkpoint(extra, {"backbone.s1.c1.weight": np.full_like(stored["backbone.s1.c1.weight"], 7.0)})
+    offset = path.stat().st_size
+    path.write_bytes(path.read_bytes() + extra.read_bytes()[len(MAGIC) :])
+    model = MultiScaleDetector(ModelConfig(), seed=0)
+    before = {name: t.data.tobytes() for name, t in model.params().items()}
+    with pytest.raises(CheckpointError, match=rf"parameter backbone.s1.c1.weight at byte {offset} is stored already"):
         model.load(path)
     assert {name: t.data.tobytes() for name, t in model.params().items()} == before
 

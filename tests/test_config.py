@@ -146,6 +146,11 @@ class TestRejected:
         with pytest.raises(ConfigError, match=r"cfg:2: unknown key 'bogus'"):
             parse_run_config("seed = 1\nbogus = 2\n", source="cfg")
 
+    def test_key_set_twice_names_both_lines(self):
+        text = "score_thresh = 0.9\nseed = 3\n# later\nscore_thresh = 0.1\n"
+        with pytest.raises(ConfigError, match=r"cfg:4: key 'score_thresh' is set again, first at line 1"):
+            parse_run_config(text, source="cfg")
+
     def test_missing_equals_names_line(self):
         with pytest.raises(ConfigError, match=r"cfg:1: expected key=value"):
             parse_run_config("iterations 5", source="cfg")

@@ -161,6 +161,34 @@ class TestConcatShrink:
         with pytest.raises(ShapeError, match="tap4"):
             concat_shrink(tables, TAP_ORDER, {}, make_shrink(np.zeros((2, 6, 1, 1))), index)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("names", [("tap5",), TAP_ORDER])
+    @pytest.mark.parametrize("normed", [False, True])
+    @pytest.mark.parametrize("rois", [5, 0])
+    def test_matches_the_element_gather_bit_for_bit(self, dtype, names, normed, rois):
+        # the composition the row gather replaced: the bias, plus each part's
+        # np.take(W_t @ n_t, ix, axis=1) added in tap order
+        rng = np.random.default_rng(16)
+        channels = {"tap3": 8, "tap4": 16, "tap5": 16}
+        u = 40 if rois else 0
+        tables = [rng.standard_normal((channels[name], u)).astype(dtype) for name in names]
+        # each part's columns are drawn with repeats from half of its table, so the others are skipped
+        index = [rng.choice(rng.permutation(u)[: u // 2], (rois, 49)) if u else np.zeros((0, 49), int) for _ in names]
+        w = rng.standard_normal((32, sum(len(t) for t in tables), 1, 1))
+        shrink = Params(Tensor(w), Tensor(rng.standard_normal(32)))
+        norms = {name: make_l2norm(len(t), 0.5 + i) for i, (name, t) in enumerate(zip(names, tables))} if normed else {}
+        inputs = [*tables, *index, shrink.weight.data, shrink.bias.data, *(g.data for g in norms.values())]
+        before = [a.tobytes() for a in inputs]
+        out, _ = concat_shrink(tables, names, norms, shrink, index)
+        blocks = np.split(w.astype(dtype).reshape(32, -1), np.cumsum([len(t) for t in tables])[:-1], axis=1)
+        ref = np.repeat(shrink.bias.data.astype(dtype)[:, None], rois * 49, axis=1)
+        for name, t, ix, wt in zip(names, tables, index, blocks):
+            n = l2norm_scale(t, norms[name])[0] if name in norms else t
+            ref += np.take(wt @ n, ix.ravel(), axis=1)
+        assert out.dtype == dtype and out.shape == (32, rois, 49)
+        assert out.tobytes() == ref.reshape(32, rois, 49).tobytes()
+        assert [a.tobytes() for a in inputs] == before
+
     @pytest.mark.parametrize("weight_shape", [(2, 5, 1, 1), (2, 6, 3, 3)])
     def test_shrink_weight_mismatch_rejected(self, weight_shape):
         tables = [np.zeros((2, 16)) for _ in TAP_ORDER]
