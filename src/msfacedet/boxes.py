@@ -1,4 +1,5 @@
-"""Axis-aligned box arithmetic: IoU, delta coding, clipping, NMS, grid projection.
+"""Axis-aligned box arithmetic: IoU, ground-truth matching, delta coding,
+clipping, NMS, grid projection.
 
 Boxes are float arrays ``[x1, y1, x2, y2]`` in continuous pixel coordinates
 with ``x2 > x1`` and ``y2 > y1``; width is ``x2 - x1`` (no +1).  Most
@@ -38,6 +39,15 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     union -= inter
     inter /= union
     return inter
+
+
+def match_ground_truth(boxes: np.ndarray, gt_boxes: np.ndarray):
+    """``(ious, best_gt, best_iou)``: the (N, G + 1) IoUs with a zero column after
+    the ground truth, which gives ``argmax`` a column when G is 0 and loses its
+    ties to real ones, then each row's first column of highest IoU and that IoU."""
+    ious = np.pad(iou_matrix(boxes, gt_boxes), ((0, 0), (0, 1)))
+    best_gt = ious.argmax(axis=1)
+    return ious, best_gt, ious[np.arange(len(ious)), best_gt]
 
 
 def _centers(b: np.ndarray):

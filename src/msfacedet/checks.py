@@ -27,7 +27,7 @@ from .fusion import (
     roi_pool,
     roi_pool_backward,
 )
-from .model import ModelConfig, MultiScaleDetector
+from .model import FUSED_TAPS, ModelConfig, MultiScaleDetector
 from .rpn import RpnHead, assign_rpn_targets, rpn_backward, rpn_forward
 from .tensor import (
     conv2d,
@@ -341,7 +341,7 @@ def run_suite(seeds=DEFAULT_SEEDS, model_seeds=MODEL_CHECK_SEEDS, include_model:
         results.append(
             ("multitask_loss_end_to_end", max(check_multitask_loss(s) for s in model_seeds))
         )
-        for mode in ("multi", "tap5"):
+        for mode in FUSED_TAPS:
             worst = max(check_multitask_loss_directional(s, mode) for s in model_seeds)
             results.append((f"multitask_loss_directional_{mode}", worst))
     return results

@@ -15,7 +15,7 @@ from .checks import MODEL_CHECK_SEEDS, TOLERANCE, run_suite
 from .config import RunConfig, load_run_config
 from .evaluation import EvalConfig, evaluate_dataset, evaluate_detector, format_report
 from .imageio import load_image, overlay_boxes, write_pgm, write_ppm
-from .model import ModelConfig, MultiScaleDetector
+from .model import FUSED_TAPS, ModelConfig, MultiScaleDetector
 from .rpn import DetectConfig
 from .toydata import ToyScene, generate_toy_dataset
 from .training import TrainConfig, format_trace, train
@@ -30,8 +30,7 @@ class _OutputTracker:
         self.dirs = []
 
     def write_text(self, path, text: str):
-        Path(path).write_text(text)
-        self.paths.append(Path(path))
+        self.note(Path(path)).write_text(text)
 
     def note(self, path):
         self.paths.append(Path(path))
@@ -253,7 +252,7 @@ def cmd_ablate(args, tracker) -> int:
     tracker.mkdir(out_dir)
     detect_cfg = cfg.component(DetectConfig)
     aps = {}
-    for mode in ("multi", "tap5"):
+    for mode in FUSED_TAPS:
         cfg.fusion_mode = mode
         result = train(train_scenes, cfg.component(TrainConfig), cfg.component(ModelConfig), detect_cfg=detect_cfg)
         report = evaluate_detector(result.model, eval_scenes, cfg.component(EvalConfig), detect_cfg)
@@ -290,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     p.add_argument("--seed", type=int)
     p.add_argument("--iterations", type=int)
-    p.add_argument("--fusion-mode", choices=("multi", "tap5"))
+    p.add_argument("--fusion-mode", choices=tuple(FUSED_TAPS))
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("detect", help="run a checkpoint over images")
@@ -300,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     p.add_argument("--score-thresh", type=float)
     p.add_argument("--overlay", action="store_true", help="also write box-overlay PPMs")
-    p.add_argument("--fusion-mode", choices=("multi", "tap5"))
+    p.add_argument("--fusion-mode", choices=tuple(FUSED_TAPS))
     p.set_defaults(fn=cmd_detect)
 
     p = sub.add_parser("eval", help="score detection files against annotations")

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import clip_boxes, decode_deltas, encode_deltas, iou_matrix, nms
+from .boxes import clip_boxes, decode_deltas, encode_deltas, match_ground_truth, nms
 from .fusion import ms_roi_pool_batch, ms_roi_pool_batch_backward
 from .tensor import (
     Params,
@@ -106,14 +106,7 @@ def assign_detection_targets(
     """
     gt_boxes = np.asarray(gt_boxes, dtype=np.float64).reshape(-1, 4)
     rois = np.vstack([np.asarray(proposals, dtype=np.float64).reshape(-1, 4), gt_boxes])
-    n = rois.shape[0]
-    if gt_boxes.shape[0] == 0:
-        max_iou = np.zeros(n)
-        best_gt = np.zeros(n, dtype=np.int64)
-    else:
-        ious = iou_matrix(rois, gt_boxes)
-        best_gt = ious.argmax(axis=1)
-        max_iou = ious[np.arange(n), best_gt]
+    _, best_gt, max_iou = match_ground_truth(rois, gt_boxes)
     fg = np.flatnonzero(max_iou >= DET_FG_IOU)
     bg = np.flatnonzero((max_iou >= DET_BG_IOU_LO) & (max_iou < DET_FG_IOU))
     discarded = np.flatnonzero(max_iou < DET_BG_IOU_LO)

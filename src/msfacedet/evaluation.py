@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boxes import iou_matrix
+from .boxes import iou_matrix, match_ground_truth
 from .model import check_box_extent, check_extents, check_gt_boxes
 from .rpn import DetectConfig, propose
 
@@ -105,13 +105,13 @@ def _match(det_boxes: np.ndarray, gt_boxes: np.ndarray, iou_threshold: float) ->
 
     Each detection claims the unclaimed box of highest IoU, provided the
     overlap strictly exceeds the threshold (IoU exactly at the threshold is a
-    false positive); each box is claimed at most once.
+    false positive); each box is claimed at most once.  The zero column of
+    :func:`match_ground_truth` stays unclaimed, as the threshold is above 0,
+    so an image without faces leaves every detection unmatched.
     """
     matched = np.full(det_boxes.shape[0], -1, dtype=np.int64)
-    taken = np.zeros(gt_boxes.shape[0], dtype=bool)
-    if not taken.size:
-        return matched
-    for i, row in enumerate(iou_matrix(det_boxes, gt_boxes)):
+    taken = np.zeros(gt_boxes.shape[0] + 1, dtype=bool)
+    for i, row in enumerate(match_ground_truth(det_boxes, gt_boxes)[0]):
         row = np.where(taken, -1.0, row)
         j = int(row.argmax())
         if row[j] > iou_threshold:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import clip_boxes, decode_deltas, encode_deltas, iou_matrix, nms
+from .boxes import clip_boxes, decode_deltas, encode_deltas, match_ground_truth, nms
 from .detector import Detection, Targets
 from .tensor import Params, conv2d, conv2d_backward, relu, relu_backward, softmax
 
@@ -164,8 +164,9 @@ def assign_rpn_targets(
     Anchors crossing the image boundary are ignored.  An inside anchor is
     positive when its best IoU reaches ``RPN_POS_IOU`` or when it is the
     best anchor of some ground-truth box; negative when its best IoU is at
-    most ``RPN_NEG_IOU``.  The labelled set is subsampled to the minibatch
-    size with positives capped at half.
+    most ``RPN_NEG_IOU``, so an image without faces labels every inside
+    anchor negative.  The labelled set is subsampled to the minibatch size
+    with positives capped at half.
     """
     a = anchors.shape[0]
     labels = np.full(a, -1, dtype=np.int64)
@@ -180,22 +181,15 @@ def assign_rpn_targets(
     if inside.size == 0:
         raise TargetAssignmentError("no anchors lie inside the image")
 
-    if gt_boxes.shape[0] == 0:
-        labels[inside] = 0
-    else:
-        ious = iou_matrix(anchors[inside], gt_boxes)  # (I, G)
-        best_gt = ious.argmax(axis=1)
-        best_iou = ious[np.arange(inside.size), best_gt]
-        labels[inside[best_iou <= RPN_NEG_IOU]] = 0
-        labels[inside[best_iou >= RPN_POS_IOU]] = 1
-        # the best anchor of each ground-truth box is positive regardless
-        per_gt_best = ious.max(axis=0)
-        labels[inside[((ious == per_gt_best) & (per_gt_best > 0.0)).any(axis=1)]] = 1
-        pos = np.flatnonzero(labels == 1)
-        match = best_gt[np.searchsorted(inside, pos)]
-        target_deltas[pos] = encode_deltas(gt_boxes[match], anchors[pos])
-
+    ious, best_gt, best_iou = match_ground_truth(anchors[inside], gt_boxes)  # ious (I, G + 1)
+    labels[inside[best_iou <= RPN_NEG_IOU]] = 0
+    labels[inside[best_iou >= RPN_POS_IOU]] = 1
+    # the best anchor of each ground-truth box is positive regardless
+    per_gt_best = ious.max(axis=0)
+    labels[inside[((ious == per_gt_best) & (per_gt_best > 0.0)).any(axis=1)]] = 1
     pos = np.flatnonzero(labels == 1)
+    match = best_gt[np.searchsorted(inside, pos)]
+    target_deltas[pos] = encode_deltas(gt_boxes[match], anchors[pos])
     neg = np.flatnonzero(labels == 0)
     if pos.size == 0 and neg.size == 0:
         raise TargetAssignmentError("no positive or negative anchors could be sampled")

@@ -3,7 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msfacedet.boxes import box_area, clip_boxes, decode_deltas, encode_deltas, iou_matrix, nms, project_roi
+from msfacedet.boxes import (
+    box_area,
+    clip_boxes,
+    decode_deltas,
+    encode_deltas,
+    iou_matrix,
+    match_ground_truth,
+    nms,
+    project_roi,
+)
 
 box_strategy = st.tuples(
     st.floats(0, 90), st.floats(0, 90), st.floats(1, 40), st.floats(1, 40)
@@ -86,6 +95,32 @@ class TestIoU:
         for i in range(3):
             for j in range(3):
                 assert abs(m[i, j] - iou(boxes[i], boxes[3 + j])) < 1e-12
+
+
+class TestMatchGroundTruth:
+    def test_without_ground_truth_every_row_takes_the_zero_column(self):
+        boxes = np.array([[0.0, 0.0, 10.0, 10.0], [5.0, 5.0, 30.0, 20.0], [1.0, 2.0, 3.0, 4.0]])
+        ious, best_gt, best_iou = match_ground_truth(boxes, np.zeros((0, 4)))
+        assert ious.shape == (3, 1) and not ious.any()
+        assert best_gt.tolist() == [0, 0, 0]
+        assert not best_iou.any()
+
+    def test_matches_the_argmax_over_the_ground_truth(self):
+        rng = np.random.default_rng(0)
+        boxes, gt = random_boxes(rng, 40, 100.0), random_boxes(rng, 5, 100.0)
+        ious, best_gt, best_iou = match_ground_truth(boxes, gt)
+        assert np.array_equal(ious[:, :5], iou_matrix(boxes, gt)) and not ious[:, 5].any()
+        assert np.array_equal(best_gt, iou_matrix(boxes, gt).argmax(axis=1))
+        assert np.array_equal(best_iou, iou_matrix(boxes, gt).max(axis=1))
+
+    def test_a_row_that_overlaps_no_face_takes_the_first_face_not_the_zero_column(self):
+        # each real column ties the zero column at 0, and argmax keeps the first
+        gt = np.array([[0.0, 0.0, 10.0, 10.0], [20.0, 20.0, 30.0, 30.0]])
+        boxes = np.array([[50.0, 50.0, 60.0, 60.0], [22.0, 22.0, 30.0, 30.0]])
+        ious, best_gt, best_iou = match_ground_truth(boxes, gt)
+        assert ious.shape == (2, 3)
+        assert best_gt.tolist() == [0, 1]
+        assert best_iou[0] == 0.0 and best_iou[1] == 0.64
 
 
 class TestDeltas:

@@ -1,3 +1,4 @@
+import errno
 import os
 import subprocess
 import sys
@@ -277,6 +278,24 @@ def test_train_on_missing_image_leaves_no_output(tmp_path):
     out = tmp_path / "out" / "run"
     assert run_cli(["train", "--data", str(data), "--out", str(out), "--iterations", "2"]) == 1
     assert not (tmp_path / "out").exists()
+
+
+def test_train_failing_inside_a_text_write_leaves_no_output(tmp_path, monkeypatch, capsys):
+    # the write creates the loss trace before it fails, so the tracker must know the path first
+    assert _gen_data(tmp_path / "data") == 0
+    real_write_text = Path.write_text
+
+    def write_then_fail(self, text, *args, **kwargs):
+        if self.name == "loss_trace.txt":
+            real_write_text(self, text[:5], *args, **kwargs)
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return real_write_text(self, text, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", write_then_fail)
+    run = tmp_path / "run"
+    assert run_cli(["train", "--data", str(tmp_path / "data"), "--out", str(run), "--iterations", "2"]) == 1
+    assert "No space left" in capsys.readouterr().err
+    assert not run.exists()
 
 
 @pytest.mark.parametrize("thresh", ["7", "-3"])

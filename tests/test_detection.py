@@ -119,6 +119,15 @@ class TestAssignDetectionTargets:
             assert not t.target_deltas[rows[0]].any()
         assert {tuple(r) for r in t.rois[t.labels == 0].tolist()} == {tuple(r) for r in proposals.tolist()}
 
+    @pytest.mark.parametrize("n", [1, 60, 300])
+    def test_without_faces_every_roi_is_a_background_proposal(self, n):
+        rng = np.random.default_rng(n)
+        xy = rng.uniform(0, 90, size=(n, 2))
+        proposals = np.hstack([xy, xy + rng.uniform(4, 40, size=xy.shape)])
+        t = assign_detection_targets(proposals, np.zeros((0, 4)), rng)
+        assert t.labels.size == min(n, DET_BATCH_SIZE)
+        assert not t.labels.any() and not t.target_deltas.any()
+        assert (t.rois[:, None, :] == proposals[None, :, :]).all(axis=2).any(axis=1).all()
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_counts_are_read_from_the_labels(self, seed):

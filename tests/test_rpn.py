@@ -273,6 +273,16 @@ class TestAssignRpnTargets:
         assert t.n_neg == (t.labels == 0).sum() > 0
         assert t.n_pos + t.n_neg <= RPN_BATCH_SIZE
 
+    def test_without_faces_every_inside_anchor_is_negative(self):
+        anchors = generate_anchors(8, 8, (1.0, 2.0, 4.0), (1.0, 1.3), 16)
+        inside = np.all((anchors >= 0.0) & (anchors <= 128.0), axis=1)
+        assert (len(anchors), inside.sum()) == (384, 216)
+        t = assign_rpn_targets(anchors, np.zeros((0, 4)), np.random.default_rng(0), 128, 128)
+        assert t.n_pos == 0
+        assert t.n_neg == min(inside.sum(), RPN_BATCH_SIZE)
+        assert np.all(t.labels[~inside] == -1)
+        assert not t.target_deltas.any()
+
     def test_no_anchors_inside_rejected(self):
         anchors = generate_anchors(2, 2, (16.0,), (1.0,), 16)
         with pytest.raises(TargetAssignmentError):
