@@ -1,9 +1,11 @@
-"""Axis-aligned box arithmetic: IoU, ground-truth matching, delta coding,
-clipping, NMS, grid projection.
+"""Axis-aligned box arithmetic: validation, IoU, ground-truth matching, delta
+coding, clipping, NMS, grid projection.
 
 Boxes are float arrays ``[x1, y1, x2, y2]`` in continuous pixel coordinates
 with ``x2 > x1`` and ``y2 > y1``; width is ``x2 - x1`` (no +1).  Most
 functions accept either a single box of shape (4,) or a stack (N, 4).
+:func:`check_boxes` is the one box contract: ground truth and scored
+detections pass it before training, recall or scoring reads them.
 """
 
 from __future__ import annotations
@@ -17,6 +19,19 @@ LOG_SIZE_CLAMP = math.log(1000.0)
 
 # candidates per NMS block; 16, 32 and 128 were slower on every benchmark workload
 _NMS_BLOCK = 64
+
+
+def check_boxes(boxes, what: str, kind: str) -> np.ndarray:
+    """``boxes`` as a float64 (N, 4) array; raise ``ValueError`` naming ``what``
+    and ``kind`` (``"ground-truth"`` or ``"detection"``) unless they are finite
+    (N, 4) boxes, each with x2 > x1 and y2 > y1."""
+    boxes = np.asarray(boxes, dtype=np.float64)
+    if boxes.ndim != 2 or boxes.shape[1] != 4 or not np.isfinite(boxes).all():
+        raise ValueError(f"{what}: {kind} boxes must be finite (N, 4); got {boxes.shape}")
+    bad = (boxes[:, 2] <= boxes[:, 0]) | (boxes[:, 3] <= boxes[:, 1])
+    if bad.any():
+        raise ValueError(f"{what}: {kind} box {boxes[bad.argmax()].tolist()} must have x2 > x1 and y2 > y1")
+    return boxes
 
 
 def box_area(b: np.ndarray) -> np.ndarray:

@@ -116,8 +116,9 @@ def cmd_gen_data(args, tracker) -> int:
 
 
 def _config_from_args(args) -> RunConfig:
-    """The --config file (or the defaults) with every given flag named like a
-    config key applied on top, validated together."""
+    """The --config file (or the defaults) with every given flag that stores
+    into a config key (``--data`` into ``data_dir``, say) applied on top,
+    validated together."""
     cfg = load_run_config(args.config) if getattr(args, "config", None) else RunConfig()
     for f in fields(RunConfig):
         value = getattr(args, f.name, None)
@@ -129,9 +130,8 @@ def _config_from_args(args) -> RunConfig:
 
 def cmd_train(args, tracker) -> int:
     cfg = _config_from_args(args)
-    data_dir = Path(args.data or cfg.data_dir)
-    out_dir = Path(args.out or cfg.out_dir or ".")
-    scenes = _load_scenes(data_dir)
+    out_dir = Path(cfg.out_dir)
+    scenes = _load_scenes(Path(cfg.data_dir))
     tracker.mkdir(out_dir)
     result = train(
         scenes,
@@ -160,8 +160,7 @@ def _detections_to_text(dets) -> str:
 
 def cmd_detect(args, tracker) -> int:
     cfg = _config_from_args(args)
-    data_dir = Path(args.data or cfg.data_dir)
-    out_dir = Path(args.out or cfg.out_dir or ".")
+    data_dir, out_dir = Path(cfg.data_dir), Path(cfg.out_dir)
     ckpt = Path(cfg.checkpoint)
     if not ckpt.is_file():
         raise FileNotFoundError(f"checkpoint {ckpt} not found")
@@ -192,7 +191,8 @@ def cmd_detect(args, tracker) -> int:
 
 def _parse_detection_file(path: Path):
     """Boxes (N, 4) and scores (N,) from lines ``x1 y1 x2 y2 score`` of five
-    finite numbers; :func:`evaluate_dataset` rejects a box without x2 > x1
+    finite numbers; :func:`evaluate_dataset` holds the boxes to
+    :func:`~msfacedet.boxes.check_boxes`, which rejects one without x2 > x1
     and y2 > y1."""
     rows = []
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
@@ -246,9 +246,9 @@ def cmd_gradcheck(args, tracker) -> int:
 
 def cmd_ablate(args, tracker) -> int:
     cfg = _config_from_args(args)
-    train_scenes = _load_scenes(Path(args.data))
+    train_scenes = _load_scenes(Path(cfg.data_dir))
     eval_scenes = _load_scenes(Path(args.eval_data))
-    out_dir = Path(args.out or cfg.out_dir or ".")
+    out_dir = Path(cfg.out_dir)
     tracker.mkdir(out_dir)
     detect_cfg = cfg.component(DetectConfig)
     aps = {}
@@ -284,8 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_gen_data)
 
     p = sub.add_parser("train", help="train on a generated dataset")
-    p.add_argument("--data", help="dataset directory (images + annotations.txt)")
-    p.add_argument("--out", help="output directory for checkpoint + loss trace")
+    p.add_argument("--data", dest="data_dir", metavar="DATA", help="dataset directory (images + annotations.txt)")
+    p.add_argument("--out", dest="out_dir", metavar="OUT", help="output directory for checkpoint + loss trace")
     p.add_argument("--config")
     p.add_argument("--seed", type=int)
     p.add_argument("--iterations", type=int)
@@ -294,8 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("detect", help="run a checkpoint over images")
     p.add_argument("--checkpoint")
-    p.add_argument("--data", help="directory of .pgm/.ppm images")
-    p.add_argument("--out", help="output directory for detection files")
+    p.add_argument("--data", dest="data_dir", metavar="DATA", help="directory of .pgm/.ppm images")
+    p.add_argument("--out", dest="out_dir", metavar="OUT", help="output directory for detection files")
     p.add_argument("--config")
     p.add_argument("--score-thresh", type=float)
     p.add_argument("--overlay", action="store_true", help="also write box-overlay PPMs")
@@ -317,9 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_gradcheck)
 
     p = sub.add_parser("ablate", help="train multi-scale and tap5-only on the same data, report both")
-    p.add_argument("--data", required=True, help="training dataset directory")
+    p.add_argument("--data", dest="data_dir", metavar="DATA", required=True, help="training dataset directory")
     p.add_argument("--eval-data", required=True, help="held-out dataset directory")
-    p.add_argument("--out", help="output directory for the two reports")
+    p.add_argument("--out", dest="out_dir", metavar="OUT", help="output directory for the two reports")
     p.add_argument("--config")
     p.add_argument("--seed", type=int)
     p.add_argument("--iterations", type=int)

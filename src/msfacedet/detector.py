@@ -129,17 +129,18 @@ def postprocess_detections(
     logits: np.ndarray,
     deltas: np.ndarray,
     rois: np.ndarray,
-    score_thresh: float,
-    nms_thresh: float,
     img_w: float,
     img_h: float,
+    cfg,
 ) -> list[Detection]:
-    """Refine ROIs with predicted deltas, threshold on face probability and NMS."""
+    """Refine ROIs with predicted deltas, keep face probabilities above
+    ``cfg.score_thresh`` and suppress at ``cfg.det_nms_thresh``, where ``cfg``
+    is the ``DetectConfig`` that :func:`~msfacedet.rpn.propose` validated."""
     rois = np.asarray(rois, dtype=np.float64).reshape(-1, 4)
     scores = softmax(logits)[:, 1]
     boxes = decode_deltas(deltas, rois)
     boxes, keep = clip_boxes(boxes, img_w, img_h)
-    keep &= scores > score_thresh
+    keep &= scores > cfg.score_thresh
     idx = np.flatnonzero(keep)
-    kept = idx[nms(boxes[idx], scores[idx], nms_thresh)]
+    kept = idx[nms(boxes[idx], scores[idx], cfg.det_nms_thresh)]
     return [Detection(box=boxes[i].copy(), score=float(scores[i])) for i in kept]

@@ -6,8 +6,8 @@ matches each image's score-sorted detections to its ground truth under a
 strict IoU criterion.  ``_report`` sweeps the globally score-sorted hits once
 and reads both curves from the same cumulative TP/FP counts: precision-recall
 points with all-points-interpolated AP, and cumulative-false-positive ROC
-points.  Detections, like ground truth, are finite boxes ``[x1, y1, x2, y2]``
-with x2 > x1 and y2 > y1, each with a finite score."""
+points.  Detections, like ground truth, pass :func:`~msfacedet.boxes.check_boxes`,
+each with a finite score."""
 
 from __future__ import annotations
 
@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boxes import iou_matrix, match_ground_truth
-from .model import check_box_extent, check_extents, check_gt_boxes
+from .boxes import check_boxes, iou_matrix, match_ground_truth
+from .model import check_extents
 from .rpn import DetectConfig, propose
 
 
@@ -54,9 +54,9 @@ SPLIT_NAMES = ("small", "medium", "large")
 def evaluate_dataset(dets_by_image: dict, gts_by_image: dict, cfg: EvalConfig = None) -> DatasetReport:
     """Score a detection set against annotations.
 
-    ``dets_by_image`` maps image id -> finite (boxes (N, 4), scores (N,));
-    ``gts_by_image`` maps image id -> finite boxes (G, 4); every box has
-    x2 > x1 and y2 > y1.  Detections are matched per image by ``_match``,
+    ``dets_by_image`` maps image id -> (boxes (N, 4), N finite scores);
+    ``gts_by_image`` maps image id -> boxes (G, 4); both kinds of box pass
+    :func:`check_boxes`.  Detections are matched per image by ``_match``,
     then swept globally in descending score order by ``_report``; equal scores
     fall to the image that sorts first by id, then to the detection that
     comes first in its image's input.  Per-split reports reuse the overall
@@ -73,19 +73,16 @@ def evaluate_dataset(dets_by_image: dict, gts_by_image: dict, cfg: EvalConfig = 
     gt_counts = np.zeros(len(SPLIT_NAMES), dtype=np.int64)
     scores, det_split = [np.zeros(0)], [np.zeros(0, dtype=np.int64)]  # per image, in its score order
     for image_id in sorted(gts_by_image):
-        gts = check_gt_boxes(gts_by_image[image_id], f"image {image_id!r}")
+        gts = check_boxes(gts_by_image[image_id], f"image {image_id!r}", "ground-truth")
         gt_split = np.searchsorted(bounds, gts[:, 3] - gts[:, 1], side="right")
         gt_counts += np.bincount(gt_split, minlength=len(SPLIT_NAMES))
         boxes, image_scores = dets_by_image.get(image_id, (np.zeros((0, 4)), np.zeros(0)))
-        boxes = np.asarray(boxes, dtype=np.float64)
+        boxes = check_boxes(boxes, f"image {image_id!r}", "detection")
         image_scores = np.asarray(image_scores, dtype=np.float64)
-        finite = np.isfinite(boxes).all() and np.isfinite(image_scores).all()
-        if image_scores.ndim != 1 or boxes.shape != (image_scores.size, 4) or not finite:
+        if image_scores.shape != (len(boxes),) or not np.isfinite(image_scores).all():
             raise ValueError(
-                f"image {image_id!r}: detections must be (N, 4) boxes and (N,) scores, all finite; "
-                f"got {boxes.shape} and {image_scores.shape}"
+                f"image {image_id!r}: detection scores must be {len(boxes)} finite values; got {image_scores.shape}"
             )
-        check_box_extent(boxes, f"image {image_id!r}", "detection")
         order = np.argsort(-image_scores, kind="stable")
         matched = _match(boxes[order], gts, cfg.iou_threshold)
         scores.append(image_scores[order])
@@ -165,7 +162,7 @@ def proposal_recall(model, scenes, detect_cfg: DetectConfig) -> float:
         image = np.asarray(s.image, dtype=np.float64)
         _, logits, deltas, anchors = model.forward(image)[0]
         check_extents(image, s.width, s.height, f"scene {s.name}")
-        gts = check_gt_boxes(s.gt_boxes, f"scene {s.name}")
+        gts = check_boxes(s.gt_boxes, f"scene {s.name}", "ground-truth")
         props = propose(logits, deltas, anchors, s.width, s.height, detect_cfg)
         boxes = np.array([p.box for p in props]).reshape(-1, 4)
         total += gts.shape[0]

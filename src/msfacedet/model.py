@@ -81,24 +81,6 @@ def check_extents(image: np.ndarray, width, height, what: str):
         raise ValueError(f"{what}: original extents {width} x {height} must lie in (0, {w}] x (0, {h}]")
 
 
-def check_gt_boxes(gt_boxes, what: str) -> np.ndarray:
-    """``gt_boxes`` as a float64 array; raise ``ValueError`` unless it is finite
-    (G, 4) boxes with x2 > x1 and y2 > y1."""
-    gts = np.asarray(gt_boxes, dtype=np.float64)
-    if gts.ndim != 2 or gts.shape[1] != 4 or not np.isfinite(gts).all():
-        raise ValueError(f"{what}: ground truth must be finite (G, 4) boxes; got {gts.shape}")
-    return check_box_extent(gts, what, "ground-truth")
-
-
-def check_box_extent(boxes: np.ndarray, what: str, kind: str) -> np.ndarray:
-    """``boxes`` (N, 4); raise ``ValueError`` naming the first ``kind`` box
-    without x2 > x1 and y2 > y1."""
-    bad = (boxes[:, 2] <= boxes[:, 0]) | (boxes[:, 3] <= boxes[:, 1])
-    if bad.any():
-        raise ValueError(f"{what}: {kind} box {boxes[bad.argmax()].tolist()} must have x2 > x1 and y2 > y1")
-    return boxes
-
-
 class MultiScaleDetector:
     """Two-stage face detector over fused multi-scale features.
 
@@ -301,6 +283,5 @@ class MultiScaleDetector:
         rois = np.array([p.box for p in proposals]).reshape(-1, 4)
         (cls_logits, box_deltas), _ = self.roi_forward(taps, rois)
         return postprocess_detections(
-            cls_logits.astype(np.float64), box_deltas.astype(np.float64), rois,
-            cfg.score_thresh, cfg.det_nms_thresh, orig_w, orig_h,
+            cls_logits.astype(np.float64), box_deltas.astype(np.float64), rois, orig_w, orig_h, cfg
         )

@@ -8,8 +8,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .boxes import check_boxes
 from .detector import Targets, assign_detection_targets
-from .model import MultiScaleDetector, ModelConfig, check_extents, check_gt_boxes, check_image
+from .model import MultiScaleDetector, ModelConfig, check_extents, check_image
 from .rpn import (
     DetectConfig,
     TargetAssignmentError,
@@ -172,7 +173,7 @@ def train(
     when None), as at test time.  Identical config and seed give a
     bit-identical trace and checkpoint.  Every scene image must pass
     :func:`check_image` in its own dtype, its width and height
-    :func:`check_extents` and its ground truth :func:`check_gt_boxes`; the
+    :func:`check_extents` and its ground truth :func:`check_boxes`; the
     layers run in float64.  A trace row is kept every ``trace_every``
     iterations (an integer >= 1) and after the last.
     """
@@ -185,7 +186,7 @@ def train(
         image = np.asarray(s.image)
         check_image(image, f"scene {s.name}: image")
         check_extents(image, s.width, s.height, f"scene {s.name}")
-        check_gt_boxes(s.gt_boxes, f"scene {s.name}")
+        check_boxes(s.gt_boxes, f"scene {s.name}", "ground-truth")
     model = MultiScaleDetector(model_cfg or ModelConfig(), seed=cfg.seed)
     rng = np.random.default_rng([cfg.seed, 1])
     params = model.params()

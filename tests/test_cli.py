@@ -326,6 +326,25 @@ def test_flag_overrides_config_file_value(tmp_path, capsys):
     assert len(from_flag) > len(from_config)
 
 
+def test_train_and_detect_take_their_paths_from_the_config_file(tmp_path):
+    data, run = tmp_path / "data", tmp_path / "run"
+    assert _gen_data(data) == 0
+    train_cfg = tmp_path / "train.cfg"
+    train_cfg.write_text(f"data_dir = {data}\nout_dir = {run}\niterations = 2\n")
+    assert run_cli(["train", "--config", str(train_cfg)]) == 0
+    assert (run / "loss_trace.txt").read_text().startswith("2 ")
+    assert (run / "checkpoint.msfr").is_file()
+    detect_cfg = tmp_path / "detect.cfg"
+    lines = [f"checkpoint = {run / 'checkpoint.msfr'}", f"data_dir = {data}", f"out_dir = {tmp_path / 'cfg'}"]
+    detect_cfg.write_text("\n".join(lines + ["score_thresh = 0"]) + "\n")
+    assert run_cli(["detect", "--config", str(detect_cfg)]) == 0
+    assert _detect(run / "checkpoint.msfr", data, tmp_path / "flags") == 0
+    written = sorted(p.name for p in (tmp_path / "cfg").iterdir())
+    assert written == sorted(f"{p.stem}.txt" for p in data.glob("*.pgm"))
+    for name in written:
+        assert (tmp_path / "cfg" / name).read_text() == (tmp_path / "flags" / name).read_text()
+
+
 @pytest.mark.parametrize("count", ["0", "-2"])
 def test_gen_data_rejects_image_count_below_one(count, tmp_path, capsys):
     assert run_cli(["gen-data", "--out", str(tmp_path / "data"), "--n-images", count]) == 2

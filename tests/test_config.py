@@ -9,6 +9,7 @@ import msfacedet.model
 import msfacedet.training
 from msfacedet import generate_toy_dataset
 from msfacedet.config import ConfigError, RunConfig, parse_run_config
+from msfacedet.detector import postprocess_detections
 from msfacedet.evaluation import EvalConfig, evaluate_detector, proposal_recall
 from msfacedet.model import ModelConfig, MultiScaleDetector
 from msfacedet.rpn import DetectConfig, propose
@@ -59,7 +60,8 @@ class TestRunConfigKeys:
         names = [f.name for c in components for f in fields(c)]
         assert len(names) == len(set(names))
         detect_keys = {f.name for f in fields(DetectConfig)}
-        for fn in (propose, MultiScaleDetector.detect, train, evaluate_detector, proposal_recall):
+        entries = (propose, postprocess_detections, MultiScaleDetector.detect, train, evaluate_detector, proposal_recall)
+        for fn in entries:
             assert not detect_keys & set(inspect.signature(fn).parameters), fn.__name__
 
     def test_detect_config_reaches_propose_from_every_caller(self, monkeypatch):

@@ -237,6 +237,7 @@ def test_detect_accepts_extents_at_the_padded_edge_and_below():
         pytest.param([[8.0, 8.0, 40.0, 40.0], [10.0, 10.0, 20.0, np.nan]], r"\(2, 4\)", id="nan"),
         pytest.param([[8.0, 8.0, np.inf, 40.0]], r"\(1, 4\)", id="inf"),
         pytest.param([8.0, 8.0, 40.0, 40.0], r"\(4,\)", id="flat"),
+        pytest.param([[8.0, 8.0, 40.0, 40.0, 1.0]], r"\(1, 5\)", id="five-column"),
     ],
 )
 def test_scene_ground_truth_that_is_not_finite_boxes_is_rejected(entry, gt, shape):
@@ -244,7 +245,7 @@ def test_scene_ground_truth_that_is_not_finite_boxes_is_rejected(entry, gt, shap
     rng = np.random.default_rng(0)
     good = _scene("good", rng.uniform(size=(1, 1, 64, 64)))
     bad = ToyScene(name="bad", image=rng.uniform(size=(1, 1, 64, 64)), gt_boxes=np.array(gt), width=64, height=64)
-    with pytest.raises(ValueError, match=r"scene bad: ground truth must be finite \(G, 4\) boxes; got " + shape):
+    with pytest.raises(ValueError, match=r"scene bad: ground-truth boxes must be finite \(N, 4\); got " + shape):
         if entry == "train":  # every scene is checked before the first iteration draws one
             train([good, bad], TrainConfig(iterations=1))
         else:

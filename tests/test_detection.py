@@ -10,6 +10,7 @@ from msfacedet.detector import (
     postprocess_detections,
 )
 from msfacedet.model import ModelConfig, MultiScaleDetector
+from msfacedet.rpn import DetectConfig
 from msfacedet.tensor import softmax
 
 
@@ -163,12 +164,12 @@ class TestPostprocess:
     def test_all_below_threshold_empty(self):
         logits, deltas, rois = self._inputs(0)
         logits[:, 1] = logits[:, 0] - 10.0  # face prob ~ 0
-        assert postprocess_detections(logits, deltas, rois, 0.5, 0.3, 100, 100) == []
+        assert postprocess_detections(logits, deltas, rois, 100, 100, DetectConfig(score_thresh=0.5)) == []
 
     def test_dominant_proposal_zero_deltas(self):
         rois = np.array([[10.0, 10.0, 30.0, 30.0], [50.0, 50.0, 70.0, 70.0]])
         logits = np.array([[0.0, 8.0], [0.0, -8.0]])
-        dets = postprocess_detections(logits, np.zeros((2, 4)), rois, 0.5, 0.3, 100, 100)
+        dets = postprocess_detections(logits, np.zeros((2, 4)), rois, 100, 100, DetectConfig(score_thresh=0.5))
         assert len(dets) == 1
         assert np.allclose(dets[0].box, rois[0])
 
@@ -178,7 +179,8 @@ class TestPostprocess:
             tied = seed >= 20
             if tied:
                 logits = np.round(logits, 1)  # scores tie within and across rows
-            dets = postprocess_detections(logits, deltas, rois, 0.3, 0.4, 100, 100)
+            cfg = DetectConfig(score_thresh=0.3, det_nms_thresh=0.4)
+            dets = postprocess_detections(logits, deltas, rois, 100, 100, cfg)
             scores = softmax(logits)[:, 1]
             boxes, keep = clip_boxes(decode_deltas(deltas, rois), 100, 100)
             keep &= scores > 0.3
@@ -194,7 +196,8 @@ class TestPostprocess:
 
     def test_scores_strictly_exceed_threshold_and_antichain(self):
         logits, deltas, rois = self._inputs(7, n=80)
-        dets = postprocess_detections(logits, deltas, rois, 0.4, 0.35, 100, 100)
+        cfg = DetectConfig(score_thresh=0.4, det_nms_thresh=0.35)
+        dets = postprocess_detections(logits, deltas, rois, 100, 100, cfg)
         assert all(d.score > 0.4 for d in dets)
         boxes = np.array([d.box for d in dets])
         if len(boxes) > 1:

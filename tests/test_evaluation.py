@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import make_golden
@@ -86,6 +87,10 @@ def test_evaluate_dataset_matches_the_reference_scorer(seed):
     assert report.overall.roc_points == roc
 
 
+def _not_boxes(shape):
+    return rf"image 'a': detection boxes must be finite \(N, 4\); got {re.escape(str(shape))}"
+
+
 def _no_extent(box):
     return rf"image 'a': detection box \[{', '.join(f'{v:.1f}' for v in box)}\] must have x2 > x1 and y2 > y1"
 
@@ -95,6 +100,9 @@ def _no_extent(box):
     [
         ([[0, 0, 10, 10], [20, 20, 30, 30]], [np.nan, 0.5], "image 'a'"),
         ([[0, 0, 10, 10], [20, 20, np.nan, 30]], [0.9, 0.5], "image 'a'"),
+        ([[0, 0, 10, 10], [20, 20, np.inf, 30]], [0.9, 0.5], _not_boxes((2, 4))),
+        ([0, 0, 10, 10], [0.9], _not_boxes((4,))),
+        ([[0, 0, 10, 10, 0.9], [20, 20, 30, 30, 0.5]], [0.9, 0.5], _not_boxes((2, 5))),
         ([[0, 0, 10, 10], [20, 20, 30, 30], [40, 40, 50, 50]], [0.9, 0.5], "image 'a'"),
         ([[0, 0, 10, 10]], [0.9, 0.5], "image 'a'"),
         ([[0, 0, 10, 10], [10, 0, 0, 10]], [0.5, 0.9], _no_extent([10, 0, 0, 10])),
@@ -104,6 +112,9 @@ def _no_extent(box):
     ids=[
         "nan-score",
         "nan-box-corner",
+        "inf-box-corner",
+        "one-flat-box",
+        "five-column-rows",
         "more-boxes-than-scores",
         "more-scores-than-boxes",
         "x-inverted-box",

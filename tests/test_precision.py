@@ -62,7 +62,7 @@ def detect_float64(model, image, img_w, img_h, cfg):
     anchors = model.anchors_for(fused.shape[2], fused.shape[3])
     rois = np.array([p.box for p in propose(logits, deltas, anchors, img_w, img_h, cfg)]).reshape(-1, 4)
     (cls_logits, box_deltas), _ = model.roi_forward(taps, rois)
-    return postprocess_detections(cls_logits, box_deltas, rois, cfg.score_thresh, cfg.det_nms_thresh, img_w, img_h)
+    return postprocess_detections(cls_logits, box_deltas, rois, img_w, img_h, cfg)
 
 
 def _assert_close(dets32, dets64):
