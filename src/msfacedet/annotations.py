@@ -10,6 +10,7 @@ blocks are rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -80,6 +81,4 @@ def format_annotations(records) -> str:
 
 
 def load_annotations(path) -> list[AnnotationRecord]:
-    from pathlib import Path
-
     return parse_annotations(Path(path).read_text(), source=str(path))

@@ -25,7 +25,10 @@ def check_boxes(boxes, what: str, kind: str) -> np.ndarray:
     """``boxes`` as a float64 (N, 4) array; raise ``ValueError`` naming ``what``
     and ``kind`` (``"ground-truth"`` or ``"detection"``) unless they are finite
     (N, 4) boxes, each with x2 > x1 and y2 > y1."""
-    boxes = np.asarray(boxes, dtype=np.float64)
+    try:
+        boxes = np.asarray(boxes, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what}: {kind} boxes must be finite (N, 4); got ragged or non-numeric rows") from None
     if boxes.ndim != 2 or boxes.shape[1] != 4 or not np.isfinite(boxes).all():
         raise ValueError(f"{what}: {kind} boxes must be finite (N, 4); got {boxes.shape}")
     bad = (boxes[:, 2] <= boxes[:, 0]) | (boxes[:, 3] <= boxes[:, 1])

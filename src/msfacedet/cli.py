@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -117,15 +117,10 @@ def cmd_gen_data(args, tracker) -> int:
 
 def _config_from_args(args) -> RunConfig:
     """The --config file (or the defaults) with every given flag that stores
-    into a config key (``--data`` into ``data_dir``, say) applied on top,
-    validated together."""
+    into a config key (``--data`` into ``data_dir``, say) applied on top."""
     cfg = load_run_config(args.config) if getattr(args, "config", None) else RunConfig()
-    for f in fields(RunConfig):
-        value = getattr(args, f.name, None)
-        if value not in (None, ""):
-            setattr(cfg, f.name, value)
-    cfg.validate()
-    return cfg
+    given = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
+    return replace(cfg, **{key: value for key, value in given.items() if value not in (None, "")})
 
 
 def cmd_train(args, tracker) -> int:
@@ -253,8 +248,8 @@ def cmd_ablate(args, tracker) -> int:
     detect_cfg = cfg.component(DetectConfig)
     aps = {}
     for mode in FUSED_TAPS:
-        cfg.fusion_mode = mode
-        result = train(train_scenes, cfg.component(TrainConfig), cfg.component(ModelConfig), detect_cfg=detect_cfg)
+        model_cfg = replace(cfg.component(ModelConfig), fusion_mode=mode)
+        result = train(train_scenes, cfg.component(TrainConfig), model_cfg, detect_cfg=detect_cfg)
         report = evaluate_detector(result.model, eval_scenes, cfg.component(EvalConfig), detect_cfg)
         tracker.write_text(out_dir / f"report_{mode}.txt", format_report(report))
         aps[mode] = report.overall.ap if report.overall.ap is not None else float("nan")

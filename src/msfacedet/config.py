@@ -1,12 +1,13 @@
 """Flat key=value run configuration with '#' comments.
 
-Unknown keys, keys set twice and out-of-range values are rejected up front,
-before any output file is written.
+Unknown keys, keys set twice and out-of-range values are rejected when a
+config is built, before any output file is written.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -20,7 +21,7 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig(DetectConfig, TrainConfig, EvalConfig, ModelConfig):
     """Every detection, training, evaluation and model field, plus the keys below."""
 
@@ -32,15 +33,13 @@ class RunConfig(DetectConfig, TrainConfig, EvalConfig, ModelConfig):
     detections: str = ""
 
     def component(self, cls):
-        """The validated ``cls`` part (one of the base classes) of this config."""
-        cfg = cls(**{f.name: getattr(self, f.name) for f in fields(cls)})
-        cfg.validate()
-        return cfg
+        """The ``cls`` part (one of the base classes) of this config."""
+        return cls(**{f.name: getattr(self, f.name) for f in fields(cls)})
 
-    def validate(self):
+    def __post_init__(self):
         try:
             for cls in (TrainConfig, EvalConfig, ModelConfig, DetectConfig):
-                self.component(cls)
+                cls.__post_init__(self)
         except ValueError as e:
             raise ConfigError(str(e)) from None
 
@@ -69,8 +68,8 @@ def _parse_value(key: str, raw: str, kind):
 
 
 def parse_run_config(text: str, source: str = "<config>") -> RunConfig:
-    cfg = RunConfig()
-    kinds = {f.name: type(getattr(cfg, f.name)) for f in fields(RunConfig)}
+    kinds = {f.name: type(f.default) for f in fields(RunConfig)}
+    values = {}
     set_at: dict[str, int] = {}
     for lineno, line in enumerate(text.split("\n"), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -84,12 +83,9 @@ def parse_run_config(text: str, source: str = "<config>") -> RunConfig:
         if key in set_at:
             raise ConfigError(f"{source}:{lineno}: key {key!r} is set again, first at line {set_at[key]}")
         set_at[key] = lineno
-        setattr(cfg, key, _parse_value(key, raw, kinds[key]))
-    cfg.validate()
-    return cfg
+        values[key] = _parse_value(key, raw, kinds[key])
+    return RunConfig(**values)
 
 
 def load_run_config(path) -> RunConfig:
-    from pathlib import Path
-
     return parse_run_config(Path(path).read_text(), source=str(path))

@@ -135,7 +135,7 @@ def postprocess_detections(
 ) -> list[Detection]:
     """Refine ROIs with predicted deltas, keep face probabilities above
     ``cfg.score_thresh`` and suppress at ``cfg.det_nms_thresh``, where ``cfg``
-    is the ``DetectConfig`` that :func:`~msfacedet.rpn.propose` validated."""
+    is a ``DetectConfig``."""
     rois = np.asarray(rois, dtype=np.float64).reshape(-1, 4)
     scores = softmax(logits)[:, 1]
     boxes = decode_deltas(deltas, rois)

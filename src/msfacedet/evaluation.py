@@ -20,13 +20,13 @@ from .model import check_extents
 from .rpn import DetectConfig, propose
 
 
-@dataclass
+@dataclass(frozen=True)
 class EvalConfig:
     iou_threshold: float = 0.5
     split_small_max: float = 24.0  # gt height < this  -> small
     split_medium_max: float = 64.0  # gt height < this -> medium, else large
 
-    def validate(self):
+    def __post_init__(self):
         if not (0.0 < self.iou_threshold < 1.0):
             raise ValueError(f"iou_threshold {self.iou_threshold} outside (0, 1)")
         if not (0.0 < self.split_small_max < self.split_medium_max):
@@ -64,7 +64,6 @@ def evaluate_dataset(dets_by_image: dict, gts_by_image: dict, cfg: EvalConfig = 
     an unmatched detection counts as a false positive in every split.
     """
     cfg = cfg or EvalConfig()
-    cfg.validate()
     unknown = sorted(set(dets_by_image) - set(gts_by_image))
     if unknown:
         raise ValueError(f"detections reference unknown image {unknown[0]!r}")

@@ -29,7 +29,7 @@ STAGE_CHANNELS = (8, 16, 32, 64, 64)
 FUSED_TAPS = {"multi": TAP_ORDER, "tap5": ("tap5",)}
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
     roi_pool_size: int = 7
     gamma_init: float = 10.0
@@ -46,7 +46,7 @@ class ModelConfig:
     def anchors_per_cell(self) -> int:
         return len(self.anchor_scales) * len(self.anchor_ratios)
 
-    def validate(self):
+    def __post_init__(self):
         # each range is written so that NaN fails it
         require_int("roi_pool_size", self.roi_pool_size, 1)
         if not 0 < self.gamma_init < math.inf:
@@ -102,7 +102,6 @@ class MultiScaleDetector:
         head_width: int = 256,
     ):
         self.cfg = cfg or ModelConfig()
-        self.cfg.validate()
         rng = np.random.default_rng(seed)
         ch = stage_channels
         ins = (1,) + ch[:4]

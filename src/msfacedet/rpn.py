@@ -20,7 +20,7 @@ def require_int(name: str, value, least: int):
         raise ValueError(f"{name} {value!r}: only integers of at least {least} are allowed")
 
 
-@dataclass
+@dataclass(frozen=True)
 class DetectConfig:
     """The six settings of the detection path, used alike in training and at
     test time: the first four select proposals (:func:`propose`), the last
@@ -33,7 +33,7 @@ class DetectConfig:
     score_thresh: float = 0.8
     det_nms_thresh: float = 0.3
 
-    def validate(self):
+    def __post_init__(self):
         # each range is written so that NaN fails it; the limits are slice bounds
         require_int("pre_nms_top_n", self.pre_nms_top_n, 1)
         require_int("post_nms_top_n", self.post_nms_top_n, 1)
@@ -124,14 +124,13 @@ def propose(
 ) -> list[Detection]:
     """Turn per-anchor head outputs into a scored, NMS-filtered proposal list.
 
-    ``cfg`` (a :class:`DetectConfig`, validated here) sets the selection: the
+    ``cfg`` (a :class:`DetectConfig`) sets the selection: the
     ``pre_nms_top_n`` highest-scoring boxes that survive clipping and
     ``min_size`` enter NMS at ``rpn_nms_thresh``, which stops once it has kept
     ``post_nms_top_n`` of them.  Each proposal's score is its objectness.
     Score ties fall back to anchor enumeration order, so the output is a pure
     function of its inputs.
     """
-    cfg.validate()
     scores = softmax(logits)[:, 1]
     boxes = decode_deltas(deltas, anchors)
     boxes, keep = clip_boxes(boxes, img_w, img_h)

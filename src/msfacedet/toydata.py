@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boxes import iou_matrix
+from .rpn import require_int
 
 FACE_ASPECT = 0.8  # width / height of a face box
 NOISE_SIGMA = 0.05
@@ -87,6 +88,7 @@ def generate_toy_dataset(n_images: int, image_size: int, face_scale_range: tuple
     by at most IoU 0.1.  If a face cannot be placed within the attempt
     budget the scene simply carries fewer faces (recorded on the scene).
     """
+    require_int("seed", seed, 0)
     lo, hi = face_scale_range
     if not (4 < lo <= hi <= image_size / 2):
         raise ValueError(f"face_scale_range {face_scale_range} outside (4, {image_size / 2}]")

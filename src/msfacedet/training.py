@@ -30,7 +30,7 @@ from .tensor import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 1e-3
     momentum: float = 0.9
@@ -40,7 +40,7 @@ class TrainConfig:
     loss_lambda: float = 1.0
     lr_drop: bool = False  # 10x learning-rate drop at 75% of the run
 
-    def validate(self):
+    def __post_init__(self):
         # each range is written so that NaN fails it
         if not (
             0 < self.learning_rate < math.inf
@@ -177,7 +177,6 @@ def train(
     layers run in float64.  A trace row is kept every ``trace_every``
     iterations (an integer >= 1) and after the last.
     """
-    cfg.validate()
     require_int("trace_every", trace_every, 1)
     detect_cfg = detect_cfg or DetectConfig()
     if not scenes:

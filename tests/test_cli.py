@@ -352,6 +352,12 @@ def test_gen_data_rejects_image_count_below_one(count, tmp_path, capsys):
     assert not (tmp_path / "data").exists()
 
 
+def test_gen_data_rejects_a_negative_seed(tmp_path, capsys):
+    assert _gen_data(tmp_path / "data", seed="-1") == 1
+    assert "seed -1: only integers of at least 0 are allowed" in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
+
+
 def _gen_data(out, n="2", seed="0"):
     args = ["gen-data", "--out", str(out), "--n-images", n, "--image-size", "64", "--seed", seed]
     return run_cli(args + ["--face-min", "16", "--face-max", "32"])

@@ -1,6 +1,6 @@
 import inspect
 import math
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 
 import pytest
 
@@ -192,10 +192,10 @@ def _numeric_fields(cls):
 )
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_component_config_rejects_non_finite_field(cls, key, bad):
-    cls().validate()
+    cls()
     value = (1.0, bad) if type(getattr(cls(), key)) is tuple else bad
     with pytest.raises(ValueError):
-        cls(**{key: value}).validate()
+        cls(**{key: value})
 
 
 @pytest.mark.parametrize(
@@ -205,4 +205,26 @@ def test_component_config_rejects_non_finite_field(cls, key, bad):
 @pytest.mark.parametrize("bad", [2.5, True])
 def test_component_config_rejects_non_integer_int_field(cls, key, bad):
     with pytest.raises(ValueError, match=f"^{key} {bad!r}: only integers"):
-        cls(**{key: bad}).validate()
+        cls(**{key: bad})
+
+
+# one out-of-range value per config class, on a field whose message names it
+OUT_OF_RANGE = {
+    DetectConfig: ("rpn_nms_thresh", 1.0),
+    ModelConfig: ("roi_pool_size", 0),
+    TrainConfig: ("iterations", 0),
+    EvalConfig: ("iou_threshold", 1.5),
+    RunConfig: ("post_nms_top_n", 0),
+}
+
+
+@pytest.mark.parametrize("cls", list(OUT_OF_RANGE), ids=lambda cls: cls.__name__)
+def test_config_cannot_change_after_it_is_built(cls):
+    cfg = cls()
+    for f in fields(cls):
+        with pytest.raises(FrozenInstanceError):
+            setattr(cfg, f.name, getattr(cfg, f.name))
+    assert cfg == cls()
+    key, bad = OUT_OF_RANGE[cls]
+    with pytest.raises(ConfigError if cls is RunConfig else ValueError, match=f"^{key} "):
+        replace(cfg, **{key: bad})

@@ -108,6 +108,7 @@ def _no_extent(box):
         ([[0, 0, 10, 10], [10, 0, 0, 10]], [0.5, 0.9], _no_extent([10, 0, 0, 10])),
         ([[0, 0, 10, 10], [20, 30, 30, 20]], [0.5, 0.9], _no_extent([20, 30, 30, 20])),
         ([[0, 0, 10, 10], [20, 20, 20, 30]], [0.5, 0.9], _no_extent([20, 20, 20, 30])),
+        ([[0, 0, 10, 10], [1, 2, 3]], [0.9, 0.5], _not_boxes("ragged or non-numeric rows")),
     ],
     ids=[
         "nan-score",
@@ -120,12 +121,13 @@ def _no_extent(box):
         "x-inverted-box",
         "y-inverted-box",
         "zero-width-box",
+        "ragged-rows",
     ],
 )
 def test_evaluate_dataset_rejects_malformed_detections(boxes, scores, message):
     gts = {"a": np.array([[0.0, 0.0, 10.0, 10.0], [20.0, 20.0, 30.0, 30.0]])}
     with pytest.raises(ValueError, match=message):
-        evaluate_dataset({"a": (np.array(boxes, dtype=np.float64), np.array(scores))}, gts)
+        evaluate_dataset({"a": (boxes, np.array(scores))}, gts)
 
 
 @pytest.mark.parametrize(
