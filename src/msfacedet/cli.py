@@ -12,13 +12,12 @@ import numpy as np
 
 from .annotations import AnnotationRecord, format_annotations, load_annotations
 from .checks import MODEL_CHECK_SEEDS, TOLERANCE, run_suite
-from .config import RunConfig, load_run_config
-from .evaluation import EvalConfig, evaluate_dataset, evaluate_detector, format_report
+from .config import RunConfig, parse_run_config
+from .evaluation import evaluate_dataset, evaluate_detector, format_report
 from .imageio import load_image, overlay_boxes, write_pgm, write_ppm
-from .model import FUSED_TAPS, ModelConfig, MultiScaleDetector
-from .rpn import DetectConfig
+from .model import FUSED_TAPS, MultiScaleDetector
 from .toydata import ToyScene, generate_toy_dataset
-from .training import TrainConfig, format_trace, train
+from .training import format_trace, train
 
 
 class _OutputTracker:
@@ -117,10 +116,13 @@ def cmd_gen_data(args, tracker) -> int:
 
 def _config_from_args(args) -> RunConfig:
     """The --config file (or the defaults) with every given flag that stores
-    into a config key (``--data`` into ``data_dir``, say) applied on top."""
-    cfg = load_run_config(args.config) if getattr(args, "config", None) else RunConfig()
+    into a config key (``--data`` into ``data_dir``, say) replacing its value
+    before the one build, so a flag can replace an out-of-range file value."""
     given = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
-    return replace(cfg, **{key: value for key, value in given.items() if value not in (None, "")})
+    given = {key: value for key, value in given.items() if value not in (None, "")}
+    if args.config:
+        return parse_run_config(Path(args.config).read_text(), args.config, **given)
+    return RunConfig(**given)
 
 
 def cmd_train(args, tracker) -> int:
@@ -130,9 +132,9 @@ def cmd_train(args, tracker) -> int:
     tracker.mkdir(out_dir)
     result = train(
         scenes,
-        cfg.component(TrainConfig),
-        cfg.component(ModelConfig),
-        detect_cfg=cfg.component(DetectConfig),
+        cfg,
+        cfg,
+        detect_cfg=cfg,
         progress=lambda it, c: print(f"iter {it}: total {c['total']:.4f}") if it % 200 == 0 else None,
     )
     tracker.write_text(out_dir / "loss_trace.txt", format_trace(result.trace))
@@ -169,13 +171,12 @@ def cmd_detect(args, tracker) -> int:
             overlay = (out_dir / f"{image_id}_overlay.ppm").resolve()
             if overlay in inputs:
                 raise ValueError(f"the overlay of {img_path} would overwrite the input image {inputs[overlay]}")
-    model = MultiScaleDetector(cfg.component(ModelConfig), seed=0)
+    model = MultiScaleDetector(cfg, seed=0)
     model.load(ckpt)
-    detect_cfg = cfg.component(DetectConfig)
     tracker.mkdir(out_dir)
     for image_id, img_path in zip(image_ids, images):
         tensor, orig_w, orig_h = load_image(img_path)
-        dets = model.detect(tensor, orig_w, orig_h, detect_cfg)
+        dets = model.detect(tensor, orig_w, orig_h, cfg)
         tracker.write_text(out_dir / f"{image_id}.txt", _detections_to_text(dets))
         if args.overlay:
             rgb = overlay_boxes(tensor[0, 0, :orig_h, :orig_w], [d.box for d in dets])
@@ -215,7 +216,7 @@ def cmd_eval(args, tracker) -> int:
     records = load_annotations(ann_path)
     gts = dict(zip(_image_ids([rec.image_path for rec in records], ann_path), [rec.boxes for rec in records]))
     dets = {p.stem: _parse_detection_file(p) for p in sorted(det_dir.glob("*.txt"))}
-    report = evaluate_dataset(dets, gts, cfg.component(EvalConfig))
+    report = evaluate_dataset(dets, gts, cfg)
     text = format_report(report)
     if args.out:
         tracker.write_text(args.out, text)
@@ -245,12 +246,10 @@ def cmd_ablate(args, tracker) -> int:
     eval_scenes = _load_scenes(Path(args.eval_data))
     out_dir = Path(cfg.out_dir)
     tracker.mkdir(out_dir)
-    detect_cfg = cfg.component(DetectConfig)
     aps = {}
     for mode in FUSED_TAPS:
-        model_cfg = replace(cfg.component(ModelConfig), fusion_mode=mode)
-        result = train(train_scenes, cfg.component(TrainConfig), model_cfg, detect_cfg=detect_cfg)
-        report = evaluate_detector(result.model, eval_scenes, cfg.component(EvalConfig), detect_cfg)
+        result = train(train_scenes, cfg, replace(cfg, fusion_mode=mode), detect_cfg=cfg)
+        report = evaluate_detector(result.model, eval_scenes, cfg, cfg)
         tracker.write_text(out_dir / f"report_{mode}.txt", format_report(report))
         aps[mode] = report.overall.ap if report.overall.ap is not None else float("nan")
         print(f"{mode} ap_overall {aps[mode]:.6f}")

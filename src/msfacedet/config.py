@@ -1,13 +1,14 @@
 """Flat key=value run configuration with '#' comments.
 
 Unknown keys, keys set twice and out-of-range values are rejected when a
-config is built, before any output file is written.
+config is built, before any output file is written.  Values given on the
+command line replace the file's values before that one build, so a flag can
+replace an out-of-range file value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from pathlib import Path
 
 import numpy as np
 
@@ -23,7 +24,9 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig(DetectConfig, TrainConfig, EvalConfig, ModelConfig):
-    """Every detection, training, evaluation and model field, plus the keys below."""
+    """Every detection, training, evaluation and model field, plus the keys
+    below.  It is passed whole wherever one of its four bases is expected;
+    each consumer reads only its own fields."""
 
     # paths (may also come from CLI flags, which win)
     data_dir: str = ""
@@ -31,10 +34,6 @@ class RunConfig(DetectConfig, TrainConfig, EvalConfig, ModelConfig):
     checkpoint: str = ""
     annotations: str = ""
     detections: str = ""
-
-    def component(self, cls):
-        """The ``cls`` part (one of the base classes) of this config."""
-        return cls(**{f.name: getattr(self, f.name) for f in fields(cls)})
 
     def __post_init__(self):
         try:
@@ -67,7 +66,8 @@ def _parse_value(key: str, raw: str, kind):
     return value
 
 
-def parse_run_config(text: str, source: str = "<config>") -> RunConfig:
+def parse_run_config(text: str, source: str = "<config>", **given) -> RunConfig:
+    """The ``RunConfig`` of ``text``'s values with ``given`` replacing them."""
     kinds = {f.name: type(f.default) for f in fields(RunConfig)}
     values = {}
     set_at: dict[str, int] = {}
@@ -84,8 +84,4 @@ def parse_run_config(text: str, source: str = "<config>") -> RunConfig:
             raise ConfigError(f"{source}:{lineno}: key {key!r} is set again, first at line {set_at[key]}")
         set_at[key] = lineno
         values[key] = _parse_value(key, raw, kinds[key])
-    return RunConfig(**values)
-
-
-def load_run_config(path) -> RunConfig:
-    return parse_run_config(Path(path).read_text(), source=str(path))
+    return RunConfig(**{**values, **given})

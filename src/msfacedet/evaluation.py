@@ -11,6 +11,7 @@ each with a finite score."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,10 +28,11 @@ class EvalConfig:
     split_medium_max: float = 64.0  # gt height < this -> medium, else large
 
     def __post_init__(self):
+        # each range is written so that NaN fails it
         if not (0.0 < self.iou_threshold < 1.0):
             raise ValueError(f"iou_threshold {self.iou_threshold} outside (0, 1)")
-        if not (0.0 < self.split_small_max < self.split_medium_max):
-            raise ValueError("split thresholds must satisfy 0 < small < medium")
+        if not (0.0 < self.split_small_max < self.split_medium_max < math.inf):
+            raise ValueError("split thresholds must satisfy 0 < small < medium < inf")
 
 
 @dataclass

@@ -12,7 +12,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from .detector import DetHead, Detection, detection_backward, detection_forward, postprocess_detections
 from .fusion import TAP_ORDER, TAP_STRIDES, make_l2norm, ms_roi_pool_batch, ms_roi_pool_batch_backward
-from .rpn import DetectConfig, RpnHead, generate_anchors, propose, require_int, rpn_backward, rpn_forward
+from .rpn import DetectConfig, RpnHead, generate_anchors, propose, require_int, rpn_forward
 from .tensor import (
     ShapeError,
     conv2d,

@@ -324,6 +324,29 @@ def test_flag_overrides_config_file_value(tmp_path, capsys):
     from_flag = (tmp_path / "flag" / "scene.txt").read_text().splitlines()
     assert all(float(line.split()[4]) >= 0.5 for line in from_config)
     assert len(from_flag) > len(from_config)
+    # the flag replaces the file's value before the range check, so it can replace an out-of-range one
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("score_thresh = 2\n")
+    args[-1] = str(bad)  # the --config value
+    assert run_cli(args + ["--out", str(tmp_path / "rescued"), "--score-thresh", "0.5"]) == 0
+    rescued = sorted(p.name for p in (tmp_path / "rescued").iterdir())
+    assert rescued == sorted(p.name for p in (tmp_path / "cfg").iterdir())
+    for name in rescued:
+        assert (tmp_path / "rescued" / name).read_bytes() == (tmp_path / "cfg" / name).read_bytes()
+
+
+def test_out_of_range_config_file_value_fails_unless_a_flag_replaces_it(tmp_path, capsys):
+    data, run = tmp_path / "data", tmp_path / "out" / "run"
+    assert _gen_data(data) == 0
+    config = tmp_path / "bad.cfg"
+    config.write_text("iterations = 0\n")
+    args = ["train", "--config", str(config), "--data", str(data), "--out", str(run)]
+    capsys.readouterr()
+    assert run_cli(args) == 1
+    assert capsys.readouterr().err == "error: iterations 0: only integers of at least 1 are allowed\n"
+    assert not (tmp_path / "out").exists()
+    assert run_cli(args + ["--iterations", "2"]) == 0
+    assert (run / "loss_trace.txt").read_text().startswith("2 ")
 
 
 def test_train_and_detect_take_their_paths_from_the_config_file(tmp_path):

@@ -83,17 +83,29 @@ class TestRunConfigKeys:
     def test_empty_text_gives_defaults(self):
         assert parse_run_config("# only a comment\n\n") == RunConfig()
 
-    def test_component_configs_carry_the_values(self):
+    def test_parsed_config_passed_whole_gives_each_consumer_its_values(self, monkeypatch):
         cfg = parse_run_config("iterations = 5\nseed = 3\niou_threshold = 0.4\nroi_pool_size = 5\nmin_size = 2\n")
-        train_cfg, eval_cfg, model_cfg = (cfg.component(c) for c in (TrainConfig, EvalConfig, ModelConfig))
-        assert type(train_cfg) is TrainConfig and type(eval_cfg) is EvalConfig and type(model_cfg) is ModelConfig
-        assert cfg.component(DetectConfig) == DetectConfig(min_size=2.0)
-        assert (train_cfg.iterations, train_cfg.seed) == (5, 3)
-        assert train_cfg.learning_rate == DEFAULTS["learning_rate"]
-        assert eval_cfg.iou_threshold == 0.4
-        assert eval_cfg.split_medium_max == DEFAULTS["split_medium_max"]
-        assert model_cfg.roi_pool_size == 5
-        assert model_cfg.gamma_init == DEFAULTS["gamma_init"]
+        assert MultiScaleDetector(cfg).cfg.roi_pool_size == 5
+        seen = {}
+        real_propose, real_evaluate_dataset = propose, msfacedet.evaluation.evaluate_dataset
+
+        def recording_propose(*args):
+            seen["min_size"] = args[5].min_size
+            return real_propose(*args)
+
+        def recording_evaluate_dataset(dets, gts, eval_cfg):
+            seen["split_max"] = (eval_cfg.split_small_max, eval_cfg.split_medium_max)
+            seen["iou_threshold"] = eval_cfg.iou_threshold
+            return real_evaluate_dataset(dets, gts, eval_cfg)
+
+        monkeypatch.setattr(msfacedet.training, "propose", recording_propose)
+        monkeypatch.setattr(msfacedet.evaluation, "evaluate_dataset", recording_evaluate_dataset)
+        scenes = generate_toy_dataset(1, 64, (16, 32), seed=3)
+        result = train(scenes, cfg, cfg, detect_cfg=cfg)
+        evaluate_detector(result.model, scenes, cfg, cfg)
+        assert result.trace[-1][0] == 5
+        assert (result.model.cfg.roi_pool_size, result.model.cfg.gamma_init) == (5, DEFAULTS["gamma_init"])
+        assert seen == {"min_size": 2.0, "split_max": (24.0, 64.0), "iou_threshold": 0.4}
 
 
 class TestRoundTrip:
@@ -115,8 +127,9 @@ class TestRoundTrip:
         assert cfg.anchor_scales == (1.5, 3.0)
         assert cfg.fusion_mode == "tap5"
         assert cfg.data_dir == "some/dir"
-        assert cfg.component(ModelConfig).fusion_mode == "tap5"
-        assert cfg.component(ModelConfig).anchor_scales == (1.5, 3.0)
+        model = MultiScaleDetector(cfg)
+        assert model.fused_taps == ("tap5",)
+        assert model.cfg.anchor_scales == (1.5, 3.0)
 
     @pytest.mark.parametrize("raw,expected", [("true", True), ("1", True), ("No", False), ("false", False)])
     def test_bool_spellings(self, raw, expected):
@@ -188,7 +201,8 @@ def _numeric_fields(cls):
 
 
 @pytest.mark.parametrize(
-    "cls,key", [(cls, key) for cls in (ModelConfig, TrainConfig, DetectConfig) for key in _numeric_fields(cls)]
+    "cls,key",
+    [(cls, key) for cls in (ModelConfig, TrainConfig, DetectConfig, EvalConfig) for key in _numeric_fields(cls)],
 )
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_component_config_rejects_non_finite_field(cls, key, bad):
