@@ -21,6 +21,14 @@ the BLAS kernels that ``conv2d``'s docstring lists, the bands give the bits
 of the full-column product; on others they may differ from it by roundoff.
 ``conv2d_backward`` gathers the whole columns once, because dW needs all of
 them to keep its summation order.
+
+``maxpool2d`` caches its input and window size, not the argmax, so the
+forward that ``detect`` runs builds no routing that only training reads.
+``maxpool2d_backward`` takes each window's max again from the k*k strided
+views of the input and visits the views in row-major order, routing the
+window's gradient to the first element equal to the max (its first NaN, if
+it holds one), the element ``np.argmax`` picks.  Each view of the gradient
+is written once, as whole strided planes, with no index array or scatter.
 """
 
 from __future__ import annotations
@@ -204,15 +212,39 @@ def maxpool2d(x: np.ndarray, k: int):
 
 
 def maxpool2d_backward(dout: np.ndarray, cache) -> np.ndarray:
+    """Route each window's gradient to its first maximum; zero elsewhere.
+
+    The window max is taken again from the k*k strided views of the cached
+    input, as the forward took it.  The views are then visited in row-major
+    offset order, and each window's gradient goes to the first element equal
+    to its max, or, in a window holding a NaN, to its first NaN: the element
+    ``np.argmax`` picks.  Ties, -0.0 against +0.0 included, go to the lowest
+    linear index.  A routed value is ``dout + 0.0``, which turns -0.0 into
+    +0.0 as a sum started from +0.0 would.  Each offset's view of the
+    gradient takes the bits of that value times a 0/1 mask, an integer
+    multiply that gives the value itself or +0.0 without a branch per element.
+    """
     x, k = cache
-    n, c, h, w = x.shape
-    ho, wo = h // k, w // k
-    wins = x[:, :, : ho * k, : wo * k].reshape(n, c, ho, k, wo, k).transpose(0, 1, 2, 4, 3, 5)
-    arg = wins.reshape(n, c, ho, wo, k * k).argmax(axis=-1)
-    # flat index into (h, w) of each winner, row * w + col
-    flat = (np.arange(ho)[:, None] * k + arg // k) * w + np.arange(wo) * k + arg % k
-    lin = flat.reshape(n * c, -1) + (np.arange(n * c) * (h * w))[:, None]
-    return np.bincount(lin.ravel(), weights=dout.ravel(), minlength=n * c * h * w).reshape(x.shape)
+    ho, wo = x.shape[2] // k, x.shape[3] // k
+    offsets = list(np.ndindex(k, k))
+    views = [x[:, :, i : ho * k : k, j : wo * k : k] for i, j in offsets]
+    peak = views[0].copy()
+    for v in views[1:]:
+        np.maximum(peak, v, out=peak)
+    nan = np.isnan(peak).any()
+    bits = np.add(dout, 0.0, dtype=np.float64).view(np.uint64)
+    dx = np.zeros(x.shape)
+    dx_bits = dx.view(np.uint64)
+    free = np.ones(peak.shape, bool)  # windows not routed yet
+    hit = np.empty(peak.shape, bool)
+    for (i, j), v in zip(offsets, views):
+        np.equal(v, peak, out=hit)
+        if nan:
+            hit |= np.isnan(v)
+        hit &= free
+        free ^= hit
+        np.multiply(bits, hit, out=dx_bits[:, :, i : ho * k : k, j : wo * k : k])
+    return dx
 
 
 # ---------------------------------------------------------------------------

@@ -382,6 +382,44 @@ class TestMaxPool:
         ref_dx = reference_maxpool2d_backward(dout, x.shape, ref_flat)
         assert maxpool2d_backward(dout, cache).tobytes() == ref_dx.tobytes()
 
+    @staticmethod
+    def _routes_as_reference(x, dout, k=2):
+        _, cache = maxpool2d(x, k)
+        _, ref_flat = reference_maxpool2d(x, k)
+        dx = maxpool2d_backward(dout, cache)
+        assert dx.tobytes() == reference_maxpool2d_backward(dout, x.shape, ref_flat).tobytes()
+        return dx
+
+    def test_negative_zero_gradient_lands_as_positive_zero(self):
+        x = np.arange(16.0).reshape(1, 1, 4, 4)
+        dout = np.array([-0.0, 1.5, -0.0, -2.5]).reshape(1, 1, 2, 2)
+        dx = self._routes_as_reference(x, dout)
+        assert dx.reshape(-1)[[7, 15]].tolist() == [1.5, -2.5]
+        assert not np.signbit(dx[dx == 0.0]).any()  # the maxima at 5 and 13 included
+
+    def test_signed_zero_ties_route_to_the_lowest_linear_index(self):
+        # each window mixes -0.0 and +0.0 and nothing larger
+        x = np.array(
+            [[-0.0, 0.0, 0.0, -0.0], [0.0, -0.0, -0.0, -0.0], [-1.0, -0.0, -0.0, 0.0], [0.0, -2.0, 0.0, -0.0]]
+        ).reshape(1, 1, 4, 4)
+        dx = self._routes_as_reference(x, np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 1, 2, 2))
+        assert np.flatnonzero(dx).tolist() == [0, 2, 9, 10]
+
+    def test_nan_after_the_max_takes_the_gradient(self):
+        x = np.array([[5.0, 1.0, 7.0, np.nan], [np.nan, 2.0, np.nan, 7.0]]).reshape(1, 1, 2, 4)
+        dx = self._routes_as_reference(x, np.array([3.0, 4.0]).reshape(1, 1, 1, 2))
+        assert np.flatnonzero(dx).tolist() == [3, 4]
+        assert dx.reshape(-1)[[3, 4]].tolist() == [4.0, 3.0]
+
+    @pytest.mark.parametrize("shape", [(1, 8, 128, 128), (1, 16, 64, 64), (1, 32, 32, 32), (1, 64, 16, 16)])
+    def test_relu_activations_at_the_train_128_pool_shapes(self, shape):
+        # a third or more of ReLU outputs are exact zeros, tied across windows
+        rng = np.random.default_rng(7)
+        x = np.maximum(rng.standard_normal(shape) - 0.3, 0.0)
+        dout = rng.standard_normal((shape[0], shape[1], shape[2] // 2, shape[3] // 2))
+        dout[rng.random(dout.shape) < 0.1] = -0.0
+        self._routes_as_reference(x, dout)
+
 
 class TestRelu:
     def test_values(self):

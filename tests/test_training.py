@@ -130,3 +130,81 @@ def test_sgd_momentum_step_with_a_nan_in_the_last_gradient_moves_nothing():
     with pytest.raises(RuntimeError, match="non-finite gradient in parameter b"):
         sgd_momentum_step(params, velocity, 0.5, 0.5, 0.25)
     assert {name: (t.data.tobytes(), velocity[name].tobytes()) for name, t in params.items()} == before
+
+
+def _oracle_sgd_step(params, velocity, lr, momentum, weight_decay):
+    # the whole-array update: each statement streams every parameter once
+    for name, t in params.items():
+        v = velocity[name]
+        v *= momentum
+        v -= lr * t.grad
+        if weight_decay:
+            v -= (lr * weight_decay) * t.data
+        t.data += v
+
+
+def _random_step_inputs(shapes, seed=0):
+    rng = np.random.default_rng(seed)
+    params, velocity = {}, {}
+    for name, shape in shapes.items():
+        params[name] = Tensor(rng.standard_normal(shape) / 3)
+        params[name].grad[...] = rng.standard_normal(shape) / 7
+        velocity[name] = rng.standard_normal(shape) / 11
+    return params, velocity
+
+
+def _copies(params, velocity):
+    out = {}
+    for name, t in params.items():
+        out[name] = Tensor(t.data.copy())
+        out[name].grad[...] = t.grad
+    return out, {name: v.copy() for name, v in velocity.items()}
+
+
+def _state_bytes(params, velocity):
+    return {name: (t.data.tobytes(), velocity[name].tobytes()) for name, t in params.items()}
+
+
+# (250, 400): rows of 400 make blocks of 81 rows, so four blocks, the last
+# of 7 rows; (70001,): blocks of 32768, 32768 and 4465 elements; (2, 40000):
+# rows wider than a block, one row per block
+BLOCK_SHAPES = {"w": (250, 400), "long": (70001,), "wide": (2, 40000), "conv": (64, 64, 3, 3), "one": (1,)}
+
+
+@pytest.mark.parametrize("weight_decay", [5e-4, 0.0])
+def test_sgd_momentum_step_in_blocks_matches_the_whole_array_update(weight_decay):
+    params, velocity = _random_step_inputs(BLOCK_SHAPES)
+    want_params, want_velocity = _copies(params, velocity)
+    for _ in range(3):
+        sgd_momentum_step(params, velocity, 0.0123, 0.9, weight_decay)
+        _oracle_sgd_step(want_params, want_velocity, 0.0123, 0.9, weight_decay)
+    assert _state_bytes(params, velocity) == _state_bytes(want_params, want_velocity)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_sgd_momentum_step_with_a_non_finite_gradient_in_the_last_block_moves_nothing(bad):
+    params, velocity = _random_step_inputs(BLOCK_SHAPES)
+    params["w"].grad[-1, -1] = bad
+    before = _state_bytes(params, velocity)
+    with pytest.raises(RuntimeError, match="non-finite gradient in parameter w$"):
+        sgd_momentum_step(params, velocity, 0.0123, 0.9, 5e-4)
+    assert _state_bytes(params, velocity) == before
+
+
+def test_sgd_momentum_step_updates_any_layout_in_place():
+    params, velocity = _random_step_inputs({"f": (300, 250), "s": (200, 300)})
+    params["f"] = Tensor(np.asfortranarray(params["f"].data))
+    params["f"].grad[...] = np.random.default_rng(1).standard_normal((300, 250)) / 7
+    strided = np.zeros((200, 600))
+    strided[:, ::2] = velocity["s"]
+    velocity["s"] = strided[:, ::2]
+    data, vel = params["f"].data, velocity["s"]
+    assert data.flags.f_contiguous and not data.flags.c_contiguous
+    assert not vel.flags.c_contiguous and not vel.flags.f_contiguous
+    want_params, want_velocity = _copies(params, velocity)
+    sgd_momentum_step(params, velocity, 0.0123, 0.9, 5e-4)
+    _oracle_sgd_step(want_params, want_velocity, 0.0123, 0.9, 5e-4)
+    assert params["f"].data is data and velocity["s"] is vel
+    assert _state_bytes(params, velocity) == _state_bytes(want_params, want_velocity)
+    assert strided[:, ::2].tobytes() == want_velocity["s"].tobytes()
+    assert not strided[:, 1::2].any()
