@@ -218,7 +218,7 @@ def check_roi_pool(seed: int) -> float:
     rois = np.array([[3.0, 2.0, 29.0, 27.0], [13.0, 9.0, 19.0, 30.0], [16.0, 12.0, 32.0, 28.0]])
 
     def table():  # the (C, U) table of distinct rectangles, whose gradient the backward takes
-        (table, _), cache = roi_pool(fmap, rois, 4, 3)
+        [((table, _), cache)] = roi_pool([fmap], rois, [4], 3)
         return table, cache
 
     return _projected_check(rng, table, lambda pr, c: [roi_pool_backward(pr[0], c)], [fmap])

@@ -143,4 +143,4 @@ def postprocess_detections(
     keep &= scores > cfg.score_thresh
     idx = np.flatnonzero(keep)
     kept = idx[nms(boxes[idx], scores[idx], cfg.det_nms_thresh)]
-    return [Detection(box=boxes[i].copy(), score=float(scores[i])) for i in kept]
+    return [Detection(box, score) for box, score in zip(boxes[kept], scores[kept].tolist())]

@@ -16,6 +16,8 @@ ablation runs the same code over the stride-16 tap alone, without a norm.
 Overlapping ROIs share most bin rectangles, so :func:`roi_pool` pools each
 distinct rectangle of the stack once, per bucket of equal shape, into a
 ``(C, U)`` table with an ``(R, p*p)`` index from each bin to its column.
+A branch pools all its taps in one call, keyed tap-major for one
+``np.unique``; each tap's table keeps the column order of pooling it alone.
 The fusion step works on those columns: the shrink is linear, so each
 normed table goes through its block of the shrink before the index
 expands it.  The expansion gathers whole rows of the transposed
@@ -150,51 +152,61 @@ def _bins(lo: np.ndarray, extent: np.ndarray, p: int):
     return lo[..., None] + edges[e - 1, src][extent - 1], count[e - 1, src][extent - 1]
 
 
-def roi_pool(fmap: np.ndarray, rois: np.ndarray, stride: int, p: int):
-    """Max-pool an (R, 4) stack of image-space ROIs at its distinct bin rectangles.
+def roi_pool(maps, rois: np.ndarray, strides, p: int):
+    """Max-pool an (R, 4) stack of image-space ROIs at its distinct bin
+    rectangles on every (C, H, W) map of ``maps``, map t at ``strides[t]``.
 
-    Each ROI is projected onto the feature grid of one (C, H, W) map (at
-    least one cell per side) and split into p x p bins by :func:`_bins`
-    along each axis.  A bin is a rectangle of cells (first cell, rows,
-    columns), and each distinct rectangle is pooled once, bucketed by exact
-    shape (ny, nx): candidate k of every member is its row k // nx and
-    column k % nx, with no padded candidates.  Per bucket, one gather per
-    candidate feeds one ``np.fmax``, which skips NaN, and a NaN first
-    candidate is put back: the values of a strict-greater scan keeping the
-    first max.  Returns ``(table, index), cache``: the (C, U) maxima of the U
-    distinct rectangles and the (R, p*p) column of each bin in ``table``, so
-    ``np.take(table, index, axis=1)`` is the (C, R, p*p) pooled stack.  The
-    cache holds the (C, H*W) map, ``table`` and each bucket's columns and
-    (L, m) candidate cells.  The backward routes by matching ``table``:
-    nothing may write into it first.
+    Each ROI is projected onto each map's feature grid (at least one cell
+    per side) and split into p x p bins by :func:`_bins` along each axis.  A
+    bin is a rectangle of cells (first cell, rows, columns), keyed by map,
+    then shape, then first cell: map t's keys start after the (h+1)(w+1)*h*w
+    keys of each map before it, so one ``np.unique`` gives each map the
+    columns, in order, of pooling it alone.  Each distinct rectangle is
+    pooled once, bucketed by exact shape (ny, nx): candidate k of every
+    member is its row k // nx and column k % nx, with no padded candidates.
+    Per bucket, one gather per candidate feeds one ``np.fmax``, which skips
+    NaN, and a NaN first candidate is put back: the values of a
+    strict-greater scan keeping the first max, but for the sign of a tied
+    zero.  Returns ``(table, index), cache`` per map: the (C, U) maxima of
+    its U distinct rectangles and the (R, p*p) column of each bin in
+    ``table``, so ``np.take(table, index, axis=1)`` is the (C, R, p*p)
+    pooled stack.  The cache holds the (C, H*W) map, ``table`` and each
+    bucket's columns and (L, m) candidate cells.  The backward routes by
+    matching ``table``: nothing may write into it first.
     """
-    c, h, w = fmap.shape
-    x1, y1, x2, y2 = project_roi(rois, stride)
-    size = np.array([[h], [w]])
-    lo = np.clip(np.stack([y1, x1]), 0, size - 1)  # (2, R): rows, then columns
-    hi = np.maximum(np.minimum(np.stack([y2, x2]), size), lo + 1)
+    hw = np.array([fmap.shape[1:] for fmap in maps]).T[:, :, None]  # (2, T, 1)
+    x1, y1, x2, y2 = project_roi(rois, np.asarray(strides)[:, None])  # each (T, R)
+    lo = np.clip(np.stack([y1, x1]), 0, hw - 1)  # (2, T, R): rows, then columns
+    hi = np.maximum(np.minimum(np.stack([y2, x2]), hw), lo + 1)
     (y0, x0), (ny, nx) = _bins(lo, hi - lo, p)
-    # key each (R, p, p) bin by shape, then first cell, so that a shape's rectangles are one run of sorted keys
-    key = (ny[:, :, None] * (w + 1) + nx[:, None, :]) * (h * w) + y0[:, :, None] * w + x0[:, None, :]
-    keys, index = np.unique(key, return_inverse=True)
-    shape, first = np.divmod(keys, h * w)
-    cells = fmap.reshape(c, h * w)
-    table = np.empty((c, len(keys)), dtype=fmap.dtype)
-    starts = np.flatnonzero(np.diff(shape, prepend=-1)).tolist()
-    buckets = []
-    for a, b in zip(starts, starts[1:] + [len(keys)]):
-        rows, cols = divmod(int(shape[a]), w + 1)
-        k = np.arange(rows * cols)
-        idx = first[a:b] + ((k // cols) * w + k % cols)[:, None]  # (L, m): candidate k of each member
-        head = np.take(cells, idx[0], axis=1)  # (c, m)
-        best = head.copy()
-        for cand in idx[1:]:
-            np.fmax(best, np.take(cells, cand, axis=1), out=best)
-        np.copyto(best, head, where=np.isnan(head))
-        table[:, a:b] = best
-        buckets.append((slice(a, b), idx))
-    index = index.reshape(len(rois), p * p)
-    return (table, index), (cells, table, buckets, fmap.shape)
+    h, w = hw[..., None, None]  # each (T, 1, 1, 1)
+    offsets = np.concatenate([[0], np.cumsum((h + 1) * (w + 1) * h * w)])
+    # key each (T, R, p, p) bin by map, then shape, then first cell, so that a shape's rectangles are one run
+    key = (ny[..., :, None] * (w + 1) + nx[..., None, :]) * (h * w) + y0[..., :, None] * w + x0[..., None, :]
+    keys, inverse = np.unique(key + offsets[:-1].reshape(h.shape), return_inverse=True)
+    bounds = np.searchsorted(keys, offsets).tolist()
+    pooled = []
+    inverse = inverse.reshape(len(maps), len(rois), p * p)
+    for fmap, offset, begin, end, map_index in zip(maps, offsets.tolist(), bounds, bounds[1:], inverse):
+        c, h, w = fmap.shape
+        shape, first = np.divmod(keys[begin:end] - offset, h * w)
+        cells = fmap.reshape(c, h * w)
+        table = np.empty((c, len(shape)), dtype=fmap.dtype)
+        starts = np.flatnonzero(np.diff(shape, prepend=-1)).tolist()
+        buckets = []
+        for a, b in zip(starts, starts[1:] + [len(shape)]):
+            rows, cols = divmod(int(shape[a]), w + 1)
+            k = np.arange(rows * cols)
+            idx = first[a:b] + ((k // cols) * w + k % cols)[:, None]  # (L, m): candidate k of each member
+            head = np.take(cells, idx[0], axis=1)  # (c, m)
+            best = head.copy()
+            for cand in idx[1:]:
+                np.fmax(best, np.take(cells, cand, axis=1), out=best)
+            np.copyto(best, head, where=np.isnan(head))
+            table[:, a:b] = best
+            buckets.append((slice(a, b), idx))
+        pooled.append(((table, map_index - begin), (cells, table, buckets, fmap.shape)))
+    return pooled
 
 
 def roi_pool_backward(dtable: np.ndarray, cache) -> np.ndarray:
@@ -221,13 +233,15 @@ def roi_pool_backward(dtable: np.ndarray, cache) -> np.ndarray:
 def ms_roi_pool_batch(taps: dict, rois: np.ndarray, norms, shrink: Params, p: int):
     """Fixed-size fused descriptors (R, shrink_out, p, p) for an (R, 4) ROI stack.
 
-    Each tap of the ``{name: (1, C, H, W) map}`` dict pools the whole stack
-    at its stride to a (C_i, U_i) table of distinct rectangles and an (R, p*p)
-    index into it, then the pooled taps go through the fusion step in dict
-    order, so the output shape does not depend on ROI size.
+    One :func:`roi_pool` call pools the whole stack on every tap of the
+    ``{name: (1, C, H, W) map}`` dict at its stride, each to a (C_i, U_i)
+    table of distinct rectangles and an (R, p*p) index into it, then the
+    pooled taps go through the fusion step in dict order, so the output
+    shape does not depend on ROI size.
     """
     names = list(taps)
-    pooled, pool_caches = zip(*[roi_pool(taps[name][0], rois, TAP_STRIDES[name], p) for name in names])
+    maps = [taps[name][0] for name in names]
+    pooled, pool_caches = zip(*roi_pool(maps, rois, [TAP_STRIDES[name] for name in names], p))
     tables, index = zip(*pooled)
     out, fuse_cache = concat_shrink(tables, names, norms, shrink, index)
     return out.reshape(len(out), len(rois), p, p).transpose(1, 0, 2, 3), (names, pool_caches, fuse_cache)

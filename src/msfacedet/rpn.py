@@ -127,7 +127,8 @@ def propose(
     ``cfg`` (a :class:`DetectConfig`) sets the selection: the
     ``pre_nms_top_n`` highest-scoring boxes that survive clipping and
     ``min_size`` enter NMS at ``rpn_nms_thresh``, which stops once it has kept
-    ``post_nms_top_n`` of them.  Each proposal's score is its objectness.
+    ``post_nms_top_n`` of them.  Each proposal's score is its objectness,
+    and its box a (4,) row of one (K, 4) float64 array of the kept boxes.
     Score ties fall back to anchor enumeration order, so the output is a pure
     function of its inputs.
     """
@@ -137,8 +138,8 @@ def propose(
     keep &= (boxes[:, 2] - boxes[:, 0] >= cfg.min_size) & (boxes[:, 3] - boxes[:, 1] >= cfg.min_size)
     idx = np.flatnonzero(keep)
     order = idx[np.argsort(-scores[idx], kind="stable")][: cfg.pre_nms_top_n]
-    kept = nms(boxes[order], scores[order], cfg.rpn_nms_thresh, max_keep=cfg.post_nms_top_n)
-    return [Detection(box=boxes[order[i]].copy(), score=float(scores[order[i]])) for i in kept]
+    kept = order[nms(boxes[order], scores[order], cfg.rpn_nms_thresh, max_keep=cfg.post_nms_top_n)]
+    return [Detection(box, score) for box, score in zip(boxes[kept], scores[kept].tolist())]
 
 
 class TargetAssignmentError(RuntimeError):

@@ -15,7 +15,8 @@ while accumulating parameter gradients in place (``param.grad += ...``), so
 parameters shared between branches pick up contributions from every use.
 
 ``conv2d`` is an im2col GEMM that never builds its columns at full size: it
-gathers and multiplies them in bands of output rows of about 1 MiB
+copies them out of one read-only window view, built from the zero-padded
+input's strides, and multiplies them in bands of output rows of about 1 MiB
 (``_BAND_BYTES``), so each band is still in L2 when the GEMM reads it.  On
 the BLAS kernels that ``conv2d``'s docstring lists, the bands give the bits
 of the full-column product; on others they may differ from it by roundoff.
@@ -36,7 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 class ShapeError(ValueError):
@@ -101,10 +101,15 @@ _BAND_BYTES = 1 << 20
 
 
 def _windows(xp: np.ndarray, k: int) -> np.ndarray:
-    """Channel-major ``(C, k, k, N, H, W)`` view of the k x k windows of the
-    padded input: a copy of any run of its output rows, flattened to
-    ``(C*k*k, N*rows*W)``, is those rows' im2col columns."""
-    return sliding_window_view(xp, (k, k), axis=(2, 3)).transpose(1, 4, 5, 0, 2, 3)
+    """Channel-major ``(C, k, k, N, H, W)`` read-only view of the k x k windows
+    of the C-contiguous padded input, built from its strides: a copy of any
+    run of its output rows, flattened to ``(C*k*k, N*rows*W)``, is those
+    rows' im2col columns."""
+    n, c, hp, wp = xp.shape
+    sn, sc, sh, sw = xp.strides
+    win = np.ndarray((c, k, k, n, hp - k + 1, wp - k + 1), xp.dtype, xp, 0, (sc, sh, sw, sn, sh, sw))
+    win.flags.writeable = False
+    return win
 
 
 def _columns(xp: np.ndarray, k: int) -> np.ndarray:

@@ -12,6 +12,7 @@ from msfacedet.detector import (
 from msfacedet.model import ModelConfig, MultiScaleDetector
 from msfacedet.rpn import DetectConfig
 from msfacedet.tensor import softmax
+from test_rpn import assert_rows_of_one_gather
 
 
 def tiny_model(seed=0, mode="multi"):
@@ -193,6 +194,19 @@ class TestPostprocess:
                 assert d.score == pytest.approx(scores[order[i]])
                 if tied:
                     assert np.array_equal(d.box, boxes[order[i]]) and d.score == scores[order[i]]
+
+    @pytest.mark.parametrize("score_thresh", [0.3, 0.999], ids=["kept", "empty"])
+    def test_detections_equal_per_box_copies(self, score_thresh):
+        for seed in range(5):
+            logits, deltas, rois = self._inputs(60 + seed, n=80)
+            cfg = DetectConfig(score_thresh=score_thresh, det_nms_thresh=0.4)
+            dets = postprocess_detections(logits, deltas, rois, 100, 100, cfg)
+            scores = softmax(logits)[:, 1]
+            boxes, keep = clip_boxes(decode_deltas(deltas, rois), 100, 100)
+            idx = np.flatnonzero(keep & (scores > score_thresh))
+            kept = idx[nms(boxes[idx], scores[idx], 0.4)]
+            assert (len(dets) > 1) == (score_thresh == 0.3)
+            assert_rows_of_one_gather(dets, [boxes[i] for i in kept], [scores[i] for i in kept])
 
     def test_scores_strictly_exceed_threshold_and_antichain(self):
         logits, deltas, rois = self._inputs(7, n=80)

@@ -250,15 +250,17 @@ def reference_roi_pool_stack(fmap, rois, stride, p):
     return np.stack([o for o, _ in pooled]), np.stack([a for _, a in pooled])
 
 
+def reference_bin_rectangles(shape, roi, stride, p):
+    """The (first cell, rows, columns) rectangle of each of one ROI's p*p bins."""
+    w = shape[2]
+    flat, valid = reference_cells(shape, roi, stride, p)
+    cells = (f[v] for f, v in zip(flat, valid))
+    return [(int(c.min()), len(np.unique(c // w)), len(np.unique(c % w))) for c in cells]
+
+
 def reference_rectangles(shape, rois, stride, p):
     """The distinct bin rectangles of an ROI stack as (first cell, rows, columns)."""
-    w = shape[2]
-    rects = set()
-    for roi in rois:
-        flat, valid = reference_cells(shape, roi, stride, p)
-        for cells in (f[v] for f, v in zip(flat, valid)):
-            rects.add((cells.min(), len(np.unique(cells // w)), len(np.unique(cells % w))))
-    return rects
+    return {rect for roi in rois for rect in reference_bin_rectangles(shape, roi, stride, p)}
 
 
 def reference_roi_pool_backward(dout, argmax, dmap):
@@ -291,7 +293,7 @@ def pool_stack(fmap, rois, stride, p):
     (C, R, p*p) per-bin gradient.  That sums the gradient into the (C, U)
     table gradient with ``np.add.at``, exactly for integer values, then
     calls :func:`roi_pool_backward`."""
-    (table, index), cache = roi_pool(fmap, rois, stride, p)
+    [((table, index), cache)] = roi_pool([fmap], rois, [stride], p)
     assert table.flags.c_contiguous and index.shape == (len(rois), p * p)
 
     def backward(dout):
@@ -429,6 +431,86 @@ class TestRoiPoolMatchesPerRoiReference:
     def test_backward_matches_add_at(self, p):
         rng = np.random.default_rng(30 + p)
         self.check(np.maximum(rng.standard_normal((3, 16, 16)), 0.0), mixed_rois(rng, 200, 64.0), p, rng)
+
+
+def bucket_rectangles(cache, w):
+    """The (first cell, rows, columns) of each table column, in column order,
+    read from the first and last candidate cells of the cache's buckets."""
+    rects = []
+    for _, idx in cache[2]:
+        span = idx[-1] - idx[0]  # (rows - 1) * w + columns - 1
+        rects += [(int(f), int(d) // w + 1, int(d) % w + 1) for f, d in zip(idx[0], span)]
+    return rects
+
+
+def multi_tap_case(case, rng):
+    """Maps, strides and ROIs of one case of pooling every tap in one call."""
+    shapes, strides, n = [(2, 16, 16), (3, 8, 8), (4, 4, 4)], [4, 8, 16], 150
+    if case == "uneven":  # sizes that are not exact stride ratios
+        shapes = [(2, 17, 13), (3, 7, 9), (4, 3, 5)]
+    elif case == "tap5":  # the single-tap mode
+        shapes, strides = shapes[2:], strides[2:]
+    elif case == "empty":
+        n = 0
+    maps = [rng.standard_normal(shape) for shape in shapes]
+    if case == "signed_zero":  # -0.0 and +0.0 tie
+        maps = [np.round(0.6 * fmap) for fmap in maps]
+    elif case == "nan":  # cell (0, 0) is the first candidate of every rectangle that holds it
+        for fmap in maps:
+            fmap[-1, 0, 0] = np.nan
+    elif case == "float32":
+        maps = [fmap.astype(np.float32) for fmap in maps]
+    return maps, strides, mixed_rois(rng, n, 64.0)
+
+
+class TestRoiPoolOverEveryTap:
+    """One :func:`roi_pool` call over all taps pools each tap as the per-ROI
+    reference does, with the table columns of that tap's distinct rectangles
+    sorted by shape, then first cell."""
+
+    @pytest.mark.parametrize("p", [1, 3, 7])
+    @pytest.mark.parametrize("case", ["plain", "nan", "signed_zero", "float32", "empty", "tap5", "uneven"])
+    def test_each_tap_matches_the_reference(self, case, p):
+        rng = np.random.default_rng(50 + p)
+        maps, strides, rois = multi_tap_case(case, rng)
+        pooled = roi_pool(maps, rois, strides, p)
+        assert len(pooled) == len(maps)
+        for fmap, stride, ((table, index), cache) in zip(maps, strides, pooled):
+            [((alone, alone_index), _)] = roi_pool([fmap], rois, [stride], p)
+            assert (table.tobytes(), index.tobytes()) == (alone.tobytes(), alone_index.tobytes())
+            c, _, w = fmap.shape
+            bins = [reference_bin_rectangles(fmap.shape, roi, stride, p) for roi in rois]
+            rects = sorted({rect for b in bins for rect in b}, key=lambda r: (r[1] * (w + 1) + r[2], r[0]))
+            assert bucket_rectangles(cache, w) == rects
+            column = {rect: i for i, rect in enumerate(rects)}
+            assert index.shape == (len(rois), p * p) and index.tolist() == [[column[r] for r in b] for b in bins]
+            assert table.shape == (c, len(rects)) and table.dtype == fmap.dtype
+            if not len(rois):
+                continue
+            ref_out, ref_arg = reference_roi_pool_stack(fmap, rois, stride, p)
+            out = np.take(table, index, axis=1)
+            ref_out = ref_out.reshape(len(rois), c, -1).transpose(1, 0, 2)
+            if case == "signed_zero":
+                # np.fmax keeps its first operand on a -0.0/+0.0 tie in its scalar
+                # loop and takes the second in its SIMD loop, so a zero's sign
+                # depends on the bucket's size, not on the scan order
+                assert np.array_equal(out, ref_out)
+            else:
+                assert out.tobytes() == ref_out.tobytes()
+            assert np.isnan(out).any() == (case == "nan")
+            if fmap.dtype == np.float64:
+                dout = integer_grad(rng, out.shape)
+                dtable = np.zeros(table.shape)
+                np.add.at(dtable, (slice(None), index), dout)
+                ref = np.zeros_like(fmap)
+                reference_roi_pool_backward(np.ascontiguousarray(dout.transpose(1, 0, 2)), ref_arg, ref)
+                assert roi_pool_backward(dtable, cache).tobytes() == ref.tobytes()
+        if case == "plain" and p == 7:  # the stride-4 tap has bins of transposed shapes, 2x3 next to 3x2 say
+            shapes = {(ny, nx) for _, ny, nx in bucket_rectangles(pooled[0][1], maps[0].shape[2])}
+            assert any(ny != nx and (nx, ny) in shapes for ny, nx in shapes)
+        if case == "signed_zero":
+            zeros = np.concatenate([table.ravel() for (table, _), _ in pooled])
+            assert {math.copysign(1.0, z) for z in zeros[zeros == 0.0]} == {-1.0, 1.0}
 
 
 class TestMsRoiPool:
@@ -577,10 +659,10 @@ class TestFusionMatchesNchwReference:
         rois = boxes[rng.integers(0, 20, 300)] + rng.uniform(-7.9, 7.9, (300, 4))
         calls = []
 
-        def counted(fmap, *args):
-            pooled, cache = roi_pool(fmap, *args)
-            calls.append(pooled[0].shape[1])
-            return pooled, cache
+        def counted(maps, *args):
+            pooled = roi_pool(maps, *args)
+            calls.append([table.shape[1] for (table, _), _ in pooled])
+            return pooled
 
         monkeypatch.setattr(fusion, "roi_pool", counted)
         out, cache = ms_roi_pool_batch(taps, rois, model.norms, model.shrink, 7)
@@ -588,8 +670,8 @@ class TestFusionMatchesNchwReference:
         tap_grads = ms_roi_pool_batch_backward(dout, cache)
 
         rects = [reference_rectangles(fmap[0].shape, rois, TAP_STRIDES[name], 7) for name, fmap in taps.items()]
-        assert calls == [len(r) for r in rects]  # one call per tap, one column per distinct rectangle
-        assert sum(calls) < len(rois) * 49
+        assert calls == [[len(r) for r in rects]]  # one call per branch, one column per distinct rectangle per tap
+        assert sum(calls[0]) < len(rois) * 49
         if mode == "multi":  # the stride-4 tap has bins of transposed shapes, 2x3 next to 3x2 say
             shapes = {(ny, nx) for _, ny, nx in rects[0]}
             assert any(ny != nx and (nx, ny) in shapes for ny, nx in shapes)

@@ -107,6 +107,19 @@ def reference_propose(logits_rows, delta_rows, anchors, w, h, pre, post, thresh,
     return [(order[i], boxes[order[i]], scores[order[i]]) for i in kept]
 
 
+def assert_rows_of_one_gather(dets, boxes, scores):
+    """``dets`` byte-equal to ``Detection(boxes[i].copy(), float(scores[i]))``
+    for each row, each box its own (4,) float64 row: writing into one leaves
+    the others as they were."""
+    assert [(d.box.tobytes(), d.score.hex()) for d in dets] == [
+        (b.copy().tobytes(), float(s).hex()) for b, s in zip(boxes, scores)
+    ]
+    assert all(d.box.shape == (4,) and d.box.dtype == np.float64 and type(d.score) is float for d in dets)
+    if dets:
+        dets[0].box[:] = np.nan
+        assert [d.box.tobytes() for d in dets[1:]] == [b.tobytes() for b in boxes[1:]]
+
+
 class TestPropose:
     def _inputs(self, seed, a=30):
         rng = np.random.default_rng(seed)
@@ -158,6 +171,16 @@ class TestPropose:
                 (box.tobytes(), float(score)) for _, box, score in ref
             ]
         assert capped == (0 if post == 10_000 else 10)
+
+    @pytest.mark.parametrize("min_size", [4.0, 200.0], ids=["kept", "empty"])
+    def test_proposals_equal_per_box_copies(self, min_size):
+        for seed in range(5):
+            logits, deltas, anchors = self._inputs(200 + seed, a=300)
+            cfg = DetectConfig(pre_nms_top_n=200, post_nms_top_n=40, rpn_nms_thresh=0.6, min_size=min_size)
+            props = propose(logits, deltas, anchors, 100, 100, cfg)
+            ref = reference_propose(logits, deltas, anchors, 100, 100, 200, 40, 0.6, min_size)
+            assert (len(props) > 1) == (min_size == 4.0)
+            assert_rows_of_one_gather(props, [box for _, box, _ in ref], [score for _, _, score in ref])
 
     @pytest.mark.parametrize("pre,post", [(-1, 300), (0, 300), (2000, -2), (2000, 0)])
     def test_limits_below_one_rejected(self, pre, post):

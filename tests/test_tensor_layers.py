@@ -14,6 +14,7 @@ from msfacedet.tensor import (
     Params,
     ShapeError,
     Tensor,
+    _windows,
     conv2d,
     conv2d_backward,
     fully_connected,
@@ -275,6 +276,20 @@ class TestConv2d:
             tracemalloc.stop()
         padded, output = 8 * 258 * 258 * 4, 8 * 256 * 256 * 4
         assert peak < padded + output + 2 * _BAND_BYTES
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("k", [1, 3])
+def test_windows_are_the_sliding_window_view_and_read_only(k, n, dtype):
+    # a non-square padded input: 9 x 6 output rows and columns
+    xp = np.random.default_rng(10 * k + n).standard_normal((n, 3, 8 + k, 5 + k)).astype(dtype)
+    ref = sliding_window_view(xp, (k, k), axis=(2, 3)).transpose(1, 4, 5, 0, 2, 3)
+    win = _windows(xp, k)
+    assert (win.shape, win.strides, win.dtype) == (ref.shape, ref.strides, ref.dtype)
+    assert win.tobytes() == ref.tobytes() and np.shares_memory(win, xp)
+    with pytest.raises(ValueError, match="read-only"):
+        win[0, 0, 0, 0, 0, 0] = 1.0
 
 
 def _column_bytes(x_shape, k, dtype):
