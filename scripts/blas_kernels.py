@@ -1,16 +1,18 @@
-"""The tests under each OpenBLAS kernel that numpy's DYNAMIC_ARCH build ships.
+"""The tests under each OpenBLAS kernel that numpy's DYNAMIC_ARCH build
+ships, at each of two BLAS thread counts.
 
     python scripts/blas_kernels.py
 
 Runs the tier-1 command of ROADMAP.md,
 ``PYTHONPATH=src python -m pytest -q --continue-on-collection-errors``
 (``tests`` and ``benchmark``, the ``testpaths`` of pyproject.toml), from the
-repository root once per kernel, forced with ``OPENBLAS_CORETYPE`` (SkylakeX,
-Haswell, Sandybridge), with one BLAS thread, and prints each kernel's pass
-and fail counts and failed test ids.  Exits 1 when any kernel has a failure
-or error.
+repository root once per pair of kernel, forced with ``OPENBLAS_CORETYPE``
+(SkylakeX, Haswell, Sandybridge), and BLAS thread count, set with
+``OPENBLAS_NUM_THREADS`` (1 and 2).  Prints the pass and fail counts and the
+failed test ids of each pair.  Exits 1 when any run has a failure or error.
 """
 
+import itertools
 import os
 import re
 import subprocess
@@ -19,13 +21,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 KERNELS = ("SkylakeX", "Haswell", "Sandybridge")
+THREAD_COUNTS = ("1", "2")
 
 
 def main():
     bad = False
-    for kernel in KERNELS:
-        pythonpath = os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, OPENBLAS_CORETYPE=kernel, OPENBLAS_NUM_THREADS="1", PYTHONPATH=pythonpath)
+    pythonpath = os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))
+    for kernel, threads in itertools.product(KERNELS, THREAD_COUNTS):
+        env = dict(os.environ, OPENBLAS_CORETYPE=kernel, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=pythonpath)
         proc = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
             cwd=ROOT, env=env, capture_output=True, text=True,
@@ -34,7 +37,8 @@ def main():
         counts = {k: int(n) for n, k in re.findall(r"(\d+) (passed|failed|errors?)", lines[-1] if lines else "")}
         failed = counts.get("failed", 0) + counts.get("error", 0) + counts.get("errors", 0)
         bad |= proc.returncode != 0
-        print(f"{kernel}: {counts.get('passed', 0)} passed, {failed} failed (pytest exit {proc.returncode})")
+        passed = counts.get("passed", 0)
+        print(f"{kernel}, {threads} threads: {passed} passed, {failed} failed (pytest exit {proc.returncode})")
         for line in lines:
             if line.startswith(("FAILED ", "ERROR ")):
                 print(f"  {line.split(' - ')[0]}")

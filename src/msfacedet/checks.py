@@ -266,9 +266,10 @@ def check_rpn_head(seed: int) -> float:
 def tiny_model_setup(seed: int, fusion_mode: str = "multi"):
     """A 32x32 end-to-end configuration with frozen targets for checking."""
     cfg = ModelConfig(
-        roi_pool_size=3, gamma_init=2.0, anchor_scales=(1.0,), anchor_ratios=(1.0, 1.3), fusion_mode=fusion_mode
+        roi_pool_size=3, gamma_init=2.0, anchor_scales=(1.0,), anchor_ratios=(1.0, 1.3), fusion_mode=fusion_mode,
+        stage_channels=(2, 2, 3, 3, 3), rpn_channels=4, head_width=8,
     )
-    model = MultiScaleDetector(cfg, seed=seed, stage_channels=(2, 2, 3, 3, 3), rpn_channels=4, head_width=8)
+    model = MultiScaleDetector(cfg, seed=seed)
     rng = np.random.default_rng(seed + 1)
     image = rng.uniform(0.0, 1.0, size=(1, 1, 32, 32))
     gt = np.array([[7.0, 6.0, 23.0, 26.0]])

@@ -43,7 +43,8 @@ class RunConfig(DetectConfig, TrainConfig, EvalConfig, ModelConfig):
             raise ConfigError(str(e)) from None
 
 
-def _parse_value(key: str, raw: str, kind):
+def _parse_value(key: str, raw: str, default):
+    kind = type(default)
     try:
         if kind is bool:
             if raw.lower() in ("true", "1", "yes"):
@@ -56,7 +57,7 @@ def _parse_value(key: str, raw: str, kind):
         if kind is float:
             value = float(raw)
         elif kind is tuple:
-            value = tuple(float(v) for v in raw.split(",") if v.strip() != "")
+            value = tuple(type(default[0])(v) for v in raw.split(",") if v.strip() != "")
         else:
             return raw
     except ValueError:
@@ -68,7 +69,7 @@ def _parse_value(key: str, raw: str, kind):
 
 def parse_run_config(text: str, source: str = "<config>", **given) -> RunConfig:
     """The ``RunConfig`` of ``text``'s values with ``given`` replacing them."""
-    kinds = {f.name: type(f.default) for f in fields(RunConfig)}
+    defaults = {f.name: f.default for f in fields(RunConfig)}
     values = {}
     set_at: dict[str, int] = {}
     for lineno, line in enumerate(text.split("\n"), start=1):
@@ -78,10 +79,10 @@ def parse_run_config(text: str, source: str = "<config>", **given) -> RunConfig:
         if "=" not in stripped:
             raise ConfigError(f"{source}:{lineno}: expected key=value, got {line!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in kinds:
+        if key not in defaults:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
         if key in set_at:
             raise ConfigError(f"{source}:{lineno}: key {key!r} is set again, first at line {set_at[key]}")
         set_at[key] = lineno
-        values[key] = _parse_value(key, raw, kinds[key])
+        values[key] = _parse_value(key, raw, defaults[key])
     return RunConfig(**{**values, **given})

@@ -25,7 +25,6 @@ from .tensor import (
     relu_backward,
 )
 
-STAGE_CHANNELS = (8, 16, 32, 64, 64)
 FUSED_TAPS = {"multi": TAP_ORDER, "tap5": ("tap5",)}
 
 
@@ -41,10 +40,10 @@ class ModelConfig:
     # "multi" fuses tap3/4/5 with per-tap norms; "tap5" is the same fusion
     # path over the last tap alone, without norms
     fusion_mode: str = "multi"
-
-    @property
-    def anchors_per_cell(self) -> int:
-        return len(self.anchor_scales) * len(self.anchor_ratios)
+    # widths of the five backbone stages (the last is the fused width), the RPN conv and the region FCs
+    stage_channels: tuple = (8, 16, 32, 64, 64)
+    rpn_channels: int = 256
+    head_width: int = 256
 
     def __post_init__(self):
         # each range is written so that NaN fails it
@@ -57,6 +56,12 @@ class ModelConfig:
             raise ValueError("anchor scales and ratios must be positive and finite")
         if self.fusion_mode not in FUSED_TAPS:
             raise ValueError(f"unknown fusion_mode {self.fusion_mode!r}")
+        if len(self.stage_channels) != 5:
+            raise ValueError(f"stage_channels {self.stage_channels!r}: exactly five stage widths are needed")
+        for width in self.stage_channels:
+            require_int("stage_channels", width, 1)
+        require_int("rpn_channels", self.rpn_channels, 1)
+        require_int("head_width", self.head_width, 1)
 
 
 def check_image(image: np.ndarray, what: str = "image"):
@@ -92,18 +97,10 @@ class MultiScaleDetector:
     branches fuse the stride-16 tap alone, without a norm.
     """
 
-    def __init__(
-        self,
-        cfg: ModelConfig = None,
-        seed: int = 0,
-        *,
-        stage_channels: tuple = STAGE_CHANNELS,
-        rpn_channels: int = 256,
-        head_width: int = 256,
-    ):
+    def __init__(self, cfg: ModelConfig = None, seed: int = 0):
         self.cfg = cfg or ModelConfig()
         rng = np.random.default_rng(seed)
-        ch = stage_channels
+        ch = self.cfg.stage_channels
         ins = (1,) + ch[:4]
         self.stages = []
         for i in range(5):
@@ -117,18 +114,18 @@ class MultiScaleDetector:
         shrink_in = sum(tap_channels[name] for name in self.fused_taps)
         fused_c = ch[4]
         self.shrink = make_conv(rng, fused_c, shrink_in, 1)
-        k = self.cfg.anchors_per_cell
+        k = len(self.cfg.anchor_scales) * len(self.cfg.anchor_ratios)
         self.rpn_head = RpnHead(
-            conv=make_conv(rng, rpn_channels, fused_c, 3),
-            cls=make_conv(rng, 2 * k, rpn_channels, 1),
-            bbox=make_conv(rng, 4 * k, rpn_channels, 1),
+            conv=make_conv(rng, self.cfg.rpn_channels, fused_c, 3),
+            cls=make_conv(rng, 2 * k, self.cfg.rpn_channels, 1),
+            bbox=make_conv(rng, 4 * k, self.cfg.rpn_channels, 1),
         )
-        p = self.cfg.roi_pool_size
+        p, width = self.cfg.roi_pool_size, self.cfg.head_width
         self.det_head = DetHead(
-            fc1=make_linear(rng, fused_c * p * p, head_width),
-            fc2=make_linear(rng, head_width, head_width),
-            cls=make_linear(rng, head_width, 2),
-            bbox=make_linear(rng, head_width, 4),
+            fc1=make_linear(rng, fused_c * p * p, width),
+            fc2=make_linear(rng, width, width),
+            cls=make_linear(rng, width, 2),
+            bbox=make_linear(rng, width, 4),
         )
 
     # ------------------------------------------------------------------

@@ -186,13 +186,14 @@ def train(
     Each iteration draws one scene from a reshuffled epoch order, forwards
     the shared backbone once, assigns proposal and region targets, and takes
     one momentum-SGD step on all parameters.  Proposals for the region head
-    are selected by ``detect_cfg`` (a :class:`DetectConfig`, default settings
-    when None), as at test time.  Identical config and seed give a
-    bit-identical trace and checkpoint.  Every scene image must pass
-    :func:`check_image` in its own dtype, its width and height
-    :func:`check_extents` and its ground truth :func:`check_boxes`; the
-    layers run in float64.  A trace row is kept every ``trace_every``
-    iterations (an integer >= 1) and after the last.
+    are selected by ``detect_cfg`` (a :class:`DetectConfig`, default
+    settings when None), as at test time.  Identical config and seed give a
+    bit-identical trace and checkpoint under the same BLAS library, kernel
+    and thread count (the thread split can change a product's bits).  Every
+    scene image must pass :func:`check_image` in its own dtype, its width
+    and height :func:`check_extents` and its ground truth
+    :func:`check_boxes`; the layers run in float64.  A trace row is kept
+    every ``trace_every`` iterations (an integer >= 1) and after the last.
     """
     require_int("trace_every", trace_every, 1)
     detect_cfg = detect_cfg or DetectConfig()
@@ -203,7 +204,7 @@ def train(
         check_image(image, f"scene {s.name}: image")
         check_extents(image, s.width, s.height, f"scene {s.name}")
         check_boxes(s.gt_boxes, f"scene {s.name}", "ground-truth")
-    model = MultiScaleDetector(model_cfg or ModelConfig(), seed=cfg.seed)
+    model = MultiScaleDetector(model_cfg, seed=cfg.seed)
     rng = np.random.default_rng([cfg.seed, 1])
     params = model.params()
     velocity = {name: np.zeros_like(t.data) for name, t in params.items()}

@@ -368,6 +368,22 @@ def test_train_and_detect_take_their_paths_from_the_config_file(tmp_path):
         assert (tmp_path / "cfg" / name).read_text() == (tmp_path / "flags" / name).read_text()
 
 
+def test_config_file_sets_the_model_widths_for_train_and_detect(tmp_path, capsys):
+    data, run, dets = tmp_path / "data", tmp_path / "run", tmp_path / "dets"
+    assert _gen_data(data) == 0
+    config = tmp_path / "narrow.cfg"
+    config.write_text("stage_channels = 4, 4, 8, 8, 8\nrpn_channels = 16\nhead_width = 16\niterations = 2\n")
+    assert run_cli(["train", "--config", str(config), "--data", str(data), "--out", str(run)]) == 0
+    args = ["detect", "--checkpoint", str(run / "checkpoint.msfr"), "--data", str(data), "--score-thresh", "0"]
+    assert run_cli(args + ["--config", str(config), "--out", str(dets)]) == 0
+    assert sorted(p.name for p in dets.iterdir()) == sorted(f"{p.stem}.txt" for p in data.glob("*.pgm"))
+    capsys.readouterr()
+    assert run_cli(args + ["--out", str(tmp_path / "out" / "dets")]) == 1
+    expected = "backbone.s1.c1.weight: stored shape (4, 1, 3, 3) != model shape (8, 1, 3, 3)"
+    assert capsys.readouterr().err == f"error: {expected}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("count", ["0", "-2"])
 def test_gen_data_rejects_image_count_below_one(count, tmp_path, capsys):
     assert run_cli(["gen-data", "--out", str(tmp_path / "data"), "--n-images", count]) == 2

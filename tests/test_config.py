@@ -32,6 +32,9 @@ DEFAULTS = {
     "roi_pool_size": 7,
     "gamma_init": 10.0,
     "fusion_mode": "multi",
+    "stage_channels": (8, 16, 32, 64, 64),
+    "rpn_channels": 256,
+    "head_width": 256,
     "iou_threshold": 0.5,
     "split_small_max": 24.0,
     "split_medium_max": 64.0,
@@ -63,6 +66,7 @@ class TestRunConfigKeys:
         entries = (propose, postprocess_detections, MultiScaleDetector.detect, train, evaluate_detector, proposal_recall)
         for fn in entries:
             assert not detect_keys & set(inspect.signature(fn).parameters), fn.__name__
+        assert list(inspect.signature(MultiScaleDetector).parameters) == ["cfg", "seed"]
 
     def test_detect_config_reaches_propose_from_every_caller(self, monkeypatch):
         seen = []
@@ -116,6 +120,7 @@ class TestRoundTrip:
                 "learning_rate = 0.0025",
                 "lr_drop = yes",
                 "anchor_scales = 1.5, 3,",
+                "stage_channels = 4, 4, 8, 8, 8",
                 "fusion_mode = tap5",
                 "data_dir = some/dir",
             ]
@@ -125,11 +130,14 @@ class TestRoundTrip:
         assert cfg.learning_rate == 0.0025
         assert cfg.lr_drop is True
         assert cfg.anchor_scales == (1.5, 3.0)
+        assert cfg.stage_channels == (4, 4, 8, 8, 8)
+        assert all(type(c) is int for c in cfg.stage_channels)
         assert cfg.fusion_mode == "tap5"
         assert cfg.data_dir == "some/dir"
         model = MultiScaleDetector(cfg)
         assert model.fused_taps == ("tap5",)
         assert model.cfg.anchor_scales == (1.5, 3.0)
+        assert model.params()["backbone.s5.c2.weight"].data.shape == (8, 8, 3, 3)
 
     @pytest.mark.parametrize("raw,expected", [("true", True), ("1", True), ("No", False), ("false", False)])
     def test_bool_spellings(self, raw, expected):
@@ -151,11 +159,18 @@ class TestRejected:
             "fusion_mode = tap4",
             "shrink_channels = 32",
             "just some words",
+            "stage_channels = 8,16,32,64",
+            "stage_channels = 8,16,32,64,64.5",
+            "head_width = 0",
         ],
     )
     def test_config_error(self, text):
         with pytest.raises(ConfigError):
             parse_run_config(text)
+
+    def test_int_tuple_rejects_a_fractional_element(self):
+        with pytest.raises(ConfigError, match="config key stage_channels: cannot parse"):
+            parse_run_config("stage_channels = 8, 16, 32, 64, 8.5")
 
     def test_unknown_key_names_line(self):
         with pytest.raises(ConfigError, match=r"cfg:2: unknown key 'bogus'"):

@@ -17,11 +17,16 @@ from test_rpn import assert_rows_of_one_gather
 
 def tiny_model(seed=0, mode="multi"):
     return MultiScaleDetector(
-        ModelConfig(roi_pool_size=3, anchor_scales=(1.0,), anchor_ratios=(1.0, 1.3), fusion_mode=mode),
+        ModelConfig(
+            roi_pool_size=3,
+            anchor_scales=(1.0,),
+            anchor_ratios=(1.0, 1.3),
+            fusion_mode=mode,
+            stage_channels=(2, 2, 3, 3, 3),
+            rpn_channels=4,
+            head_width=8,
+        ),
         seed=seed,
-        stage_channels=(2, 2, 3, 3, 3),
-        rpn_channels=4,
-        head_width=8,
     )
 
 

@@ -78,7 +78,7 @@ def reference_sync_downsample_backward(dout: np.ndarray, cache) -> np.ndarray:
 
 def tiny_detector(mode="multi"):
     """A detector whose taps all have 3 channels, and the taps of a 32 px image for it."""
-    model = MultiScaleDetector(ModelConfig(fusion_mode=mode), seed=0, stage_channels=(2, 2, 3, 3, 3))
+    model = MultiScaleDetector(ModelConfig(fusion_mode=mode, stage_channels=(2, 2, 3, 3, 3)), seed=0)
     taps = make_taps(np.random.default_rng(2), channels=(3, 3, 3))
     return model, {name: taps[name] for name in model.fused_taps}
 
@@ -721,7 +721,7 @@ class TestTapGradientsJoin:
 
     @staticmethod
     def _model(mode="multi"):
-        model = MultiScaleDetector(ModelConfig(fusion_mode=mode), seed=0, stage_channels=(2, 2, 3, 3, 3))
+        model = MultiScaleDetector(ModelConfig(fusion_mode=mode, stage_channels=(2, 2, 3, 3, 3)), seed=0)
         return model, *model.backbone_forward(np.random.default_rng(0).uniform(size=(1, 1, 32, 32)))
 
     @pytest.mark.parametrize("mode", ["multi", "tap5"])

@@ -22,7 +22,7 @@ def _ms_roi_pool_batch(rng, x):
 
 
 def _detection_forward(rng, x):
-    model = MultiScaleDetector(ModelConfig(roi_pool_size=3), seed=0, stage_channels=(2, 2, 3, 3, 3), head_width=8)
+    model = MultiScaleDetector(ModelConfig(roi_pool_size=3, stage_channels=(2, 2, 3, 3, 3), head_width=8), seed=0)
     taps, _ = model.backbone_forward(x(1, 1, 32, 32))
     (logits, deltas), _ = detection_forward(taps, ROIS, model.det_head, model.norms, model.shrink, 3)
     return np.concatenate([logits, deltas], axis=1)  # float64 if either output is

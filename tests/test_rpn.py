@@ -43,7 +43,7 @@ class TestGenerateAnchors:
     def test_translation_between_rows(self):
         cfg = ModelConfig()
         anchors = generate_anchors(4, 5, cfg.anchor_scales, cfg.anchor_ratios, 16)
-        anchors = anchors.reshape(4, 5, cfg.anchors_per_cell, 4)
+        anchors = anchors.reshape(4, 5, len(cfg.anchor_scales) * len(cfg.anchor_ratios), 4)
         shifted = anchors[0, 2] + np.array([0.0, 16.0, 0.0, 16.0])
         assert np.allclose(anchors[1, 2], shifted)
 

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import msfacedet
 from msfacedet import ModelConfig, TrainConfig, generate_toy_dataset, train
 from msfacedet.checks import tiny_model_setup
 from msfacedet.detector import Targets
@@ -20,6 +26,34 @@ def test_same_seed_gives_bit_identical_trace_and_checkpoint(mode, tmp_path):
         runs.append((result.trace, path.read_bytes()))
     (trace_a, ckpt_a), (trace_b, ckpt_b) = runs
     assert len(trace_a) == cfg.iterations
+    assert trace_a == trace_b
+    assert ckpt_a == ckpt_b
+
+
+TRAIN_ONE_SCENE = """
+import sys
+from msfacedet import TrainConfig, generate_toy_dataset, train
+from msfacedet.training import format_trace
+result = train(generate_toy_dataset(1, 64, (16, 32), seed=1), TrainConfig(iterations=2, seed=5), trace_every=1)
+result.model.save(sys.argv[1])
+sys.stdout.write(format_trace(result.trace))
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_same_seed_in_fresh_processes_at_one_blas_thread_count_gives_the_same_bytes(threads, tmp_path):
+    # the bit-identity of train() is claimed for one BLAS library, kernel and thread count
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(Path(msfacedet.__file__).parent.parent))
+    runs = []
+    for name in ("a", "b"):
+        path = tmp_path / f"{name}.msfr"
+        proc = subprocess.run(
+            [sys.executable, "-c", TRAIN_ONE_SCENE, str(path)], capture_output=True, text=True, env=env, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        runs.append((proc.stdout, path.read_bytes()))
+    (trace_a, ckpt_a), (trace_b, ckpt_b) = runs
+    assert [line.split()[0] for line in trace_a.splitlines()] == ["1", "2"]
     assert trace_a == trace_b
     assert ckpt_a == ckpt_b
 
