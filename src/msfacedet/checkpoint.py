@@ -1,22 +1,27 @@
-"""Flat binary parameter container.
-
-Layout: magic ``MSFR1``, then for each parameter in order: name length
-(u32 LE), name bytes (utf-8), rank (u32 LE), dims (u32 LE each), values
-(f64 LE, row-major).  Save/load round-trips bit-exactly.  Each name is
-stored once: a load that meets a name again raises, rather than letting the
-later record win.
+"""Named float64 parameters as a numpy ``.npz`` archive: one uncompressed
+``<name>.npy`` member per parameter, in order, each C-order ``<f8``, so
+``np.load(path, allow_pickle=False)`` reads it.  Members are stamped 1980-01-01,
+so the same parameters give the same bytes.  A load checks each header against
+its member's size before it allocates, refuses a name stored twice, and
+raises ``CheckpointError`` naming the path for any malformed file.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from collections import OrderedDict
-from pathlib import Path
+from tokenize import TokenError
+from zipfile import ZIP_STORED, BadZipFile, ZipFile, ZipInfo
 
 import numpy as np
+from numpy.lib import format as npy
 
-MAGIC = b"MSFR1"
+
+# what zipfile and numpy's .npy header parser raise on malformed bytes (RuntimeError for an encrypted
+# member or a deeply nested header; SyntaxError and TokenError from its fallback for Python 2 headers)
+_MALFORMED = (
+    BadZipFile, EOFError, NotImplementedError, OSError, RuntimeError, SyntaxError, TokenError, TypeError, ValueError
+)
 
 
 class CheckpointError(ValueError):
@@ -24,50 +29,41 @@ class CheckpointError(ValueError):
 
 
 def save_checkpoint(path, params: "OrderedDict[str, np.ndarray]"):
-    with open(path, "wb") as f:
-        f.write(MAGIC)
+    for name in params:
+        if ZipInfo(f"{name}.npy").filename != f"{name}.npy":
+            raise ValueError(f"parameter name {name!r} cannot be stored unchanged in a zip archive")
+    with ZipFile(path, "w") as archive:
         for name, arr in params.items():
-            a = np.asarray(arr, dtype="<f8")
-            nb = name.encode("utf-8")
-            f.write(struct.pack("<I", len(nb)))
-            f.write(nb)
-            f.write(struct.pack("<I", a.ndim))
-            f.write(struct.pack(f"<{a.ndim}I", *a.shape))
-            f.write(a.tobytes())
+            with archive.open(f"{name}.npy", "w", force_zip64=True) as f:
+                npy.write_array(f, np.asarray(arr, dtype="<f8", order="C"), allow_pickle=False)
 
 
 def load_checkpoint(path) -> "OrderedDict[str, np.ndarray]":
-    data = Path(path).read_bytes()
-    if not data.startswith(MAGIC):
-        raise CheckpointError(f"{path}: bad magic, not a checkpoint file")
-    pos = len(MAGIC)
-    out: "OrderedDict[str, np.ndarray]" = OrderedDict()
-    starts: dict[str, int] = {}
-
-    def take(n):
-        nonlocal pos
-        if pos + n > len(data):
-            raise CheckpointError(f"{path}: truncated at byte {pos}")
-        chunk = data[pos : pos + n]
-        pos += n
-        return chunk
-
-    while pos < len(data):
-        start = pos
-        (name_len,) = struct.unpack("<I", take(4))
+    with open(path, "rb") as f:
         try:
-            name = take(name_len).decode("utf-8")
-        except UnicodeDecodeError:
-            raise CheckpointError(f"{path}: parameter name at byte {pos - name_len} is not utf-8") from None
-        if name in starts:
-            first = starts[name]
-            raise CheckpointError(f"{path}: parameter {name} at byte {start} is stored already at byte {first}")
-        starts[name] = start
-        (rank,) = struct.unpack("<I", take(4))
-        dims = struct.unpack(f"<{rank}I", take(4 * rank))
-        count = math.prod(dims)
-        vals = np.frombuffer(take(8 * count), dtype="<f8").astype(np.float64)
+            with ZipFile(f) as archive:
+                return _read_members(archive)
+        except _MALFORMED as exc:
+            raise CheckpointError(f"{path}: {exc}") from exc
+
+
+def _read_members(archive) -> "OrderedDict[str, np.ndarray]":
+    out: "OrderedDict[str, np.ndarray]" = OrderedDict()
+    for info in archive.infolist():
+        name = info.filename.removesuffix(".npy")
+        if info.filename != f"{name}.npy" or info.compress_type != ZIP_STORED:
+            raise ValueError(f"member {info.filename!r} is not an uncompressed .npy array")
+        if name in out:
+            raise ValueError(f"parameter {name} is stored twice")
+        with archive.open(info) as f:  # by ZipInfo: opening by name reads the last of two equal names
+            if npy.read_magic(f) != (1, 0):
+                raise ValueError(f"parameter {name}: not a version 1.0 .npy array")
+            shape, fortran_order, dtype = npy.read_array_header_1_0(f)
+            nbytes = f.tell() + 8 * math.prod(shape)
+            if dtype != "<f8" or fortran_order or nbytes != info.file_size:
+                raise ValueError(f"parameter {name}: header does not declare the member's bytes as C-order <f8")
+            vals = np.frombuffer(f.read(), dtype="<f8").astype(np.float64)
         if not np.isfinite(vals).all():
-            raise CheckpointError(f"{path}: parameter {name} holds non-finite values")
-        out[name] = vals.reshape(dims)
+            raise ValueError(f"parameter {name} holds non-finite values")
+        out[name] = vals.reshape(shape)
     return out

@@ -1,6 +1,6 @@
 """Multi-scale feature fusion.
 
-Three backbone taps, a ``{name: (N, C, H, W) map}`` dict with each stride
+Three backbone taps, a ``{name: (1, C, H, W) map}`` dict with each stride
 declared once in :data:`TAP_STRIDES`, are made comparable in one fusion
 step, ``concat_shrink``: each tap is L2-normalized along the channel axis
 and scaled by a learnable per-channel gamma (a :class:`Tensor`, so its

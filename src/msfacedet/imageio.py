@@ -86,28 +86,27 @@ def load_image(path):
     return pad_to_multiple(gray[None].astype(np.float64) / 255.0)[None], orig_w, orig_h
 
 
+def _quantize(gray: np.ndarray) -> np.ndarray:
+    return np.clip(np.rint(np.asarray(gray) * 255.0), 0, 255).astype(np.uint8)
+
+
 def write_pgm(path, img: np.ndarray):
     """Write a float [0, 1] (H, W) array as binary PGM."""
-    q = np.clip(np.rint(np.asarray(img) * 255.0), 0, 255).astype(np.uint8)
-    h, w = q.shape
-    with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        f.write(q.tobytes())
+    write_ppm(path, _quantize(img))
 
 
 def write_ppm(path, rgb: np.ndarray):
-    """Write a uint8 (H, W, 3) array as binary PPM."""
+    """Write a uint8 (H, W, 3) array as binary PPM, or an (H, W) one as PGM."""
     q = np.asarray(rgb, dtype=np.uint8)
-    h, w, _ = q.shape
     with open(path, "wb") as f:
-        f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
+        f.write(f"{'P5' if q.ndim == 2 else 'P6'}\n{q.shape[1]} {q.shape[0]}\n255\n".encode("ascii"))
         f.write(q.tobytes())
 
 
 def overlay_boxes(gray: np.ndarray, boxes) -> np.ndarray:
     """Burn 1-px box borders into a grayscale [0, 1] image; returns RGB uint8."""
     h, w = gray.shape
-    rgb = np.repeat(np.clip(np.rint(gray * 255.0), 0, 255).astype(np.uint8)[:, :, None], 3, axis=2)
+    rgb = np.repeat(_quantize(gray)[:, :, None], 3, axis=2)
     col = np.array(OVERLAY_COLOR, dtype=np.uint8)
     for b in boxes:
         x1 = int(np.clip(np.floor(b[0]), 0, w - 1))

@@ -46,6 +46,8 @@ class ModelConfig:
     head_width: int = 256
 
     def __post_init__(self):
+        for name in ("anchor_scales", "anchor_ratios", "stage_channels"):  # kept as tuples, so configs hash
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         # each range is written so that NaN fails it
         require_int("roi_pool_size", self.roi_pool_size, 1)
         if not 0 < self.gamma_init < math.inf:

@@ -2,6 +2,7 @@ import errno
 import os
 import subprocess
 import sys
+import zipfile
 from collections import OrderedDict
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import msfacedet
 import msfacedet.checks
 from msfacedet import DetectConfig, ModelConfig, MultiScaleDetector, TrainConfig, train
 from msfacedet.annotations import AnnotationRecord, format_annotations
-from msfacedet.checkpoint import MAGIC, CheckpointError, save_checkpoint
+from msfacedet.checkpoint import CheckpointError, save_checkpoint
 from msfacedet.checks import LAYER_CHECKS
 from msfacedet.cli import run_cli
 from msfacedet.evaluation import evaluate_detector, proposal_recall
@@ -136,16 +137,26 @@ def test_load_checks_every_shape_before_it_writes_any_parameter(tmp_path):
 
 def test_load_rejects_a_parameter_stored_twice(tmp_path):
     stored = OrderedDict((name, t.data) for name, t in MultiScaleDetector(ModelConfig(), seed=1).params().items())
-    path, extra = tmp_path / "twice.msfr", tmp_path / "extra.msfr"
+    path = tmp_path / "twice.msfr"
     save_checkpoint(path, stored)
-    save_checkpoint(extra, {"backbone.s1.c1.weight": np.full_like(stored["backbone.s1.c1.weight"], 7.0)})
-    offset = path.stat().st_size
-    path.write_bytes(path.read_bytes() + extra.read_bytes()[len(MAGIC) :])
+    with zipfile.ZipFile(path, "a") as archive, pytest.warns(UserWarning, match="Duplicate name"):
+        with archive.open("backbone.s1.c1.weight.npy", "w") as f:
+            np.lib.format.write_array(f, np.full_like(stored["backbone.s1.c1.weight"], 7.0))
     model = MultiScaleDetector(ModelConfig(), seed=0)
     before = {name: t.data.tobytes() for name, t in model.params().items()}
-    with pytest.raises(CheckpointError, match=rf"parameter backbone.s1.c1.weight at byte {offset} is stored already"):
+    with pytest.raises(CheckpointError, match=rf"^{path}: parameter backbone.s1.c1.weight is stored twice"):
         model.load(path)
     assert {name: t.data.tobytes() for name, t in model.params().items()} == before
+
+
+def test_checkpoint_reads_with_plain_np_load(tmp_path):
+    model = MultiScaleDetector(ModelConfig(), seed=0)
+    path = tmp_path / "model.msfr"
+    model.save(path)
+    with np.load(path, allow_pickle=False) as archive:
+        loaded = [(name, archive[name].dtype.str, archive[name].shape, archive[name].tobytes()) for name in archive]
+    params = model.params().items()
+    assert loaded == [(name, "<f8", t.data.shape, t.data.tobytes()) for name, t in params]
 
 
 def test_detect_with_non_finite_checkpoint_leaves_no_output(tmp_path):

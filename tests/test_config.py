@@ -221,8 +221,9 @@ def _numeric_fields(cls):
 )
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_component_config_rejects_non_finite_field(cls, key, bad):
-    cls()
-    value = (1.0, bad) if type(getattr(cls(), key)) is tuple else bad
+    default = getattr(cls(), key)
+    # a tuple keeps its length, so only the element check can reject it
+    value = default[:-1] + (bad,) if type(default) is tuple else bad
     with pytest.raises(ValueError):
         cls(**{key: value})
 
@@ -257,3 +258,12 @@ def test_config_cannot_change_after_it_is_built(cls):
     key, bad = OUT_OF_RANGE[cls]
     with pytest.raises(ConfigError if cls is RunConfig else ValueError, match=f"^{key} "):
         replace(cfg, **{key: bad})
+
+
+@pytest.mark.parametrize("cls", [ModelConfig, RunConfig], ids=lambda cls: cls.__name__)
+def test_config_built_from_lists_is_the_value_built_from_tuples(cls):
+    seqs = {"anchor_scales": (1.0, 2.0), "anchor_ratios": (1.0,), "stage_channels": (4, 4, 8, 8, 8)}
+    from_lists = cls(**{key: list(value) for key, value in seqs.items()})
+    from_tuples = cls(**seqs)
+    assert from_lists == from_tuples
+    assert hash(from_lists) == hash(from_tuples)

@@ -1,7 +1,9 @@
 """Property tests of the four input parsers: any input either parses or
 raises that parser's own error, and the writers round-trip through them."""
 
+import io
 import struct
+import zipfile
 from collections import OrderedDict
 from dataclasses import fields
 
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from msfacedet.annotations import AnnotationError, AnnotationRecord, format_annotations, parse_annotations
-from msfacedet.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
+from msfacedet.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from msfacedet.config import ConfigError, RunConfig, parse_run_config
 from msfacedet.imageio import ImageFormatError, read_pnm
 
@@ -43,13 +45,48 @@ _pnm_bytes = st.one_of(
     st.tuples(_pnm_header, st.sampled_from([b"\n", b" ", b""]), st.binary(max_size=64)).map(b"".join),
 )
 
-_u32 = st.integers(0, 2**32 - 1).map(lambda v: struct.pack("<I", v))
-_small_u32 = st.integers(0, 6).map(lambda v: struct.pack("<I", v))
-_f64 = st.floats().map(lambda v: struct.pack("<d", v))
-_checkpoint_bytes = st.tuples(
-    st.sampled_from([MAGIC, MAGIC, b"MSFR0"]),
-    st.lists(st.one_of(_u32, _small_u32, _f64, st.binary(max_size=12)), max_size=10).map(b"".join),
-).map(b"".join)
+
+def _flip(data, offset, value):
+    return data[:offset] + bytes([value]) + data[offset + 1 :]
+
+
+def _mutations(valid):
+    """Prefixes, single-byte flips and splices (a cut or a repeat) of ``valid``."""
+    n = len(valid)
+    return st.one_of(
+        st.integers(0, n).map(lambda k: valid[:k]),
+        st.tuples(st.integers(0, n - 1), st.integers(0, 255)).map(lambda t: _flip(valid, *t)),
+        st.tuples(st.integers(0, n), st.integers(0, n)).map(lambda t: valid[: t[0]] + valid[t[1] :]),
+    )
+
+
+def _npy(header):
+    """A version 1.0 .npy member with the given header text."""
+    return b"\x93NUMPY\x01\x00" + len(header).to_bytes(2, "little") + header
+
+
+def _archive(members):
+    """A zip archive of raw member bytes, each stored with its true CRC."""
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w") as archive:
+        for name, raw in members.items():
+            with archive.open(name, "w") as f:
+                f.write(raw)
+    return buf.getvalue()
+
+
+_buf = io.BytesIO()
+save_checkpoint(_buf, OrderedDict([("a.w", np.arange(6.0).reshape(2, 3)), ("b", np.array(0.5))]))
+VALID = _buf.getvalue()
+NPY = zipfile.ZipFile(io.BytesIO(VALID)).read("a.w.npy")
+CENTRAL = VALID.index(b"PK\x01\x02")  # the first member's central directory record
+END = VALID.rindex(b"PK\x05\x06")  # the end of central directory record
+_checkpoint_bytes = st.one_of(
+    st.binary(max_size=64),
+    _mutations(VALID),
+    # a mutated .npy member under a true CRC, so its header parse is reached
+    _mutations(NPY).map(lambda raw: _archive({"a.npy": raw})),
+)
 
 
 @pytest.fixture(scope="module")
@@ -94,14 +131,24 @@ def test_pnm_parses_or_raises_image_format_error(scratch_file, data):
 
 @FUZZ
 @given(_checkpoint_bytes)
-@example(MAGIC + struct.pack("<I", 2) + b"\xff\xfe" + struct.pack("<I", 0) + struct.pack("<d", 1.0))
+@example(b"MSFR1" + struct.pack("<I", 1) + b"w" + struct.pack("<I", 0) + struct.pack("<d", 1.0))  # the old format
+@example(_flip(VALID, CENTRAL + 6, 0xD2))  # version needed 21.0: NotImplementedError
+@example(_flip(VALID, CENTRAL + 8, 0x20))  # compressed patched data: NotImplementedError
+@example(_flip(VALID, CENTRAL + 8, 0x01))  # encrypted: RuntimeError
+@example(_flip(VALID, END + 16, 0xFF))  # central directory offset past the file: OSError
+@example(_archive({"a.npy": _npy(b"{[1]: 2}")}))  # unhashable header key: TypeError
+@example(_archive({"a.npy": _npy(b"'''")}))  # unclosed string: tokenize.TokenError
+@example(_archive({"a.npy": _npy(b"-" * 5000 + b"1")}))  # RecursionError
+@example(_archive({"a.npy": NPY, "b.npz": NPY}))  # a member that is not <name>.npy
 def test_checkpoint_parses_or_raises_checkpoint_error(scratch_file, data):
     scratch_file.write_bytes(data)
     try:
         params = load_checkpoint(scratch_file)
-    except CheckpointError:
+    except CheckpointError as e:
+        assert str(e).startswith(f"{scratch_file}: ")
         return
-    assert all(np.isfinite(a).all() for a in params.values())
+    for a in params.values():
+        assert a.dtype == np.float64 and a.flags.writeable and np.isfinite(a).all()
 
 
 _path = st.text(alphabet="abcXYZ019._-/", min_size=1, max_size=12)
@@ -130,8 +177,41 @@ _arrays = hnp.arrays(
 )
 
 
+def _npy_of(arr):
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, arr)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize(
+    "member",
+    [
+        _npy_of(np.arange(6)),
+        _npy_of(np.arange(6.0, dtype=">f8")),
+        _npy_of(np.arange(6.0, dtype=np.float32)),
+        _npy_of(np.arange(6.0).reshape(2, 3).T),
+        # np.load would try to allocate the 800 GB this header declares
+        _npy(b"{'descr': '<f8', 'fortran_order': False, 'shape': (99999999999,), }") + bytes(8),
+    ],
+    ids=["int64", "big-endian", "float32", "fortran-order", "declares-800-GB"],
+)
+def test_load_refuses_a_member_that_is_not_its_c_order_float64_values(tmp_path, member):
+    path = tmp_path / "other.msfr"
+    path.write_bytes(_archive({"w.npy": member}))
+    with pytest.raises(CheckpointError, match="w: header does not declare the member's bytes as C-order <f8"):
+        load_checkpoint(path)
+
+
+def test_load_refuses_a_compressed_member(tmp_path):
+    path = tmp_path / "deflated.msfr"
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as archive:
+        archive.writestr("w.npy", NPY)
+    with pytest.raises(CheckpointError, match="member 'w.npy' is not an uncompressed .npy array"):
+        load_checkpoint(path)
+
+
 @FUZZ
-@given(st.dictionaries(st.text(max_size=10), _arrays, max_size=4))
+@given(st.dictionaries(st.text(st.characters(exclude_characters="\x00"), max_size=10), _arrays, max_size=4))
 @example({"scalar": np.array(0.5)})
 def test_checkpoint_round_trip(scratch_file, params):
     save_checkpoint(scratch_file, OrderedDict(params))
@@ -140,3 +220,12 @@ def test_checkpoint_round_trip(scratch_file, params):
     for name, arr in params.items():
         assert loaded[name].shape == arr.shape
         assert loaded[name].tobytes() == arr.tobytes()
+
+
+@pytest.mark.parametrize("name", ["a\x00b", "\x00"])
+def test_save_refuses_a_name_zip_would_change(tmp_path, name):
+    # zip cuts a member name at its first NUL, so the name could not come back
+    path = tmp_path / "model.msfr"
+    with pytest.raises(ValueError, match="cannot be stored unchanged"):
+        save_checkpoint(path, OrderedDict([("w", np.ones(2)), (name, np.ones(1))]))
+    assert not path.exists()

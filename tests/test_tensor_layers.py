@@ -112,7 +112,7 @@ def _conv_gradient_error(rng, x, p):
 
 
 # (x shape, out channels, kernel, the pad conv2d must use): backbone 3x3
-# convs at 128 px, the 1x1 ROI shrink over 300 pooled regions, a 3x3 batch,
+# convs at 128 px, a 1x1 conv over a batch of 300 7x7 images, a 3x3 batch,
 # a 1x1 RPN head on one image, whose gather alone is a read-only view,
 # and a 5x5 batch whose col2im spans wrap two columns past each row edge
 CONV_CASES = [
