@@ -1,15 +1,16 @@
 """Dense tensors and the differentiable layer primitives.
 
-A parameter is a float64 :class:`Tensor`, whose same-shape ``grad`` exists
-from construction on, and each layer's weight and bias form one
-:class:`Params`.  Every forward computes in its input's dtype and reads each
-parameter as ``param.data.astype(x.dtype, copy=False)``, which is the
-parameter array itself for float64 input: training, gradient checks and
-checkpoints run in float64, and ``MultiScaleDetector.detect`` runs the same
-forwards in float32.  The backwards are float64 only.  Layers follow a
-functional style: ``<op>(...)`` returns ``(out, cache)``, and the cache may
-hold the input itself (``maxpool2d``, ``fully_connected``; ``conv2d`` holds a
-padded copy), so a caller must not write into an input before its backward.
+A parameter is a float64 :class:`Tensor`, whose same-shape ``grad`` is
+created, zero, on its first use, so a model that only runs forwards never
+allocates it; each layer's weight and bias form one :class:`Params`.  Every
+forward computes in its input's dtype and reads each parameter as
+``param.data.astype(x.dtype, copy=False)``, which is the parameter array
+itself for float64 input: training, gradient checks and checkpoints run in
+float64, and ``MultiScaleDetector.detect`` runs the same forwards in float32.
+The backwards are float64 only.  Layers follow a functional style:
+``<op>(...)`` returns ``(out, cache)``, and the cache may hold the input
+itself (``maxpool2d``, ``fully_connected``; ``conv2d`` holds a padded copy),
+so a caller must not write into an input before its backward.
 ``<op>_backward(dout, cache, ...)`` returns the gradient w.r.t. the input
 while accumulating parameter gradients in place (``param.grad += ...``), so
 parameters shared between branches pick up contributions from every use.
@@ -46,14 +47,28 @@ class ShapeError(ValueError):
 class Tensor:
     """A float64 array and its same-shape gradient, zero until a backward adds into it.
 
-    Forwards read ``data`` in their input's dtype; it is never stored in
-    another, so an in-place update or a checkpoint load reaches every read."""
+    The gradient is created, zero, on the first read of ``grad``, and every
+    later read returns that array, so a model that only runs forwards never
+    allocates it.  Forwards read ``data`` in their input's dtype; it is never
+    stored in another, so an in-place update or a checkpoint load reaches
+    every read."""
 
-    __slots__ = ("data", "grad")
+    __slots__ = ("data", "_grad")
 
     def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = np.zeros_like(self.data)
+        self._grad = None
+
+    @property
+    def grad(self) -> np.ndarray:
+        if self._grad is None:
+            self._grad = np.zeros_like(self.data)
+        return self._grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray):
+        # ``t.grad += x`` adds in place and then assigns the same array back
+        self._grad = value
 
 
 @dataclass

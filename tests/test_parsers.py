@@ -81,6 +81,10 @@ VALID = _buf.getvalue()
 NPY = zipfile.ZipFile(io.BytesIO(VALID)).read("a.w.npy")
 CENTRAL = VALID.index(b"PK\x01\x02")  # the first member's central directory record
 END = VALID.rindex(b"PK\x05\x06")  # the end of central directory record
+MSFR1_FILE = b"MSFR1" + struct.pack("<I", 1) + b"w" + struct.pack("<I", 0) + struct.pack("<d", 1.0)  # the old format
+# two headers numpy's parser only warns about: a deprecated dtype alias, and a Python 2 long it then parses
+DEPRECATED_HEADER = b"{'descr': 'a', 'fortran_order': False, 'shape': (2, 3), }"
+PY2_HEADER = b"{'descr': '<f8', 'fortran_order': False, 'shape': (2L, 3), }"
 _checkpoint_bytes = st.one_of(
     st.binary(max_size=64),
     _mutations(VALID),
@@ -131,7 +135,7 @@ def test_pnm_parses_or_raises_image_format_error(scratch_file, data):
 
 @FUZZ
 @given(_checkpoint_bytes)
-@example(b"MSFR1" + struct.pack("<I", 1) + b"w" + struct.pack("<I", 0) + struct.pack("<d", 1.0))  # the old format
+@example(MSFR1_FILE)
 @example(_flip(VALID, CENTRAL + 6, 0xD2))  # version needed 21.0: NotImplementedError
 @example(_flip(VALID, CENTRAL + 8, 0x20))  # compressed patched data: NotImplementedError
 @example(_flip(VALID, CENTRAL + 8, 0x01))  # encrypted: RuntimeError
@@ -140,6 +144,8 @@ def test_pnm_parses_or_raises_image_format_error(scratch_file, data):
 @example(_archive({"a.npy": _npy(b"'''")}))  # unclosed string: tokenize.TokenError
 @example(_archive({"a.npy": _npy(b"-" * 5000 + b"1")}))  # RecursionError
 @example(_archive({"a.npy": NPY, "b.npz": NPY}))  # a member that is not <name>.npy
+@example(_archive({"a.npy": _npy(DEPRECATED_HEADER)}))  # DeprecationWarning
+@example(_archive({"a.npy": _npy(PY2_HEADER) + bytes(48)}))  # Python 2 header: UserWarning
 def test_checkpoint_parses_or_raises_checkpoint_error(scratch_file, data):
     scratch_file.write_bytes(data)
     try:
@@ -200,6 +206,28 @@ def test_load_refuses_a_member_that_is_not_its_c_order_float64_values(tmp_path, 
     path.write_bytes(_archive({"w.npy": member}))
     with pytest.raises(CheckpointError, match="w: header does not declare the member's bytes as C-order <f8"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "header, warning",
+    [(DEPRECATED_HEADER, DeprecationWarning), (PY2_HEADER, UserWarning)],
+    ids=["deprecated-descr", "python2-shape"],
+)
+def test_load_refuses_a_header_numpy_warns_about(tmp_path, header, warning):
+    path = tmp_path / "warned.msfr"
+    path.write_bytes(_archive({"w.npy": _npy(header) + bytes(48)}))
+    with pytest.raises(CheckpointError) as info:
+        load_checkpoint(path)
+    assert str(info.value).startswith(f"{path}: ")
+    assert isinstance(info.value.__cause__, warning)
+
+
+def test_load_names_an_msfr1_checkpoint_as_one_to_retrain(tmp_path):
+    path = tmp_path / "old.msfr"
+    path.write_bytes(MSFR1_FILE)
+    with pytest.raises(CheckpointError) as info:
+        load_checkpoint(path)
+    assert str(info.value) == f"{path}: an MSFR1 checkpoint from before the .npz format; retrain it"
 
 
 def test_load_refuses_a_compressed_member(tmp_path):
