@@ -44,7 +44,7 @@ def main():
     res = train(train_scenes, TrainConfig(iterations=iters, seed=seed, learning_rate=lr), progress=progress)
     t_train = time.time() - t0
     rec = proposal_recall(res.model, recall_scenes, recall_cfg)
-    ap = evaluate_detector(res.model, ap_scenes, detect_cfg=DetectConfig()).overall.ap
+    ap = evaluate_detector(res.model, ap_scenes).overall.ap
     print(
         f"seed={seed} iters={iters} lr={lr} train_time={t_train/60:.1f}min "
         f"recall@{recall_cfg.post_nms_top_n}={rec:.3f} AP={ap:.4f}",

@@ -114,28 +114,41 @@ def cmd_gen_data(args, tracker) -> int:
     return 0
 
 
-def _config_from_args(args) -> RunConfig:
+def _config_from_args(args, *required) -> RunConfig:
     """The --config file (or the defaults) with every given flag that stores
     into a config key (``--data`` into ``data_dir``, say) replacing its value
-    before the one build, so a flag can replace an out-of-range file value."""
+    before the one build, so a flag can replace an out-of-range file value.
+    Raise ``ValueError`` naming the flag and the key when a ``required`` path
+    key is empty, which would otherwise mean the current directory."""
     given = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
     given = {key: value for key, value in given.items() if value not in (None, "")}
     if args.config:
-        return parse_run_config(Path(args.config).read_text(), args.config, **given)
-    return RunConfig(**given)
+        cfg = parse_run_config(Path(args.config).read_text(), args.config, **given)
+    else:
+        cfg = RunConfig(**given)
+    for key in required:
+        if not getattr(cfg, key):
+            # the flag of each path key is its name without "_dir": --data, --out, --checkpoint, ...
+            raise ValueError(f"{args.command} needs --{key.removesuffix('_dir')} (or config key {key})")
+    return cfg
+
+
+def _train(scenes, cfg: RunConfig, **kwargs):
+    """:func:`train`'s result; raise ``ValueError`` when every iteration was
+    skipped for lack of anchor targets, which leaves the initial weights."""
+    result = train(scenes, cfg, **kwargs)
+    if result.skipped == cfg.iterations:
+        raise ValueError(f"none of the {cfg.iterations} iterations had anchor targets; nothing was trained")
+    return result
 
 
 def cmd_train(args, tracker) -> int:
-    cfg = _config_from_args(args)
+    cfg = _config_from_args(args, "data_dir", "out_dir")
     out_dir = Path(cfg.out_dir)
     scenes = _load_scenes(Path(cfg.data_dir))
     tracker.mkdir(out_dir)
-    result = train(
-        scenes,
-        cfg,
-        cfg,
-        detect_cfg=cfg,
-        progress=lambda it, c: print(f"iter {it}: total {c['total']:.4f}") if it % 200 == 0 else None,
+    result = _train(
+        scenes, cfg, progress=lambda it, c: print(f"iter {it}: total {c['total']:.4f}") if it % 200 == 0 else None
     )
     tracker.write_text(out_dir / "loss_trace.txt", format_trace(result.trace))
     ckpt_path = tracker.note(out_dir / "checkpoint.msfr")
@@ -156,7 +169,7 @@ def _detections_to_text(dets) -> str:
 
 
 def cmd_detect(args, tracker) -> int:
-    cfg = _config_from_args(args)
+    cfg = _config_from_args(args, "checkpoint", "data_dir", "out_dir")
     data_dir, out_dir = Path(cfg.data_dir), Path(cfg.out_dir)
     ckpt = Path(cfg.checkpoint)
     if not ckpt.is_file():
@@ -206,7 +219,7 @@ def _parse_detection_file(path: Path):
 
 
 def cmd_eval(args, tracker) -> int:
-    cfg = _config_from_args(args)
+    cfg = _config_from_args(args, "detections", "annotations")
     ann_path = Path(cfg.annotations)
     det_dir = Path(cfg.detections)
     if not ann_path.is_file():
@@ -241,15 +254,15 @@ def cmd_gradcheck(args, tracker) -> int:
 
 
 def cmd_ablate(args, tracker) -> int:
-    cfg = _config_from_args(args)
+    cfg = _config_from_args(args, "out_dir")
     train_scenes = _load_scenes(Path(cfg.data_dir))
     eval_scenes = _load_scenes(Path(args.eval_data))
     out_dir = Path(cfg.out_dir)
     tracker.mkdir(out_dir)
     aps = {}
     for mode in FUSED_TAPS:
-        result = train(train_scenes, cfg, replace(cfg, fusion_mode=mode), detect_cfg=cfg)
-        report = evaluate_detector(result.model, eval_scenes, cfg, cfg)
+        result = _train(train_scenes, replace(cfg, fusion_mode=mode))
+        report = evaluate_detector(result.model, eval_scenes, cfg)
         tracker.write_text(out_dir / f"report_{mode}.txt", format_report(report))
         aps[mode] = report.overall.ap if report.overall.ap is not None else float("nan")
         print(f"{mode} ap_overall {aps[mode]:.6f}")

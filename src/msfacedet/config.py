@@ -13,8 +13,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .evaluation import EvalConfig
-from .model import ModelConfig
-from .rpn import DetectConfig
 from .training import TrainConfig
 
 
@@ -23,10 +21,10 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class RunConfig(DetectConfig, TrainConfig, EvalConfig, ModelConfig):
-    """Every detection, training, evaluation and model field, plus the keys
-    below.  It is passed whole wherever one of its four bases is expected;
-    each consumer reads only its own fields."""
+class RunConfig(TrainConfig, EvalConfig):
+    """Every training and evaluation field (and so every model and detection
+    field), plus the keys below.  It is passed whole wherever one of its
+    bases is expected; each consumer reads only its own fields."""
 
     # paths (may also come from CLI flags, which win)
     data_dir: str = ""
@@ -37,7 +35,7 @@ class RunConfig(DetectConfig, TrainConfig, EvalConfig, ModelConfig):
 
     def __post_init__(self):
         try:
-            for cls in (TrainConfig, EvalConfig, ModelConfig, DetectConfig):
+            for cls in (TrainConfig, EvalConfig):
                 cls.__post_init__(self)
         except ValueError as e:
             raise ConfigError(str(e)) from None

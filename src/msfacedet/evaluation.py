@@ -22,12 +22,15 @@ from .rpn import DetectConfig, propose
 
 
 @dataclass(frozen=True)
-class EvalConfig:
+class EvalConfig(DetectConfig):
+    """The scoring settings, plus the detection path whose output they score."""
+
     iou_threshold: float = 0.5
     split_small_max: float = 24.0  # gt height < this  -> small
     split_medium_max: float = 64.0  # gt height < this -> medium, else large
 
     def __post_init__(self):
+        DetectConfig.__post_init__(self)
         # each range is written so that NaN fails it
         if not (0.0 < self.iou_threshold < 1.0):
             raise ValueError(f"iou_threshold {self.iou_threshold} outside (0, 1)")
@@ -142,13 +145,13 @@ def _report(hits: np.ndarray, n_gt: int) -> EvalReport:
     )
 
 
-def evaluate_detector(model, scenes, cfg: EvalConfig = None, detect_cfg: DetectConfig = None) -> DatasetReport:
-    """Score ``model.detect`` under ``detect_cfg`` over toy scenes, keeping
-    every detection above face probability 0.05 so the score sweep covers the
-    whole PR curve."""
+def evaluate_detector(model, scenes, cfg: EvalConfig = None) -> DatasetReport:
+    """Score ``model.detect`` under ``cfg``'s detection fields over toy scenes,
+    keeping every detection above face probability 0.05 so the score sweep
+    covers the whole PR curve."""
     dets = {}
     for s in scenes:
-        found = model.detect(s.image, s.width, s.height, detect_cfg, score_thresh=0.05)
+        found = model.detect(s.image, s.width, s.height, cfg, score_thresh=0.05)
         dets[s.name] = (np.array([d.box for d in found]).reshape(-1, 4), np.array([d.score for d in found]))
     return evaluate_dataset(dets, {s.name: s.gt_boxes for s in scenes}, cfg)
 

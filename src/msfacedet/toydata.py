@@ -88,6 +88,8 @@ def generate_toy_dataset(n_images: int, image_size: int, face_scale_range: tuple
     by at most IoU 0.1.  If a face cannot be placed within the attempt
     budget the scene simply carries fewer faces (recorded on the scene).
     """
+    require_int("n_images", n_images, 0)
+    require_int("image_size", image_size, 1)
     require_int("seed", seed, 0)
     lo, hi = face_scale_range
     if not (4 < lo <= hi <= image_size / 2):

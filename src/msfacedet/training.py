@@ -32,7 +32,9 @@ from .tensor import (
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(ModelConfig, DetectConfig):
+    """The optimiser's settings, plus the model it builds and the proposals it trains on."""
+
     learning_rate: float = 1e-3
     momentum: float = 0.9
     weight_decay: float = 5e-4
@@ -42,6 +44,8 @@ class TrainConfig:
     lr_drop: bool = False  # 10x learning-rate drop at 75% of the run
 
     def __post_init__(self):
+        ModelConfig.__post_init__(self)
+        DetectConfig.__post_init__(self)
         # each range is written so that NaN fails it
         if not (
             0 < self.learning_rate < math.inf
@@ -173,30 +177,23 @@ def format_trace(trace) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def train(
-    scenes,
-    cfg: TrainConfig,
-    model_cfg: ModelConfig | None = None,
-    detect_cfg: DetectConfig | None = None,
-    trace_every: int = 10,
-    progress=None,
-) -> TrainResult:
+def train(scenes, cfg: TrainConfig, trace_every: int = 10, progress=None) -> TrainResult:
     """Seeded end-to-end training over a toy scene list.
 
     Each iteration draws one scene from a reshuffled epoch order, forwards
     the shared backbone once, assigns proposal and region targets, and takes
-    one momentum-SGD step on all parameters.  Proposals for the region head
-    are selected by ``detect_cfg`` (a :class:`DetectConfig`, default
-    settings when None), as at test time.  Identical config and seed give a
+    one momentum-SGD step on all parameters.  The model is built from
+    ``cfg``'s model fields, and proposals for the region head are selected by
+    its detection fields, as at test time.  Identical config and seed give a
     bit-identical trace and checkpoint under the same BLAS library, kernel
     and thread count (the thread split can change a product's bits).  Every
     scene image must pass :func:`check_image` in its own dtype, its width
     and height :func:`check_extents` and its ground truth
     :func:`check_boxes`; the layers run in float64.  A trace row is kept
-    every ``trace_every`` iterations (an integer >= 1) and after the last.
+    every ``trace_every`` iterations (an integer >= 1) and after the last,
+    unless that one was skipped for lack of anchor targets.
     """
     require_int("trace_every", trace_every, 1)
-    detect_cfg = detect_cfg or DetectConfig()
     if not scenes:
         raise ValueError("training requires a non-empty dataset")
     for s in scenes:
@@ -204,7 +201,7 @@ def train(
         check_image(image, f"scene {s.name}: image")
         check_extents(image, s.width, s.height, f"scene {s.name}")
         check_boxes(s.gt_boxes, f"scene {s.name}", "ground-truth")
-    model = MultiScaleDetector(model_cfg, seed=cfg.seed)
+    model = MultiScaleDetector(cfg, seed=cfg.seed)
     rng = np.random.default_rng([cfg.seed, 1])
     params = model.params()
     velocity = {name: np.zeros_like(t.data) for name, t in params.items()}
@@ -224,7 +221,7 @@ def train(
         except TargetAssignmentError:
             skipped += 1
             continue
-        proposals = propose(logits, deltas, anchors, scene.width, scene.height, detect_cfg)
+        proposals = propose(logits, deltas, anchors, scene.width, scene.height, cfg)
         det_t = assign_detection_targets(np.array([p.box for p in proposals]), scene.gt_boxes, rng)
         total, comps = pipeline_loss(model, forward, rpn_t, det_t, cfg.loss_lambda, backward=True)
         if not np.isfinite(total):

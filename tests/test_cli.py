@@ -466,10 +466,10 @@ def test_ablate_failing_in_second_mode_leaves_no_output(tmp_path, monkeypatch, c
     assert _gen_data(tmp_path / "held", seed="1") == 0
     real_train = msfacedet.cli.train
 
-    def diverge_in_tap5(scenes, cfg, model_cfg, **kwargs):
-        if model_cfg.fusion_mode == "tap5":
+    def diverge_in_tap5(scenes, cfg, **kwargs):
+        if cfg.fusion_mode == "tap5":
             raise RuntimeError("training diverged at iteration 1")
-        return real_train(scenes, cfg, model_cfg, **kwargs)
+        return real_train(scenes, cfg, **kwargs)
 
     monkeypatch.setattr(msfacedet.cli, "train", diverge_in_tap5)
     out = tmp_path / "out" / "ablate"
@@ -506,3 +506,42 @@ def test_ablate_writes_both_reports_and_their_margin(tmp_path, monkeypatch, caps
     assert [line.rsplit(" ", 1)[0] for line in lines] == ["multi ap_overall", "tap5 ap_overall", "multi-scale margin"]
     multi, tap5, margin = (float(line.split()[-1]) for line in lines)
     assert margin == multi - tap5 == 0.375
+
+
+MISSING_PATH = [
+    pytest.param(["train", "--data", "d", "--iterations", "2"], "--out (or config key out_dir)", id="train-out"),
+    pytest.param(["train", "--out", "r"], "--data (or config key data_dir)", id="train-data"),
+    pytest.param(["detect", "--checkpoint", "c", "--data", "d"], "--out (or config key out_dir)", id="detect-out"),
+    pytest.param(["detect", "--data", "d", "--out", "o"], "--checkpoint (or config key checkpoint)", id="detect-ckpt"),
+    pytest.param(["detect", "--checkpoint", "c", "--out", "o"], "--data (or config key data_dir)", id="detect-data"),
+    pytest.param(["eval", "--annotations", "d/annotations.txt"], "--detections (or config key detections)", id="eval-dets"),
+    pytest.param(["eval", "--detections", "d"], "--annotations (or config key annotations)", id="eval-ann"),
+    pytest.param(["ablate", "--data", "d", "--eval-data", "d"], "--out (or config key out_dir)", id="ablate-out"),
+]
+
+
+@pytest.mark.parametrize("argv,missing", MISSING_PATH)
+def test_command_without_a_path_it_needs_fails_before_it_reads_or_writes(argv, missing, tmp_path, monkeypatch, capsys):
+    # an empty path key would mean the current directory: train would write its checkpoint there
+    monkeypatch.chdir(tmp_path)
+    assert _gen_data(Path("d")) == 0
+    _checkpoint(tmp_path).rename("c")
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert run_cli(argv) == 1
+    assert capsys.readouterr().err == f"error: {argv[0]} needs {missing}\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_train_and_ablate_that_train_nothing_fail_without_output(tmp_path, capsys):
+    # no anchor of a 16 px padded image fits around the one face, so every iteration is skipped
+    data, out = tmp_path / "data", tmp_path / "out"
+    data.mkdir()
+    write_pgm(data / "tiny.pgm", _gray(0, size=10))
+    record = AnnotationRecord(image_path="tiny.pgm", boxes=np.array([[1.0, 1.0, 9.0, 9.0]]))
+    (data / "annotations.txt").write_text(format_annotations([record]))
+    ablate = ["ablate", "--data", str(data), "--eval-data", str(data)]
+    for argv in (["train", "--data", str(data)], ablate):
+        assert run_cli(argv + ["--out", str(out / argv[0]), "--iterations", "3"]) == 1
+        assert "none of the 3 iterations had anchor targets" in capsys.readouterr().err
+        assert not out.exists()

@@ -58,15 +58,22 @@ class TestRunConfigKeys:
             assert got == value, key
 
     def test_each_setting_is_declared_once(self):
-        components = [c for c in RunConfig.__mro__[1:] if is_dataclass(c)]
-        assert set(components) == {DetectConfig, TrainConfig, EvalConfig, ModelConfig}
-        names = [f.name for c in components for f in fields(c)]
-        assert len(names) == len(set(names))
+        assert RunConfig.__bases__ == (TrainConfig, EvalConfig)
+        assert TrainConfig.__bases__ == (ModelConfig, DetectConfig)
+        assert EvalConfig.__bases__ == (DetectConfig,)
+        components = [c for c in RunConfig.__mro__ if is_dataclass(c)]
+        assert set(components) == {RunConfig, DetectConfig, TrainConfig, EvalConfig, ModelConfig}
+        # fields() of a subclass holds its bases' fields too: count each class's own declarations
+        names = [name for c in components for name in inspect.get_annotations(c)]
+        assert sorted(names) == sorted(f.name for f in fields(RunConfig))
         detect_keys = {f.name for f in fields(DetectConfig)}
         entries = (propose, postprocess_detections, MultiScaleDetector.detect, train, evaluate_detector, proposal_recall)
         for fn in entries:
             assert not detect_keys & set(inspect.signature(fn).parameters), fn.__name__
         assert list(inspect.signature(MultiScaleDetector).parameters) == ["cfg", "seed"]
+        # one config each, read whole
+        assert list(inspect.signature(train).parameters) == ["scenes", "cfg", "trace_every", "progress"]
+        assert list(inspect.signature(evaluate_detector).parameters) == ["model", "scenes", "cfg"]
 
     def test_detect_config_reaches_propose_from_every_caller(self, monkeypatch):
         seen = []
@@ -78,38 +85,53 @@ class TestRunConfigKeys:
         for module in (msfacedet.training, msfacedet.model, msfacedet.evaluation):
             monkeypatch.setattr(module, "propose", recording_propose)
         cfg = DetectConfig(pre_nms_top_n=500, post_nms_top_n=20, rpn_nms_thresh=0.6, min_size=2.0, det_nms_thresh=0.4)
+        detect_fields = {f.name: getattr(cfg, f.name) for f in fields(DetectConfig)}
         scenes = generate_toy_dataset(1, 64, (16, 32), seed=3)
-        model = train(scenes, TrainConfig(iterations=1), detect_cfg=cfg).model
+        model = train(scenes, TrainConfig(iterations=1, **detect_fields)).model
         proposal_recall(model, scenes, cfg)
-        evaluate_detector(model, scenes, detect_cfg=cfg)
+        evaluate_detector(model, scenes, EvalConfig(**detect_fields))
+        # train and evaluate_detector pass on their own config: compare its DetectConfig fields
+        seen = [DetectConfig(**{key: getattr(c, key) for key in detect_fields}) for c in seen]
         assert seen == [cfg, cfg, replace(cfg, score_thresh=0.05)]
 
     def test_empty_text_gives_defaults(self):
         assert parse_run_config("# only a comment\n\n") == RunConfig()
 
     def test_parsed_config_passed_whole_gives_each_consumer_its_values(self, monkeypatch):
-        cfg = parse_run_config("iterations = 5\nseed = 3\niou_threshold = 0.4\nroi_pool_size = 5\nmin_size = 2\n")
+        text = "iterations = 5\nseed = 3\niou_threshold = 0.4\nroi_pool_size = 5\nmin_size = 2\n"
+        cfg = parse_run_config(text + "fusion_mode = tap5\npost_nms_top_n = 20\n")
         assert MultiScaleDetector(cfg).cfg.roi_pool_size == 5
         seen = {}
-        real_propose, real_evaluate_dataset = propose, msfacedet.evaluation.evaluate_dataset
+        real_evaluate_dataset = msfacedet.evaluation.evaluate_dataset
 
-        def recording_propose(*args):
-            seen["min_size"] = args[5].min_size
-            return real_propose(*args)
+        def recording(module):
+            def recording_propose(*args):
+                limits = (args[5].min_size, args[5].post_nms_top_n, args[5].score_thresh)
+                seen.setdefault(module.__name__, set()).add(limits)
+                return propose(*args)
+
+            return recording_propose
 
         def recording_evaluate_dataset(dets, gts, eval_cfg):
             seen["split_max"] = (eval_cfg.split_small_max, eval_cfg.split_medium_max)
             seen["iou_threshold"] = eval_cfg.iou_threshold
             return real_evaluate_dataset(dets, gts, eval_cfg)
 
-        monkeypatch.setattr(msfacedet.training, "propose", recording_propose)
+        for module in (msfacedet.training, msfacedet.model):
+            monkeypatch.setattr(module, "propose", recording(module))
         monkeypatch.setattr(msfacedet.evaluation, "evaluate_dataset", recording_evaluate_dataset)
         scenes = generate_toy_dataset(1, 64, (16, 32), seed=3)
-        result = train(scenes, cfg, cfg, detect_cfg=cfg)
-        evaluate_detector(result.model, scenes, cfg, cfg)
+        result = train(scenes, cfg)
+        evaluate_detector(result.model, scenes, cfg)
         assert result.trace[-1][0] == 5
         assert (result.model.cfg.roi_pool_size, result.model.cfg.gamma_init) == (5, DEFAULTS["gamma_init"])
-        assert seen == {"min_size": 2.0, "split_max": (24.0, 64.0), "iou_threshold": 0.4}
+        assert result.model.fused_taps == ("tap5",)
+        assert seen == {
+            "msfacedet.training": {(2.0, 20, DEFAULTS["score_thresh"])},
+            "msfacedet.model": {(2.0, 20, 0.05)},
+            "split_max": (24.0, 64.0),
+            "iou_threshold": 0.4,
+        }
 
 
 class TestRoundTrip:
@@ -228,14 +250,24 @@ def test_component_config_rejects_non_finite_field(cls, key, bad):
         cls(**{key: value})
 
 
+def _toy_dataset(**given):
+    return generate_toy_dataset(**{"n_images": 1, "image_size": 64, "face_scale_range": (16, 32), "seed": 0, **given})
+
+
 @pytest.mark.parametrize(
     "cls,key",
-    [(cls, f.name) for cls in (ModelConfig, TrainConfig, DetectConfig) for f in fields(cls) if type(f.default) is int],
+    [(cls, f.name) for cls in (ModelConfig, TrainConfig, DetectConfig) for f in fields(cls) if type(f.default) is int]
+    + [(_toy_dataset, key) for key in ("n_images", "image_size", "seed")],
 )
 @pytest.mark.parametrize("bad", [2.5, True])
 def test_component_config_rejects_non_integer_int_field(cls, key, bad):
     with pytest.raises(ValueError, match=f"^{key} {bad!r}: only integers"):
         cls(**{key: bad})
+
+
+def test_toy_dataset_rejects_a_negative_image_count():
+    with pytest.raises(ValueError, match="^n_images -2: only integers of at least 0"):
+        _toy_dataset(n_images=-2)
 
 
 # one out-of-range value per config class, on a field whose message names it

@@ -90,7 +90,7 @@ def scenes():
 
 @pytest.mark.parametrize("mode", ["multi", "tap5"])
 def test_detect_matches_float64_composition_after_training(mode, scenes):
-    model = train(scenes[:6], TrainConfig(iterations=30, seed=5), ModelConfig(fusion_mode=mode)).model
+    model = train(scenes[:6], TrainConfig(iterations=30, seed=5, fusion_mode=mode)).model
     cfg = DetectConfig(score_thresh=0.05)
     for s in scenes[6:]:
         _assert_close(model.detect(s.image, s.width, s.height, cfg), detect_float64(model, s.image, s.width, s.height, cfg))
