@@ -4,7 +4,10 @@ evaluation, gradient checking and the fusion-vs-single-tap ablation."""
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
+import tempfile
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -21,19 +24,33 @@ from .training import format_trace, train
 
 
 class _OutputTracker:
-    """Records files and directories created by a command so failures leave
-    no partial output."""
+    """Stages a command's output files and records the directories it makes,
+    so that a failed command leaves every earlier file as it was.
+
+    Each file is written under the same name in a fresh staging directory
+    beside its destination, on the same filesystem, and :meth:`commit`
+    renames it into place once the command has succeeded.  A failure before
+    then keeps every destination untouched: :meth:`discard_all` removes only
+    the staged files, the staging directories and the directories the command
+    made.  (A rename that fails in :meth:`commit` leaves the ones before it.)"""
 
     def __init__(self):
-        self.paths = []
+        self.staged = {}  # destination -> staged file
+        self.staging = {}  # destination directory -> its staging directory
         self.dirs = []
 
     def write_text(self, path, text: str):
-        self.note(Path(path)).write_text(text)
+        self.note(path).write_text(text)
 
-    def note(self, path):
-        self.paths.append(Path(path))
-        return path
+    def note(self, path) -> Path:
+        """The staged path to write the file ``path`` to."""
+        path = Path(path)
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        if path.parent not in self.staging:
+            self.staging[path.parent] = Path(tempfile.mkdtemp(prefix=".msfacedet-", dir=path.parent))
+        self.staged[path] = self.staging[path.parent] / path.name
+        return self.staged[path]
 
     def mkdir(self, path):
         path = Path(path)
@@ -41,13 +58,16 @@ class _OutputTracker:
         path.mkdir(parents=True, exist_ok=True)
         return path
 
+    def commit(self):
+        for path, staged in self.staged.items():
+            os.replace(staged, path)
+        for d in self.staging.values():
+            d.rmdir()
+
     def discard_all(self):
-        for p in self.paths:
-            try:
-                p.unlink()
-            except OSError:
-                pass
-        for d in reversed(self.dirs):
+        for p in self.staged.values():
+            p.unlink(missing_ok=True)
+        for d in [*self.staging.values(), *reversed(self.dirs)]:
             try:
                 d.rmdir()
             except OSError:
@@ -123,7 +143,7 @@ def _config_from_args(args, *required) -> RunConfig:
     given = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
     given = {key: value for key, value in given.items() if value not in (None, "")}
     if args.config:
-        cfg = parse_run_config(Path(args.config).read_text(), args.config, **given)
+        cfg = parse_run_config(Path(args.config).read_text(encoding="utf-8"), args.config, **given)
     else:
         cfg = RunConfig(**given)
     for key in required:
@@ -151,8 +171,8 @@ def cmd_train(args, tracker) -> int:
         scenes, cfg, progress=lambda it, c: print(f"iter {it}: total {c['total']:.4f}") if it % 200 == 0 else None
     )
     tracker.write_text(out_dir / "loss_trace.txt", format_trace(result.trace))
-    ckpt_path = tracker.note(out_dir / "checkpoint.msfr")
-    result.model.save(ckpt_path)
+    ckpt_path = out_dir / "checkpoint.msfr"
+    result.model.save(tracker.note(ckpt_path))
     print(
         f"trained {cfg.iterations} iterations ({result.skipped} skipped for lack of anchor "
         f"targets); checkpoint at {ckpt_path}"
@@ -232,6 +252,7 @@ def cmd_eval(args, tracker) -> int:
     report = evaluate_dataset(dets, gts, cfg)
     text = format_report(report)
     if args.out:
+        tracker.mkdir(Path(args.out).parent)
         tracker.write_text(args.out, text)
     sys.stdout.write(text)
     return 0
@@ -277,6 +298,9 @@ def positive_int(text: str) -> int:
     return value
 
 
+CONFIG_HELP = "TOML file of config keys; a flag given too replaces its key's value"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="msfacedet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -293,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train on a generated dataset")
     p.add_argument("--data", dest="data_dir", metavar="DATA", help="dataset directory (images + annotations.txt)")
     p.add_argument("--out", dest="out_dir", metavar="OUT", help="output directory for checkpoint + loss trace")
-    p.add_argument("--config")
+    p.add_argument("--config", help=CONFIG_HELP)
     p.add_argument("--seed", type=int)
     p.add_argument("--iterations", type=int)
     p.add_argument("--fusion-mode", choices=tuple(FUSED_TAPS))
@@ -303,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint")
     p.add_argument("--data", dest="data_dir", metavar="DATA", help="directory of .pgm/.ppm images")
     p.add_argument("--out", dest="out_dir", metavar="OUT", help="output directory for detection files")
-    p.add_argument("--config")
+    p.add_argument("--config", help=CONFIG_HELP)
     p.add_argument("--score-thresh", type=float)
     p.add_argument("--overlay", action="store_true", help="also write box-overlay PPMs")
     p.add_argument("--fusion-mode", choices=tuple(FUSED_TAPS))
@@ -315,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--annotations", help="annotation file")
     p.add_argument("--out", help="report file (also printed)")
-    p.add_argument("--config")
+    p.add_argument("--config", help=CONFIG_HELP)
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of every backward pass")
@@ -327,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", dest="data_dir", metavar="DATA", required=True, help="training dataset directory")
     p.add_argument("--eval-data", required=True, help="held-out dataset directory")
     p.add_argument("--out", dest="out_dir", metavar="OUT", help="output directory for the two reports")
-    p.add_argument("--config")
+    p.add_argument("--config", help=CONFIG_HELP)
     p.add_argument("--seed", type=int)
     p.add_argument("--iterations", type=int)
     p.set_defaults(fn=cmd_ablate)
@@ -342,11 +366,15 @@ def run_cli(argv=None) -> int:
         return int(e.code) if e.code else 0
     tracker = _OutputTracker()
     try:
-        return args.fn(args, tracker)
-    except Exception as e:  # runtime failure: report, remove partial outputs
-        tracker.discard_all()
+        status = args.fn(args, tracker)
+        if status == 0:
+            tracker.commit()
+    except Exception as e:  # runtime failure: report it
         print(f"error: {e}", file=sys.stderr)
-        return 1
+        status = 1
+    if status:
+        tracker.discard_all()
+    return status
 
 
 def main():

@@ -1,6 +1,15 @@
-"""Flat key=value run configuration with '#' comments.
+"""Run configuration: a TOML file of top-level keys, read by ``tomllib``.
 
-Unknown keys, keys set twice and out-of-range values are rejected when a
+    # tap5 alone, on narrow stages
+    fusion_mode = "tap5"
+    stage_channels = [4, 4, 8, 8, 8]
+    learning_rate = 0.0025
+    lr_drop = true
+
+Each key takes a value of its default's type: an integer for an int, an
+integer or finite float for a float, an array of those for a tuple, a quoted
+string for a str and ``true``/``false`` for a bool.  Malformed TOML, unknown
+keys, tables, dates, mistyped and out-of-range values are rejected when a
 config is built, before any output file is written.  Values given on the
 command line replace the file's values before that one build, so a flag can
 replace an out-of-range file value.
@@ -8,9 +17,10 @@ replace an out-of-range file value.
 
 from __future__ import annotations
 
+import math
+import sys
+import tomllib
 from dataclasses import dataclass, fields
-
-import numpy as np
 
 from .evaluation import EvalConfig
 from .training import TrainConfig
@@ -41,46 +51,39 @@ class RunConfig(TrainConfig, EvalConfig):
             raise ConfigError(str(e)) from None
 
 
-def _parse_value(key: str, raw: str, default):
+# what a key of each default's type takes, in TOML's words
+_TAKES = {bool: "true or false", int: "an integer", float: "a number", str: "a quoted string", tuple: "an array"}
+
+
+def _typed(where: str, value, default):
+    """``value`` in ``default``'s type, or ``ConfigError`` naming ``where``.
+    Types are compared with ``is``, since ``true`` is an instance of int."""
     kind = type(default)
-    try:
-        if kind is bool:
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            value = float(raw)
-        elif kind is tuple:
-            value = tuple(type(default[0])(v) for v in raw.split(",") if v.strip() != "")
-        else:
-            return raw
-    except ValueError:
-        raise ConfigError(f"config key {key}: cannot parse {raw!r} as {kind.__name__}") from None
-    if not np.isfinite(value).all():
-        raise ConfigError(f"config key {key}: {raw!r} is not finite")
+    if kind is tuple and type(value) is list:
+        return tuple(_typed(where, v, default[0]) for v in value)
+    if kind is float and type(value) is int:
+        if abs(value) > sys.float_info.max:
+            raise ConfigError(f"{where}: {value} is too large for a float")
+        value = float(value)
+    if type(value) is not kind:
+        raise ConfigError(f"{where}: {value!r} is not {_TAKES[kind]}")
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{where}: {value!r} is not finite")
     return value
 
 
 def parse_run_config(text: str, source: str = "<config>", **given) -> RunConfig:
-    """The ``RunConfig`` of ``text``'s values with ``given`` replacing them."""
+    """The ``RunConfig`` of TOML ``text``'s values with ``given`` replacing them."""
     defaults = {f.name: f.default for f in fields(RunConfig)}
+    try:
+        table = tomllib.loads(text)
+    except tomllib.TOMLDecodeError as e:
+        raise ConfigError(f"{source}: {e} (config files are TOML: quote strings, write tuples as [a, b])") from None
+    except RecursionError:
+        raise ConfigError(f"{source}: values are nested too deeply") from None
     values = {}
-    set_at: dict[str, int] = {}
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"{source}:{lineno}: expected key=value, got {line!r}")
-        key, raw = (part.strip() for part in stripped.split("=", 1))
+    for key, value in table.items():
         if key not in defaults:
-            raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
-        if key in set_at:
-            raise ConfigError(f"{source}:{lineno}: key {key!r} is set again, first at line {set_at[key]}")
-        set_at[key] = lineno
-        values[key] = _parse_value(key, raw, defaults[key])
+            raise ConfigError(f"{source}: unknown key {key!r}")
+        values[key] = _typed(f"{source}: config key {key}", value, defaults[key])
     return RunConfig(**{**values, **given})

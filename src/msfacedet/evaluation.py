@@ -34,8 +34,11 @@ class EvalConfig(DetectConfig):
         # each range is written so that NaN fails it
         if not (0.0 < self.iou_threshold < 1.0):
             raise ValueError(f"iou_threshold {self.iou_threshold} outside (0, 1)")
-        if not (0.0 < self.split_small_max < self.split_medium_max < math.inf):
-            raise ValueError("split thresholds must satisfy 0 < small < medium < inf")
+        if not 0.0 < self.split_small_max < math.inf:
+            raise ValueError(f"split_small_max {self.split_small_max} outside (0, inf)")
+        if not self.split_small_max < self.split_medium_max < math.inf:
+            small, medium = self.split_small_max, self.split_medium_max
+            raise ValueError(f"split_medium_max {medium} outside (split_small_max {small}, inf)")
 
 
 @dataclass

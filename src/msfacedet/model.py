@@ -51,11 +51,11 @@ class ModelConfig:
         # each range is written so that NaN fails it
         require_int("roi_pool_size", self.roi_pool_size, 1)
         if not 0 < self.gamma_init < math.inf:
-            raise ValueError("gamma_init must be positive and finite")
-        if not self.anchor_scales or not self.anchor_ratios:
-            raise ValueError("anchor_scales and anchor_ratios must be non-empty")
-        if not all(0 < v < math.inf for v in (*self.anchor_scales, *self.anchor_ratios)):
-            raise ValueError("anchor scales and ratios must be positive and finite")
+            raise ValueError(f"gamma_init {self.gamma_init} outside (0, inf)")
+        for name in ("anchor_scales", "anchor_ratios"):
+            values = getattr(self, name)
+            if not values or not all(0 < v < math.inf for v in values):
+                raise ValueError(f"{name} {values}: at least one element is needed, each in (0, inf)")
         if self.fusion_mode not in FUSED_TAPS:
             raise ValueError(f"unknown fusion_mode {self.fusion_mode!r}")
         if len(self.stage_channels) != 5:

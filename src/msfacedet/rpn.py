@@ -40,7 +40,7 @@ class DetectConfig:
         if not 0 < self.rpn_nms_thresh < 1:
             raise ValueError(f"rpn_nms_thresh {self.rpn_nms_thresh} outside (0, 1)")
         if not 0 <= self.min_size < math.inf:
-            raise ValueError("min_size must be non-negative and finite")
+            raise ValueError(f"min_size {self.min_size} outside [0, inf)")
         if not 0 <= self.score_thresh < 1:
             raise ValueError(f"score_thresh {self.score_thresh} outside [0, 1)")
         if not 0 < self.det_nms_thresh < 1:

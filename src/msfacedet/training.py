@@ -47,16 +47,15 @@ class TrainConfig(ModelConfig, DetectConfig):
         ModelConfig.__post_init__(self)
         DetectConfig.__post_init__(self)
         # each range is written so that NaN fails it
-        if not (
-            0 < self.learning_rate < math.inf
-            and 0 <= self.momentum < math.inf
-            and 0 <= self.weight_decay < math.inf
-        ):
-            raise ValueError("rates must be positive (momentum/decay non-negative) and finite")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate {self.learning_rate} outside (0, inf)")
+        for name in ("momentum", "weight_decay"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} {getattr(self, name)} outside [0, inf)")
         require_int("iterations", self.iterations, 1)
         require_int("seed", self.seed, 0)
         if not 0 <= self.loss_lambda < math.inf:
-            raise ValueError("loss_lambda must be non-negative and finite")
+            raise ValueError(f"loss_lambda {self.loss_lambda} outside [0, inf)")
 
 
 def _head_loss(logits, deltas, targets: Targets, lam):

@@ -104,6 +104,30 @@ def test_eval_matches_golden_report(tmp_path):
     assert report.read_bytes() == (DATA / "golden_report.txt").read_bytes()
 
 
+@pytest.mark.parametrize("command", ["train", "detect", "eval", "ablate"])
+def test_config_flag_help_says_it_takes_a_toml_file(command, capsys):
+    assert run_cli([command, "--help"]) == 0
+    assert "--config CONFIG TOML file of config keys" in " ".join(capsys.readouterr().out.split())
+
+
+def test_eval_out_creates_the_missing_parent_directories(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    args = ["eval", "--detections", str(DATA / "golden_dets"), "--annotations", str(DATA / "golden_annotations.txt")]
+    capsys.readouterr()
+    assert run_cli(args + ["--out", "sub/dir/report.txt"]) == 0
+    assert Path("sub/dir/report.txt").read_bytes() == capsys.readouterr().out.encode() != b""
+
+
+def test_eval_on_a_malformed_detection_line_leaves_no_report_directory(tmp_path):
+    # a failing report write is a case of test_a_fault_at_any_write_keeps_every_earlier_file
+    dets = tmp_path / "dets"
+    dets.mkdir()
+    (dets / "img_00.txt").write_text("0 0 5 five 0.5\n")
+    args = ["eval", "--detections", str(dets), "--annotations", str(DATA / "golden_annotations.txt")]
+    assert run_cli(args + ["--out", str(tmp_path / "sub" / "dir" / "report.txt")]) == 1
+    assert not (tmp_path / "sub").exists()
+
+
 @pytest.mark.parametrize("bad", ["10 10 30 30 nan", "0 0 inf 5 0.5", "0 0 5 five 0.5", "0 0 5 5"])
 def test_eval_rejects_malformed_detection_line_without_report(bad, tmp_path, capsys):
     dets = tmp_path / "dets"
@@ -364,12 +388,12 @@ def test_train_and_detect_take_their_paths_from_the_config_file(tmp_path):
     data, run = tmp_path / "data", tmp_path / "run"
     assert _gen_data(data) == 0
     train_cfg = tmp_path / "train.cfg"
-    train_cfg.write_text(f"data_dir = {data}\nout_dir = {run}\niterations = 2\n")
+    train_cfg.write_text(f"data_dir = '{data}'\nout_dir = '{run}'\niterations = 2\n")
     assert run_cli(["train", "--config", str(train_cfg)]) == 0
     assert (run / "loss_trace.txt").read_text().startswith("2 ")
     assert (run / "checkpoint.msfr").is_file()
     detect_cfg = tmp_path / "detect.cfg"
-    lines = [f"checkpoint = {run / 'checkpoint.msfr'}", f"data_dir = {data}", f"out_dir = {tmp_path / 'cfg'}"]
+    lines = [f"checkpoint = '{run / 'checkpoint.msfr'}'", f"data_dir = '{data}'", f"out_dir = '{tmp_path / 'cfg'}'"]
     detect_cfg.write_text("\n".join(lines + ["score_thresh = 0"]) + "\n")
     assert run_cli(["detect", "--config", str(detect_cfg)]) == 0
     assert _detect(run / "checkpoint.msfr", data, tmp_path / "flags") == 0
@@ -383,7 +407,7 @@ def test_config_file_sets_the_model_widths_for_train_and_detect(tmp_path, capsys
     data, run, dets = tmp_path / "data", tmp_path / "run", tmp_path / "dets"
     assert _gen_data(data) == 0
     config = tmp_path / "narrow.cfg"
-    config.write_text("stage_channels = 4, 4, 8, 8, 8\nrpn_channels = 16\nhead_width = 16\niterations = 2\n")
+    config.write_text("stage_channels = [4, 4, 8, 8, 8]\nrpn_channels = 16\nhead_width = 16\niterations = 2\n")
     assert run_cli(["train", "--config", str(config), "--data", str(data), "--out", str(run)]) == 0
     args = ["detect", "--checkpoint", str(run / "checkpoint.msfr"), "--data", str(data), "--score-thresh", "0"]
     assert run_cli(args + ["--config", str(config), "--out", str(dets)]) == 0
@@ -459,6 +483,109 @@ def test_gen_data_into_existing_directory_removes_only_its_files(tmp_path):
     (data / "keep.txt").write_text("mine")
     assert _gen_data(data) == 1
     assert sorted(p.name for p in data.iterdir()) == ["annotations.txt", "keep.txt"]
+
+
+def test_train_failing_over_an_earlier_run_keeps_its_files(tmp_path, monkeypatch, capsys):
+    assert _gen_data(tmp_path / "data") == 0
+    run = tmp_path / "run"
+    args = ["train", "--data", str(tmp_path / "data"), "--out", str(run), "--iterations"]
+    capsys.readouterr()
+    assert run_cli(args + ["2"]) == 0
+    assert f"checkpoint at {run / 'checkpoint.msfr'}\n" in capsys.readouterr().out
+    before = {p.name: p.read_bytes() for p in run.iterdir()}
+    assert sorted(before) == ["checkpoint.msfr", "loss_trace.txt"]
+
+    def write_then_fail(path, params):
+        Path(path).write_bytes(b"PK")
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr("msfacedet.checkpoint.save_checkpoint", write_then_fail)
+    assert run_cli(args + ["3"]) == 1  # a 3-iteration loss trace would differ from the 2-iteration one
+    assert "No space left" in capsys.readouterr().err
+    # iterdir lists a staging directory left behind too
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+
+def test_detect_over_an_existing_output_directory_writes_what_a_new_one_gets(tmp_path):
+    data, old, new = tmp_path / "data", tmp_path / "old", tmp_path / "new"
+    data.mkdir()
+    for i in range(2):
+        write_pgm(data / f"scene{i}.pgm", _gray(20 + i))
+    old.mkdir()
+    for name in ("scene0.txt", "scene1_overlay.ppm", "other.txt"):
+        (old / name).write_text("stale")
+    args = ["detect", "--checkpoint", str(_checkpoint(tmp_path)), "--data", str(data), "--score-thresh", "0"]
+    assert run_cli(args + ["--overlay", "--out", str(old)]) == 0
+    assert run_cli(args + ["--overlay", "--out", str(new)]) == 0
+    written = {p.name: p.read_bytes() for p in new.iterdir()}
+    assert sorted(written) == ["scene0.txt", "scene0_overlay.ppm", "scene1.txt", "scene1_overlay.ppm"]
+    assert {p.name: p.read_bytes() for p in old.iterdir()} == {**written, "other.txt": b"stale"}
+
+
+# each command's arguments and its outputs in {out}, in write order; {data} holds img_0000.pgm and img_0001.pgm
+WRITES = {
+    "gen-data": (
+        "gen-data --out {out} --n-images 2 --image-size 64 --face-min 16 --face-max 32",
+        ["img_0000.pgm", "img_0001.pgm", "annotations.txt"],
+    ),
+    "train": ("train --data {data} --out {out} --iterations 2", ["loss_trace.txt", "checkpoint.msfr"]),
+    "detect": (
+        "detect --checkpoint {ckpt} --data {data} --out {out} --score-thresh 0 --overlay",
+        ["img_0000.txt", "img_0000_overlay.ppm", "img_0001.txt", "img_0001_overlay.ppm"],
+    ),
+    "eval": ("eval --detections {dets} --annotations {data}/annotations.txt --out {out}/report.txt", ["report.txt"]),
+    "ablate": (
+        "ablate --data {data} --eval-data {data} --out {out} --iterations 2",
+        ["report_multi.txt", "report_tap5.txt"],
+    ),
+}
+
+
+def _tree(root):
+    return {str(p.relative_to(root)): p.is_file() and p.read_bytes() for p in sorted(root.rglob("*"))}
+
+
+@pytest.mark.parametrize("earlier", [True, False], ids=["over-earlier-files", "into-a-new-directory"])
+@pytest.mark.parametrize(
+    "command,fault_at", [(c, k) for c, (_, outputs) in WRITES.items() for k in range(1, len(outputs) + 2)]
+)
+def test_a_fault_at_any_write_keeps_every_earlier_file(command, fault_at, earlier, tmp_path, monkeypatch):
+    # a fault at write k writes a byte and raises; k one past the last write lets the command succeed
+    argv, outputs = WRITES[command]
+    data, dets, out = tmp_path / "data", tmp_path / "dets", tmp_path / "out" / "run"
+    assert _gen_data(data) == 0
+    assert _detect(_checkpoint(tmp_path), data, dets) == 0
+    if earlier:
+        out.mkdir(parents=True)
+        for name in outputs + ["keep.txt"]:
+            (out / name).write_bytes(b"earlier")
+    argv = argv.format(out=out, data=data, ckpt=tmp_path / "model.msfr", dets=dets).split()
+    before = _tree(tmp_path)
+    writes = []
+
+    def faulty(real):
+        def write(path, *args, **kwargs):
+            writes.append(Path(path).name)
+            if len(writes) == fault_at:
+                Path(path).write_bytes(b"P")
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real(path, *args, **kwargs)
+
+        return write
+
+    monkeypatch.setattr(Path, "write_text", faulty(Path.write_text))
+    monkeypatch.setattr(msfacedet.cli, "write_pgm", faulty(msfacedet.cli.write_pgm))
+    monkeypatch.setattr(msfacedet.cli, "write_ppm", faulty(msfacedet.cli.write_ppm))
+    monkeypatch.setattr("msfacedet.checkpoint.save_checkpoint", faulty(msfacedet.checkpoint.save_checkpoint))
+    status = run_cli(argv)
+    assert writes == outputs[:fault_at]
+    if fault_at <= len(outputs):
+        assert status == 1
+        assert _tree(tmp_path) == before
+    else:
+        assert status == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(outputs + ["keep.txt"] * earlier)
+        assert all((out / name).read_bytes() != b"earlier" for name in outputs)
 
 
 def test_ablate_failing_in_second_mode_leaves_no_output(tmp_path, monkeypatch, capsys):

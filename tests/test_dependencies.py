@@ -4,6 +4,7 @@ import.  Every name a package module imports is used there."""
 import ast
 import re
 import sys
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -42,6 +43,5 @@ def test_every_imported_name_is_used(path):
 
 
 def test_declared_runtime_dependencies_are_numpy_only():
-    tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     assert [re.match(r"[\w.-]+", dep).group() for dep in project["dependencies"]] == ["numpy"]

@@ -2,6 +2,7 @@
 raises that parser's own error, and the writers round-trip through them."""
 
 import io
+import json
 import struct
 import zipfile
 from collections import OrderedDict
@@ -24,16 +25,36 @@ _ints = st.integers(-3, 10**25).map(str)
 _box_line = st.lists(st.integers(-2, 2**54), min_size=3, max_size=5).map(lambda v: " ".join(map(str, v)))
 _annotation_text = st.lists(st.one_of(st.text(max_size=8), _ints, _box_line), max_size=12).map("\n".join)
 
-_keys = st.one_of(st.sampled_from([f.name for f in fields(RunConfig)]), st.text(max_size=6))
-_values = st.one_of(
-    st.text(max_size=8),
+_names = st.sampled_from([f.name for f in fields(RunConfig)])
+_keys = st.one_of(_names, st.text(max_size=6), st.tuples(_names, _names).map(".".join))  # a dotted key too
+# TOML scalars: quoted strings, integers of any size, floats (repr spells nan, inf and -inf as TOML does),
+# booleans and dates, and now and then words TOML does not take (the old spellings among them)
+_scalars = st.one_of(
+    st.text(max_size=8).map(json.dumps),
     st.integers(-5, 5000).map(str),
+    st.integers().map(str),
     st.floats().map(repr),
-    st.lists(st.floats().map(repr), max_size=3).map(",".join),
-    st.sampled_from(["multi", "tap5", "yes", "no"]),
+    st.floats(0, 2).map(repr),
+    st.dates().map(str),
+    st.sampled_from(["true", "false", "nan", "+inf", "1979-05-27T07:32:00Z", "07:32:00", '"multi"', "'tap5'"]),
+    st.one_of(st.sampled_from(["multi", "tap5", "yes", "no", "1,2"]), st.text(max_size=8)),
 )
-_config_text = st.lists(st.tuples(_keys, st.sampled_from(["=", " = ", ""]), _values).map("".join), max_size=6).map(
-    "\n".join
+# arrays (nested too) and inline tables of those
+_values = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3).map(lambda items: f"[{', '.join(items)}]"),
+        st.lists(st.tuples(_names, inner), max_size=2).map(
+            lambda pairs: "{" + ", ".join(f"{k} = {v}" for k, v in pairs) + "}"
+        ),
+    ),
+    max_leaves=6,
+)
+_pair = st.tuples(_keys, st.sampled_from([" = ", "=", ""]), _values).map("".join)
+_header = _keys.map(lambda key: f"[{key}]")
+# top-level pairs, then table headers mixed with the pairs that fall into their tables
+_config_text = st.tuples(st.lists(_pair, max_size=4), st.lists(st.one_of(_header, _pair), max_size=2)).map(
+    lambda parts: "\n".join(parts[0] + parts[1])
 )
 
 _pnm_token = st.one_of(st.integers(-3, 300).map(str), st.sampled_from(["255", "x", "#c\n"]), st.text(max_size=3))
@@ -113,6 +134,8 @@ def test_annotations_parse_or_raise_annotation_error(text):
 
 @FUZZ
 @given(_config_text)
+@example("anchor_scales = " + "[" * 3000 + "]" * 3000)  # RecursionError inside tomllib
+@example("anchor_scales = [[1.0]]")
 def test_config_parses_or_raises_config_error(text):
     try:
         parse_run_config(text)
