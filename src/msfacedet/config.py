@@ -23,11 +23,8 @@ import tomllib
 from dataclasses import dataclass, fields
 
 from .evaluation import EvalConfig
+from .rpn import ConfigError, FieldError
 from .training import TrainConfig
-
-
-class ConfigError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -44,11 +41,9 @@ class RunConfig(TrainConfig, EvalConfig):
     detections: str = ""
 
     def __post_init__(self):
-        try:
-            for cls in (TrainConfig, EvalConfig):
-                cls.__post_init__(self)
-        except ValueError as e:
-            raise ConfigError(str(e)) from None
+        # each range check raises a FieldError, a ConfigError naming its field
+        for cls in (TrainConfig, EvalConfig):
+            cls.__post_init__(self)
 
 
 # what a key of each default's type takes, in TOML's words
@@ -73,7 +68,10 @@ def _typed(where: str, value, default):
 
 
 def parse_run_config(text: str, source: str = "<config>", **given) -> RunConfig:
-    """The ``RunConfig`` of TOML ``text``'s values with ``given`` replacing them."""
+    """The ``RunConfig`` of TOML ``text``'s values with ``given`` replacing them.
+    An out-of-range value is named as a mistyped one is, ``{source}: config
+    key {field}:``, when it is the file's; a value from ``given`` keeps the
+    message of the field's range check."""
     defaults = {f.name: f.default for f in fields(RunConfig)}
     try:
         table = tomllib.loads(text)
@@ -86,4 +84,9 @@ def parse_run_config(text: str, source: str = "<config>", **given) -> RunConfig:
         if key not in defaults:
             raise ConfigError(f"{source}: unknown key {key!r}")
         values[key] = _typed(f"{source}: config key {key}", value, defaults[key])
-    return RunConfig(**{**values, **given})
+    try:
+        return RunConfig(**{**values, **given})
+    except FieldError as e:
+        if e.field not in values.keys() - given.keys():
+            raise
+        raise ConfigError(f"{source}: config key {e.field}: {e.detail}") from None

@@ -58,18 +58,20 @@ def detection_forward(taps: dict, rois: np.ndarray, head: DetHead, norms, shrink
 
     Each ROI gets a fused fixed-size descriptor via multi-scale ROI pooling,
     then two ReLU fully-connected layers and sibling output layers.  An empty
-    ROI stack takes the same path.
+    ROI stack takes the same path.  The pooled (R, C, p, p) stack is a
+    view of a channels-last buffer, so fc1's (R, C*p*p) input is a copy of
+    it, and the stack is released before fc1 runs.
     """
     rois = np.asarray(rois, dtype=np.float64).reshape(-1, 4)
     fused, pool_cache = ms_roi_pool_batch(taps, rois, norms, shrink, pool_size)
-    flat = fused.reshape(len(rois), head.fc1.weight.data.shape[0])
-    h1, c1 = fully_connected(flat, head.fc1)
+    fused_shape, fused = fused.shape, fused.reshape(len(rois), head.fc1.weight.data.shape[0])  # frees the stack
+    h1, c1 = fully_connected(fused, head.fc1)
     a1, r1 = relu(h1)
     h2, c2 = fully_connected(a1, head.fc2)
     a2, r2 = relu(h2)
     logits, c3 = fully_connected(a2, head.cls)
     deltas, c4 = fully_connected(a2, head.bbox)
-    cache = (pool_cache, fused.shape, c1, r1, c2, r2, c3, c4)
+    cache = (pool_cache, fused_shape, c1, r1, c2, r2, c3, c4)
     return (logits, deltas), cache
 
 

@@ -12,13 +12,13 @@ each with a finite score."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .boxes import check_boxes, iou_matrix, match_ground_truth
 from .model import check_extents
-from .rpn import DetectConfig, propose
+from .rpn import DetectConfig, FieldError, propose
 
 
 @dataclass(frozen=True)
@@ -33,19 +33,21 @@ class EvalConfig(DetectConfig):
         DetectConfig.__post_init__(self)
         # each range is written so that NaN fails it
         if not (0.0 < self.iou_threshold < 1.0):
-            raise ValueError(f"iou_threshold {self.iou_threshold} outside (0, 1)")
+            raise FieldError("iou_threshold", f"{self.iou_threshold} outside (0, 1)")
         if not 0.0 < self.split_small_max < math.inf:
-            raise ValueError(f"split_small_max {self.split_small_max} outside (0, inf)")
+            raise FieldError("split_small_max", f"{self.split_small_max} outside (0, inf)")
         if not self.split_small_max < self.split_medium_max < math.inf:
             small, medium = self.split_small_max, self.split_medium_max
-            raise ValueError(f"split_medium_max {medium} outside (split_small_max {small}, inf)")
+            raise FieldError("split_medium_max", f"{medium} outside (split_small_max {small}, inf)")
 
 
 @dataclass
 class EvalReport:
-    pr_points: list  # (recall, precision) per prefix
+    # the curves are record arrays, one row per prefix of the score-sorted
+    # detections; ``.tolist()`` gives their rows as tuples of Python numbers
+    pr_points: np.recarray  # float64 fields recall, precision
     ap: float | None  # None when n_gt == 0 (undefined)
-    roc_points: list  # (cumulative FP count, true-positive rate)
+    roc_points: np.recarray  # int64 field fp (cumulative false positives), float64 field tpr
     n_gt: int
     n_det: int
 
@@ -132,17 +134,17 @@ def _report(hits: np.ndarray, n_gt: int) -> EvalReport:
     truth both curves are empty and AP is undefined (None); without
     detections AP is 0.
     """
-    if n_gt == 0:
-        return EvalReport(pr_points=[], ap=None, roc_points=[], n_gt=0, n_det=hits.size)
+    if n_gt == 0:  # the curves of no detections, which have the curves' dtypes
+        return replace(_report(hits[:0], 1), ap=None, n_gt=0, n_det=hits.size)
     tp, fp = np.cumsum(hits), np.cumsum(~hits)
     recall, precision = tp / n_gt, tp / (tp + fp)
     mrec = np.concatenate([[0.0], recall])
     mpre = np.maximum.accumulate(np.concatenate([[1.0], precision])[::-1])[::-1]
     steps = np.flatnonzero(mrec[1:] != mrec[:-1]) + 1
     return EvalReport(
-        pr_points=list(zip(recall.tolist(), precision.tolist())),
+        pr_points=np.rec.fromarrays([recall, precision], names="recall,precision"),
         ap=float(np.sum((mrec[steps] - mrec[steps - 1]) * mpre[steps])),
-        roc_points=list(zip(fp.tolist(), recall.tolist())),
+        roc_points=np.rec.fromarrays([fp, recall], names="fp,tpr"),
         n_gt=n_gt,
         n_det=hits.size,
     )
@@ -192,7 +194,7 @@ def format_report(report: DatasetReport) -> str:
         f"n_det {report.overall.n_det}",
         "PR",
     ]
-    lines += [f"{r:.6f} {p:.6f}" for r, p in report.overall.pr_points]
+    lines += [f"{r:.6f} {p:.6f}" for r, p in report.overall.pr_points.tolist()]
     lines.append("ROC")
-    lines += [f"{f} {t:.6f}" for f, t in report.overall.roc_points]
+    lines += [f"{f} {t:.6f}" for f, t in report.overall.roc_points.tolist()]
     return "\n".join(lines) + "\n"

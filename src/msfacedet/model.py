@@ -12,7 +12,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from .detector import DetHead, Detection, detection_backward, detection_forward, postprocess_detections
 from .fusion import TAP_ORDER, TAP_STRIDES, make_l2norm, ms_roi_pool_batch, ms_roi_pool_batch_backward
-from .rpn import DetectConfig, RpnHead, generate_anchors, propose, require_int, rpn_forward
+from .rpn import DetectConfig, FieldError, RpnHead, generate_anchors, propose, require_int, rpn_forward
 from .tensor import (
     ShapeError,
     conv2d,
@@ -51,15 +51,15 @@ class ModelConfig:
         # each range is written so that NaN fails it
         require_int("roi_pool_size", self.roi_pool_size, 1)
         if not 0 < self.gamma_init < math.inf:
-            raise ValueError(f"gamma_init {self.gamma_init} outside (0, inf)")
+            raise FieldError("gamma_init", f"{self.gamma_init} outside (0, inf)")
         for name in ("anchor_scales", "anchor_ratios"):
             values = getattr(self, name)
             if not values or not all(0 < v < math.inf for v in values):
-                raise ValueError(f"{name} {values}: at least one element is needed, each in (0, inf)")
+                raise FieldError(name, f"{values}: at least one element is needed, each in (0, inf)")
         if self.fusion_mode not in FUSED_TAPS:
-            raise ValueError(f"unknown fusion_mode {self.fusion_mode!r}")
+            raise FieldError("fusion_mode", f"{self.fusion_mode!r} is not one of {', '.join(map(repr, FUSED_TAPS))}")
         if len(self.stage_channels) != 5:
-            raise ValueError(f"stage_channels {self.stage_channels!r}: exactly five stage widths are needed")
+            raise FieldError("stage_channels", f"{self.stage_channels!r}: exactly five stage widths are needed")
         for width in self.stage_channels:
             require_int("stage_channels", width, 1)
         require_int("rpn_channels", self.rpn_channels, 1)

@@ -14,10 +14,24 @@ from .detector import Detection, Targets
 from .tensor import Params, conv2d, conv2d_backward, relu, relu_backward, softmax
 
 
+class ConfigError(ValueError):
+    """A config that cannot be built: a malformed file or a value out of range."""
+
+
+class FieldError(ConfigError):
+    """A field or argument outside its range, raised by the configs' range
+    checks and :func:`require_int`.  The message is the field's name, a space
+    and ``detail``."""
+
+    def __init__(self, field: str, detail: str):
+        super().__init__(f"{field} {detail}")
+        self.field, self.detail = field, detail
+
+
 def require_int(name: str, value, least: int):
-    """Raise ValueError naming field ``name`` unless ``value`` is a non-bool integer >= ``least``."""
+    """Raise FieldError naming field ``name`` unless ``value`` is a non-bool integer >= ``least``."""
     if not (isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least):
-        raise ValueError(f"{name} {value!r}: only integers of at least {least} are allowed")
+        raise FieldError(name, f"{value!r}: only integers of at least {least} are allowed")
 
 
 @dataclass(frozen=True)
@@ -38,13 +52,13 @@ class DetectConfig:
         require_int("pre_nms_top_n", self.pre_nms_top_n, 1)
         require_int("post_nms_top_n", self.post_nms_top_n, 1)
         if not 0 < self.rpn_nms_thresh < 1:
-            raise ValueError(f"rpn_nms_thresh {self.rpn_nms_thresh} outside (0, 1)")
+            raise FieldError("rpn_nms_thresh", f"{self.rpn_nms_thresh} outside (0, 1)")
         if not 0 <= self.min_size < math.inf:
-            raise ValueError(f"min_size {self.min_size} outside [0, inf)")
+            raise FieldError("min_size", f"{self.min_size} outside [0, inf)")
         if not 0 <= self.score_thresh < 1:
-            raise ValueError(f"score_thresh {self.score_thresh} outside [0, 1)")
+            raise FieldError("score_thresh", f"{self.score_thresh} outside [0, 1)")
         if not 0 < self.det_nms_thresh < 1:
-            raise ValueError(f"det_nms_thresh {self.det_nms_thresh} outside (0, 1)")
+            raise FieldError("det_nms_thresh", f"{self.det_nms_thresh} outside (0, 1)")
 
 
 def generate_anchors(feat_h: int, feat_w: int, scales, ratios, stride: int) -> np.ndarray:

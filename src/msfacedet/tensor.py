@@ -8,9 +8,13 @@ forward computes in its input's dtype and reads each parameter as
 itself for float64 input: training, gradient checks and checkpoints run in
 float64, and ``MultiScaleDetector.detect`` runs the same forwards in float32.
 The backwards are float64 only.  Layers follow a functional style:
-``<op>(...)`` returns ``(out, cache)``, and the cache may hold the input
-itself (``maxpool2d``, ``fully_connected``; ``conv2d`` holds a padded copy),
-so a caller must not write into an input before its backward.
+``<op>(...)`` returns ``(out, cache)``, and the cache holds references to
+arrays the forward already had, never copies: ``conv2d``, ``maxpool2d`` and
+``fully_connected`` hold their input and ``relu`` its output.  A conv's input
+is the previous ``relu``'s output, which is also a pool's input, so the
+backbone holds each activation once, and no caller may write into an input
+or an activation before its backward.  No layer in this package does: each
+allocates its output.
 ``<op>_backward(dout, cache, ...)`` returns the gradient w.r.t. the input
 while accumulating parameter gradients in place (``param.grad += ...``), so
 parameters shared between branches pick up contributions from every use.
@@ -115,6 +119,13 @@ def make_linear(rng, d, m) -> Params:
 _BAND_BYTES = 1 << 20
 
 
+def _pad(x: np.ndarray, pad: int) -> np.ndarray:
+    """Fresh C-contiguous copy of NCHW ``x`` with ``pad`` zeros on every side."""
+    xp = np.zeros(x.shape[:2] + (x.shape[2] + 2 * pad, x.shape[3] + 2 * pad), x.dtype)  # np.pad: 7x the time
+    xp[:, :, pad : xp.shape[2] - pad, pad : xp.shape[3] - pad] = x
+    return xp
+
+
 def _windows(xp: np.ndarray, k: int) -> np.ndarray:
     """Channel-major ``(C, k, k, N, H, W)`` read-only view of the k x k windows
     of the C-contiguous padded input, built from its strides: a copy of any
@@ -138,8 +149,9 @@ def conv2d(x: np.ndarray, p: Params):
 
     The input is zero-padded by (k - 1) // 2 on every side, so the output
     keeps its size.  The output is laid out ``(outC, N, H, W)`` and returned
-    as an NCHW view, C-contiguous for N == 1.  The cache holds the zero-padded
-    copy ``xp`` of the input, from which the backward rebuilds the columns.
+    as an NCHW view, C-contiguous for N == 1.  The cache holds the input
+    ``x`` itself, not a copy: the zero-padded ``xp`` (:func:`_pad`) lives
+    only while the forward runs, and the backward pads ``x`` again.
 
     The full columns never exist.  The output rows are cut into
     ``C*k*k*H*W*itemsize // _BAND_BYTES`` bands (at least 1, at most H) whose
@@ -164,9 +176,7 @@ def conv2d(x: np.ndarray, p: Params):
     pad = (k - 1) // 2
     if h + 2 * pad < k or w + 2 * pad < k:
         raise ShapeError(f"conv2d: padded input {x.shape} smaller than kernel {p.weight.data.shape}")
-    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), x.dtype)  # np.pad builds the same at 7x the call time
-    xp[:, :, pad : pad + h, pad : pad + w] = x
-    win = _windows(xp, k)
+    win = _windows(_pad(x, pad), k)
     ckk = c * k * k
     bands = min(h, max(1, ckk * h * w * x.itemsize // _BAND_BYTES)) if n == 1 else 1
     edges = [i * h // bands for i in range(bands + 1)]
@@ -180,11 +190,12 @@ def conv2d(x: np.ndarray, p: Params):
         o = out[:, :, y0:y1].reshape(out_c, -1)
         np.matmul(wmat, band.reshape(ckk, -1), out=o)
         o += bias
-    return out.transpose(1, 0, 2, 3), (xp, p)
+    return out.transpose(1, 0, 2, 3), (x, p)
 
 
 def conv2d_backward(dout: np.ndarray, cache) -> np.ndarray:
-    """Mirror of :func:`conv2d` on columns rebuilt from the cached padded input.
+    """Mirror of :func:`conv2d` on columns rebuilt from the cached input,
+    padded again by :func:`_pad` as the forward padded it.
 
     With ``dmat`` the ``(outC, N*H*W)`` output gradient, dW = dmat @ cols.T,
     db = dmat.sum(axis=1) and dcols = W.T @ dmat, written into the columns'
@@ -193,13 +204,12 @@ def conv2d_backward(dout: np.ndarray, cache) -> np.ndarray:
     after zeroing the columns that would wrap past a row edge: a sum that
     starts at +0.0 is never -0.0, so an added zero changes none of its bits.
     """
-    xp, p = cache
-    n, c = xp.shape[:2]
+    x, p = cache
+    n, c, h, w = x.shape
     out_c, _, k, _ = p.weight.data.shape
     pad = (k - 1) // 2
-    _, _, h, w = dout.shape
     dmat = dout.transpose(1, 0, 2, 3).reshape(out_c, -1)
-    cols = _columns(xp, k)
+    cols = _columns(_pad(x, pad), k)
     p.bias.grad += dmat.sum(axis=1)
     p.weight.grad += (dmat @ cols.T).reshape(p.weight.data.shape)
     dc = np.matmul(p.weight.data.reshape(out_c, -1).T, dmat, out=cols).reshape(c, k, k, n, h, w)
@@ -272,11 +282,18 @@ def maxpool2d_backward(dout: np.ndarray, cache) -> np.ndarray:
 
 
 def relu(x: np.ndarray):
-    return np.maximum(x, 0.0), (x > 0.0)
+    """``max(x, 0)``, NaN kept.  The cache is the output itself, which the
+    backward compares with 0, so the forward builds no mask."""
+    out = np.maximum(x, 0.0)
+    return out, out
 
 
 def relu_backward(dout: np.ndarray, cache) -> np.ndarray:
-    return dout * cache
+    """``dout`` times ``out > 0.0`` for the cached output ``out``.  That mask
+    is ``x > 0.0`` for every input x: where x is not above 0, ``out`` is a
+    zero or, for a NaN, NaN.  So the product has the bits of ``dout`` times
+    the input's mask, its ``-0.0`` and NaN products included."""
+    return dout * (cache > 0.0)
 
 
 def fully_connected(x: np.ndarray, p: Params):

@@ -13,6 +13,7 @@ from .detector import Targets, assign_detection_targets
 from .model import MultiScaleDetector, ModelConfig, check_extents, check_image
 from .rpn import (
     DetectConfig,
+    FieldError,
     TargetAssignmentError,
     assign_rpn_targets,
     propose,
@@ -48,14 +49,14 @@ class TrainConfig(ModelConfig, DetectConfig):
         DetectConfig.__post_init__(self)
         # each range is written so that NaN fails it
         if not 0 < self.learning_rate < math.inf:
-            raise ValueError(f"learning_rate {self.learning_rate} outside (0, inf)")
+            raise FieldError("learning_rate", f"{self.learning_rate} outside (0, inf)")
         for name in ("momentum", "weight_decay"):
             if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} {getattr(self, name)} outside [0, inf)")
+                raise FieldError(name, f"{getattr(self, name)} outside [0, inf)")
         require_int("iterations", self.iterations, 1)
         require_int("seed", self.seed, 0)
         if not 0 <= self.loss_lambda < math.inf:
-            raise ValueError(f"loss_lambda {self.loss_lambda} outside [0, inf)")
+            raise FieldError("loss_lambda", f"{self.loss_lambda} outside [0, inf)")
 
 
 def _head_loss(logits, deltas, targets: Targets, lam):

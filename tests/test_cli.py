@@ -378,7 +378,11 @@ def test_out_of_range_config_file_value_fails_unless_a_flag_replaces_it(tmp_path
     args = ["train", "--config", str(config), "--data", str(data), "--out", str(run)]
     capsys.readouterr()
     assert run_cli(args) == 1
-    assert capsys.readouterr().err == "error: iterations 0: only integers of at least 1 are allowed\n"
+    message = "only integers of at least 1 are allowed\n"
+    assert capsys.readouterr().err == f"error: {config}: config key iterations: 0: {message}"
+    assert not (tmp_path / "out").exists()
+    assert run_cli(args + ["--iterations", "-3"]) == 1  # a bad flag is named as before
+    assert capsys.readouterr().err == f"error: iterations -3: {message}"
     assert not (tmp_path / "out").exists()
     assert run_cli(args + ["--iterations", "2"]) == 0
     assert (run / "loss_trace.txt").read_text().startswith("2 ")

@@ -190,13 +190,13 @@ class TestRejected:
                 "^cfg: config key learning_rate: 10{400} is too large for a float$",
                 id="learning_rate = 1e400 as an integer",
             ),
-            ("score_thresh = 1.0", r"^score_thresh 1.0 outside \[0, 1\)$"),
-            ("det_nms_thresh = 0", r"^det_nms_thresh 0.0 outside \(0, 1\)$"),
-            ("gamma_init = 0", r"^gamma_init 0.0 outside \(0, inf\)$"),
-            ("anchor_ratios = []", r"^anchor_ratios \(\): at least one element is needed"),
+            ("score_thresh = 1.0", r"^cfg: config key score_thresh: 1.0 outside \[0, 1\)$"),
+            ("det_nms_thresh = 0", r"^cfg: config key det_nms_thresh: 0.0 outside \(0, 1\)$"),
+            ("gamma_init = 0", r"^cfg: config key gamma_init: 0.0 outside \(0, inf\)$"),
+            ("anchor_ratios = []", r"^cfg: config key anchor_ratios: \(\): at least one element is needed"),
             ("anchor_scales = 2.0", r"^cfg: config key anchor_scales: 2.0 is not an array$"),
             ("anchor_scales = [[1.0]]", r"^cfg: config key anchor_scales: \[1.0\] is not a number$"),
-            ('fusion_mode = "tap4"', "^unknown fusion_mode 'tap4'$"),
+            ('fusion_mode = "tap4"', "^cfg: config key fusion_mode: 'tap4' is not one of 'multi', 'tap5'$"),
             ("shrink_channels = 32", "^cfg: unknown key 'shrink_channels'$"),
             ("[train]\nseed = 1", "^cfg: unknown key 'train'$"),
             ("seed.value = 1", r"^cfg: config key seed: \{'value': 1\} is not an integer$"),
@@ -204,9 +204,9 @@ class TestRejected:
             ("data_dir = 1979-05-27", r"^cfg: config key data_dir: datetime.date\(1979, 5, 27\) is not a quoted"),
             ("just some words", r"^cfg: .* \(at line 1, column \d+\) \(config files are TOML: quote strings"),
             pytest.param("a = " + "[" * 3000 + "]" * 3000, "^cfg: values are nested too deeply$", id="a nested 3000 deep"),
-            ("stage_channels = [8, 16, 32, 64]", r"^stage_channels \(8, 16, 32, 64\): exactly five stage widths"),
+            ("stage_channels = [8, 16, 32, 64]", r"^cfg: config key stage_channels: \(8, 16, 32, 64\): exactly five stage"),
             ("stage_channels = [8, 16, 32, 64, 64.5]", "^cfg: config key stage_channels: 64.5 is not an integer$"),
-            ("head_width = 0", "^head_width 0: only integers of at least 1 are allowed$"),
+            ("head_width = 0", "^cfg: config key head_width: 0: only integers of at least 1 are allowed$"),
         ],
     )
     def test_config_error(self, text, message):
@@ -251,6 +251,16 @@ class TestRejected:
     def test_out_of_range_component_value(self, text):
         with pytest.raises(ValueError):
             parse_run_config(text)
+
+    def test_out_of_range_value_is_named_as_the_file_key_only_when_it_is_the_files(self):
+        with pytest.raises(ConfigError, match=r"^cfg: config key iou_threshold: 2.0 outside \(0, 1\)$"):
+            parse_run_config("iou_threshold = 2", source="cfg")
+        assert parse_run_config("iou_threshold = 2", source="cfg", iou_threshold=0.4).iou_threshold == 0.4
+        with pytest.raises(ConfigError, match=r"^iou_threshold 3 outside \(0, 1\)$"):
+            parse_run_config("iou_threshold = 2", source="cfg", iou_threshold=3)
+        # split_medium_max fails its range, but its value is the default, not the file's
+        with pytest.raises(ConfigError, match=r"^split_medium_max 64.0 outside \(split_small_max 80.0, inf\)$"):
+            parse_run_config("split_small_max = 80", source="cfg")
 
     def test_model_rejects_invalid_config(self):
         with pytest.raises(ValueError, match="gamma_init"):

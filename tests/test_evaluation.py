@@ -83,8 +83,11 @@ def test_evaluate_dataset_matches_the_reference_scorer(seed):
     assert {k: r.ap for k, r in report.splits.items()} == pytest.approx(splits, rel=1e-12, abs=1e-12)
     assert report.overall.n_det == len(hits)
     pr, roc = _prefix_curves(hits, sum(len(g) for g in gts.values()))
-    assert report.overall.pr_points == pr
-    assert report.overall.roc_points == roc
+    assert report.overall.pr_points.tolist() == pr
+    assert report.overall.roc_points.tolist() == roc
+    assert report.overall.pr_points.dtype.names == ("recall", "precision")
+    assert report.overall.roc_points.dtype.names == ("fp", "tpr")
+    assert report.overall.roc_points.fp.dtype == np.int64
 
 
 def _not_boxes(shape):

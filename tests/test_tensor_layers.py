@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
+from msfacedet import checks, rpn
 from msfacedet.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from msfacedet.checks import finite_difference_check
+from msfacedet.checks import DEFAULT_SEEDS, LAYER_CHECKS, finite_difference_check
 from msfacedet.model import ModelConfig, MultiScaleDetector
 from msfacedet.tensor import (
     _BAND_BYTES,
@@ -22,6 +23,7 @@ from msfacedet.tensor import (
     maxpool2d,
     maxpool2d_backward,
     relu,
+    relu_backward,
     smooth_l1,
     softmax,
     softmax_cross_entropy,
@@ -225,6 +227,13 @@ class TestConv2d:
         assert out32.dtype == np.float32 and out32.tobytes() == ref32.tobytes()
 
     @pytest.mark.parametrize("x_shape,out_c,k,pad", CONV_CASES)
+    def test_cache_holds_the_input_itself(self, x_shape, out_c, k, pad):
+        rng = np.random.default_rng(7)
+        x, p = rng.standard_normal(x_shape), _random_conv(rng, out_c, x_shape[1], k)
+        _, cache = conv2d(x, p)
+        assert cache[0] is x and cache[1] is p
+
+    @pytest.mark.parametrize("x_shape,out_c,k,pad", CONV_CASES)
     def test_cache_holds_no_array_larger_than_padded_input(self, x_shape, out_c, k, pad):
         rng = np.random.default_rng(7)
         _, cache = conv2d(rng.standard_normal(x_shape), _random_conv(rng, out_c, x_shape[1], k))
@@ -315,11 +324,16 @@ def _cache_arrays(obj):
             yield from _cache_arrays(item)
 
 
-def test_backbone_caches_of_a_256_px_float32_image_hold_at_most_12_mb():
-    # 53.1 MB while every conv cached its im2col columns; 11.4 MB with padded inputs
+def test_backbone_caches_of_a_256_px_float32_image_hold_at_most_9_5_mb_of_distinct_buffers():
+    # 53.1 MB while every conv cached its im2col columns; 11.4 MB with padded
+    # inputs and ReLU masks; 9.24 MB with each activation held once
     model = MultiScaleDetector(ModelConfig(), seed=0)
     _, caches = model.backbone_forward(np.full((1, 1, 256, 256), 0.5, dtype=np.float32))
-    assert sum(a.size * a.itemsize for a in _cache_arrays(caches)) <= 12e6
+    buffers = {}  # the array owning each cached array's memory, once per owner
+    for a in _cache_arrays(caches):
+        owner = a if a.base is None else a.base
+        buffers[id(owner)] = owner
+    assert sum(b.nbytes for b in buffers.values()) <= 9.5e6
 
 
 def reference_maxpool2d(x, k):
@@ -447,11 +461,52 @@ class TestRelu:
         assert np.array_equal(out, x)
 
     def test_zero_subgradient_at_zero(self):
-        from msfacedet.tensor import relu_backward
-
         _, cache = relu(np.array([0.0, -1.0, 1.0]))
         dx = relu_backward(np.ones(3), cache)
         assert dx.tolist() == [0.0, 0.0, 1.0]
+
+    def test_cache_is_the_output(self):
+        out, cache = relu(np.random.default_rng(4).standard_normal((2, 3)))
+        assert cache is out
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_has_the_bits_of_the_input_mask_product(self, dtype):
+        info = np.finfo(dtype)
+        v = np.array([0.0, np.inf, np.nan, 1.0, info.smallest_subnormal, 3 * info.smallest_subnormal, info.tiny, info.max])
+        v = np.concatenate([v, -v]).astype(dtype)
+        # every pair of an input special value and an upstream one
+        x, dout = np.repeat(v[:, None], v.size, axis=1), np.repeat(v[None, :], v.size, axis=0)
+        with np.errstate(invalid="ignore"):  # inf times a zero mask is NaN in both
+            got, ref = relu_backward(dout, relu(x)[1]), dout * (x > 0.0)
+        assert got.dtype == ref.dtype == dtype and got.tobytes() == ref.tobytes()
+
+
+def _masked_relu(x):
+    """ReLU with the cache of the earlier contract: a bool mask of ``x > 0``."""
+    return relu(x)[0], x > 0.0
+
+
+def _masked_relu_backward(dout, mask):
+    return dout * mask
+
+
+def _copying_conv2d(x, p):
+    """conv2d whose cache holds a copy of its input, not the input itself."""
+    out, (_, p) = conv2d(x, p)
+    return out, (x.copy(), p)
+
+
+def test_layer_checks_keep_their_bits_when_caches_copy(monkeypatch):
+    # the values differ between BLAS kernels, so they are compared with the caches of copies, not pinned
+    def values():
+        return [[fn(seed).hex() for seed in DEFAULT_SEEDS] for _, fn in LAYER_CHECKS]
+
+    referenced = values()
+    for module in (checks, rpn):
+        monkeypatch.setattr(module, "conv2d", _copying_conv2d)
+        monkeypatch.setattr(module, "relu", _masked_relu)
+        monkeypatch.setattr(module, "relu_backward", _masked_relu_backward)
+    assert values() == referenced
 
 
 class TestFullyConnected:
